@@ -305,7 +305,7 @@ void report_model(Report& report, std::uint64_t committed,
 void expect_cell(Report& report, const std::string& what, bool halted,
                  std::uint64_t committed, double ipc);
 
-/// Sets wall_s and cell_ms.* for a workload whose caller receives every
+/// Sets wall_s and cell_ms.p50 for a workload whose caller receives every
 /// cell at the end of a pass: each cell's latency is that pass's wall.
 void report_batch_walls(const std::vector<double>& walls, Report& report);
 

@@ -111,6 +111,56 @@ std::uint64_t parse_u64(const std::string& flag, const std::string& text) {
   return v;
 }
 
+using Runner = void (*)(const Options&, Tracer&, Report&);
+
+Runner find_workload(const std::string& name) {
+  static const std::vector<std::pair<std::string, Runner>> runners = {
+      {"fig11-full",
+       [](const Options& o, Tracer& t, Report& r) { run_fig11(o, false, t, r); }},
+      {"fig11-sampled",
+       [](const Options& o, Tracer& t, Report& r) { run_fig11(o, true, t, r); }},
+      {"go-long", run_go_long},
+      {"daemon-sweep", run_daemon_sweep},
+  };
+  for (const auto& [workload, run] : runners)
+    if (workload == name) return run;
+  usage("unknown workload '" + name + "'");
+}
+
+bool is_timing(const std::string& unit) {
+  return unit == "s" || unit == "ms" || unit == "us" || unit == "ns" ||
+         unit == "MIPS" || unit == "KIPS";
+}
+
+/// A traced run measures every per-layer timing. Those its workload does
+/// not exercise come from smoke-scale traced runs of workloads that do
+/// (the layer probes); counts and ratios stay what this run did.
+void probe_missing_timings(const Options& opts, Report& report) {
+  for (const char* name : {"go-long", "daemon-sweep", "fig11-sampled"}) {
+    std::vector<std::string> missing;
+    for (const auto& [metric, unit] : layer_metrics())
+      if (is_timing(unit) && !report.values().contains(metric))
+        missing.push_back(metric);
+    if (missing.empty()) return;
+    if (opts.workload == name) continue;
+    Options probe = opts;
+    probe.workload = name;
+    probe.smoke = true;
+    probe.seconds = 1;
+    probe.spans_path.clear();
+    Tracer tracer(true);
+    Report probed;
+    find_workload(name)(probe, tracer, probed);
+    report.expect(probed.failed() == 0,
+                  std::string("layer probe on ") + name + " failed");
+    for (const std::string& metric : missing) {
+      if (const auto it = probed.values().find(metric);
+          it != probed.values().end())
+        report.set(metric, it->second);
+    }
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -163,26 +213,20 @@ int main(int argc, char** argv) {
     usage("--reference and --scratch are required");
   if (opts.seconds < 1) usage("--seconds must be at least 1");
 
+  const Runner run = find_workload(opts.workload);
   const double calib_start = calibrate_ms();
   const double cpu_start = process_cpu_s();
   Tracer tracer(opts.trace);
   Report report;
-  if (opts.trace) {
-    // Layers a workload does not exercise stay at 0.
-    for (const auto& [name, unit] : layer_metrics()) report.set(name, 0.0);
-  }
-  if (opts.workload == "fig11-full") {
-    run_fig11(opts, /*sampled=*/false, tracer, report);
-  } else if (opts.workload == "fig11-sampled") {
-    run_fig11(opts, /*sampled=*/true, tracer, report);
-  } else if (opts.workload == "go-long") {
-    run_go_long(opts, tracer, report);
-  } else if (opts.workload == "daemon-sweep") {
-    run_daemon_sweep(opts, tracer, report);
-  } else {
-    usage("unknown workload '" + opts.workload + "'");
-  }
+  run(opts, tracer, report);
   const double cpu_s = process_cpu_s() - cpu_start;
+
+  if (opts.trace) {
+    probe_missing_timings(opts, report);
+    // Counts and ratios of layers this workload does not exercise are 0.
+    for (const auto& [name, unit] : layer_metrics())
+      if (!report.values().contains(name)) report.set(name, 0.0);
+  }
   const double calib_end = calibrate_ms();
   const double calib_ms = (calib_start + calib_end) / 2;
 

@@ -179,8 +179,9 @@ void report_replays(const std::vector<Replay>& replays, unsigned threads,
   const std::vector<double> windows = tracer.seconds("sim.window");
   report.set("sim.window_ms.p50", 1e3 * median(windows));
   report.set("sim.window_ms.p99", 1e3 * percentile(windows, 0.99));
-  report.set("pipeline.kips.int", ratio(kips_insts[0], kips_s[0]) / 1e3);
-  report.set("pipeline.kips.fp", ratio(kips_insts[1], kips_s[1]) / 1e3);
+  // A class with no windows leaves its KIPS unset (see probe_missing_timings).
+  if (kips_s[0] > 0) report.set("pipeline.kips.int", kips_insts[0] / kips_s[0] / 1e3);
+  if (kips_s[1] > 0) report.set("pipeline.kips.fp", kips_insts[1] / kips_s[1] / 1e3);
   report.set("pipeline.ns_per_cycle", 1e9 * ratio(window_s, cycles));
 }
 
