@@ -19,8 +19,6 @@
 
 namespace erel::arch {
 
-using isa::DecodedInst;
-using isa::Opcode;
 using isa::RegClass;
 
 void load_program(const Program& program, SparseMemory& mem) {
@@ -77,7 +75,8 @@ StepInfo ArchState::step() {
   if (decoded_ != nullptr && !code_dirty_ && decoded_->contains(pc_)) {
     step_decoded(decoded_->at(pc_), info);
   } else {
-    step_bytes(info);
+    // Byte-accurate path: decode the word in memory now, same semantics.
+    step_decoded(DecodedProgram::make_op(mem_.read_u32(pc_)), info);
   }
   return info;
 }
@@ -176,108 +175,6 @@ void ArchState::step_decoded(const MicroOp& mop, StepInfo& info) {
         else set_fp_reg(mop.inst.rd, value);
       }
       break;
-    }
-  }
-
-  pc_ = next_pc;
-  info.next_pc = next_pc;
-}
-
-void ArchState::step_bytes(StepInfo& info) {
-  const std::uint32_t word = mem_.read_u32(pc_);
-  const DecodedInst inst = isa::decode(word);
-  info.inst = inst;
-  info.kind = DecodedProgram::kind_of(inst);
-  ++icount_;
-
-  const std::uint64_t a = src_value(inst.src1_class(), inst.rs1);
-  const std::uint64_t b = src_value(inst.src2_class(), inst.rs2);
-
-  std::uint64_t next_pc = pc_ + 4;
-
-  if (inst.op == Opcode::ILLEGAL) {
-    // An architecturally-executed illegal instruction is a program bug; halt
-    // and flag it so tests catch runaway control flow.
-    info.illegal = true;
-    info.halted = true;
-    halted_ = true;
-    info.next_pc = pc_;
-    return;
-  }
-
-  if (inst.is_halt()) {
-    halted_ = true;
-    info.halted = true;
-    info.next_pc = pc_;
-    return;
-  }
-
-  if (inst.is_iret()) {
-    next_pc = dev_.iret();
-    pc_ = next_pc;
-    info.next_pc = next_pc;
-    return;
-  }
-
-  if (inst.is_load()) {
-    const std::uint64_t addr = isa::effective_address(a, inst.imm);
-    std::uint64_t value = dev::Machine::is_mmio(addr)
-                              ? dev_.read(addr, inst.mem_bytes(), icount_ - 1)
-                              : mem_.read(addr, inst.mem_bytes());
-    if (inst.op == Opcode::LW) value = static_cast<std::uint64_t>(sext(value, 32));
-    info.is_load = true;
-    info.mem_addr = addr;
-    info.mem_bytes = inst.mem_bytes();
-    info.has_dst = inst.has_dst();
-    info.dst_class = inst.dst_class();
-    info.dst_reg = inst.rd;
-    info.dst_value = value;
-    if (info.has_dst) {
-      if (info.dst_class == RegClass::Int) set_int_reg(inst.rd, value);
-      else set_fp_reg(inst.rd, value);
-    }
-  } else if (inst.is_store()) {
-    const std::uint64_t addr = isa::effective_address(a, inst.imm);
-    info.is_store = true;
-    info.mem_addr = addr;
-    info.mem_bytes = inst.mem_bytes();
-    info.store_value = b;
-    if (dev::Machine::is_mmio(addr)) {
-      dev_.write(addr, b, inst.mem_bytes(), icount_ - 1);
-    } else {
-      note_store(addr, inst.mem_bytes());
-      mem_.write(addr, b, inst.mem_bytes());
-    }
-  } else if (inst.is_cond_branch()) {
-    if (isa::branch_taken(inst.op, a, b))
-      next_pc = pc_ + static_cast<std::uint64_t>(std::int64_t{inst.imm} * 4);
-  } else if (inst.is_direct_jump()) {
-    info.has_dst = inst.has_dst();
-    info.dst_class = RegClass::Int;
-    info.dst_reg = inst.rd;
-    info.dst_value = pc_ + 4;
-    if (info.has_dst) set_int_reg(inst.rd, pc_ + 4);
-    next_pc = pc_ + static_cast<std::uint64_t>(std::int64_t{inst.imm} * 4);
-  } else if (inst.is_indirect_jump()) {
-    // Link value is read before the target in case rd == rs1.
-    const std::uint64_t target =
-        (a + static_cast<std::uint64_t>(std::int64_t{inst.imm})) & ~std::uint64_t{3};
-    info.has_dst = inst.has_dst();
-    info.dst_class = RegClass::Int;
-    info.dst_reg = inst.rd;
-    info.dst_value = pc_ + 4;
-    if (info.has_dst) set_int_reg(inst.rd, pc_ + 4);
-    next_pc = target;
-  } else {
-    // Plain ALU / FPU operation.
-    const std::uint64_t value = isa::exec_alu(inst.op, a, b, inst.imm);
-    info.has_dst = inst.has_dst();
-    info.dst_class = inst.dst_class();
-    info.dst_reg = inst.rd;
-    info.dst_value = value;
-    if (info.has_dst) {
-      if (info.dst_class == RegClass::Int) set_int_reg(inst.rd, value);
-      else set_fp_reg(inst.rd, value);
     }
   }
 

@@ -116,12 +116,10 @@ class ArchState {
   /// or `max_steps`; returns the number of instructions executed (>= 1).
   std::uint64_t run_decoded(std::uint64_t max_steps);
 
-  /// Executes one instruction from the pre-decoded record (pc_ verified to
-  /// be inside the decoded image by the caller).
+  /// Executes one instruction at pc_: the record is either the decoded
+  /// image's slot or, on the byte-accurate path, make_op() of the word in
+  /// memory.
   void step_decoded(const MicroOp& mop, StepInfo& info);
-
-  /// Byte-accurate path: fetches and decodes from memory (original engine).
-  void step_bytes(StepInfo& info);
 
   [[nodiscard]] std::uint64_t src_value(isa::RegClass cls,
                                         unsigned idx) const {

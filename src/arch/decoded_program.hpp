@@ -95,8 +95,8 @@ class DecodedProgram {
   /// paying contains()/at() per instruction.
   [[nodiscard]] const MicroOp* ops() const { return ops_.data(); }
 
-  /// Decodes and classifies one instruction word (also the slow path's
-  /// classifier: kind_of(decode(word)) == make_op(word).kind).
+  /// Decodes and classifies one instruction word. ArchState's byte-accurate
+  /// path calls it for every instruction it executes.
   static MicroOp make_op(std::uint32_t word);
 
   /// Dispatch class of an already-decoded instruction.

@@ -8,7 +8,8 @@
 
 namespace erel::harness {
 
-RunResult run_one(const RunSpec& spec, const RunHooks& hooks) {
+RunResult run_one(const RunSpec& spec,
+                  const std::function<bool()>& cancelled) {
   const arch::Program program = workloads::assemble_workload(spec.workload);
   // Metric export is a pure function of (config, registry), so a fresh
   // never-attached instance serves both the full and the sampled path.
@@ -32,14 +33,13 @@ RunResult run_one(const RunSpec& spec, const RunHooks& hooks) {
     });
     return metrics;
   };
-  if (hooks.cancelled && hooks.cancelled()) {
+  if (cancelled && cancelled()) {
     // Cancelled before starting: the result is partial by definition.
     return RunResult{spec, {}, std::nullopt, {}};
   }
   if (spec.sampling) {
     sim::SampledSimulator sampler(spec.config, *spec.sampling);
-    sim::SampledStats sampled = sampler.run(program, spec.probes,
-                                            hooks.cancelled);
+    sim::SampledStats sampled = sampler.run(program, spec.probes, cancelled);
     std::vector<sim::Metric> metrics = collect_metrics(sampled.registry);
     return RunResult{spec, sampled.estimate, std::move(sampled),
                      std::move(metrics)};
@@ -48,10 +48,7 @@ RunResult run_one(const RunSpec& spec, const RunHooks& hooks) {
   std::unique_ptr<pipeline::Core> core = simulator.make_core(program);
   const std::vector<std::unique_ptr<sim::Probe>> instances =
       core->attach_probes(spec.probes);
-  for (sim::Probe* probe : hooks.extra_probes) core->attach_probe(probe);
-  if (hooks.live_registry) hooks.live_registry(&core->registry());
   const sim::SimStats stats = core->run();
-  if (hooks.live_registry) hooks.live_registry(nullptr);
   return RunResult{spec, stats, std::nullopt,
                    collect_metrics(core->registry())};
 }

@@ -1,13 +1,18 @@
-// Experiment harness: runs batches of independent simulations across a
-// thread pool and aggregates the series the paper's tables/figures report.
+// Experiment harness: runs one simulation cell (run_one) or a batch of
+// independent cells across a thread pool (run_all), and aggregates the
+// series the paper's tables/figures report.
 //
-// This is the flat runner layer. Sweeps should normally be declared through
+// run_one is the one way a cell is simulated: run_all's workers (and so
+// harness::Experiment's local runs) and the experiment daemon's pool
+// (src/service/) all call it, so a cell's result does not depend on which
+// of them ran it. Sweeps should normally be declared through
 // harness::Experiment (harness/experiment.hpp), which materializes axis
 // cross-products into structurally-keyed RunSpecs, serves cells from the
-// on-disk result cache, and returns a typed harness::ResultSet.
+// on-disk result cache or a daemon, and returns a typed harness::ResultSet.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <span>
 #include <string>
@@ -53,36 +58,16 @@ struct RunResult {
   std::vector<sim::Metric> metrics;
 };
 
-/// Observation hooks for a single run, used by the experiment daemon to
-/// watch a simulation in progress (src/service/). Both are no-ops by
-/// default and never change simulation results.
-struct RunHooks {
-  /// Extra observers attached after the spec's own probes (caller keeps
-  /// ownership). Full-detail runs only: sampled runs build fresh per-window
-  /// probe instances from ProbeSpec factories, so raw pointers cannot ride
-  /// along — pass a ProbeSpec in the spec instead.
-  std::vector<sim::Probe*> extra_probes;
-
-  /// Called with the core's live registry right before the run starts, and
-  /// with nullptr right after it completes — *before* the core is torn
-  /// down, so the callback is the exact window in which the pointer may be
-  /// retained (e.g. for StatRegistry::snapshot() readers on other threads).
-  /// Full-detail runs only (a sampled run has no single live registry); for
-  /// sampled specs the callback never fires.
-  std::function<void(sim::StatRegistry*)> live_registry;
-
-  /// Cooperative cancellation: polled at coarse boundaries (before the run
-  /// starts; between a sampled run's planning steps and measurement
-  /// batches). Once it returns true the run stops early and the RunResult
-  /// is PARTIAL — callers that cancel must discard it, never cache or
-  /// serve it. Full-detail runs only honor the pre-start check (the
-  /// detailed core has no safe interior stopping point).
-  std::function<bool()> cancelled;
-};
-
-/// Runs one spec on the calling thread: the unit of work shared by run_all
-/// workers and the experiment daemon's pool.
-RunResult run_one(const RunSpec& spec, const RunHooks& hooks = {});
+/// Runs one spec on the calling thread.
+///
+/// `cancelled` (optional) is cooperative cancellation, polled at coarse
+/// boundaries: before the run starts, and between a sampled run's planning
+/// steps and measurement batches. Once it returns true the run stops early
+/// and the RunResult is PARTIAL — callers that cancel must discard it,
+/// never cache or serve it. Full-detail runs only honor the pre-start check
+/// (the detailed core has no safe interior stopping point).
+RunResult run_one(const RunSpec& spec,
+                  const std::function<bool()>& cancelled = {});
 
 /// Runs every spec (each on its own worker thread; simulations share no
 /// state). Results keep the input order. `threads` 0 = hardware default.

@@ -56,7 +56,6 @@ std::optional<std::uint64_t> RemoteBackend::dispatch(
   request.sampling = spec.sampling;
   for (const sim::ProbeSpec& probe : spec.probes)
     request.probe_names.push_back(probe.name);
-  request.stat_stride = spec.config.stat_stride;
   if (client_->send_cell(request)) return request.id;
   error_ = client_->error();
   retryable_ = status_retryable(client_->last_status());

@@ -69,7 +69,7 @@ void EventServer::send(std::uint64_t client, const Frame& frame) {
   conn.outbound += encode_frame(frame);
   if (conn.outbound.size() > kMaxOutboundBuffer) {
     EREL_WARN("dropping client ", client, ": outbound buffer exceeded ",
-              kMaxOutboundBuffer, " bytes (subscriber not reading?)");
+              kMaxOutboundBuffer, " bytes (client not reading?)");
     overflow_drops_.fetch_add(1, std::memory_order_relaxed);
     drop(client);
     return;

@@ -10,7 +10,7 @@
 // handling over one shared reactor, writers funneled through the loop.
 //
 // Outbound data is buffered per client and drained as POLLOUT reports
-// writability, so a slow subscriber cannot block the loop (a client whose
+// writability, so a slow reader cannot block the loop (a client whose
 // buffer exceeds kMaxOutboundBuffer is dropped instead).
 #pragma once
 
@@ -28,9 +28,9 @@
 
 namespace erel::net {
 
-/// A subscriber that stops reading can back up megabytes of updates; cap
-/// the per-client outbound buffer and drop the connection instead of
-/// growing without bound.
+/// A client that pipelines many cells and stops reading backs up their
+/// results (each a full `.erelres` entry); cap the per-client outbound
+/// buffer and drop the connection instead of growing without bound.
 inline constexpr std::size_t kMaxOutboundBuffer = 256u << 20;
 
 class EventServer {

@@ -95,7 +95,7 @@ void RemoteClient::backoff_sleep(unsigned attempt) {
   std::this_thread::sleep_for(std::chrono::milliseconds(jittered));
 }
 
-bool RemoteClient::resubmit_state() {
+bool RemoteClient::resubmit_pending() {
   // Content-addressed requests make this resubmission idempotent: the
   // daemon serves a repeat from cache or joins it to the in-flight cell.
   for (const auto& [id, request] : pending_) {
@@ -104,15 +104,6 @@ bool RemoteClient::resubmit_state() {
                        encode_cell_request(request)})) {
       error_ = "connection lost while resubmitting request " +
                std::to_string(id);
-      socket_ = net::Socket{};
-      return false;
-    }
-  }
-  for (const SubscribeMsg& sub : subscriptions_) {
-    if (!socket_.send_frame(
-            net::Frame{static_cast<std::uint8_t>(MsgType::kSubscribe),
-                       encode_subscribe(sub)})) {
-      error_ = "connection lost while resubscribing";
       socket_ = net::Socket{};
       return false;
     }
@@ -128,7 +119,7 @@ bool RemoteClient::revive() {
       // The old connection's cancel acks died with it; the new daemon-side
       // state has no memory of them.
       discard_ids_.clear();
-      if (resubmit_state()) {
+      if (resubmit_pending()) {
         ++reconnects_;
         return true;
       }
@@ -163,28 +154,8 @@ bool RemoteClient::send_cell(const CellRequest& request) {
     return true;
   error_ = "connection lost while sending cell request";
   socket_ = net::Socket{};
-  if (revive()) return true;  // resubmit_state() already sent it
+  if (revive()) return true;  // resubmit_pending() already sent it
   pending_.erase(request.id);
-  last_status_ = CallStatus::kDisconnected;
-  return false;
-}
-
-bool RemoteClient::subscribe(const std::string& fingerprint_hex,
-                             const std::string& channel) {
-  subscriptions_.push_back(SubscribeMsg{fingerprint_hex, channel});
-  if (!socket_.valid() && !revive()) {
-    subscriptions_.pop_back();
-    last_status_ = CallStatus::kDisconnected;
-    return false;
-  }
-  if (socket_.send_frame(
-          net::Frame{static_cast<std::uint8_t>(MsgType::kSubscribe),
-                     encode_subscribe(subscriptions_.back())}))
-    return true;
-  error_ = "connection lost while subscribing";
-  socket_ = net::Socket{};
-  if (revive()) return true;  // resubmit_state() already sent it
-  subscriptions_.pop_back();
   last_status_ = CallStatus::kDisconnected;
   return false;
 }
@@ -296,19 +267,12 @@ RemoteClient::Pumped RemoteClient::pump(int timeout_ms) {
       busies_.emplace(msg->id, *msg);
       return enforce_buffer_cap();
     }
-    case MsgType::kUpdate: {
-      const std::optional<UpdateMsg> msg = decode_update(frame.payload);
-      if (msg && on_update_) on_update_(*msg);
-      return Pumped::kOther;
-    }
     case MsgType::kStatsReply: {
       last_stats_ = decode_stats(frame.payload);
       return Pumped::kOther;
     }
-    case MsgType::kPong:
-      return Pumped::kOther;
     default:
-      return Pumped::kOther;  // unknown push traffic: ignore, stay connected
+      return Pumped::kOther;  // not a response: ignore, stay connected
   }
 }
 

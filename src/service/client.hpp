@@ -9,23 +9,22 @@
 // torn connection) from fatal refusals (version mismatch, fingerprint
 // refusal) and degrade to local simulation only when retrying is useless.
 //
-// Fault tolerance (v2): every blocking call is deadline-bounded
-// (ClientOptions::call_timeout_ms), connects are bounded and retried with
-// capped exponential backoff + deterministic jitter, and a torn connection
-// is revived transparently — outstanding requests are resubmitted on the
-// new connection, which is safe by construction because requests are
-// content-addressed fingerprints: the daemon answers a resubmitted cell
-// from its cache or joins it to the in-flight simulation, never simulates
-// it twice.
+// Every blocking call is deadline-bounded (ClientOptions::call_timeout_ms),
+// connects are bounded and retried with capped exponential backoff +
+// deterministic jitter, and a torn connection is revived transparently —
+// outstanding requests are resubmitted on the new connection, which is
+// safe by construction because requests are content-addressed
+// fingerprints: the daemon answers a resubmitted cell from its cache or
+// joins it to the in-flight simulation, never simulates it twice. A daemon
+// greeting with another protocol version is refused outright and never
+// retried.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <optional>
 #include <set>
 #include <string>
-#include <vector>
 
 #include "common/bits.hpp"
 #include "net/socket.hpp"
@@ -85,18 +84,10 @@ class RemoteClient {
   /// Successful transparent reconnects performed so far (test observability).
   [[nodiscard]] std::uint64_t reconnects() const { return reconnects_; }
 
-  /// kUpdate frames are delivered here as they interleave with awaited
-  /// responses (they carry no request id; they are push traffic).
-  void set_update_handler(std::function<void(const UpdateMsg&)> handler) {
-    on_update_ = std::move(handler);
-  }
-
   /// Pipelined send; the response is read by await(). The request is held
   /// for transparent resubmission until its response arrives (or the id is
   /// cancelled/forgotten). Ids must be unique per client lifetime.
   [[nodiscard]] bool send_cell(const CellRequest& request);
-  [[nodiscard]] bool subscribe(const std::string& fingerprint_hex,
-                               const std::string& channel);
 
   /// Blocks until the response for `id` arrives or the call deadline
   /// expires (responses to other pipelined ids are buffered). nullopt on
@@ -114,12 +105,11 @@ class RemoteClient {
   /// that died with a torn connection).
   void forget(std::uint64_t id);
 
-  /// Tears the connection down on purpose, keeping pending requests and
-  /// subscriptions: the next call revives it and resubmits (idempotent by
-  /// content addressing). For callers that judge a connection suspect —
-  /// e.g. repeated await deadlines on a path that normally answers fast,
-  /// the signature of a half-dead (blackholed) peer that send() cannot
-  /// detect.
+  /// Tears the connection down on purpose, keeping pending requests: the
+  /// next call revives it and resubmits them (idempotent by content
+  /// addressing). For callers that judge a connection suspect — e.g.
+  /// repeated await deadlines on a path that normally answers fast, the
+  /// signature of a half-dead (blackholed) peer that send() cannot detect.
   void reset_connection();
 
   /// Round-trips kStats within the call deadline. nullopt on failure.
@@ -130,9 +120,9 @@ class RemoteClient {
 
  private:
   enum class Pumped { kDelivered, kOther, kClosed, kTimeout };
-  /// Reads one frame within `timeout_ms`, dispatching updates and
-  /// buffering responses. Enforces the response-buffer cap and treats a
-  /// duplicate response id as a protocol error (closes the connection).
+  /// Reads one frame within `timeout_ms` and buffers it if it is a
+  /// response. Enforces the response-buffer cap and treats a duplicate
+  /// response id as a protocol error (closes the connection).
   Pumped pump(int timeout_ms);
   Pumped protocol_error(std::string message);
   Pumped enforce_buffer_cap();
@@ -141,10 +131,9 @@ class RemoteClient {
   /// One bounded connect + hello validation; sets fatal_ on refusals that
   /// retrying cannot fix.
   bool connect_once();
-  /// Reconnect loop with backoff; resubmits pending requests and
-  /// subscriptions on success.
+  /// Reconnect loop with backoff; resubmits pending requests on success.
   bool revive();
-  bool resubmit_state();
+  bool resubmit_pending();
   void backoff_sleep(unsigned attempt);
 
   ClientOptions opts_;
@@ -156,10 +145,8 @@ class RemoteClient {
   std::uint64_t last_busy_retry_ms_ = 0;
   std::uint64_t reconnects_ = 0;
   Xorshift jitter_{0};
-  std::function<void(const UpdateMsg&)> on_update_;
 
   std::map<std::uint64_t, CellRequest> pending_;  // sent, not yet answered
-  std::vector<SubscribeMsg> subscriptions_;       // replayed on reconnect
   std::set<std::uint64_t> discard_ids_;           // cancelled; drop replies
   std::map<std::uint64_t, ResultMsg> results_;
   std::map<std::uint64_t, ErrorMsg> errors_;

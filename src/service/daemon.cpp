@@ -1,6 +1,5 @@
 #include "service/daemon.hpp"
 
-#include <chrono>
 #include <filesystem>
 #include <utility>
 
@@ -44,11 +43,6 @@ ExperimentDaemon::ExperimentDaemon(const Options& opts)
     store_.open(opts_.cache_dir, opts_.max_cache_bytes);
 }
 
-ExperimentDaemon::~ExperimentDaemon() {
-  ticker_stop_.store(true, std::memory_order_release);
-  if (ticker_.joinable()) ticker_.join();
-}
-
 DaemonStats ExperimentDaemon::stats() const {
   DaemonStats stats;
   {
@@ -64,14 +58,11 @@ DaemonStats ExperimentDaemon::stats() const {
 
 void ExperimentDaemon::run() {
   EREL_CHECK(valid(), "ereld: cannot listen: ", error());
-  ticker_ = std::thread([this] { ticker_loop(); });
   server_.run();
   // Let queued/running simulations finish (their completion closures were
   // posted after stop and are dropped — the disk cache still gets the
-  // entries, so the work is not lost), then silence the ticker.
+  // entries, so the work is not lost).
   pool_.wait_idle();
-  ticker_stop_.store(true, std::memory_order_release);
-  if (ticker_.joinable()) ticker_.join();
 }
 
 // ---- loop-thread frame handling ----------------------------------------
@@ -89,13 +80,6 @@ void ExperimentDaemon::on_frame(std::uint64_t client, net::Frame frame) {
       return;
     case MsgType::kCancel:
       handle_cancel(client, frame);
-      return;
-    case MsgType::kSubscribe:
-      handle_subscribe(client, frame);
-      return;
-    case MsgType::kPing:
-      server_.send(client, net::Frame{static_cast<std::uint8_t>(MsgType::kPong),
-                                      frame.payload});
       return;
     case MsgType::kStats:
       server_.send(client,
@@ -120,7 +104,7 @@ auto ExperimentDaemon::reap_if_orphaned(
     std::map<std::string, std::shared_ptr<InFlight>>::iterator it)
     -> std::map<std::string, std::shared_ptr<InFlight>>::iterator {
   InFlight& cell = *it->second;
-  if (!cell.waiters.empty() || !cell.subs.empty()) return std::next(it);
+  if (!cell.waiters.empty()) return std::next(it);
   if (!cell.running) {
     // Still queued: erase now; the pool closure finds nothing and no-ops.
     --stats_.inflight;
@@ -136,16 +120,9 @@ auto ExperimentDaemon::reap_if_orphaned(
 void ExperimentDaemon::on_disconnect(std::uint64_t client) {
   const std::scoped_lock lock(mu_);
   for (auto it = inflight_.begin(); it != inflight_.end();) {
-    InFlight& cell = *it->second;
-    std::erase_if(cell.waiters,
+    std::erase_if(it->second->waiters,
                   [client](const Waiter& w) { return w.client == client; });
-    std::erase_if(cell.subs, [client](const Subscription& s) {
-      return s.client == client;
-    });
     it = reap_if_orphaned(it);
-  }
-  for (auto it = pending_subs_.begin(); it != pending_subs_.end();) {
-    it = it->second.client == client ? pending_subs_.erase(it) : std::next(it);
   }
 }
 
@@ -206,14 +183,6 @@ void ExperimentDaemon::handle_run_cell(std::uint64_t client,
       {
         const std::scoped_lock lock(mu_);
         ++stats_.cache_hits;
-        // A subscription racing a cached cell would wait forever (nothing
-        // will simulate); resolve it with an empty final update instead.
-        for (auto [it, end] = pending_subs_.equal_range(fp_hex); it != end;
-             it = pending_subs_.erase(it)) {
-          send_update(it->second.client,
-                      UpdateMsg{fp_hex, it->second.channel, 0, 0,
-                                /*final_update=*/true, {}});
-        }
       }
       server_.send(client,
                    net::Frame{static_cast<std::uint8_t>(MsgType::kResult),
@@ -240,10 +209,6 @@ void ExperimentDaemon::handle_run_cell(std::uint64_t client,
       cell->request = std::move(*request);
       cell->waiters.push_back(Waiter{client, cell->request.id});
       cell->cancel = std::make_shared<std::atomic<bool>>(false);
-      for (auto [it, end] = pending_subs_.equal_range(fp_hex); it != end;
-           it = pending_subs_.erase(it)) {
-        cell->subs.push_back(std::move(it->second));
-      }
       inflight_.emplace(fp_hex, std::move(cell));
       ++stats_.inflight;
       pool_.submit([this, fp_hex] { run_cell(fp_hex); });
@@ -289,29 +254,6 @@ void ExperimentDaemon::handle_cancel(std::uint64_t client,
                      msg->id, found ? "cancelled" : "unknown id"})});
 }
 
-void ExperimentDaemon::handle_subscribe(std::uint64_t client,
-                                        const net::Frame& frame) {
-  const std::optional<SubscribeMsg> msg = decode_subscribe(frame.payload);
-  if (!msg) {
-    send_error(client, 0, "malformed subscribe request");
-    return;
-  }
-  const std::scoped_lock lock(mu_);
-  ++stats_.subscriptions;
-  Subscription sub{client, msg->channel, 0};
-  if (const auto it = inflight_.find(msg->fingerprint_hex);
-      it != inflight_.end()) {
-    InFlight& cell = *it->second;
-    cell.subs.push_back(std::move(sub));
-    if (cell.live != nullptr && !cell.live_subscribed) {
-      cell.live->snapshot_subscribe();
-      cell.live_subscribed = true;
-    }
-    return;
-  }
-  pending_subs_.emplace(msg->fingerprint_hex, std::move(sub));
-}
-
 // ---- worker thread ------------------------------------------------------
 
 void ExperimentDaemon::run_cell(const std::string& fp_hex) {
@@ -329,53 +271,20 @@ void ExperimentDaemon::run_cell(const std::string& fp_hex) {
   harness::RunSpec spec;
   spec.workload = request.workload;
   spec.config = request.config;
-  spec.config.stat_stride = request.stat_stride;
   spec.tag = request.key.to_string();
   spec.sampling = request.sampling;
   for (const std::string& name : request.probe_names)
     spec.probes.push_back(sim::ProbeSpec{name, find_probe_factory(name)});
 
-  // Full-detail cells get a SnapshotProbe unconditionally: with no
-  // snapshot subscriber it costs one relaxed atomic load per interval, and
-  // a subscription arriving mid-run starts receiving pushes immediately.
-  sim::SnapshotProbe snapshot_probe(opts_.snapshot_interval_cycles);
-  harness::RunHooks hooks;
-  if (!spec.sampling) hooks.extra_probes.push_back(&snapshot_probe);
-  hooks.live_registry = [this, &fp_hex](sim::StatRegistry* registry) {
-    const std::scoped_lock lock(mu_);
-    const auto it = inflight_.find(fp_hex);
-    if (it == inflight_.end()) return;
-    InFlight& cell = *it->second;
-    if (registry != nullptr) {
-      cell.live = registry;
-      if (!cell.subs.empty()) {
-        registry->snapshot_subscribe();
-        cell.live_subscribed = true;
-      }
-    } else {
-      // Run complete, core still alive: capture the final registry for the
-      // subscribers' closing slices, then forget the pointer (the core is
-      // torn down as soon as this callback returns).
-      if (cell.live != nullptr && !cell.subs.empty())
-        cell.final_registry = *cell.live;
-      if (cell.live_subscribed) {
-        cell.live->snapshot_unsubscribe();
-        cell.live_subscribed = false;
-      }
-      cell.live = nullptr;
-    }
-  };
-
   // `observed` latches locally: once the run saw the cancel flag the result
   // is partial and must be discarded, even if a late joiner cleared the
   // shared flag afterwards (the abort path resubmits for them).
   bool observed = false;
-  hooks.cancelled = [&observed, &cancel] {
-    if (cancel->load(std::memory_order_relaxed)) observed = true;
-    return observed;
-  };
-
-  const harness::RunResult result = harness::run_one(spec, hooks);
+  const harness::RunResult result =
+      harness::run_one(spec, [&observed, &cancel] {
+        if (cancel->load(std::memory_order_relaxed)) observed = true;
+        return observed;
+      });
   if (observed) {
     abort_cell(fp_hex);
     return;
@@ -394,12 +303,10 @@ void ExperimentDaemon::abort_cell(const std::string& fp_hex) {
   const auto it = inflight_.find(fp_hex);
   if (it == inflight_.end()) return;
   InFlight& cell = *it->second;
-  if (!cell.waiters.empty() || !cell.subs.empty()) {
+  if (!cell.waiters.empty()) {
     // A requester joined between the cancellation and here: the partial
     // run is discarded, but the cell is wanted again — run it afresh.
     cell.running = false;
-    cell.live = nullptr;
-    cell.live_subscribed = false;
     cell.cancel = std::make_shared<std::atomic<bool>>(false);
     pool_.submit([this, fp_hex] { run_cell(fp_hex); });
     return;
@@ -409,14 +316,7 @@ void ExperimentDaemon::abort_cell(const std::string& fp_hex) {
   ++stats_.cancelled;
 }
 
-// ---- loop thread: completion + pushes -----------------------------------
-
-void ExperimentDaemon::send_update(std::uint64_t client,
-                                   const UpdateMsg& msg) {
-  ++stats_.updates;  // callers hold mu_
-  server_.send(client, net::Frame{static_cast<std::uint8_t>(MsgType::kUpdate),
-                                  encode_update(msg)});
-}
+// ---- loop thread: completion --------------------------------------------
 
 void ExperimentDaemon::complete_cell(const std::string& fp_hex,
                                      const std::string& entry_text) {
@@ -429,26 +329,6 @@ void ExperimentDaemon::complete_cell(const std::string& fp_hex,
     inflight_.erase(it);
     ++stats_.simulated;
     --stats_.inflight;
-
-    // Closing slice for every subscriber: whatever the ticker has not
-    // pushed yet, flagged final. Sampled cells (no live registry, so no
-    // final_registry) close with an empty final update.
-    for (Subscription& sub : cell->subs) {
-      UpdateMsg update{fp_hex, sub.channel, 0, sub.sent_points,
-                       /*final_update=*/true, {}};
-      if (cell->final_registry) {
-        if (const sim::StatRegistry::TimeSeries* channel =
-                cell->final_registry->find_channel(sub.channel)) {
-          update.stride = channel->stride;
-          if (channel->points.size() > sub.sent_points)
-            update.points.assign(channel->points.begin() +
-                                     static_cast<std::ptrdiff_t>(
-                                         sub.sent_points),
-                                 channel->points.end());
-        }
-      }
-      send_update(sub.client, update);
-    }
   }
   for (const Waiter& waiter : cell->waiters) {
     server_.send(waiter.client,
@@ -456,51 +336,6 @@ void ExperimentDaemon::complete_cell(const std::string& fp_hex,
                             encode_result(ResultMsg{waiter.request_id,
                                                     /*cached=*/false,
                                                     entry_text})});
-  }
-}
-
-// ---- ticker thread ------------------------------------------------------
-
-void ExperimentDaemon::push_updates() {
-  // Loop thread only. Collecting and sending here — not on the ticker
-  // thread — totally orders incremental slices against complete_cell's
-  // final slice on each connection: a cell that completed between the tick
-  // and this closure simply is not in `inflight_` anymore, and its last
-  // points went out with the final update.
-  const std::scoped_lock lock(mu_);
-  for (auto& [fp, cell] : inflight_) {
-    if (cell->live == nullptr || cell->subs.empty()) continue;
-    const sim::StatRegistry snap = cell->live->snapshot();
-    for (Subscription& sub : cell->subs) {
-      const sim::StatRegistry::TimeSeries* channel =
-          snap.find_channel(sub.channel);
-      if (channel == nullptr || channel->points.size() <= sub.sent_points)
-        continue;
-      UpdateMsg update{fp, sub.channel, channel->stride, sub.sent_points,
-                       /*final_update=*/false, {}};
-      update.points.assign(channel->points.begin() +
-                               static_cast<std::ptrdiff_t>(sub.sent_points),
-                           channel->points.end());
-      sub.sent_points = channel->points.size();
-      send_update(sub.client, update);
-    }
-  }
-}
-
-void ExperimentDaemon::ticker_loop() {
-  while (!ticker_stop_.load(std::memory_order_acquire)) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(opts_.tick_ms));
-    bool watching = false;
-    {
-      const std::scoped_lock lock(mu_);
-      for (const auto& [fp, cell] : inflight_) {
-        if (cell->live != nullptr && !cell->subs.empty()) {
-          watching = true;
-          break;
-        }
-      }
-    }
-    if (watching) server_.post([this] { push_updates(); });
   }
 }
 

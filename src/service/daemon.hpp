@@ -9,21 +9,15 @@
 // one is already simulating (the second requester simply joins the first's
 // completion), simulated exactly once otherwise.
 //
-// Threading (three kinds of threads, one lock):
+// Threading (two kinds of threads, one lock):
 //   loop thread    net::EventServer::run(): all socket I/O, all frame
 //                  handling, all send()s. Completions arrive via post().
 //   pool workers   run one cell each (harness::run_one); they touch only
 //                  the in-flight table (under mu_) and the filesystem.
-//   ticker         wakes every tick_ms, reads the last published registry
-//                  snapshot of each watched cell (StatRegistry::snapshot())
-//                  and posts incremental channel slices to subscribers.
 //
-// Subscriptions are EPICS-monitor-style: a client names (fingerprint,
-// channel path) and receives kUpdate pushes while the cell simulates, then
-// one final update flagged `final_update`. Cells nobody watches publish
-// nothing (the registry's subscriber-count guard), so the daemon never
-// slows an unwatched sweep. Sampled cells have no single live registry
-// (per-window cores), so their subscribers receive only the final update.
+// A cell stays in the in-flight table while at least one request waits on
+// it. When the last waiter leaves (kCancel or disconnect) the cell is
+// reaped: dropped if still queued, stopped cooperatively if running.
 #pragma once
 
 #include <atomic>
@@ -31,16 +25,13 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/thread_pool.hpp"
 #include "net/server.hpp"
 #include "service/protocol.hpp"
 #include "service/store.hpp"
-#include "sim/stat_registry.hpp"
 
 namespace erel::service {
 
@@ -51,11 +42,6 @@ class ExperimentDaemon : public net::EventServer::Handler {
     std::uint16_t port = 0;   // 0 = ephemeral; read back via port()
     std::string cache_dir;    // "" = no disk cache (pure compute server)
     unsigned workers = 0;     // simulation pool size; 0 = hardware
-
-    /// Cycles between registry snapshot publishes on watched cells.
-    std::uint64_t snapshot_interval_cycles = 10'000;
-    /// Subscriber push cadence, milliseconds.
-    unsigned tick_ms = 25;
 
     /// Admission control: most cells queued-or-running before a new
     /// kRunCell is refused with kBusy. 0 = unlimited. Cache hits and
@@ -69,7 +55,6 @@ class ExperimentDaemon : public net::EventServer::Handler {
   };
 
   explicit ExperimentDaemon(const Options& opts);
-  ~ExperimentDaemon() override;
 
   ExperimentDaemon(const ExperimentDaemon&) = delete;
   ExperimentDaemon& operator=(const ExperimentDaemon&) = delete;
@@ -98,31 +83,19 @@ class ExperimentDaemon : public net::EventServer::Handler {
     std::uint64_t client = 0;
     std::uint64_t request_id = 0;
   };
-  struct Subscription {
-    std::uint64_t client = 0;
-    std::string channel;
-    std::size_t sent_points = 0;  // slice cursor into the channel
-  };
   /// One cell being simulated (or queued), keyed by fingerprint hex.
   struct InFlight {
     CellRequest request;
     std::vector<Waiter> waiters;
-    std::vector<Subscription> subs;
     bool running = false;  // a pool worker has picked it up
     /// Cooperative cancel flag, polled between the run's sampling batches.
-    /// Set when the last waiter/subscriber leaves a running cell; cleared
-    /// when a new requester joins before the worker notices.
+    /// Set when the last waiter leaves a running cell; cleared when a new
+    /// requester joins before the worker notices.
     std::shared_ptr<std::atomic<bool>> cancel;
-    sim::StatRegistry* live = nullptr;  // set while the core runs
-    bool live_subscribed = false;       // we hold one snapshot subscription
-    /// Captured from the live registry at run end (before core teardown)
-    /// when subscribers exist: the source of the final channel slices.
-    std::optional<sim::StatRegistry> final_registry;
   };
 
   void handle_run_cell(std::uint64_t client, const net::Frame& frame);
   void handle_cancel(std::uint64_t client, const net::Frame& frame);
-  void handle_subscribe(std::uint64_t client, const net::Frame& frame);
   void send_error(std::uint64_t client, std::uint64_t id,
                   const std::string& message);
   void run_cell(const std::string& fp_hex);        // pool worker
@@ -136,9 +109,6 @@ class ExperimentDaemon : public net::EventServer::Handler {
   /// cancellation when running. Returns the next iterator.
   std::map<std::string, std::shared_ptr<InFlight>>::iterator reap_if_orphaned(
       std::map<std::string, std::shared_ptr<InFlight>>::iterator it);
-  void send_update(std::uint64_t client, const UpdateMsg& msg);
-  void push_updates();  // loop thread (posted by the ticker)
-  void ticker_loop();
 
   Options opts_;
   net::EventServer server_;
@@ -147,13 +117,7 @@ class ExperimentDaemon : public net::EventServer::Handler {
 
   mutable std::mutex mu_;
   std::map<std::string, std::shared_ptr<InFlight>> inflight_;
-  /// Subscriptions naming fingerprints with no in-flight cell yet; attached
-  /// when (if) a matching kRunCell arrives.
-  std::multimap<std::string, Subscription> pending_subs_;
   DaemonStats stats_;
-
-  std::thread ticker_;
-  std::atomic<bool> ticker_stop_{false};
 };
 
 }  // namespace erel::service

@@ -2,7 +2,6 @@
 
 #include <cctype>
 #include <cerrno>
-#include <cstdio>
 #include <cstdlib>
 #include <map>
 
@@ -78,21 +77,6 @@ void append_u64_line(std::string& out, std::string_view key,
   out += '\n';
 }
 
-std::string render_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
-std::optional<double> parse_double(std::string_view text) {
-  if (text.empty()) return std::nullopt;
-  const std::string copy(text);
-  char* end = nullptr;
-  const double v = std::strtod(copy.c_str(), &end);
-  if (end != copy.c_str() + copy.size()) return std::nullopt;
-  return v;
-}
-
 }  // namespace
 
 // ---- message tags -------------------------------------------------------
@@ -103,10 +87,6 @@ std::string_view msg_type_name(MsgType type) {
     case MsgType::kRunCell: return "run_cell";
     case MsgType::kResult: return "result";
     case MsgType::kError: return "error";
-    case MsgType::kSubscribe: return "subscribe";
-    case MsgType::kUpdate: return "update";
-    case MsgType::kPing: return "ping";
-    case MsgType::kPong: return "pong";
     case MsgType::kStats: return "stats";
     case MsgType::kStatsReply: return "stats_reply";
     case MsgType::kShutdown: return "shutdown";
@@ -134,7 +114,6 @@ std::string encode_cell_request(const CellRequest& request) {
   out += "key.variant ";
   out += request.key.variant;
   out += '\n';
-  append_u64_line(out, "stat_stride", request.stat_stride);
   for (const std::string& name : request.probe_names) {
     out += "probe ";
     out += name;
@@ -170,7 +149,7 @@ std::optional<CellRequest> decode_cell_request(std::string_view payload) {
   std::map<std::string, std::string, std::less<>> sampling_fields;
   bool saw_id = false, saw_fp = false, saw_workload = false;
   bool saw_policy = false, saw_phys = false, saw_variant = false;
-  bool saw_stride = false, saw_end = false;
+  bool saw_end = false;
 
   while (scanner.next(line)) {
     if (line == "end") {
@@ -218,11 +197,6 @@ std::optional<CellRequest> decode_cell_request(std::string_view payload) {
       if (saw_variant) return std::nullopt;
       request.key.variant = value;
       saw_variant = true;
-    } else if (key == "stat_stride") {
-      const auto v = parse_u64(value);
-      if (!v || saw_stride) return std::nullopt;
-      request.stat_stride = *v;
-      saw_stride = true;
     } else if (key == "probe") {
       if (value.empty() || value.find(' ') != std::string_view::npos)
         return std::nullopt;
@@ -232,7 +206,7 @@ std::optional<CellRequest> decode_cell_request(std::string_view payload) {
     }
   }
   if (!saw_end || !saw_id || !saw_fp || !saw_workload || !saw_policy ||
-      !saw_phys || !saw_variant || !saw_stride)
+      !saw_phys || !saw_variant)
     return std::nullopt;
 
   const std::optional<sim::SimConfig> config =
@@ -343,97 +317,6 @@ std::optional<BusyMsg> decode_busy(std::string_view payload) {
   return msg;
 }
 
-// ---- SubscribeMsg -------------------------------------------------------
-
-std::string encode_subscribe(const SubscribeMsg& msg) {
-  std::string out = "fp ";
-  out += msg.fingerprint_hex;
-  out += "\nchannel ";
-  out += msg.channel;
-  out += '\n';
-  return out;
-}
-
-std::optional<SubscribeMsg> decode_subscribe(std::string_view payload) {
-  LineScanner scanner(payload);
-  std::string_view line, key, value;
-  SubscribeMsg msg;
-  if (!scanner.next(line)) return std::nullopt;
-  split_first_space(line, key, value);
-  if (key != "fp" || value.empty()) return std::nullopt;
-  msg.fingerprint_hex = value;
-  if (!scanner.next(line)) return std::nullopt;
-  split_first_space(line, key, value);
-  if (key != "channel" || value.empty() ||
-      value.find(' ') != std::string_view::npos)
-    return std::nullopt;
-  msg.channel = value;
-  if (!scanner.rest().empty()) return std::nullopt;
-  return msg;
-}
-
-// ---- UpdateMsg ----------------------------------------------------------
-
-std::string encode_update(const UpdateMsg& msg) {
-  std::string out = "fp ";
-  out += msg.fingerprint_hex;
-  out += "\nchannel ";
-  out += msg.channel;
-  out += '\n';
-  append_u64_line(out, "stride", msg.stride);
-  append_u64_line(out, "first", msg.first);
-  out += msg.final_update ? "final 1\n" : "final 0\n";
-  append_u64_line(out, "count", msg.points.size());
-  for (const double p : msg.points) {
-    out += render_double(p);
-    out += '\n';
-  }
-  return out;
-}
-
-std::optional<UpdateMsg> decode_update(std::string_view payload) {
-  LineScanner scanner(payload);
-  std::string_view line, key, value;
-  UpdateMsg msg;
-  const auto expect = [&](std::string_view want,
-                          std::string_view& out) -> bool {
-    if (!scanner.next(line)) return false;
-    split_first_space(line, key, value);
-    if (key != want) return false;
-    out = value;
-    return true;
-  };
-  std::string_view text;
-  if (!expect("fp", text) || text.empty()) return std::nullopt;
-  msg.fingerprint_hex = text;
-  if (!expect("channel", text) || text.empty()) return std::nullopt;
-  msg.channel = text;
-  if (!expect("stride", text)) return std::nullopt;
-  const auto stride = parse_u64(text);
-  if (!stride) return std::nullopt;
-  msg.stride = *stride;
-  if (!expect("first", text)) return std::nullopt;
-  const auto first = parse_u64(text);
-  if (!first) return std::nullopt;
-  msg.first = *first;
-  if (!expect("final", text)) return std::nullopt;
-  const auto final_update = parse_bool(text);
-  if (!final_update) return std::nullopt;
-  msg.final_update = *final_update;
-  if (!expect("count", text)) return std::nullopt;
-  const auto count = parse_u64(text);
-  if (!count) return std::nullopt;
-  msg.points.reserve(*count);
-  for (std::uint64_t i = 0; i < *count; ++i) {
-    if (!scanner.next(line)) return std::nullopt;
-    const auto p = parse_double(line);
-    if (!p) return std::nullopt;
-    msg.points.push_back(*p);
-  }
-  if (!scanner.rest().empty()) return std::nullopt;
-  return msg;
-}
-
 // ---- DaemonStats --------------------------------------------------------
 
 namespace {
@@ -445,8 +328,6 @@ void daemon_stats_fields(Stats& stats, Fn&& f) {
   f("simulated", stats.simulated);
   f("deduped", stats.deduped);
   f("errors", stats.errors);
-  f("subscriptions", stats.subscriptions);
-  f("updates", stats.updates);
   f("inflight", stats.inflight);
   f("busy", stats.busy);
   f("cancelled", stats.cancelled);

@@ -12,23 +12,24 @@
 // Conversation shape (client = one figure binary / harness::RemoteBackend):
 //
 //   connect  ->  kHello "ereld <version>"
-//   kRunCell (id, fingerprint, cell)       -> kResult (id, cached, entry)
-//                                          or kError (id, reason)
-//   kSubscribe (fingerprint, channel path) -> kUpdate* (points so far),
-//                                             final update flagged
-//   kPing -> kPong        kStats -> kStatsReply        kShutdown -> close
-//   kCancel (id)          -> kError (id, "cancelled")   [v2]
-//   kRunCell when the queue is full -> kBusy (id, retry_ms)   [v2]
+//   kRunCell (id, fingerprint, cell)  -> kResult (id, cached, entry)
+//                                     or kError (id, reason)
+//   kRunCell when the queue is full   -> kBusy (id, retry_ms)
+//   kCancel (id)                      -> kError (id, "cancelled")
+//   kStats -> kStatsReply             kShutdown -> close
 //
 // Requests are pipelined: a client may send any number of kRunCell frames
 // before reading; responses carry the request id, not an ordering promise.
-// Subscriptions are EPICS-monitor-style: named channel, push on change.
+// After kHello, every frame the daemon sends answers a request.
 //
-// v2 adds flow control and cancellation: kBusy is the daemon's admission
-// refusal when its bounded queue is full (the client backs off and
-// resubmits — safe, because requests are content-addressed: a resubmitted
-// cell is a cache hit or an in-flight join, never a second simulation),
-// and kCancel withdraws a pending request by id.
+// kBusy is the daemon's admission refusal when its bounded queue is full
+// (the client backs off and resubmits — safe, because requests are
+// content-addressed: a resubmitted cell is a cache hit or an in-flight
+// join, never a second simulation), and kCancel withdraws a pending
+// request by id.
+//
+// v3 retires tags 5-8 (v2's live channel subscriptions and ping). The
+// daemon refuses them like any unknown tag; never reuse their numbers.
 #pragma once
 
 #include <cstdint>
@@ -45,26 +46,22 @@ namespace erel::service {
 
 /// Bump when any payload encoding changes; the client refuses to talk to a
 /// daemon announcing a different version (kHello).
-inline constexpr unsigned kProtocolVersion = 2;
+inline constexpr unsigned kProtocolVersion = 3;
 
 enum class MsgType : std::uint8_t {
   kHello = 1,       // server -> client, on connect
   kRunCell = 2,     // client -> server
   kResult = 3,      // server -> client
   kError = 4,       // server -> client
-  kSubscribe = 5,   // client -> server
-  kUpdate = 6,      // server -> client
-  kPing = 7,        // client -> server
-  kPong = 8,        // server -> client
   kStats = 9,       // client -> server
   kStatsReply = 10, // server -> client
   kShutdown = 11,   // client -> server
-  kCancel = 12,     // client -> server (v2): withdraw a pending kRunCell
-  kBusy = 13,       // server -> client (v2): queue full, retry after backoff
+  kCancel = 12,     // client -> server: withdraw a pending kRunCell
+  kBusy = 13,       // server -> client: queue full, retry after backoff
 };
 
 /// Human-readable tag name for error messages and logs ("run_cell",
-/// "subscribe", ...); "unknown" for values outside the enum. The switch in
+/// "cancel", ...); "unknown" for values outside the enum. The switch in
 /// protocol.cpp names every enumerator, so adding a message type without
 /// teaching the codec about it is a compile warning and a lint finding.
 std::string_view msg_type_name(MsgType type);
@@ -73,9 +70,7 @@ std::string_view msg_type_name(MsgType type);
 /// *client's* content-addressed fingerprint (harness/fingerprint.hpp); the
 /// daemon recomputes its own from the decoded cell and refuses on mismatch
 /// (a client and daemon built from diverged sources must never share
-/// results). `stat_stride` rides outside the canonical fields (it never
-/// changes results) so subscribed clients can choose their channel
-/// resolution.
+/// results).
 struct CellRequest {
   std::uint64_t id = 0;  // client-chosen; echoed in kResult / kError
   harness::ExpKey key;
@@ -84,7 +79,6 @@ struct CellRequest {
   sim::SimConfig config;
   std::optional<sim::SamplingConfig> sampling;
   std::vector<std::string> probe_names;
-  std::uint64_t stat_stride = 0;
 };
 
 std::string encode_cell_request(const CellRequest& request);
@@ -117,7 +111,7 @@ std::optional<ErrorMsg> decode_error(std::string_view payload);
 /// running for this client, kError (id, "unknown id") otherwise — so the
 /// client can account for every id it ever sent. Cancelling only detaches
 /// *this client* from the cell; the simulation itself stops cooperatively
-/// only when no other waiter or subscriber still wants it.
+/// only when no other waiter still wants it.
 struct CancelMsg {
   std::uint64_t id = 0;
 };
@@ -138,48 +132,17 @@ struct BusyMsg {
 std::string encode_busy(const BusyMsg& msg);
 std::optional<BusyMsg> decode_busy(std::string_view payload);
 
-/// kSubscribe: watch one registry channel of one cell, addressed by
-/// fingerprint. Snapshots of the channel are pushed as kUpdate frames while
-/// the cell simulates; subscribing to a cell that is not in flight is
-/// remembered until a matching kRunCell arrives (on this or any other
-/// connection).
-struct SubscribeMsg {
-  std::string fingerprint_hex;
-  std::string channel;  // e.g. "channel/commit/committed"
-};
-
-std::string encode_subscribe(const SubscribeMsg& msg);
-std::optional<SubscribeMsg> decode_subscribe(std::string_view payload);
-
-/// kUpdate: an incremental slice of the channel — `points[0]` is the
-/// series' element number `first`, so the client reassembles the full
-/// series without re-transmission. `final_update` marks the last push (the
-/// cell completed; the slice extends to the series' end).
-struct UpdateMsg {
-  std::string fingerprint_hex;
-  std::string channel;
-  std::uint64_t stride = 0;
-  std::uint64_t first = 0;
-  bool final_update = false;
-  std::vector<double> points;
-};
-
-std::string encode_update(const UpdateMsg& msg);
-std::optional<UpdateMsg> decode_update(std::string_view payload);
-
 /// kStatsReply: daemon-lifetime counters (also how tests assert the
 /// in-flight dedupe: `simulated` counts actual simulations, so N clients
 /// racing on one fingerprint leave `simulated == 1`).
 struct DaemonStats {
-  std::uint64_t requests = 0;      // kRunCell frames accepted
-  std::uint64_t cache_hits = 0;    // served from the on-disk cache
-  std::uint64_t simulated = 0;     // cells actually simulated
-  std::uint64_t deduped = 0;       // requests folded into an in-flight cell
-  std::uint64_t errors = 0;        // kError replies sent
-  std::uint64_t subscriptions = 0; // kSubscribe frames accepted
-  std::uint64_t updates = 0;       // kUpdate frames sent
-  std::uint64_t inflight = 0;      // cells queued or running right now
-  std::uint64_t busy = 0;          // kBusy refusals sent (queue full)
+  std::uint64_t requests = 0;        // kRunCell frames accepted
+  std::uint64_t cache_hits = 0;      // served from the on-disk cache
+  std::uint64_t simulated = 0;       // cells actually simulated
+  std::uint64_t deduped = 0;         // requests folded into an in-flight cell
+  std::uint64_t errors = 0;          // kError replies sent
+  std::uint64_t inflight = 0;        // cells queued or running right now
+  std::uint64_t busy = 0;            // kBusy refusals sent (queue full)
   std::uint64_t cancelled = 0;       // cells reaped by kCancel / disconnect
   std::uint64_t dropped_clients = 0; // dropped for outbound-buffer overflow
   std::uint64_t evicted = 0;         // cache entries evicted by the byte cap

@@ -97,8 +97,7 @@ void append_canonical_fields(const SimConfig& config, std::string& out);
 /// unknown name may appear, so a client and daemon built from different
 /// field lists fail loudly (nullopt) instead of silently simulating a
 /// different machine. Fields excluded from the canonical rendering
-/// (fast_path, stat_stride) keep their defaults; callers carry them
-/// separately when they matter (they never change results).
+/// (fast_path, stat_stride) keep their defaults: neither changes results.
 [[nodiscard]] std::optional<SimConfig> config_from_canonical_fields(
     const std::map<std::string, std::string, std::less<>>& fields);
 

@@ -17,21 +17,4 @@ void Probe::export_metrics(const SimConfig& config,
   (void)config, (void)registry, (void)out;
 }
 
-void SnapshotProbe::on_run_begin(const SimConfig& config,
-                                 StatRegistry& registry) {
-  (void)config;
-  registry_ = &registry;
-}
-
-void SnapshotProbe::on_cycle(const CycleEvent& event) {
-  if (interval_ != 0 && event.cycle % interval_ == 0 && registry_ != nullptr)
-    registry_->publish_snapshot();
-}
-
-void SnapshotProbe::on_run_end(StatRegistry& registry) {
-  // Final publish after finish_registry(): subscribers see the completed
-  // channels even if the run ended mid-interval.
-  registry.publish_snapshot();
-}
-
 }  // namespace erel::sim

@@ -160,28 +160,6 @@ class Probe {
                               std::vector<Metric>& out) const;
 };
 
-/// Publishes consistent StatRegistry snapshots at a fixed cycle cadence so
-/// other threads can watch a run in progress (StatRegistry::snapshot());
-/// the experiment daemon attaches one to cells with live subscribers. Pure
-/// observer: publishing copies the registry, never mutates it, so the run's
-/// final registry is bit-identical with or without the probe. Each publish
-/// is guarded by the registry's subscriber count — an attached probe on a
-/// run nobody watches costs one relaxed atomic load per interval.
-class SnapshotProbe final : public Probe {
- public:
-  /// `interval` = cycles between publishes (must be > 0).
-  explicit SnapshotProbe(std::uint64_t interval = 10'000)
-      : interval_(interval) {}
-
-  void on_run_begin(const SimConfig& config, StatRegistry& registry) override;
-  void on_cycle(const CycleEvent& event) override;
-  void on_run_end(StatRegistry& registry) override;
-
- private:
-  std::uint64_t interval_ = 10'000;
-  StatRegistry* registry_ = nullptr;
-};
-
 /// A named probe recipe for the experiment layer: the factory builds a
 /// fresh instance per simulation (cells and sampling windows run
 /// concurrently; instances are never shared). Factories must therefore

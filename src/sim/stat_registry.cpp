@@ -119,24 +119,6 @@ double StatRegistry::accum_value(std::string_view path) const {
   return a == nullptr ? 0.0 : a->value;
 }
 
-void StatRegistry::publish_snapshot() {
-  if (!snapshot_wanted()) return;
-  // Copy outside the lock (the copy is the expensive part; readers must
-  // never wait on it), then swap the shared slot in.
-  auto copy = std::make_shared<StatRegistry>(*this);
-  const std::scoped_lock lock(snap_mu_);
-  snap_published_ = std::move(copy);
-}
-
-StatRegistry StatRegistry::snapshot() const {
-  std::shared_ptr<const StatRegistry> published;
-  {
-    const std::scoped_lock lock(snap_mu_);
-    published = snap_published_;
-  }
-  return published ? *published : StatRegistry{};
-}
-
 void StatRegistry::merge_from(const StatRegistry& other) {
   for (const auto& [path, entry] : other.entries_) {
     const auto it = entries_.find(path);

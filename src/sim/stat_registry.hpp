@@ -24,11 +24,8 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <variant>
@@ -99,23 +96,6 @@ class StatRegistry {
 
   using Entry = std::variant<Counter, Accum, Distribution, TimeSeries>;
 
-  StatRegistry() = default;
-
-  // Copies and moves transfer the entries only: snapshot subscriptions are
-  // bound to one live registry instance (the core's), never to merged or
-  // returned copies.
-  StatRegistry(const StatRegistry& other) : entries_(other.entries_) {}
-  StatRegistry& operator=(const StatRegistry& other) {
-    if (this != &other) entries_ = other.entries_;
-    return *this;
-  }
-  StatRegistry(StatRegistry&& other) noexcept
-      : entries_(std::move(other.entries_)) {}
-  StatRegistry& operator=(StatRegistry&& other) noexcept {
-    if (this != &other) entries_ = std::move(other.entries_);
-    return *this;
-  }
-
   // ---- registration / lookup (create on first use) ----
   // Re-registering an existing path with a different kind is fatal: two
   // subsystems disagreeing about a metric's type is a bug, not a merge.
@@ -152,54 +132,13 @@ class StatRegistry {
   /// nesting levels); channels render as "[n points @ stride s]".
   [[nodiscard]] std::string format_tree() const;
 
-  // ---- mid-run snapshots (live observability) ----
-  //
-  // A registry is single-writer: the simulating thread mutates entries
-  // through raw handles, so other threads can never read `entries_`
-  // directly. Instead, the writer *publishes* consistent copies at safe
-  // points (cycle boundaries — see SnapshotProbe in sim/probe.hpp) and
-  // readers take the last published copy. The whole machinery is guarded by
-  // an atomic subscriber count: with zero subscribers, publish_snapshot()
-  // is one relaxed load and no copy is ever made, so unwatched runs pay
-  // nothing. Publishing never mutates `entries_`, so a run that published
-  // snapshots finalizes to exactly the same registry as one that did not
-  // (pinned by tests/test_stat_registry.cpp).
-
-  /// Registers / drops interest in mid-run snapshots. Thread-safe; may be
-  /// called while the owning thread is simulating.
-  void snapshot_subscribe() {
-    snap_subscribers_.fetch_add(1, std::memory_order_relaxed);
-  }
-  void snapshot_unsubscribe() {
-    snap_subscribers_.fetch_sub(1, std::memory_order_relaxed);
-  }
-  [[nodiscard]] bool snapshot_wanted() const {
-    return snap_subscribers_.load(std::memory_order_relaxed) != 0;
-  }
-
-  /// Publishes a consistent copy of the current entries for snapshot()
-  /// readers. Must be called by the thread that owns/mutates the registry,
-  /// at a point where no entry is mid-update. No-op without subscribers.
-  void publish_snapshot();
-
-  /// The most recently published copy (empty registry when nothing has been
-  /// published yet). Thread-safe; never blocks the publisher for longer
-  /// than a pointer swap.
-  [[nodiscard]] StatRegistry snapshot() const;
-
-  bool operator==(const StatRegistry& other) const {
-    return entries_ == other.entries_;
-  }
+  bool operator==(const StatRegistry&) const = default;
 
  private:
   template <class Kind>
   Kind& get_or_create(std::string_view path);
 
   std::map<std::string, Entry, std::less<>> entries_;
-
-  std::atomic<unsigned> snap_subscribers_{0};
-  mutable std::mutex snap_mu_;
-  std::shared_ptr<const StatRegistry> snap_published_;
 };
 
 // ---------------------------------------------------------------------------

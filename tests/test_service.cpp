@@ -1,19 +1,23 @@
 // The experiment daemon (src/service/): loopback sweeps bit-identical to
 // local runs, warm-cache serving, in-flight dedupe across concurrent
-// clients, live channel subscriptions, and graceful degradation when the
-// daemon is unreachable or refuses a cell.
+// clients, refusal of stale protocol versions and retired message tags,
+// and graceful degradation when the daemon is unreachable or refuses a
+// cell.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "harness/experiment.hpp"
 #include "harness/fingerprint.hpp"
 #include "harness/results.hpp"
+#include "net/server.hpp"
+#include "net/socket.hpp"
 #include "service/client.hpp"
 #include "service/daemon.hpp"
 
@@ -68,6 +72,40 @@ struct DaemonFixture {
   [[nodiscard]] std::string endpoint() const {
     return "127.0.0.1:" + std::to_string(daemon->port());
   }
+};
+
+/// A listener that greets like a protocol-v2 daemon and counts the
+/// connections it accepts. It answers nothing else.
+class StaleDaemon : public net::EventServer::Handler {
+ public:
+  StaleDaemon() : server_(*this) {
+    EXPECT_TRUE(server_.valid()) << server_.error();
+    loop_ = std::thread([this] { server_.run(); });
+  }
+  ~StaleDaemon() override {
+    server_.stop();
+    loop_.join();
+  }
+  StaleDaemon(const StaleDaemon&) = delete;
+  StaleDaemon& operator=(const StaleDaemon&) = delete;
+
+  void on_connect(std::uint64_t client) override {
+    ++connections_;
+    server_.send(client,
+                 net::Frame{static_cast<std::uint8_t>(service::MsgType::kHello),
+                            "ereld 2"});
+  }
+  void on_frame(std::uint64_t, net::Frame) override {}
+
+  [[nodiscard]] std::string endpoint() const {
+    return "127.0.0.1:" + std::to_string(server_.port());
+  }
+  [[nodiscard]] unsigned connections() const { return connections_.load(); }
+
+ private:
+  net::EventServer server_;
+  std::thread loop_;
+  std::atomic<unsigned> connections_{0};
 };
 
 harness::Experiment small_sweep() {
@@ -188,67 +226,6 @@ TEST(Service, PipelinedDuplicateRequestsJoinTheInFlightCell) {
   EXPECT_EQ(stats.deduped + stats.cache_hits, 1u);
 }
 
-TEST(Service, SubscriberReceivesMidRunUpdatesBeforeTheFinalResult) {
-  service::ExperimentDaemon::Options opts;
-  opts.tick_ms = 1;
-  opts.snapshot_interval_cycles = 200;
-  DaemonFixture fixture(opts);
-
-  sim::SimConfig config = tiny_config();
-  config.max_instructions = 150'000;
-  config.stat_stride = 250;  // the commit channel needs a stride
-  service::CellRequest request;
-  request.id = 5;
-  request.key = harness::ExpKey{"li", config.policy, config.phys_int, ""};
-  request.workload = "li";
-  request.config = config;
-  request.fingerprint_hex =
-      harness::fingerprint_cell("li", config, std::nullopt).hex();
-  request.stat_stride = config.stat_stride;
-
-  service::RemoteClient client;
-  ASSERT_TRUE(client.connect(fixture.endpoint())) << client.error();
-
-  std::size_t mid_run_updates = 0;
-  bool saw_final = false;
-  std::vector<double> assembled;
-  client.set_update_handler([&](const service::UpdateMsg& update) {
-    EXPECT_EQ(update.channel, "channel/commit/committed");
-    EXPECT_EQ(update.first, assembled.size());  // contiguous slices
-    assembled.insert(assembled.end(), update.points.begin(),
-                     update.points.end());
-    if (update.final_update)
-      saw_final = true;
-    else
-      ++mid_run_updates;
-    EXPECT_FALSE(saw_final && !update.final_update) << "update after final";
-  });
-
-  // Subscribe before the cell exists: the daemon remembers it and attaches
-  // it when the matching kRunCell arrives.
-  ASSERT_TRUE(client.subscribe(request.fingerprint_hex,
-                               "channel/commit/committed"));
-  ASSERT_TRUE(client.send_cell(request));
-  const auto result = client.await(5);
-  ASSERT_TRUE(result.has_value());
-
-  // Frames are ordered per connection, so by the time the result arrived
-  // every update (including the final slice) was already delivered.
-  EXPECT_GE(mid_run_updates, 2u) << "no live pushes while simulating";
-  EXPECT_TRUE(saw_final);
-  EXPECT_FALSE(assembled.empty());
-
-  // The assembled series is the run's committed-per-stride channel: its sum
-  // is the run's committed instruction count.
-  const auto entry = harness::parse_entry(result->entry_text,
-                                          request.fingerprint_hex,
-                                          request.key);
-  ASSERT_TRUE(entry.has_value());
-  double committed = 0;
-  for (const double p : assembled) committed += p;
-  EXPECT_EQ(static_cast<std::uint64_t>(committed), entry->stats.committed);
-}
-
 TEST(Service, UnreachableServerFallsBackToLocalSimulation) {
   const harness::Experiment exp = small_sweep();
   // Nothing listens on port 1; the sweep must still complete locally.
@@ -291,6 +268,61 @@ TEST(Service, DaemonRefusesMismatchedFingerprintsAndUnknownProbes) {
   const service::DaemonStats stats = fixture.daemon->stats();
   EXPECT_EQ(stats.errors, 2u);
   EXPECT_EQ(stats.simulated, 0u);
+}
+
+TEST(Service, ProtocolMismatchIsRefusedOnceAndTheSweepRunsLocally) {
+  StaleDaemon stale;
+  // The version check refuses the greeting outright: fatal, no reconnect.
+  service::RemoteClient client;
+  EXPECT_FALSE(client.connect(stale.endpoint()));
+  EXPECT_NE(client.error().find("protocol mismatch"), std::string::npos)
+      << client.error();
+  EXPECT_EQ(stale.connections(), 1u);
+
+  // A sweep pointed at it degrades to local simulation, same numbers.
+  const harness::Experiment exp = small_sweep();
+  harness::RunOptions opts;
+  opts.threads = 2;
+  const harness::ResultSet local = exp.run(opts);
+  opts.server = stale.endpoint();
+  const harness::ResultSet through = exp.run(opts);
+  ASSERT_EQ(through.size(), local.size());
+  for (const harness::ExpEntry& want : local.entries())
+    EXPECT_EQ(entry_text(through.at(want.key)), entry_text(want));
+  EXPECT_EQ(stale.connections(), 2u);  // the sweep connected once too
+}
+
+TEST(Service, RetiredMessageTagsAreRefused) {
+  DaemonFixture fixture;
+  // Tags 5-7 carried protocol v2's subscriptions and ping. Each is refused
+  // like any unknown tag: a connection-level kError naming the tag, then
+  // the daemon closes the connection.
+  for (const unsigned tag : {5u, 6u, 7u}) {
+    const std::uint64_t errors_before = fixture.daemon->stats().errors;
+    std::string error;
+    net::Socket socket =
+        net::connect_to("127.0.0.1", fixture.daemon->port(), &error);
+    ASSERT_TRUE(socket.valid()) << error;
+    ASSERT_TRUE(socket.recv_frame().has_value());  // kHello
+    ASSERT_TRUE(
+        socket.send_frame(net::Frame{static_cast<std::uint8_t>(tag), ""}));
+
+    const std::optional<net::Frame> reply = socket.recv_frame();
+    ASSERT_TRUE(reply.has_value()) << "tag " << tag;
+    EXPECT_EQ(reply->type, static_cast<std::uint8_t>(service::MsgType::kError));
+    const std::optional<service::ErrorMsg> msg =
+        service::decode_error(reply->payload);
+    ASSERT_TRUE(msg.has_value());
+    EXPECT_EQ(msg->id, 0u);
+    EXPECT_NE(msg->message.find("(" + std::to_string(tag) + ")"),
+              std::string::npos)
+        << msg->message;
+
+    bool clean_eof = false;
+    EXPECT_FALSE(socket.recv_frame(&clean_eof).has_value());
+    EXPECT_TRUE(clean_eof) << "tag " << tag;
+    EXPECT_EQ(fixture.daemon->stats().errors, errors_before + 1);
+  }
 }
 
 TEST(Service, StatsAndShutdownRoundTrip) {

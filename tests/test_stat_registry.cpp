@@ -133,79 +133,5 @@ TEST(StatRegistry, MaterializeSimStatsReadsBuiltinPaths) {
   EXPECT_DOUBLE_EQ(s.l1d.miss_rate(), 0.1);
 }
 
-// ---------------------------------------------------------------------------
-// Mid-run snapshots (live observability)
-// ---------------------------------------------------------------------------
-
-TEST(StatRegistrySnapshot, PublishingNeverChangesTheFinalRegistry) {
-  // Two identical mutation sequences; one publishes snapshots mid-way
-  // (with a subscriber), the other never does. Snapshot-then-finalize must
-  // equal finalize: publishing is a pure copy, never a mutation.
-  sim::StatRegistry watched, plain;
-  watched.snapshot_subscribe();
-  for (sim::StatRegistry* reg : {&watched, &plain}) {
-    reg->counter("core/cycles") += 100;
-    reg->channel("chan/ipc", 50).push(1.5);
-  }
-  watched.publish_snapshot();
-  for (sim::StatRegistry* reg : {&watched, &plain}) {
-    reg->counter("core/cycles") += 23;
-    reg->channel("chan/ipc", 50).push(2.5);
-    reg->distribution("lat").observe(4.0);
-  }
-  watched.publish_snapshot();
-  watched.snapshot_unsubscribe();
-  EXPECT_EQ(watched, plain);
-}
-
-TEST(StatRegistrySnapshot, SnapshotIsTheLastPublishedConsistentCopy) {
-  sim::StatRegistry reg;
-  // Nothing published yet: snapshot() is an empty registry, not garbage.
-  EXPECT_EQ(reg.snapshot().size(), 0u);
-
-  reg.snapshot_subscribe();
-  reg.counter("a") += 7;
-  reg.publish_snapshot();
-  reg.counter("a") += 1;  // post-publish mutation is not visible
-
-  const sim::StatRegistry snap = reg.snapshot();
-  EXPECT_EQ(snap.counter_value("a"), 7u);
-  EXPECT_EQ(reg.counter_value("a"), 8u);
-  // Repeated reads see the same published copy until the next publish.
-  EXPECT_EQ(reg.snapshot().counter_value("a"), 7u);
-  reg.publish_snapshot();
-  EXPECT_EQ(reg.snapshot().counter_value("a"), 8u);
-  reg.snapshot_unsubscribe();
-}
-
-TEST(StatRegistrySnapshot, ZeroSubscribersMakePublishANoOp) {
-  sim::StatRegistry reg;
-  EXPECT_FALSE(reg.snapshot_wanted());
-  reg.counter("a") += 42;
-  reg.publish_snapshot();  // unwatched: no copy is made
-  EXPECT_EQ(reg.snapshot().size(), 0u);
-
-  reg.snapshot_subscribe();
-  EXPECT_TRUE(reg.snapshot_wanted());
-  reg.publish_snapshot();
-  EXPECT_EQ(reg.snapshot().counter_value("a"), 42u);
-  reg.snapshot_unsubscribe();
-  EXPECT_FALSE(reg.snapshot_wanted());
-}
-
-TEST(StatRegistrySnapshot, CopiesTransferEntriesButNotSubscriptions) {
-  sim::StatRegistry reg;
-  reg.snapshot_subscribe();
-  reg.counter("a") += 1;
-
-  sim::StatRegistry copy = reg;          // copy: entries only
-  EXPECT_EQ(copy, reg);
-  EXPECT_FALSE(copy.snapshot_wanted());  // the subscription stayed behind
-  copy.publish_snapshot();               // therefore a no-op on the copy
-  EXPECT_EQ(copy.snapshot().size(), 0u);
-  EXPECT_TRUE(reg.snapshot_wanted());
-  reg.snapshot_unsubscribe();
-}
-
 }  // namespace
 }  // namespace erel

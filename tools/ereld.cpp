@@ -35,9 +35,7 @@ void usage(const char* argv0) {
       "  --port=N             listen port (default 0 = ephemeral)\n"
       "  --cache-dir=PATH     on-disk result cache (default: none)\n"
       "  --workers=N          simulation workers (0 = hardware default)\n"
-      "  --tick-ms=N          subscriber push cadence (default 25)\n"
-      "  --snapshot-cycles=N  registry snapshot interval (default 10000)\n"
-      "  --max-queue=N        cells queued-or-running before kBusy (0 = off)\n"
+      "  --max-queue=N       cells queued-or-running before kBusy (0 = off)\n"
       "  --max-cache-bytes=N  result-cache LRU byte budget (0 = unlimited)\n"
       "  --busy-retry-ms=N    retry hint carried in kBusy (default 50)\n"
       "  --stop HOST:PORT     ask a running daemon to shut down\n",
@@ -94,12 +92,6 @@ int main(int argc, char** argv) {
     } else if (matches("--workers")) {
       opts.workers = static_cast<unsigned>(
           std::strtoul(value("--workers").c_str(), nullptr, 10));
-    } else if (matches("--tick-ms")) {
-      opts.tick_ms = static_cast<unsigned>(
-          std::strtoul(value("--tick-ms").c_str(), nullptr, 10));
-    } else if (matches("--snapshot-cycles")) {
-      opts.snapshot_interval_cycles =
-          std::strtoull(value("--snapshot-cycles").c_str(), nullptr, 10);
     } else if (matches("--max-queue")) {
       opts.max_queue = static_cast<std::size_t>(
           std::strtoull(value("--max-queue").c_str(), nullptr, 10));
@@ -136,8 +128,7 @@ int main(int argc, char** argv) {
   std::printf(
       "ereld: served %llu requests (%llu cache hits, %llu simulated, "
       "%llu deduped, %llu errors, %llu busy, %llu cancelled), "
-      "%llu updates pushed, %llu evicted, %llu quarantined, "
-      "%llu client(s) dropped\n",
+      "%llu evicted, %llu quarantined, %llu client(s) dropped\n",
       static_cast<unsigned long long>(stats.requests),
       static_cast<unsigned long long>(stats.cache_hits),
       static_cast<unsigned long long>(stats.simulated),
@@ -145,7 +136,6 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(stats.errors),
       static_cast<unsigned long long>(stats.busy),
       static_cast<unsigned long long>(stats.cancelled),
-      static_cast<unsigned long long>(stats.updates),
       static_cast<unsigned long long>(stats.evicted),
       static_cast<unsigned long long>(stats.quarantined),
       static_cast<unsigned long long>(stats.dropped_clients));
