@@ -2,9 +2,11 @@
 // trajectory (BENCH_sim_throughput.json).
 //
 // For every kernel in the suite it measures
-//   - functional MIPS, fast engine   (DecodedProgram + page-pointer TLB)
-//   - functional MIPS, legacy engine (per-step byte fetch + decode, page-map
-//     lookups — the pre-decode-cache engine, for an honest speedup claim)
+//   - functional MIPS, fast engine   (DecodedProgram: ArchState::run's
+//     threaded loop over the pre-decoded micro-ops)
+//   - functional MIPS, legacy engine (no DecodedProgram: ArchState::step's
+//     byte-accurate fetch + decode of every instruction; both engines share
+//     SparseMemory's page-pointer TLB)
 //   - full-pipeline KIPS with and without the decode cache (oracle on, the
 //     default verification configuration)
 // and emits a machine-readable JSON report plus a human-readable table.
@@ -64,13 +66,12 @@ struct KernelResult {
 /// accumulates, so short kernels still time meaningfully.
 double measure_functional(const erel::arch::Program& program,
                           const erel::arch::DecodedProgram* decoded,
-                          bool tlb_enabled, std::uint64_t max_steps,
+                          std::uint64_t max_steps,
                           double min_seconds, std::uint64_t* insts_out) {
   std::uint64_t total_insts = 0;
   double total_seconds = 0.0;
   do {
     erel::arch::ArchState state(program, decoded);
-    state.memory().set_tlb_enabled(tlb_enabled);
     const Clock::time_point start = Clock::now();
     state.run(max_steps == 0 ? ~std::uint64_t{0} : max_steps);
     total_seconds += seconds_since(start);
@@ -231,12 +232,10 @@ int main(int argc, char** argv) {
     const erel::arch::DecodedProgram decoded(program);
     KernelResult r;
     r.name = name;
-    r.func_mips_fast = measure_functional(program, &decoded,
-                                          /*tlb_enabled=*/true, func_insts,
+    r.func_mips_fast = measure_functional(program, &decoded, func_insts,
                                           min_seconds, &r.func_insts);
-    r.func_mips_legacy =
-        measure_functional(program, nullptr, /*tlb_enabled=*/false,
-                           func_insts, min_seconds, nullptr);
+    r.func_mips_legacy = measure_functional(program, nullptr, func_insts,
+                                            min_seconds, nullptr);
     r.pipe_kips_fast = measure_pipeline(program, /*fast_path=*/true,
                                         pipeline_insts, &r.pipe_insts);
     r.pipe_kips_legacy =

@@ -1,23 +1,41 @@
 #include "arch/arch_state.hpp"
 
 #include <cstring>
+#include <iterator>
 
 #include "common/bits.hpp"
 #include "common/log.hpp"
 #include "isa/semantics.hpp"
 
-// Threaded dispatch for the run() interpreter loop: on GCC/Clang each
-// micro-op body jumps through a computed-goto label table, giving the branch
-// predictor one indirect-branch site per *successor* op instead of a single
-// shared switch dispatch. Define EREL_NO_COMPUTED_GOTO to force the portable
-// switch loop (also the path non-GNU compilers take).
-#if !defined(EREL_NO_COMPUTED_GOTO) && (defined(__GNUC__) || defined(__clang__))
-#define EREL_COMPUTED_GOTO 1
-#else
-#define EREL_COMPUTED_GOTO 0
+// run()'s threaded dispatch jumps through a table of label addresses
+// (computed goto), which gives the branch predictor one indirect-branch site
+// per *predecessor* op instead of one shared switch dispatch. It is a GNU
+// extension that GCC and Clang provide.
+#if !defined(__GNUC__) && !defined(__clang__)
+#error "arch_state.cpp needs GCC or Clang: run() uses computed goto"
 #endif
 
+// Every MicroKind in enum order: the threaded loop's label table is indexed
+// by kind, and step()'s switch has one case per kind.
+#define EREL_MICRO_KINDS(X)                                    \
+  X(kAlu) X(kLoad) X(kStore) X(kCondBranch) X(kDirectJump)     \
+  X(kIndirectJump) X(kHalt) X(kIllegal) X(kIret)
+
 namespace erel::arch {
+
+namespace {
+constexpr MicroKind kKindOrder[] = {
+#define EREL_KIND(k) MicroKind::k,
+    EREL_MICRO_KINDS(EREL_KIND)
+#undef EREL_KIND
+};
+constexpr bool in_enum_order() {
+  for (unsigned i = 0; i < std::size(kKindOrder); ++i)
+    if (static_cast<unsigned>(kKindOrder[i]) != i) return false;
+  return std::size(kKindOrder) == static_cast<unsigned>(MicroKind::kIret) + 1;
+}
+static_assert(in_enum_order(), "EREL_MICRO_KINDS must list MicroKind in order");
+}  // namespace
 
 using isa::RegClass;
 
@@ -54,6 +72,112 @@ void ArchState::set_fp_reg(unsigned idx, std::uint64_t value) {
   f_[idx] = value;
 }
 
+template <bool kRecord>
+[[gnu::always_inline]] inline void ArchState::write_dst(const MicroOp& mop,
+                                                        RegClass cls,
+                                                        std::uint64_t value,
+                                                        StepInfo* info) {
+  if constexpr (kRecord) {
+    info->has_dst = mop.has_dst;
+    info->dst_class = cls;
+    info->dst_reg = mop.inst.rd;
+    info->dst_value = value;
+  }
+  // has_dst is already false for integer rd == 0, so x_[0] stays 0.
+  if (mop.has_dst) {
+    if (cls == RegClass::Int) x_[mop.inst.rd] = value;
+    else f_[mop.inst.rd] = value;
+  }
+}
+
+template <MicroKind K, bool kRecord>
+[[gnu::always_inline]] inline bool ArchState::exec(const MicroOp& mop,
+                                                   std::uint64_t& pc,
+                                                   std::uint64_t retired,
+                                                   StepInfo* info) {
+  if constexpr (K == MicroKind::kAlu) {
+    const std::uint64_t a = src_value(mop.src1, mop.inst.rs1);
+    const std::uint64_t b = src_value(mop.src2, mop.inst.rs2);
+    write_dst<kRecord>(mop, mop.dst,
+                       isa::exec_alu(mop.inst.op, a, b, mop.inst.imm), info);
+    pc += 4;
+    return false;
+  } else if constexpr (K == MicroKind::kLoad) {
+    const std::uint64_t addr = src_value(mop.src1, mop.inst.rs1) +
+                               static_cast<std::uint64_t>(mop.simm);
+    // Device reads are pure and never change deliverability mid-window (the
+    // run() budget already stops at the next timer/RX deadline), so the
+    // threaded loop continues past them.
+    std::uint64_t value = dev::Machine::is_mmio(addr)
+                              ? dev_.read(addr, mop.mem_bytes, retired)
+                              : mem_.read(addr, mop.mem_bytes);
+    if (mop.sext32) value = static_cast<std::uint64_t>(sext(value, 32));
+    if constexpr (kRecord) {
+      info->is_load = true;
+      info->mem_addr = addr;
+      info->mem_bytes = mop.mem_bytes;
+    }
+    write_dst<kRecord>(mop, mop.dst, value, info);
+    pc += 4;
+    return false;
+  } else if constexpr (K == MicroKind::kStore) {
+    const std::uint64_t addr = src_value(mop.src1, mop.inst.rs1) +
+                               static_cast<std::uint64_t>(mop.simm);
+    const std::uint64_t value = src_value(mop.src2, mop.inst.rs2);
+    if constexpr (kRecord) {
+      info->is_store = true;
+      info->mem_addr = addr;
+      info->mem_bytes = mop.mem_bytes;
+      info->store_value = value;
+    }
+    pc += 4;
+    if (dev::Machine::is_mmio(addr)) {
+      // A device write can arm timers or re-enable delivery: run()
+      // re-evaluates its deadline budget and the pending lines.
+      dev_.write(addr, value, mop.mem_bytes, retired);
+      return true;
+    }
+    note_store(addr, mop.mem_bytes);
+    mem_.write(addr, value, mop.mem_bytes);
+    // A store into the code image finishes architecturally; further
+    // fetches re-decode from memory.
+    return code_dirty_;
+  } else if constexpr (K == MicroKind::kCondBranch) {
+    const std::uint64_t a = src_value(mop.src1, mop.inst.rs1);
+    const std::uint64_t b = src_value(mop.src2, mop.inst.rs2);
+    pc += isa::branch_taken(mop.inst.op, a, b)
+              ? static_cast<std::uint64_t>(mop.disp)
+              : 4;
+    return false;
+  } else if constexpr (K == MicroKind::kDirectJump) {
+    write_dst<kRecord>(mop, RegClass::Int, pc + 4, info);
+    pc += static_cast<std::uint64_t>(mop.disp);
+    return false;
+  } else if constexpr (K == MicroKind::kIndirectJump) {
+    // Target read before the link write in case rd == rs1.
+    const std::uint64_t target = (src_value(mop.src1, mop.inst.rs1) +
+                                  static_cast<std::uint64_t>(mop.simm)) &
+                                 ~std::uint64_t{3};
+    write_dst<kRecord>(mop, RegClass::Int, pc + 4, info);
+    pc = target;
+    return false;
+  } else if constexpr (K == MicroKind::kHalt || K == MicroKind::kIllegal) {
+    // The PC stays on the halting instruction, which counts as executed.
+    halted_ = true;
+    if constexpr (kRecord) {
+      info->halted = true;
+      info->illegal = K == MicroKind::kIllegal;
+    }
+    return true;
+  } else {
+    static_assert(K == MicroKind::kIret);
+    // Returning from the handler restores the master enable: run() delivers
+    // any interrupt latched meanwhile before the resumed instruction.
+    pc = dev_.iret();
+    return true;
+  }
+}
+
 StepInfo ArchState::step() {
   StepInfo info;
   if (halted_) {
@@ -73,121 +197,30 @@ StepInfo ArchState::step() {
   }
   info.pc = pc_;
   if (decoded_ != nullptr && !code_dirty_ && decoded_->contains(pc_)) {
-    step_decoded(decoded_->at(pc_), info);
+    step_op(decoded_->at(pc_), info);
   } else {
     // Byte-accurate path: decode the word in memory now, same semantics.
-    step_decoded(DecodedProgram::make_op(mem_.read_u32(pc_)), info);
+    step_op(DecodedProgram::make_op(mem_.read_u32(pc_)), info);
   }
   return info;
 }
 
-void ArchState::step_decoded(const MicroOp& mop, StepInfo& info) {
+void ArchState::step_op(const MicroOp& mop, StepInfo& info) {
   info.inst = mop.inst;
   info.kind = mop.kind;
-  ++icount_;
-
-  const std::uint64_t a = src_value(mop.src1, mop.inst.rs1);
-  const std::uint64_t b = src_value(mop.src2, mop.inst.rs2);
-  std::uint64_t next_pc = pc_ + 4;
-
+  const std::uint64_t retired = icount_++;
   switch (mop.kind) {
-    case MicroKind::kIllegal:
-      info.illegal = true;
-      info.halted = true;
-      halted_ = true;
-      info.next_pc = pc_;
-      return;
-    case MicroKind::kHalt:
-      halted_ = true;
-      info.halted = true;
-      info.next_pc = pc_;
-      return;
-    case MicroKind::kIret:
-      next_pc = dev_.iret();
-      break;
-    case MicroKind::kLoad: {
-      const std::uint64_t addr = a + static_cast<std::uint64_t>(mop.simm);
-      // MMIO accesses pass the retirement boundary (icount_ was already
-      // incremented for this instruction, hence the -1).
-      std::uint64_t value = dev::Machine::is_mmio(addr)
-                                ? dev_.read(addr, mop.mem_bytes, icount_ - 1)
-                                : mem_.read(addr, mop.mem_bytes);
-      if (mop.sext32) value = static_cast<std::uint64_t>(sext(value, 32));
-      info.is_load = true;
-      info.mem_addr = addr;
-      info.mem_bytes = mop.mem_bytes;
-      info.has_dst = mop.has_dst;
-      info.dst_class = mop.dst;
-      info.dst_reg = mop.inst.rd;
-      info.dst_value = value;
-      if (mop.has_dst) {
-        if (mop.dst == RegClass::Int) set_int_reg(mop.inst.rd, value);
-        else set_fp_reg(mop.inst.rd, value);
-      }
-      break;
-    }
-    case MicroKind::kStore: {
-      const std::uint64_t addr = a + static_cast<std::uint64_t>(mop.simm);
-      info.is_store = true;
-      info.mem_addr = addr;
-      info.mem_bytes = mop.mem_bytes;
-      info.store_value = b;
-      if (dev::Machine::is_mmio(addr)) {
-        dev_.write(addr, b, mop.mem_bytes, icount_ - 1);
-      } else {
-        note_store(addr, mop.mem_bytes);
-        mem_.write(addr, b, mop.mem_bytes);
-      }
-      break;
-    }
-    case MicroKind::kCondBranch:
-      if (isa::branch_taken(mop.inst.op, a, b))
-        next_pc = pc_ + static_cast<std::uint64_t>(mop.disp);
-      break;
-    case MicroKind::kDirectJump:
-      info.has_dst = mop.has_dst;
-      info.dst_class = RegClass::Int;
-      info.dst_reg = mop.inst.rd;
-      info.dst_value = pc_ + 4;
-      if (mop.has_dst) set_int_reg(mop.inst.rd, pc_ + 4);
-      next_pc = pc_ + static_cast<std::uint64_t>(mop.disp);
-      break;
-    case MicroKind::kIndirectJump: {
-      // Link value is read before the target in case rd == rs1.
-      const std::uint64_t target =
-          (a + static_cast<std::uint64_t>(mop.simm)) & ~std::uint64_t{3};
-      info.has_dst = mop.has_dst;
-      info.dst_class = RegClass::Int;
-      info.dst_reg = mop.inst.rd;
-      info.dst_value = pc_ + 4;
-      if (mop.has_dst) set_int_reg(mop.inst.rd, pc_ + 4);
-      next_pc = target;
-      break;
-    }
-    case MicroKind::kAlu: {
-      const std::uint64_t value = isa::exec_alu(mop.inst.op, a, b, mop.inst.imm);
-      info.has_dst = mop.has_dst;
-      info.dst_class = mop.dst;
-      info.dst_reg = mop.inst.rd;
-      info.dst_value = value;
-      if (mop.has_dst) {
-        if (mop.dst == RegClass::Int) set_int_reg(mop.inst.rd, value);
-        else set_fp_reg(mop.inst.rd, value);
-      }
-      break;
-    }
+#define EREL_CASE(k)                                  \
+  case MicroKind::k:                                  \
+    exec<MicroKind::k, true>(mop, pc_, retired, &info); \
+    break;
+    EREL_MICRO_KINDS(EREL_CASE)
+#undef EREL_CASE
   }
-
-  pc_ = next_pc;
-  info.next_pc = next_pc;
+  info.next_pc = pc_;
 }
 
 std::uint64_t ArchState::run_decoded(std::uint64_t max_steps) {
-  // Mirrors step_decoded() op for op — same evaluation order, same memory
-  // and register effects, same icount accounting (the halting step itself
-  // counts) — but with no StepInfo construction and the PC kept in a local.
-  // Destination writes go straight to x_/f_: has_dst is already false for
-  // integer rd==0, so x_[0] is never written.
   const MicroOp* const ops = decoded_->ops();
   const std::uint64_t base = decoded_->code_base();
   const std::uint64_t bytes = decoded_->code_end() - base;
@@ -195,17 +228,17 @@ std::uint64_t ArchState::run_decoded(std::uint64_t max_steps) {
   std::uint64_t executed = 0;
   const MicroOp* mop = nullptr;
 
-  // EREL_DISPATCH fetches the next micro-op and jumps to its handler; it
-  // falls out to `done` when the step budget is exhausted or the PC leaves
-  // the image (wrong-path targets, returns past code_end). Entry PC
-  // alignment is the caller's contains() check; every transition below
-  // preserves it (+4, disp = imm*4, indirect targets masked to ~3).
-#if EREL_COMPUTED_GOTO
+  // EREL_DISPATCH fetches the next micro-op and jumps to its kind's label;
+  // it falls out to `done` when the step budget is exhausted or the PC
+  // leaves the image (wrong-path targets, returns past code_end). Entry PC
+  // alignment is the caller's contains() check; every body preserves it
+  // (+4, disp = imm*4, indirect targets masked to ~3). Each label runs its
+  // kind's body and leaves when the body hands control back.
   static const void* const kDispatch[] = {
-      &&lbl_kAlu,        &&lbl_kLoad,         &&lbl_kStore,
-      &&lbl_kCondBranch, &&lbl_kDirectJump,   &&lbl_kIndirectJump,
-      &&lbl_kHalt,       &&lbl_kIllegal,      &&lbl_kIret};
-#define EREL_CASE(k) lbl_##k:
+#define EREL_LABEL(k) &&lbl_##k,
+      EREL_MICRO_KINDS(EREL_LABEL)
+#undef EREL_LABEL
+  };
 #define EREL_DISPATCH()                                    \
   {                                                        \
     if (executed == max_steps) goto done;                  \
@@ -215,115 +248,16 @@ std::uint64_t ArchState::run_decoded(std::uint64_t max_steps) {
     ++executed;                                            \
     goto* kDispatch[static_cast<unsigned>(mop->kind)];     \
   }
+#define EREL_BODY(k)                                                    \
+  lbl_##k:                                                              \
+  if (exec<MicroKind::k, false>(*mop, pc, icount_ + executed - 1,       \
+                                nullptr))                               \
+    goto done;                                                          \
   EREL_DISPATCH()
-#else
-#define EREL_CASE(k) case MicroKind::k:
-#define EREL_DISPATCH() \
-  { continue; }
-  for (;;) {
-    if (executed == max_steps) break;
-    const std::uint64_t off = pc - base;
-    if (off >= bytes) break;
-    mop = ops + (off >> 2);
-    ++executed;
-    switch (mop->kind) {
-#endif
 
-      EREL_CASE(kAlu) {
-        const std::uint64_t a = src_value(mop->src1, mop->inst.rs1);
-        const std::uint64_t b = src_value(mop->src2, mop->inst.rs2);
-        const std::uint64_t value =
-            isa::exec_alu(mop->inst.op, a, b, mop->inst.imm);
-        if (mop->has_dst) {
-          if (mop->dst == RegClass::Int) x_[mop->inst.rd] = value;
-          else f_[mop->inst.rd] = value;
-        }
-        pc += 4;
-        EREL_DISPATCH()
-      }
-      EREL_CASE(kLoad) {
-        const std::uint64_t addr = src_value(mop->src1, mop->inst.rs1) +
-                                   static_cast<std::uint64_t>(mop->simm);
-        // Device reads are pure and never change deliverability mid-window
-        // (the run() budget already stops at the next timer/RX deadline),
-        // so the dispatch loop continues inline. The boundary is the count
-        // of instructions retired before this one.
-        std::uint64_t value =
-            dev::Machine::is_mmio(addr)
-                ? dev_.read(addr, mop->mem_bytes, icount_ + executed - 1)
-                : mem_.read(addr, mop->mem_bytes);
-        if (mop->sext32) value = static_cast<std::uint64_t>(sext(value, 32));
-        if (mop->has_dst) {
-          if (mop->dst == RegClass::Int) x_[mop->inst.rd] = value;
-          else f_[mop->inst.rd] = value;
-        }
-        pc += 4;
-        EREL_DISPATCH()
-      }
-      EREL_CASE(kStore) {
-        const std::uint64_t addr = src_value(mop->src1, mop->inst.rs1) +
-                                   static_cast<std::uint64_t>(mop->simm);
-        const std::uint64_t b = src_value(mop->src2, mop->inst.rs2);
-        if (dev::Machine::is_mmio(addr)) {
-          // A device write can arm timers or re-enable delivery: hand
-          // control back so run() re-evaluates its deadline budget and the
-          // pending lines at this boundary.
-          dev_.write(addr, b, mop->mem_bytes, icount_ + executed - 1);
-          pc += 4;
-          goto done;
-        }
-        note_store(addr, mop->mem_bytes);
-        mem_.write(addr, b, mop->mem_bytes);
-        pc += 4;
-        // A store into the code image finishes architecturally, then hands
-        // control back so further fetches re-decode from memory.
-        if (code_dirty_) goto done;
-        EREL_DISPATCH()
-      }
-      EREL_CASE(kCondBranch) {
-        const std::uint64_t a = src_value(mop->src1, mop->inst.rs1);
-        const std::uint64_t b = src_value(mop->src2, mop->inst.rs2);
-        pc += isa::branch_taken(mop->inst.op, a, b)
-                  ? static_cast<std::uint64_t>(mop->disp)
-                  : 4;
-        EREL_DISPATCH()
-      }
-      EREL_CASE(kDirectJump) {
-        if (mop->has_dst) x_[mop->inst.rd] = pc + 4;
-        pc += static_cast<std::uint64_t>(mop->disp);
-        EREL_DISPATCH()
-      }
-      EREL_CASE(kIndirectJump) {
-        // Target read before the link write in case rd == rs1.
-        const std::uint64_t target =
-            (src_value(mop->src1, mop->inst.rs1) +
-             static_cast<std::uint64_t>(mop->simm)) &
-            ~std::uint64_t{3};
-        if (mop->has_dst) x_[mop->inst.rd] = pc + 4;
-        pc = target;
-        EREL_DISPATCH()
-      }
-      EREL_CASE(kHalt) {
-        halted_ = true;  // PC frozen on the HALT itself; the step counts
-        goto done;
-      }
-      EREL_CASE(kIllegal) {
-        halted_ = true;
-        goto done;
-      }
-      EREL_CASE(kIret) {
-        // Returning from the handler restores the master enable: hand
-        // control back so run() delivers any interrupt latched meanwhile
-        // before the resumed instruction executes.
-        pc = dev_.iret();
-        goto done;
-      }
-
-#if !EREL_COMPUTED_GOTO
-    }
-  }
-#endif
-#undef EREL_CASE
+  EREL_DISPATCH()
+  EREL_MICRO_KINDS(EREL_BODY)
+#undef EREL_BODY
 #undef EREL_DISPATCH
 
 done:
@@ -331,6 +265,8 @@ done:
   icount_ += executed;
   return executed;
 }
+
+#undef EREL_MICRO_KINDS
 
 std::uint64_t ArchState::run(std::uint64_t max_steps) {
   std::uint64_t steps = 0;

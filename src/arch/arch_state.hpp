@@ -5,11 +5,14 @@
 // standalone to validate workload checksums and to count dynamic
 // instructions (Table 3 reproduction).
 //
-// Fast path: when constructed with a DecodedProgram, step() executes from
-// the pre-decoded micro-op array (one enum dispatch, no byte fetch or
-// re-decode) whenever the PC is inside the cached code image; any store
-// into the image flips it back to the byte-accurate path permanently, so
-// results are bit-identical with or without the cache.
+// Each MicroKind's semantics are written once (ArchState::exec); step() and
+// run()'s threaded loop only choose which body runs next. When constructed
+// with a DecodedProgram, both take the micro-op from the pre-decoded array
+// (no byte fetch or re-decode) whenever the PC is inside the cached code
+// image; otherwise step() runs DecodedProgram::make_op of the word in
+// memory. Any store into the image flips the machine back to that
+// byte-accurate path permanently, so results are bit-identical with or
+// without the cache.
 #pragma once
 
 #include <array>
@@ -60,11 +63,11 @@ class ArchState {
   /// Runs until HALT or `max_steps`; returns executed instruction count.
   ///
   /// While the PC stays inside a clean decoded image this executes a
-  /// threaded-dispatch interpreter loop over the packed MicroOp array
-  /// (computed goto on GCC/Clang, a switch loop when EREL_NO_COMPUTED_GOTO
-  /// is defined) with no per-step StepInfo construction; out-of-image PCs,
-  /// self-modifying stores and the byte-accurate configuration fall back to
-  /// step(). Architectural results are bit-identical either way.
+  /// threaded-dispatch interpreter loop (computed goto) over the packed
+  /// MicroOp array, running the same per-kind bodies as step() without
+  /// recording a StepInfo; out-of-image PCs, self-modifying stores and the
+  /// byte-accurate configuration fall back to step(). Architectural results
+  /// are bit-identical either way.
   std::uint64_t run(std::uint64_t max_steps = ~0ull);
 
   [[nodiscard]] bool halted() const { return halted_; }
@@ -112,14 +115,28 @@ class ArchState {
  private:
   /// run()'s hot loop: threaded dispatch over decoded_->ops() starting at
   /// pc_, which the caller has verified is inside the clean decoded image.
-  /// Executes until halt, a code-dirtying store, the PC leaving the image,
-  /// or `max_steps`; returns the number of instructions executed (>= 1).
+  /// Executes until a body hands control back, the PC leaves the image, or
+  /// `max_steps`; returns the number of instructions executed (>= 1).
   std::uint64_t run_decoded(std::uint64_t max_steps);
 
-  /// Executes one instruction at pc_: the record is either the decoded
-  /// image's slot or, on the byte-accurate path, make_op() of the word in
-  /// memory.
-  void step_decoded(const MicroOp& mop, StepInfo& info);
+  /// The one body of micro-op kind K: executes `mop` at `pc` and advances
+  /// `pc`. `retired` counts the instructions retired before this one (the
+  /// device boundary of an MMIO access). With kRecord, the instruction's
+  /// effects are also written to `info`. Returns true when run()'s threaded
+  /// loop must hand control back: after an MMIO store, a code-dirtying
+  /// store, IRET, HALT or ILLEGAL.
+  template <MicroKind K, bool kRecord>
+  bool exec(const MicroOp& mop, std::uint64_t& pc, std::uint64_t retired,
+            StepInfo* info);
+
+  /// Writes a destination register (a no-op unless mop.has_dst), recording
+  /// it in `info` with kRecord.
+  template <bool kRecord>
+  void write_dst(const MicroOp& mop, isa::RegClass cls, std::uint64_t value,
+                 StepInfo* info);
+
+  /// step()'s dispatcher: counts the instruction and runs its kind's body.
+  void step_op(const MicroOp& mop, StepInfo& info);
 
   [[nodiscard]] std::uint64_t src_value(isa::RegClass cls,
                                         unsigned idx) const {

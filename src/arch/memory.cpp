@@ -19,7 +19,7 @@ SparseMemory::Page* SparseMemory::lookup_page(std::uint64_t addr) const {
   const auto it = pages_.find(page);
   if (it == pages_.end()) return nullptr;  // absence is never cached
   Page* data = it->second.get();
-  if (tlb_enabled_) slot = {page, data};
+  slot = {page, data};
   return data;
 }
 
@@ -30,7 +30,7 @@ SparseMemory::Page& SparseMemory::touch_page(std::uint64_t addr) {
     slot = std::make_unique<Page>();
     slot->fill(0);
   }
-  if (tlb_enabled_) tlb_[page & (kTlbSlots - 1)] = {page, slot.get()};
+  tlb_[page & (kTlbSlots - 1)] = {page, slot.get()};
   return *slot;
 }
 

@@ -9,9 +9,8 @@
 // purely an accelerator — it only ever caches pointers to materialized
 // pages (node-based map storage keeps them stable), absent-page reads are
 // never cached (the page may materialize later via a write), and clear()
-// drops it wholesale — so observable behaviour is bit-identical with the
-// TLB on or off. `set_tlb_enabled(false)` exists for A/B throughput
-// measurements (bench/sim_throughput), not for correctness.
+// drops it wholesale — so observable behaviour is exactly that of the page
+// map alone (tests/test_memory.cpp checks it against a reference model).
 #pragma once
 
 #include <array>
@@ -72,14 +71,6 @@ class SparseMemory {
     flush_tlb();
   }
 
-  /// Disables (or re-enables) the page-pointer cache. Results are identical
-  /// either way; the switch exists so throughput benchmarks can report the
-  /// map-lookup baseline honestly.
-  void set_tlb_enabled(bool enabled) {
-    tlb_enabled_ = enabled;
-    flush_tlb();
-  }
-
  private:
   using Page = std::array<std::uint8_t, kPageBytes>;
 
@@ -106,7 +97,6 @@ class SparseMemory {
 
   std::unordered_map<std::uint64_t, std::unique_ptr<Page>> pages_;
   mutable std::array<TlbEntry, kTlbSlots> tlb_{};
-  bool tlb_enabled_ = true;
 };
 
 }  // namespace erel::arch

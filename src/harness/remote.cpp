@@ -99,8 +99,4 @@ void RemoteBackend::abandon(std::uint64_t wire_id) {
 
 void RemoteBackend::reset_connection() { client_->reset_connection(); }
 
-std::uint64_t RemoteBackend::reconnects() const {
-  return client_->reconnects();
-}
-
 }  // namespace erel::harness

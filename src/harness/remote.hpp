@@ -113,9 +113,6 @@ class RemoteBackend {
   /// budget on the same dead socket.
   void reset_connection();
 
-  /// Successful transparent reconnects the client performed (observability).
-  [[nodiscard]] std::uint64_t reconnects() const;
-
  private:
   std::string endpoint_;
   std::string error_;

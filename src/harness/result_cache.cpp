@@ -34,23 +34,6 @@ std::optional<ExpEntry> load_cache_entry(const std::string& path,
   return entry;
 }
 
-std::optional<std::string> load_cache_entry_text(const std::string& path,
-                                                 std::string_view fp_hex,
-                                                 const ExpKey& key) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  std::string text = buffer.str();
-  if (!parse_entry(text, fp_hex, key)) {
-    EREL_WARN("ignoring cache entry ", path,
-              " (malformed, stale, or from a different cell; treated as a "
-              "miss for ", key.to_string(), ")");
-    return std::nullopt;
-  }
-  return text;
-}
-
 void save_cache_entry(const std::string& path, const std::string& content) {
   // The pid distinguishes processes, the counter distinguishes threads
   // within one process (daemon workers materializing different cells — or

@@ -24,12 +24,6 @@ namespace erel::harness {
                                                        std::string_view fp_hex,
                                                        const ExpKey& key);
 
-/// Same validation, but returns the file's verbatim text instead of the
-/// parsed entry — what the experiment daemon forwards on the wire, so a
-/// daemon-served cell is byte-identical to the on-disk entry.
-[[nodiscard]] std::optional<std::string> load_cache_entry_text(
-    const std::string& path, std::string_view fp_hex, const ExpKey& key);
-
 /// Atomically publishes `content` at `path` via a tmp file + rename. The
 /// tmp name is unique per writer — pid *and* a process-wide counter — so
 /// two processes or two threads materializing the same cell can never

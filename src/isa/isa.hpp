@@ -148,6 +148,16 @@ struct DecodedInst {
   }
   [[nodiscard]] bool is_halt() const { return info().flags & kFlagHalt; }
   [[nodiscard]] bool is_iret() const { return info().flags & kFlagIret; }
+  /// The return-address-stack convention, shared by fetch prediction and
+  /// sampled warming: a jump that links in ra (rd == 1) is a call; an
+  /// indirect jump through ra that discards its link (rd == 0, rs1 == 1)
+  /// is a return.
+  [[nodiscard]] bool is_call() const {
+    return (info().flags & kFlagCall) && rd == 1;
+  }
+  [[nodiscard]] bool is_return() const {
+    return is_indirect_jump() && rd == 0 && rs1 == 1;
+  }
   [[nodiscard]] unsigned mem_bytes() const { return info().mem_bytes; }
 };
 

@@ -45,7 +45,7 @@ void FetchUnit::predict(FetchedInst& fi) {
     fi.predicted_taken = true;
     fi.predicted_target =
         fi.pc + static_cast<std::uint64_t>(std::int64_t{inst.imm} * 4);
-    if (inst.rd == 1) ras_.push(fallthrough);  // call convention: link in ra
+    if (inst.is_call()) ras_.push(fallthrough);
     return;
   }
   if (inst.is_indirect_jump()) {
@@ -53,13 +53,12 @@ void FetchUnit::predict(FetchedInst& fi) {
     // Indirect jumps do not shift the GHR, but their misprediction must
     // restore it (younger conditional branches shifted it speculatively).
     fi.ghr_checkpoint = gshare_.history();
-    const bool is_return = inst.rd == 0 && inst.rs1 == 1;
-    if (is_return) {
+    if (inst.is_return()) {
       fi.predicted_target = ras_.pop();
     } else {
       fi.predicted_target = btb_.lookup(fi.pc).value_or(fallthrough);
     }
-    if (inst.rd == 1) ras_.push(fallthrough);
+    if (inst.is_call()) ras_.push(fallthrough);
     // Snapshot after this instruction's own RAS operations: misprediction of
     // this jump squashes only younger instructions, whose RAS damage is what
     // the checkpoint must undo.

@@ -119,10 +119,7 @@ bool RemoteClient::revive() {
       // The old connection's cancel acks died with it; the new daemon-side
       // state has no memory of them.
       discard_ids_.clear();
-      if (resubmit_pending()) {
-        ++reconnects_;
-        return true;
-      }
+      if (resubmit_pending()) return true;
       continue;  // torn again mid-resubmit: next attempt
     }
     if (fatal_) return false;
@@ -175,14 +172,6 @@ void RemoteClient::cancel(std::uint64_t id) {
       discard_ids_.erase(id);
     }
   }
-}
-
-void RemoteClient::forget(std::uint64_t id) {
-  pending_.erase(id);
-  results_.erase(id);
-  errors_.erase(id);
-  busies_.erase(id);
-  discard_ids_.erase(id);
 }
 
 void RemoteClient::reset_connection() {

@@ -74,19 +74,16 @@ class RemoteClient {
   /// diverged). Retries non-fatal failures with backoff.
   [[nodiscard]] bool connect(const std::string& endpoint);
 
-  [[nodiscard]] bool connected() const { return socket_.valid(); }
   [[nodiscard]] const std::string& error() const { return error_; }
   [[nodiscard]] CallStatus last_status() const { return last_status_; }
   /// The daemon's retry hint from the last kBusy refusal, milliseconds.
   [[nodiscard]] std::uint64_t last_busy_retry_ms() const {
     return last_busy_retry_ms_;
   }
-  /// Successful transparent reconnects performed so far (test observability).
-  [[nodiscard]] std::uint64_t reconnects() const { return reconnects_; }
 
   /// Pipelined send; the response is read by await(). The request is held
   /// for transparent resubmission until its response arrives (or the id is
-  /// cancelled/forgotten). Ids must be unique per client lifetime.
+  /// cancelled). Ids must be unique per client lifetime.
   [[nodiscard]] bool send_cell(const CellRequest& request);
 
   /// Blocks until the response for `id` arrives or the call deadline
@@ -100,10 +97,6 @@ class RemoteClient {
   /// and drops all local state for the id. The daemon's acknowledgement
   /// and any late result are discarded silently.
   void cancel(std::uint64_t id);
-
-  /// Drops all local state for `id` without telling the daemon (for ids
-  /// that died with a torn connection).
-  void forget(std::uint64_t id);
 
   /// Tears the connection down on purpose, keeping pending requests: the
   /// next call revives it and resubmits them (idempotent by content
@@ -143,7 +136,6 @@ class RemoteClient {
   bool fatal_ = false;  // refusal that reconnecting cannot fix
   CallStatus last_status_ = CallStatus::kOk;
   std::uint64_t last_busy_retry_ms_ = 0;
-  std::uint64_t reconnects_ = 0;
   Xorshift jitter_{0};
 
   std::map<std::uint64_t, CellRequest> pending_;  // sent, not yet answered

@@ -31,18 +31,14 @@ void WarmState::observe(const arch::StepInfo& info) {
       if (mispredicted) gshare.repair(checkpoint, taken);
       return;
     }
-    // RAS/BTB conventions mirror FetchUnit::predict: rd==1 links (call),
-    // rd==0 && rs1==1 is a return.
     case arch::MicroKind::kDirectJump:
-      if (info.inst.rd == 1) ras.push(info.pc + 4);
+      if (info.inst.is_call()) ras.push(info.pc + 4);
       return;
-    case arch::MicroKind::kIndirectJump: {
-      const bool is_return = info.inst.rd == 0 && info.inst.rs1 == 1;
-      if (is_return) ras.pop();
+    case arch::MicroKind::kIndirectJump:
+      if (info.inst.is_return()) ras.pop();
       btb.update(info.pc, info.next_pc);
-      if (info.inst.rd == 1) ras.push(info.pc + 4);
+      if (info.inst.is_call()) ras.push(info.pc + 4);
       return;
-    }
     case arch::MicroKind::kAlu:
     case arch::MicroKind::kHalt:
     case arch::MicroKind::kIllegal:

@@ -6,7 +6,11 @@
 // the result-cache fingerprint.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "arch/arch_state.hpp"
@@ -168,6 +172,59 @@ TEST(FastPathEquivalence, StoreIntoCodeImageFallsBackByteAccurately) {
   }
   EXPECT_EQ(fast.pc(), legacy.pc());
   EXPECT_EQ(fast.instructions_executed(), legacy.instructions_executed());
+}
+
+/// Everything architectural two functional machines must agree on.
+void expect_same_state(const arch::ArchState& a, const arch::ArchState& b) {
+  for (unsigned r = 0; r < isa::kNumLogicalRegs; ++r) {
+    EXPECT_EQ(a.int_reg(r), b.int_reg(r)) << "r" << r;
+    EXPECT_EQ(a.fp_reg(r), b.fp_reg(r)) << "f" << r;
+  }
+  EXPECT_EQ(a.pc(), b.pc());
+  EXPECT_EQ(a.instructions_executed(), b.instructions_executed());
+  EXPECT_EQ(a.halted(), b.halted());
+  const auto a_pages = a.memory().pages_snapshot();
+  const auto b_pages = b.memory().pages_snapshot();
+  ASSERT_EQ(a_pages.size(), b_pages.size());
+  for (std::size_t i = 0; i < a_pages.size(); ++i) {
+    ASSERT_EQ(a_pages[i].first, b_pages[i].first);
+    EXPECT_EQ(std::memcmp(a_pages[i].second, b_pages[i].second,
+                          arch::SparseMemory::kPageBytes),
+              0)
+        << "page 0x" << std::hex << a_pages[i].first;
+  }
+  EXPECT_TRUE(a.device() == b.device());
+}
+
+/// run()'s threaded loop against step(): a decoded machine runs chunks of
+/// 1, 3 and 4093 instructions, then on to HALT (capped at 2M); after each
+/// chunk a byte-accurate machine steps to the same instruction count and
+/// the two must be in the same architectural state.
+TEST(FastPathEquivalence, ThreadedRunMatchesByteAccurateStepping) {
+  std::vector<std::pair<std::string, arch::Program>> programs;
+  for (const workloads::Workload& w : workloads::registry())
+    programs.emplace_back(w.name, workloads::assemble_workload(w.name));
+  for (const char* name : {"timer@123", "echo@97"})
+    programs.emplace_back(name, workloads::assemble_workload(name));
+  programs.emplace_back("self-modifying", self_modifying_program());
+
+  constexpr std::uint64_t kCap = 2'000'000;
+  for (const auto& [name, program] : programs) {
+    SCOPED_TRACE(name);
+    const arch::DecodedProgram decoded(program);
+    arch::ArchState fast(program, &decoded);
+    arch::ArchState stepped(program);
+    for (const std::uint64_t chunk : {std::uint64_t{1}, std::uint64_t{3},
+                                      std::uint64_t{4093}, kCap}) {
+      fast.run(std::min(chunk, kCap - fast.instructions_executed()));
+      while (!stepped.halted() &&
+             stepped.instructions_executed() < fast.instructions_executed())
+        stepped.step();
+      SCOPED_TRACE(fast.instructions_executed());
+      expect_same_state(fast, stepped);
+    }
+    EXPECT_TRUE(fast.halted() || fast.instructions_executed() == kCap);
+  }
 }
 
 /// The same self-modifying program through the full pipeline: the committed

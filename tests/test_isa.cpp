@@ -226,5 +226,23 @@ TEST(DecodedInst, R0DestinationIsDiscarded) {
   EXPECT_TRUE(inst.has_dst());
 }
 
+TEST(DecodedInst, CallReturnConvention) {
+  const auto make = [](Opcode op, unsigned rd, unsigned rs1) {
+    DecodedInst inst;
+    inst.op = op;
+    inst.rd = static_cast<std::uint8_t>(rd);
+    inst.rs1 = static_cast<std::uint8_t>(rs1);
+    return inst;
+  };
+  EXPECT_TRUE(make(Opcode::JAL, 1, 0).is_call());
+  EXPECT_TRUE(make(Opcode::JALR, 1, 5).is_call());
+  EXPECT_FALSE(make(Opcode::JAL, 0, 0).is_call());
+  EXPECT_FALSE(make(Opcode::ADDI, 1, 0).is_call());  // not a jump
+  EXPECT_TRUE(make(Opcode::JALR, 0, 1).is_return());
+  EXPECT_FALSE(make(Opcode::JALR, 0, 5).is_return());  // not through ra
+  EXPECT_FALSE(make(Opcode::JALR, 1, 1).is_return());  // links: a call
+  EXPECT_FALSE(make(Opcode::JAL, 0, 1).is_return());   // direct jump
+}
+
 }  // namespace
 }  // namespace erel::isa
