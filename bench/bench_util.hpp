@@ -57,8 +57,8 @@ struct Options {
   std::string cache_dir;            // --cache-dir=PATH  result cache
   std::string server;               // --server=HOST:PORT  ereld daemon
   unsigned server_timeout_ms = 0;   // --server-timeout-ms=N  call deadline
-  unsigned server_retries =         // --server-retries=N  per-cell budget
-      harness::RemoteOptions{}.retries;
+  unsigned server_retries =         // --server-retries=N  per-call budget
+      service::ClientOptions{}.retries;
   bool smoke = false;               // --smoke         tiny CI grid
   bool power = false;               // --power         RixnerProbe columns
   std::uint64_t irq_period = 0;     // --irq-period=N  device period rewrite
@@ -188,7 +188,8 @@ inline void usage(const char* argv0) {
       "  --server=HOST:PORT route cells through an experiment daemon "
       "(ereld)\n"
       "  --server-timeout-ms=N per-call deadline on the daemon path\n"
-      "  --server-retries=N    re-dispatch budget per cell (default 3)\n"
+      "  --server-retries=N    retries per daemon call (default 3); a spent\n"
+      "                        budget sends the remaining cells local\n"
       "  --smoke            tiny grid (CI: execute, don't just compile)\n"
       "  --list-workloads   print the workload registry and exit\n"
       "  --list-policies    print the release policies and exit\n",

@@ -1,9 +1,7 @@
 #include "harness/experiment.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <filesystem>
-#include <thread>
 #include <utility>
 
 #include "common/log.hpp"
@@ -163,77 +161,32 @@ ResultSet Experiment::run(const RunOptions& opts) const {
                 remote.error(), "); simulating ", pending.size(),
                 " cell(s) locally");
     } else {
+      // Dispatch every fingerprintable cell, then await each once; the
+      // client owns every retry. Failures are summarized once per sweep
+      // (like the connect-failure path above): a dying daemon would
+      // otherwise emit one warning per outstanding cell.
       std::vector<std::size_t> local;
-      struct Dispatched {
-        std::size_t cell = 0;
-        std::uint64_t wire_id = 0;
-      };
-      std::vector<Dispatched> dispatched;
-      bool connection_ok = true;
+      std::vector<std::pair<std::size_t, std::optional<std::uint64_t>>>
+          shipped;
       for (const std::size_t i : pending) {
-        if (fp_hex[i].empty() || !connection_ok) {
+        if (fp_hex[i].empty())
           local.push_back(i);
-          continue;
-        }
-        if (const std::optional<std::uint64_t> wire =
-                remote.dispatch(cells[i].key, cells[i].spec, fp_hex[i])) {
-          dispatched.push_back({i, *wire});
-        } else {
-          EREL_WARN("experiment server ", opts.server, " lost (",
-                    remote.error(), "); simulating the rest locally");
-          connection_ok = false;
-          local.push_back(i);
-        }
+        else
+          shipped.emplace_back(
+              i, remote.dispatch(cells[i].key, cells[i].spec, fp_hex[i]));
       }
-      // Await failures are summarized once per sweep (like the
-      // connect-failure path above): a dying daemon would otherwise emit
-      // one warning per outstanding cell, which for a large sweep is
-      // hundreds of identical lines.
-      std::size_t await_failures = 0;
+      std::size_t failures = 0;
       std::string first_why;
-      for (const Dispatched& d : dispatched) {
-        const std::size_t i = d.cell;
-        std::uint64_t wire = d.wire_id;
+      for (const auto& [i, wire] : shipped) {
         std::optional<ExpEntry> entry;
         std::string raw_text;
         std::string why;
-        for (unsigned attempt = 0;; ++attempt) {
-          entry = remote.await(wire, cells[i].key, fp_hex[i], &raw_text, &why);
-          if (entry || !remote.last_failure_retryable() ||
-              attempt >= opts.remote.retries)
-            break;
-          // Withdraw the stale attempt (a timed-out request may still be
-          // queued server-side), wait out the backoff — or the daemon's
-          // kBusy hint, when longer — and re-dispatch under a fresh wire
-          // id. Content addressing makes the resubmission idempotent: the
-          // daemon serves a cache hit or joins the in-flight run, never
-          // simulates the cell twice.
-          remote.abandon(wire);
-          const std::uint64_t hint = remote.retry_hint_ms();
-          // A kBusy refusal means the connection is healthy — the daemon
-          // answered. Anything else retryable (await deadline, torn
-          // connection) marks the connection suspect: tear it down so the
-          // re-dispatch revives a fresh one instead of burning every
-          // remaining cell's budget on a half-dead (blackholed) socket.
-          if (hint == 0) remote.reset_connection();
-          const std::uint64_t backoff = std::min<std::uint64_t>(
-              static_cast<std::uint64_t>(opts.remote.backoff_base_ms)
-                  << std::min(attempt, 20u),
-              opts.remote.backoff_cap_ms);
-          const std::uint64_t wait = std::max(backoff, hint);
-          if (wait > 0)
-            std::this_thread::sleep_for(std::chrono::milliseconds(wait));
-          const std::optional<std::uint64_t> rewire =
-              remote.dispatch(cells[i].key, cells[i].spec, fp_hex[i]);
-          if (!rewire) {
-            why = remote.error();
-            break;
-          }
-          wire = *rewire;
-        }
+        if (wire)
+          entry = remote.await(*wire, cells[i].key, fp_hex[i], &raw_text, &why);
+        else
+          why = remote.error();
         if (!entry) {
-          if (await_failures == 0) first_why = why;
-          ++await_failures;
+          if (failures++ == 0) first_why = why;
           local.push_back(i);
           continue;
         }
@@ -241,9 +194,9 @@ ResultSet Experiment::run(const RunOptions& opts) const {
           save_cache_entry(cache_path[i], raw_text);
         ready[i] = std::move(entry);
       }
-      if (await_failures > 0) {
-        EREL_WARN(await_failures, " of ", dispatched.size(),
-                  " dispatched cell(s) not served by ", opts.server,
+      if (failures > 0) {
+        EREL_WARN(failures, " of ", shipped.size(),
+                  " cell(s) not served by ", opts.server,
                   " (first failure: ", first_why,
                   "); simulating them locally");
       }

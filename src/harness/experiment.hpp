@@ -61,12 +61,13 @@ struct RunOptions {
   /// degrades to local simulation with a warning, never an abort.
   std::string server;
 
-  /// Deadline + retry shape for the `server` path (ignored otherwise):
-  /// retryable failures (deadline timeout, kBusy admission refusal, torn
-  /// connection) are re-dispatched with capped backoff up to
-  /// `remote.retries` extra attempts per cell; fatal ones (version
-  /// mismatch, refused cell, protocol violation) degrade immediately.
-  RemoteOptions remote;
+  /// Deadlines and retry budget of the `server` path (ignored otherwise).
+  /// The client retries a kBusy, an expired deadline or a torn connection
+  /// up to `remote.retries` times per call; a spent budget fails the
+  /// client, and every cell it has not served then runs locally. Refused
+  /// cells, protocol violations and version mismatches run locally at
+  /// once.
+  service::ClientOptions remote;
 };
 
 class Experiment {

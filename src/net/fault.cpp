@@ -12,22 +12,6 @@
 
 namespace erel::net {
 
-const char* fault_kind_name(FaultSpec::Kind kind) {
-  switch (kind) {
-    case FaultSpec::Kind::kNone:
-      return "none";
-    case FaultSpec::Kind::kShortWrite:
-      return "short-write";
-    case FaultSpec::Kind::kStall:
-      return "stall";
-    case FaultSpec::Kind::kDrop:
-      return "drop";
-    case FaultSpec::Kind::kBlackhole:
-      return "blackhole";
-  }
-  return "?";
-}
-
 namespace {
 
 /// SplitMix64 finalizer (same constants as Xorshift seeding in
@@ -79,72 +63,6 @@ FaultSpec FaultPlan::spec_for_connection(std::uint64_t index) const {
   spec.stall_ms = 20 + static_cast<unsigned>(draw(index, 2, 100));
   spec.server_to_client = draw(index, 3, 2) != 0;
   return spec;
-}
-
-// ---- FaultySocket ----
-
-bool FaultySocket::send_all(std::string_view bytes) {
-  if (!socket_.valid()) return false;
-  switch (spec_.kind) {
-    case FaultSpec::Kind::kNone:
-      sent_ += bytes.size();
-      return socket_.send_all(bytes);
-    case FaultSpec::Kind::kShortWrite:
-      while (!bytes.empty()) {
-        const std::size_t n =
-            std::min<std::size_t>(bytes.size(), 1 + fragments_++ % 7);
-        if (!socket_.send_all(bytes.substr(0, n))) return false;
-        sent_ += n;
-        bytes.remove_prefix(n);
-      }
-      return true;
-    case FaultSpec::Kind::kStall: {
-      if (!stalled_ && sent_ + bytes.size() >= spec_.after_bytes) {
-        const std::size_t keep =
-            spec_.after_bytes > sent_
-                ? static_cast<std::size_t>(spec_.after_bytes - sent_)
-                : 0;
-        if (!socket_.send_all(bytes.substr(0, keep))) return false;
-        sent_ += keep;
-        bytes.remove_prefix(keep);
-        std::this_thread::sleep_for(std::chrono::milliseconds(spec_.stall_ms));
-        stalled_ = true;
-      }
-      sent_ += bytes.size();
-      return socket_.send_all(bytes);
-    }
-    case FaultSpec::Kind::kDrop: {
-      if (sent_ + bytes.size() >= spec_.after_bytes) {
-        const std::size_t keep =
-            spec_.after_bytes > sent_
-                ? static_cast<std::size_t>(spec_.after_bytes - sent_)
-                : 0;
-        socket_.send_all(bytes.substr(0, keep));
-        socket_.close_fd();
-        return false;
-      }
-      sent_ += bytes.size();
-      return socket_.send_all(bytes);
-    }
-    case FaultSpec::Kind::kBlackhole: {
-      if (sent_ + bytes.size() >= spec_.after_bytes) {
-        const std::size_t keep =
-            spec_.after_bytes > sent_
-                ? static_cast<std::size_t>(spec_.after_bytes - sent_)
-                : 0;
-        if (!socket_.send_all(bytes.substr(0, keep))) return false;
-        sent_ = spec_.after_bytes;
-        return true;  // the rest "was sent" as far as the caller knows
-      }
-      sent_ += bytes.size();
-      return socket_.send_all(bytes);
-    }
-  }
-  return false;
-}
-
-bool FaultySocket::send_frame(const Frame& frame) {
-  return send_all(encode_frame(frame));
 }
 
 // ---- FaultProxy ----

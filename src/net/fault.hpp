@@ -4,13 +4,10 @@
 // FaultSpec (drop-after-N-bytes, mid-frame stall, short writes, blackhole),
 // so a failing chaos run is reproduced exactly by its seed — the same
 // discipline the simulator applies to workload generation (common/bits.hpp
-// Xorshift) extended to the wire. The plan is consumed two ways:
-//
-//  - FaultySocket wraps one connected Socket and misbehaves on send,
-//    for tests that play a broken *peer* against the daemon directly;
-//  - FaultProxy is a loopback TCP forwarder that applies the plan to
-//    whole connections, for end-to-end tests (and the CI chaos job) that
-//    drive an unmodified client/daemon pair through a hostile network.
+// Xorshift) extended to the wire. FaultProxy, a loopback TCP forwarder,
+// applies the plan to whole connections, for end-to-end tests (and the CI
+// chaos job) that drive an unmodified client/daemon pair through a hostile
+// network; the fuzz corpus draws split points from the same plan.
 //
 // Nothing in src/service/ links against this header; production code paths
 // stay fault-free by construction.
@@ -43,8 +40,6 @@ struct FaultSpec {
   bool server_to_client = false;  // direction the fault applies to
 };
 
-const char* fault_kind_name(FaultSpec::Kind kind);
-
 /// Seeded splitmix64 schedule of per-connection faults. Copyable and
 /// stateless: spec_for_connection(i) depends only on (seed, i), so the
 /// proxy, the test, and a human reading a CI log all agree on what
@@ -68,32 +63,6 @@ class FaultPlan {
 
  private:
   std::uint64_t seed_;
-};
-
-/// A connected Socket that misbehaves on send according to a FaultSpec:
-/// the broken-peer half of the fault model. Receive-side behaviour is the
-/// inner socket's, untouched — read through inner().
-class FaultySocket {
- public:
-  FaultySocket(Socket socket, FaultSpec spec)
-      : socket_(std::move(socket)), spec_(spec) {}
-
-  /// Applies the spec: kShortWrite fragments, kStall sleeps mid-buffer,
-  /// kDrop closes the socket once after_bytes have left, kBlackhole
-  /// pretends bytes past after_bytes were sent. false once the connection
-  /// is unusable.
-  bool send_all(std::string_view bytes);
-  bool send_frame(const Frame& frame);
-
-  [[nodiscard]] Socket& inner() { return socket_; }
-  [[nodiscard]] bool valid() const { return socket_.valid(); }
-
- private:
-  Socket socket_;
-  FaultSpec spec_;
-  std::uint64_t sent_ = 0;
-  std::uint64_t fragments_ = 0;
-  bool stalled_ = false;
 };
 
 /// Loopback TCP proxy that forwards every accepted connection to an

@@ -77,8 +77,6 @@ class EventServer {
   /// Closes the connection (on_disconnect fires).
   void close_client(std::uint64_t client);
 
-  [[nodiscard]] std::size_t connection_count() const { return conns_.size(); }
-
   /// Clients dropped for exceeding kMaxOutboundBuffer. Thread-safe read;
   /// surfaced in DaemonStats as `dropped_clients`.
   [[nodiscard]] std::uint64_t overflow_drops() const {

@@ -11,7 +11,6 @@
 
 #include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <utility>
 
@@ -34,12 +33,6 @@ Socket& Socket::operator=(Socket&& other) noexcept {
   return *this;
 }
 
-int Socket::release() {
-  const int fd = fd_;
-  fd_ = -1;
-  return fd;
-}
-
 void Socket::close_fd() {
   if (fd_ >= 0) {
     ::close(fd_);
@@ -48,13 +41,6 @@ void Socket::close_fd() {
 }
 
 namespace {
-
-timeval ms_to_timeval(unsigned ms) {
-  timeval tv{};
-  tv.tv_sec = static_cast<time_t>(ms / 1000);
-  tv.tv_usec = static_cast<suseconds_t>((ms % 1000) * 1000);
-  return tv;
-}
 
 /// Milliseconds left until `deadline` on the steady clock, clamped at 0.
 int remaining_ms(std::chrono::steady_clock::time_point deadline) {
@@ -66,18 +52,6 @@ int remaining_ms(std::chrono::steady_clock::time_point deadline) {
 }
 
 }  // namespace
-
-bool Socket::set_recv_timeout_ms(unsigned ms) {
-  const timeval tv = ms_to_timeval(ms);
-  return fd_ >= 0 &&
-         ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv) == 0;
-}
-
-bool Socket::set_send_timeout_ms(unsigned ms) {
-  const timeval tv = ms_to_timeval(ms);
-  return fd_ >= 0 &&
-         ::setsockopt(fd_, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof tv) == 0;
-}
 
 Socket::IoStatus Socket::recv_some(std::string& out, int timeout_ms) {
   if (fd_ < 0) return IoStatus::kError;
@@ -176,20 +150,24 @@ bool Socket::send_frame(const Frame& frame) {
   return send_all(encode_frame(frame));
 }
 
+std::optional<std::uint16_t> parse_port(std::string_view text) {
+  if (text.empty()) return std::nullopt;
+  unsigned port = 0;
+  for (const char c : text) {
+    if (c < '0' || c > '9') return std::nullopt;
+    port = port * 10 + static_cast<unsigned>(c - '0');
+    if (port > 65535) return std::nullopt;
+  }
+  return static_cast<std::uint16_t>(port);
+}
+
 std::optional<std::pair<std::string, std::uint16_t>> parse_endpoint(
     std::string_view spec) {
   const std::size_t colon = spec.rfind(':');
-  if (colon == std::string_view::npos || colon == 0 ||
-      colon + 1 >= spec.size())
-    return std::nullopt;
-  const std::string port_text(spec.substr(colon + 1));
-  char* end = nullptr;
-  const unsigned long port = std::strtoul(port_text.c_str(), &end, 10);
-  if (end != port_text.c_str() + port_text.size() || port == 0 ||
-      port > 65535)
-    return std::nullopt;
-  return std::make_pair(std::string(spec.substr(0, colon)),
-                        static_cast<std::uint16_t>(port));
+  if (colon == std::string_view::npos || colon == 0) return std::nullopt;
+  const std::optional<std::uint16_t> port = parse_port(spec.substr(colon + 1));
+  if (!port || *port == 0) return std::nullopt;
+  return std::make_pair(std::string(spec.substr(0, colon)), *port);
 }
 
 namespace {

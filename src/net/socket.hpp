@@ -27,17 +27,7 @@ class Socket {
   [[nodiscard]] bool valid() const { return fd_ >= 0; }
   [[nodiscard]] int fd() const { return fd_; }
 
-  /// Releases ownership without closing.
-  int release();
   void close_fd();
-
-  // ---- deadlines ----
-
-  /// Kernel-level IO timeouts (SO_RCVTIMEO / SO_SNDTIMEO): a blocking
-  /// send/recv that makes no progress for `ms` milliseconds fails with
-  /// EAGAIN instead of hanging forever. 0 restores fully-blocking IO.
-  bool set_recv_timeout_ms(unsigned ms);
-  bool set_send_timeout_ms(unsigned ms);
 
   /// One poll()-bounded read: waits up to `timeout_ms` for readability,
   /// then appends whatever one recv() returns to `out`.
@@ -77,7 +67,11 @@ class Socket {
   FrameDecoder decoder_;
 };
 
-/// "host:port" -> (host, port); nullopt on a malformed spec.
+/// A TCP port: decimal digits only, at most 65535. 0 parses (a listener
+/// reads it as "ephemeral"); nullopt on anything else.
+std::optional<std::uint16_t> parse_port(std::string_view text);
+
+/// "host:port" -> (host, port), port 1-65535; nullopt on a malformed spec.
 std::optional<std::pair<std::string, std::uint16_t>> parse_endpoint(
     std::string_view spec);
 

@@ -78,9 +78,6 @@ void ExperimentDaemon::on_frame(std::uint64_t client, net::Frame frame) {
     case MsgType::kRunCell:
       handle_run_cell(client, frame);
       return;
-    case MsgType::kCancel:
-      handle_cancel(client, frame);
-      return;
     case MsgType::kStats:
       server_.send(client,
                    net::Frame{static_cast<std::uint8_t>(MsgType::kStatsReply),
@@ -222,36 +219,6 @@ void ExperimentDaemon::handle_run_cell(std::uint64_t client,
                net::Frame{static_cast<std::uint8_t>(MsgType::kBusy),
                           encode_busy(BusyMsg{request->id,
                                               opts_.busy_retry_ms})});
-}
-
-void ExperimentDaemon::handle_cancel(std::uint64_t client,
-                                     const net::Frame& frame) {
-  const std::optional<CancelMsg> msg = decode_cancel(frame.payload);
-  if (!msg) {
-    send_error(client, 0, "malformed cancel request");
-    return;
-  }
-  bool found = false;
-  {
-    const std::scoped_lock lock(mu_);
-    for (auto it = inflight_.begin(); it != inflight_.end();) {
-      InFlight& cell = *it->second;
-      const std::size_t before = cell.waiters.size();
-      std::erase_if(cell.waiters, [&](const Waiter& w) {
-        return w.client == client && w.request_id == msg->id;
-      });
-      found = found || cell.waiters.size() != before;
-      it = reap_if_orphaned(it);
-    }
-  }
-  // Always answer, so the client can retire the id: kError with the echoed
-  // id, same shape as any other failed request. Not counted in
-  // stats_.errors — a granted cancellation is not a failure.
-  server_.send(
-      client,
-      net::Frame{static_cast<std::uint8_t>(MsgType::kError),
-                 encode_error(ErrorMsg{
-                     msg->id, found ? "cancelled" : "unknown id"})});
 }
 
 // ---- worker thread ------------------------------------------------------

@@ -16,8 +16,9 @@
 //                  the in-flight table (under mu_) and the filesystem.
 //
 // A cell stays in the in-flight table while at least one request waits on
-// it. When the last waiter leaves (kCancel or disconnect) the cell is
-// reaped: dropped if still queued, stopped cooperatively if running.
+// it. A request's waiter leaves when its connection closes; when the last
+// waiter has left, the cell is reaped: dropped if still queued, stopped
+// cooperatively if running.
 #pragma once
 
 #include <atomic>
@@ -95,7 +96,6 @@ class ExperimentDaemon : public net::EventServer::Handler {
   };
 
   void handle_run_cell(std::uint64_t client, const net::Frame& frame);
-  void handle_cancel(std::uint64_t client, const net::Frame& frame);
   void send_error(std::uint64_t client, std::uint64_t id,
                   const std::string& message);
   void run_cell(const std::string& fp_hex);        // pool worker

@@ -90,7 +90,6 @@ std::string_view msg_type_name(MsgType type) {
     case MsgType::kStats: return "stats";
     case MsgType::kStatsReply: return "stats_reply";
     case MsgType::kShutdown: return "shutdown";
-    case MsgType::kCancel: return "cancel";
     case MsgType::kBusy: return "busy";
   }
   return "unknown";
@@ -269,25 +268,6 @@ std::optional<ErrorMsg> decode_error(std::string_view payload) {
   const auto id = parse_u64(value);
   if (key != "id" || !id) return std::nullopt;
   return ErrorMsg{*id, std::string(scanner.rest())};
-}
-
-// ---- CancelMsg ----------------------------------------------------------
-
-std::string encode_cancel(const CancelMsg& msg) {
-  std::string out;
-  append_u64_line(out, "id", msg.id);
-  return out;
-}
-
-std::optional<CancelMsg> decode_cancel(std::string_view payload) {
-  LineScanner scanner(payload);
-  std::string_view line, key, value;
-  if (!scanner.next(line)) return std::nullopt;
-  split_first_space(line, key, value);
-  const auto id = parse_u64(value);
-  if (key != "id" || !id) return std::nullopt;
-  if (!scanner.rest().empty()) return std::nullopt;
-  return CancelMsg{*id};
 }
 
 // ---- BusyMsg ------------------------------------------------------------

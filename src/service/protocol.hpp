@@ -15,7 +15,6 @@
 //   kRunCell (id, fingerprint, cell)  -> kResult (id, cached, entry)
 //                                     or kError (id, reason)
 //   kRunCell when the queue is full   -> kBusy (id, retry_ms)
-//   kCancel (id)                      -> kError (id, "cancelled")
 //   kStats -> kStatsReply             kShutdown -> close
 //
 // Requests are pipelined: a client may send any number of kRunCell frames
@@ -25,11 +24,12 @@
 // kBusy is the daemon's admission refusal when its bounded queue is full
 // (the client backs off and resubmits — safe, because requests are
 // content-addressed: a resubmitted cell is a cache hit or an in-flight
-// join, never a second simulation), and kCancel withdraws a pending
-// request by id.
+// join, never a second simulation). A client withdraws its pending
+// requests by disconnecting.
 //
-// v3 retires tags 5-8 (v2's live channel subscriptions and ping). The
-// daemon refuses them like any unknown tag; never reuse their numbers.
+// v3 retired tags 5-8 (v2's live channel subscriptions and ping) and v4
+// retires tag 12 (v2's explicit cancel). The daemon refuses them like any
+// unknown tag; never reuse their numbers.
 #pragma once
 
 #include <cstdint>
@@ -46,7 +46,7 @@ namespace erel::service {
 
 /// Bump when any payload encoding changes; the client refuses to talk to a
 /// daemon announcing a different version (kHello).
-inline constexpr unsigned kProtocolVersion = 3;
+inline constexpr unsigned kProtocolVersion = 4;
 
 enum class MsgType : std::uint8_t {
   kHello = 1,       // server -> client, on connect
@@ -56,12 +56,11 @@ enum class MsgType : std::uint8_t {
   kStats = 9,       // client -> server
   kStatsReply = 10, // server -> client
   kShutdown = 11,   // client -> server
-  kCancel = 12,     // client -> server: withdraw a pending kRunCell
   kBusy = 13,       // server -> client: queue full, retry after backoff
 };
 
 /// Human-readable tag name for error messages and logs ("run_cell",
-/// "cancel", ...); "unknown" for values outside the enum. The switch in
+/// "busy", ...); "unknown" for values outside the enum. The switch in
 /// protocol.cpp names every enumerator, so adding a message type without
 /// teaching the codec about it is a compile warning and a lint finding.
 std::string_view msg_type_name(MsgType type);
@@ -106,23 +105,9 @@ struct ErrorMsg {
 std::string encode_error(const ErrorMsg& msg);
 std::optional<ErrorMsg> decode_error(std::string_view payload);
 
-/// kCancel: withdraw the sender's pending kRunCell with this id. The daemon
-/// always answers — kError (id, "cancelled") if the request was pending or
-/// running for this client, kError (id, "unknown id") otherwise — so the
-/// client can account for every id it ever sent. Cancelling only detaches
-/// *this client* from the cell; the simulation itself stops cooperatively
-/// only when no other waiter still wants it.
-struct CancelMsg {
-  std::uint64_t id = 0;
-};
-
-std::string encode_cancel(const CancelMsg& msg);
-std::optional<CancelMsg> decode_cancel(std::string_view payload);
-
 /// kBusy: admission refusal. The daemon's bounded queue (--max-queue) is
-/// full, the request was NOT enqueued, and the client should retry after
-/// roughly `retry_ms` (a hint; the client applies its own backoff+jitter on
-/// top). Cache hits and in-flight joins are never refused — kBusy only
+/// full, the request was NOT enqueued, and the client resends it after at
+/// least `retry_ms` (its own backoff, when longer, wins). Cache hits and in-flight joins are never refused — kBusy only
 /// gates work that would grow the queue.
 struct BusyMsg {
   std::uint64_t id = 0;
@@ -143,7 +128,7 @@ struct DaemonStats {
   std::uint64_t errors = 0;          // kError replies sent
   std::uint64_t inflight = 0;        // cells queued or running right now
   std::uint64_t busy = 0;            // kBusy refusals sent (queue full)
-  std::uint64_t cancelled = 0;       // cells reaped by kCancel / disconnect
+  std::uint64_t cancelled = 0;       // cells reaped by disconnect
   std::uint64_t dropped_clients = 0; // dropped for outbound-buffer overflow
   std::uint64_t evicted = 0;         // cache entries evicted by the byte cap
   std::uint64_t quarantined = 0;     // corrupt cache entries moved to .bad

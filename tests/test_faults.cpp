@@ -1,23 +1,29 @@
 // Fault tolerance end to end: sweeps driven through the deterministic
 // fault-injecting proxy (net/fault.hpp) stay bit-identical to local runs
-// under eight seeded fault plans; the daemon's admission control, kCancel,
+// under eight seeded fault plans; a mute daemon costs one retry budget per
+// sweep; reconnecting resubmits only unanswered requests; the client's own
+// retry loop rides out a kBusy storm; the daemon's admission control,
 // disconnect reaping, LRU eviction and corrupt-entry quarantine all behave
 // under hostile clients; retried cells are never simulated twice.
 //
-// Every blocking call in here is deadline-bounded (short ClientOptions /
-// RemoteOptions timeouts), so a regression that would hang a sweep fails
-// this suite by timeout instead of wedging CI.
+// Every blocking call in here is deadline-bounded (short ClientOptions
+// timeouts), so a regression that would hang a sweep fails this suite by
+// timeout instead of wedging CI.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "harness/experiment.hpp"
@@ -25,6 +31,7 @@
 #include "harness/result_cache.hpp"
 #include "harness/results.hpp"
 #include "net/fault.hpp"
+#include "net/server.hpp"
 #include "service/client.hpp"
 #include "service/daemon.hpp"
 
@@ -120,6 +127,51 @@ service::ClientOptions fast_client() {
   return opts;
 }
 
+/// A listener that greets like a current daemon and counts the
+/// connections it accepts. Every frame goes to `reply` (on the loop thread)
+/// with the index of its connection; without one, nothing is answered.
+class ScriptedDaemon : public net::EventServer::Handler {
+ public:
+  using Reply = std::function<void(net::EventServer& server,
+                                   unsigned connection, std::uint64_t client,
+                                   const net::Frame& frame)>;
+
+  explicit ScriptedDaemon(Reply reply = {})
+      : reply_(std::move(reply)), server_(*this) {
+    EXPECT_TRUE(server_.valid()) << server_.error();
+    loop_ = std::thread([this] { server_.run(); });
+  }
+  ~ScriptedDaemon() override {
+    server_.stop();
+    loop_.join();
+  }
+  ScriptedDaemon(const ScriptedDaemon&) = delete;
+  ScriptedDaemon& operator=(const ScriptedDaemon&) = delete;
+
+  void on_connect(std::uint64_t client) override {
+    connection_of_[client] = connections_++;
+    server_.send(
+        client,
+        net::Frame{static_cast<std::uint8_t>(service::MsgType::kHello),
+                   "ereld " + std::to_string(service::kProtocolVersion)});
+  }
+  void on_frame(std::uint64_t client, net::Frame frame) override {
+    if (reply_) reply_(server_, connection_of_[client], client, frame);
+  }
+
+  [[nodiscard]] std::string endpoint() const {
+    return "127.0.0.1:" + std::to_string(server_.port());
+  }
+  [[nodiscard]] unsigned connections() const { return connections_.load(); }
+
+ private:
+  Reply reply_;
+  net::EventServer server_;
+  std::thread loop_;
+  std::atomic<unsigned> connections_{0};
+  std::map<std::uint64_t, unsigned> connection_of_;  // loop thread only
+};
+
 harness::Experiment small_sweep() {
   harness::Experiment exp;
   exp.base(tiny_config()).workloads({"li"}).phys_regs({40, 48});
@@ -137,6 +189,7 @@ TEST(Faults, SweepThroughFaultProxyStaysBitIdentical) {
   const harness::ResultSet local = exp.run({.threads = 2});
 
   DaemonFixture fixture;
+  unsigned broken_first = 0;
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     net::FaultProxy proxy("127.0.0.1", fixture.daemon->port(),
                           net::FaultPlan(seed));
@@ -151,8 +204,6 @@ TEST(Faults, SweepThroughFaultProxyStaysBitIdentical) {
     opts.remote.connect_timeout_ms = 1'000;
     opts.remote.call_timeout_ms = 1'500;
     opts.remote.retries = 2;
-    opts.remote.backoff_base_ms = 10;
-    opts.remote.jitter_seed = seed;
 
     const harness::ResultSet through = exp.run(opts);
     ASSERT_EQ(through.size(), local.size()) << "seed " << seed;
@@ -160,14 +211,49 @@ TEST(Faults, SweepThroughFaultProxyStaysBitIdentical) {
       EXPECT_EQ(entry_text(through.at(want.key)), entry_text(want))
           << "seed " << seed << " " << want.key.to_string();
     }
+    // A plan that breaks the first connection must make the client
+    // reconnect, so the retry path cannot silently stop being exercised.
+    const net::FaultSpec::Kind first =
+        net::FaultPlan(seed).spec_for_connection(0).kind;
+    if (first == net::FaultSpec::Kind::kDrop ||
+        first == net::FaultSpec::Kind::kBlackhole) {
+      ++broken_first;
+      EXPECT_GE(proxy.accepted(), 2u) << "seed " << seed;
+    }
     proxy.stop();
   }
+  EXPECT_GE(broken_first, 1u);  // seeds 1, 3 and 8 break their first one
 
   // No hostile schedule may corrupt the daemon's cache: atomic publishes
   // mean zero quarantined entries and zero .bad files, ever.
   EXPECT_EQ(fixture.daemon->stats().quarantined, 0u);
   for (const auto& entry : fs::directory_iterator(fixture.cache_dir()))
     EXPECT_NE(entry.path().extension(), ".bad") << entry.path();
+}
+
+TEST(Faults, MuteDaemonCostsOneBudgetPerSweep) {
+  harness::Experiment exp;
+  exp.base(tiny_config())
+      .workloads({"li"})
+      .policies({PolicyKind::Conventional, PolicyKind::Extended})
+      .phys_regs({36, 40, 44, 48});
+  harness::RunOptions opts;
+  opts.threads = 2;
+  const harness::ResultSet local = exp.run(opts);
+  ASSERT_EQ(local.size(), 8u);
+
+  const ScriptedDaemon mute;  // greets, then never answers
+  opts.server = mute.endpoint();
+  opts.remote.connect_timeout_ms = 300;
+  opts.remote.call_timeout_ms = 300;
+  opts.remote.retries = 2;
+  const harness::ResultSet through = exp.run(opts);
+  ASSERT_EQ(through.size(), local.size());
+  for (const harness::ExpEntry& want : local.entries())
+    EXPECT_EQ(entry_text(through.at(want.key)), entry_text(want));
+  // The first await spends the budget, one connection per attempt; the
+  // failed client then answers every other cell at once.
+  EXPECT_LE(mute.connections(), 1u + opts.remote.retries);
 }
 
 TEST(Faults, BusyStormIsRefusedThenEveryCellLands) {
@@ -177,44 +263,29 @@ TEST(Faults, BusyStormIsRefusedThenEveryCellLands) {
   dopts.busy_retry_ms = 20;
   DaemonFixture fixture(dopts);
 
-  service::RemoteClient client(fast_client());
+  // A budget that outlasts the slow cell: the client's own retry loop
+  // resends each refused cell until the daemon admits it.
+  service::ClientOptions opts = fast_client();
+  opts.retries = 200;
+  service::RemoteClient client(opts);
   ASSERT_TRUE(client.connect(fixture.endpoint())) << client.error();
 
-  // A slow cell fills the only queue slot...
-  const service::CellRequest slow = make_request(1, 40, 400'000);
-  ASSERT_TRUE(client.send_cell(slow));
-  // ...so distinct follow-ups are refused with kBusy, not queued and not
-  // dropped.
-  std::vector<service::CellRequest> storm;
+  // A slow cell fills the only queue slot, so the distinct follow-ups are
+  // refused with kBusy, not queued and not dropped.
+  ASSERT_TRUE(client.send_cell(make_request(1, 40, 400'000)));
   for (std::uint64_t id = 2; id <= 4; ++id)
-    storm.push_back(make_request(id, static_cast<unsigned>(40 + 4 * id)));
-  std::uint64_t refusals = 0;
-  for (const service::CellRequest& request : storm) {
-    std::uint64_t id = request.id;
-    for (int attempt = 0;; ++attempt) {
-      service::CellRequest retry = request;
-      retry.id = id;
-      ASSERT_TRUE(client.send_cell(retry)) << client.error();
-      std::string why;
-      const std::optional<service::ResultMsg> result = client.await(id, &why);
-      if (result) {
-        EXPECT_FALSE(result->entry_text.empty());
-        break;
-      }
-      ASSERT_EQ(client.last_status(), service::CallStatus::kBusy)
-          << why << " (attempt " << attempt << ")";
-      ++refusals;
-      ASSERT_LT(attempt, 400) << "cell never admitted";
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(client.last_busy_retry_ms()));
-      id += 100;  // fresh wire id per attempt, like the harness retry loop
-    }
+    ASSERT_TRUE(
+        client.send_cell(make_request(id, static_cast<unsigned>(40 + 4 * id))));
+  for (std::uint64_t id = 2; id <= 4; ++id) {
+    std::string why;
+    const std::optional<service::ResultMsg> result = client.await(id, &why);
+    ASSERT_TRUE(result.has_value()) << "cell " << id << ": " << why;
+    EXPECT_FALSE(result->entry_text.empty());
   }
   ASSERT_TRUE(client.await(1, nullptr).has_value());  // the slow cell lands
 
   const service::DaemonStats stats = fixture.daemon->stats();
-  EXPECT_GE(refusals, 1u);
-  EXPECT_EQ(stats.busy, refusals);
+  EXPECT_GE(stats.busy, 1u);
   EXPECT_EQ(stats.simulated, 4u);  // every refusal was a clean no-op
   EXPECT_EQ(stats.errors, 0u);
 }
@@ -239,8 +310,8 @@ TEST(Faults, DisconnectReapsOrphanedPendingCells) {
                                 running.sampling)
           .hex();
   ASSERT_TRUE(client->send_cell(running));
-  ASSERT_TRUE(client->send_cell(make_request(2, 44, 1'000'000)));
-  ASSERT_TRUE(client->send_cell(make_request(3, 48, 1'000'000)));
+  ASSERT_TRUE(client->send_cell(make_request(2, 44)));
+  ASSERT_TRUE(client->send_cell(make_request(3, 48)));
   fixture.await_stats(
       [](const service::DaemonStats& s) { return s.inflight == 3; });
 
@@ -253,34 +324,16 @@ TEST(Faults, DisconnectReapsOrphanedPendingCells) {
   EXPECT_EQ(stats.inflight, 0u);
   EXPECT_GE(stats.cancelled, 2u);  // the running cell may have finished
   EXPECT_EQ(stats.errors, 0u);
-}
 
-TEST(Faults, CancelWithdrawsAQueuedCell) {
-  service::ExperimentDaemon::Options dopts;
-  dopts.workers = 1;
-  DaemonFixture fixture(dopts);
-
-  service::RemoteClient client(fast_client());
-  ASSERT_TRUE(client.connect(fixture.endpoint())) << client.error();
-
-  ASSERT_TRUE(client.send_cell(make_request(1, 40, 400'000)));
-  const service::CellRequest victim = make_request(2, 44);
-  ASSERT_TRUE(client.send_cell(victim));
-  client.cancel(2);
-
-  ASSERT_TRUE(client.await(1, nullptr).has_value());
-  const service::DaemonStats stats = fixture.await_stats(
-      [](const service::DaemonStats& s) { return s.inflight == 0; });
-  EXPECT_EQ(stats.cancelled, 1u);
-  EXPECT_EQ(stats.simulated, 1u);  // the victim never ran
-  EXPECT_EQ(stats.errors, 0u);    // cancel acks are not error stats
-
-  // The withdrawn cell is still perfectly runnable afterwards.
-  service::CellRequest again = victim;
-  again.id = 9;
-  ASSERT_TRUE(client.send_cell(again));
-  ASSERT_TRUE(client.await(9, nullptr).has_value());
-  EXPECT_EQ(fixture.daemon->stats().simulated, 2u);
+  // A reaped cell is still perfectly runnable: a new client requesting it
+  // gets it simulated afresh.
+  service::RemoteClient again(fast_client());
+  ASSERT_TRUE(again.connect(fixture.endpoint())) << again.error();
+  ASSERT_TRUE(again.send_cell(make_request(9, 44)));
+  const std::optional<service::ResultMsg> result = again.await(9, nullptr);
+  ASSERT_TRUE(result.has_value());
+  EXPECT_FALSE(result->cached);
+  EXPECT_EQ(fixture.daemon->stats().simulated, stats.simulated + 1);
 }
 
 TEST(Faults, ResubmittedCellIsNeverSimulatedTwice) {
@@ -318,6 +371,51 @@ TEST(Faults, ResubmittedCellIsNeverSimulatedTwice) {
   EXPECT_EQ(stats.simulated, 1u);
   EXPECT_EQ(stats.deduped, 1u);
   EXPECT_EQ(stats.cache_hits, 1u);
+}
+
+TEST(Faults, ReconnectResubmitsOnlyUnansweredRequests) {
+  // Connection 0 answers request 2, never request 1, and then tears.
+  // Request 2's result is already buffered when the client reconnects, so
+  // only request 1 may go out again; later connections answer everything.
+  std::mutex mu;
+  std::vector<std::pair<unsigned, std::uint64_t>> seen;  // (connection, id)
+  const ScriptedDaemon daemon([&](net::EventServer& server,
+                                  unsigned connection, std::uint64_t client,
+                                  const net::Frame& frame) {
+    const std::optional<service::CellRequest> request =
+        service::decode_cell_request(frame.payload);
+    ASSERT_TRUE(request.has_value());
+    {
+      const std::scoped_lock lock(mu);
+      seen.emplace_back(connection, request->id);
+    }
+    if (connection == 0 && request->id == 1) return;
+    server.send(client,
+                net::Frame{static_cast<std::uint8_t>(service::MsgType::kResult),
+                           service::encode_result(service::ResultMsg{
+                               request->id, false,
+                               "entry " + std::to_string(request->id)})});
+    if (connection == 0) server.close_client(client);
+  });
+
+  service::RemoteClient client(fast_client());
+  ASSERT_TRUE(client.connect(daemon.endpoint())) << client.error();
+  ASSERT_TRUE(client.send_cell(make_request(1, 40)));
+  ASSERT_TRUE(client.send_cell(make_request(2, 44)));
+  for (const std::uint64_t id : {1u, 2u}) {
+    std::string why;
+    const std::optional<service::ResultMsg> result = client.await(id, &why);
+    ASSERT_TRUE(result.has_value()) << "request " << id << ": " << why;
+    EXPECT_EQ(result->entry_text, "entry " + std::to_string(id));
+  }
+  // Once request 3 is answered, the daemon has read everything sent
+  // before it.
+  ASSERT_TRUE(client.send_cell(make_request(3, 48)));
+  ASSERT_TRUE(client.await(3).has_value()) << client.error();
+  EXPECT_EQ(daemon.connections(), 2u);
+  const std::scoped_lock lock(mu);
+  EXPECT_EQ(seen, (std::vector<std::pair<unsigned, std::uint64_t>>{
+                      {0, 1}, {0, 2}, {1, 1}, {1, 3}}));
 }
 
 TEST(Faults, CorruptCacheEntryIsQuarantinedAndResimulated) {

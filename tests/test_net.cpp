@@ -141,6 +141,15 @@ TEST(Endpoint, RejectsMalformedSpecs) {
   EXPECT_FALSE(net::parse_endpoint("host:12x"));
 }
 
+TEST(Endpoint, PortsAreDigitsUpTo65535) {
+  EXPECT_EQ(net::parse_port("0"), 0);  // a listener's "ephemeral"
+  EXPECT_EQ(net::parse_port("7431"), 7431);
+  EXPECT_EQ(net::parse_port("0000065535"), 65535);
+  for (const char* bad : {"", "65536", "70000", "99999999999", "12x", "+1",
+                          "-1", " 1", "1 "})
+    EXPECT_FALSE(net::parse_port(bad)) << "'" << bad << "'";
+}
+
 TEST(Socket, LoopbackFrameRoundTripAndCleanEof) {
   net::Listener listener("127.0.0.1", 0);
   ASSERT_TRUE(listener.valid()) << listener.error();
@@ -278,8 +287,7 @@ TEST(Protocol, EveryMsgTypeHasAName) {
       {MsgType::kHello, "hello"},       {MsgType::kRunCell, "run_cell"},
       {MsgType::kResult, "result"},     {MsgType::kError, "error"},
       {MsgType::kStats, "stats"},       {MsgType::kStatsReply, "stats_reply"},
-      {MsgType::kShutdown, "shutdown"}, {MsgType::kCancel, "cancel"},
-      {MsgType::kBusy, "busy"},
+      {MsgType::kShutdown, "shutdown"}, {MsgType::kBusy, "busy"},
   };
   std::vector<std::string_view> names;
   for (const auto& [type, name] : named) {
@@ -291,8 +299,8 @@ TEST(Protocol, EveryMsgTypeHasAName) {
   std::sort(names.begin(), names.end());
   EXPECT_EQ(std::adjacent_find(names.begin(), names.end()), names.end());
 
-  // Retired tags (5-8) and values outside the enum have no name.
-  for (const unsigned raw : {0u, 5u, 6u, 7u, 8u, 14u, 200u})
+  // Retired tags (5-8, 12) and values outside the enum have no name.
+  for (const unsigned raw : {0u, 5u, 6u, 7u, 8u, 12u, 14u, 200u})
     EXPECT_EQ(msg_type_name(static_cast<MsgType>(raw)), "unknown") << raw;
 }
 
@@ -306,16 +314,7 @@ TEST(Protocol, DaemonStatsRoundTrip) {
       service::encode_stats(stats) + "extra 1\n"));          // unknown field
 }
 
-TEST(Protocol, CancelAndBusyRoundTrip) {
-  const service::CancelMsg cancel{42};
-  const auto cancel_out =
-      service::decode_cancel(service::encode_cancel(cancel));
-  ASSERT_TRUE(cancel_out.has_value());
-  EXPECT_EQ(cancel_out->id, 42u);
-  EXPECT_FALSE(service::decode_cancel(""));                  // missing id
-  EXPECT_FALSE(service::decode_cancel("id 1\nid 2\n"));      // duplicate
-  EXPECT_FALSE(service::decode_cancel("id 1\nextra 0\n"));   // trailing junk
-
+TEST(Protocol, BusyRoundTrip) {
   const service::BusyMsg busy{42, 250};
   const auto busy_out = service::decode_busy(service::encode_busy(busy));
   ASSERT_TRUE(busy_out.has_value());

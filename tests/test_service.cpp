@@ -294,10 +294,11 @@ TEST(Service, ProtocolMismatchIsRefusedOnceAndTheSweepRunsLocally) {
 
 TEST(Service, RetiredMessageTagsAreRefused) {
   DaemonFixture fixture;
-  // Tags 5-7 carried protocol v2's subscriptions and ping. Each is refused
-  // like any unknown tag: a connection-level kError naming the tag, then
-  // the daemon closes the connection.
-  for (const unsigned tag : {5u, 6u, 7u}) {
+  // Tags 5-7 carried protocol v2's subscriptions and ping, tag 12 its
+  // explicit cancel. Each is refused like any unknown tag: a
+  // connection-level kError naming the tag, then the daemon closes the
+  // connection.
+  for (const unsigned tag : {5u, 6u, 7u, 12u}) {
     const std::uint64_t errors_before = fixture.daemon->stats().errors;
     std::string error;
     net::Socket socket =

@@ -14,8 +14,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 
+#include "net/socket.hpp"
 #include "service/client.hpp"
 #include "service/daemon.hpp"
 
@@ -85,8 +87,15 @@ int main(int argc, char** argv) {
     } else if (matches("--host")) {
       opts.host = value("--host");
     } else if (matches("--port")) {
-      opts.port = static_cast<std::uint16_t>(
-          std::strtoul(value("--port").c_str(), nullptr, 10));
+      const std::string text = value("--port");
+      const std::optional<std::uint16_t> port = erel::net::parse_port(text);
+      if (!port) {
+        std::fprintf(stderr, "%s: bad --port '%s' (want 0-65535)\n", argv[0],
+                     text.c_str());
+        usage(argv[0]);
+        return 2;
+      }
+      opts.port = *port;
     } else if (matches("--cache-dir")) {
       opts.cache_dir = value("--cache-dir");
     } else if (matches("--workers")) {

@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <string>
 
 #include <poll.h>
@@ -70,8 +71,15 @@ int main(int argc, char** argv) {
     } else if (matches("--host")) {
       host = value("--host");
     } else if (matches("--port")) {
-      port = static_cast<std::uint16_t>(
-          std::strtoul(value("--port").c_str(), nullptr, 10));
+      const std::string text = value("--port");
+      const std::optional<std::uint16_t> parsed = erel::net::parse_port(text);
+      if (!parsed) {
+        std::fprintf(stderr, "%s: bad --port '%s' (want 0-65535)\n", argv[0],
+                     text.c_str());
+        usage(argv[0]);
+        return 2;
+      }
+      port = *parsed;
     } else if (matches("--seed")) {
       seed = std::strtoull(value("--seed").c_str(), nullptr, 10);
     } else {
@@ -81,16 +89,14 @@ int main(int argc, char** argv) {
     }
   }
 
-  const std::size_t colon = upstream.rfind(':');
-  if (colon == std::string::npos || colon == 0 ||
-      colon + 1 == upstream.size()) {
-    std::fprintf(stderr, "%s: --upstream must be HOST:PORT\n", argv[0]);
+  const auto endpoint = erel::net::parse_endpoint(upstream);
+  if (!endpoint) {
+    std::fprintf(stderr, "%s: --upstream must be HOST:PORT (port 1-65535)\n",
+                 argv[0]);
     usage(argv[0]);
     return 2;
   }
-  const std::string up_host = upstream.substr(0, colon);
-  const auto up_port = static_cast<std::uint16_t>(
-      std::strtoul(upstream.c_str() + colon + 1, nullptr, 10));
+  const auto& [up_host, up_port] = *endpoint;
 
   erel::net::FaultProxy proxy(up_host, up_port, erel::net::FaultPlan(seed),
                               host, port);
