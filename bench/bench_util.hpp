@@ -22,10 +22,12 @@
 
 namespace erel::benchutil {
 
+/// The paper's integer suite: the five SPECint analogues. Interrupt
+/// kernels run only when named or when --irq-period adds them.
 inline std::vector<std::string> int_names() {
   std::vector<std::string> names;
   for (const auto& w : workloads::registry())
-    if (!w.is_fp) names.push_back(w.name);
+    if (!w.is_fp && !w.is_irq) names.push_back(w.name);
   return names;
 }
 

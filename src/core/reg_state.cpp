@@ -167,7 +167,6 @@ PhysReg RegFileState::alloc(std::uint8_t logical, std::uint64_t cycle) {
   const PhysReg p = free_list.allocate();
   tracker.on_alloc(p, logical, cycle);
   ready[p] = false;
-  if (hooks != nullptr) hooks->on_reg_alloc(cls, p, cycle, /*reused=*/false);
   return p;
 }
 
@@ -181,8 +180,6 @@ void RegFileState::release(PhysReg p, std::uint64_t cycle, bool squashed) {
     iomt.mark_stale(logical);
   tracker.on_release(p, cycle, squashed);
   free_list.release(p);
-  if (hooks != nullptr)
-    hooks->on_reg_release(cls, p, cycle, squashed, /*reused=*/false);
 }
 
 void RegFileState::write_value(PhysReg p, std::uint64_t v, std::uint64_t cycle) {

@@ -131,12 +131,6 @@ struct RegFileState {
   /// Produces the value of `p` (writeback).
   void write_value(PhysReg p, std::uint64_t value, std::uint64_t cycle);
 
-  /// Instrumentation seam: when non-null, alloc()/release() report
-  /// register-lifecycle events through PipelineHooks::on_reg_alloc/
-  /// on_reg_release. Armed by the pipeline only while probes are attached,
-  /// so the unprobed path pays one predictable null check.
-  PipelineHooks* hooks = nullptr;
-
   RC cls;
   unsigned num_phys;
   FreeList free_list;

@@ -75,11 +75,6 @@ bool RenameUnit::try_rename(const isa::DecodedInst& inst, InstSeq seq,
       rec.reused_prev = true;
       rfs.tracker.on_reuse(rec.pd, rec.rd, cycle);
       rfs.ready[rec.pd] = false;  // new version is Empty until written
-      if (rfs.hooks != nullptr) {
-        rfs.hooks->on_reg_release(cd, rec.pd, cycle, /*squashed=*/false,
-                                  /*reused=*/true);
-        rfs.hooks->on_reg_alloc(cd, rec.pd, cycle, /*reused=*/true);
-      }
     } else {
       rec.pd = rfs.alloc(rec.rd, cycle);
     }
@@ -187,12 +182,6 @@ void RenameUnit::on_squash_entry(const RenameRec& rec, std::uint64_t cycle) {
     // stands in for the old one; its value is dead by the §4.3 argument.
     rfs.tracker.on_reuse(rec.pd, rec.rd, cycle);
     rfs.ready[rec.pd] = true;
-    if (rfs.hooks != nullptr) {
-      rfs.hooks->on_reg_release(rc_from(rec.cd), rec.pd, cycle,
-                                /*squashed=*/true, /*reused=*/true);
-      rfs.hooks->on_reg_alloc(rc_from(rec.cd), rec.pd, cycle,
-                              /*reused=*/true);
-    }
     return;
   }
   rfs.release(rec.pd, cycle, /*squashed=*/true);

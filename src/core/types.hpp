@@ -79,8 +79,9 @@ struct RenameRec {
   }
 };
 
-/// View of the pipeline state the release policies need. Implemented by the
-/// OoO core — and by lightweight fixtures in the policy unit tests.
+/// View of the pipeline state the release policies need: in-flight rename
+/// records and unverified branches. Implemented by the OoO core — and by
+/// lightweight fixtures in the policy unit tests.
 class PipelineHooks {
  public:
   virtual ~PipelineHooks() = default;
@@ -100,28 +101,6 @@ class PipelineHooks {
 
   /// Number of unverified branches currently in flight.
   virtual unsigned pending_branch_count() const = 0;
-
-  // ---- instrumentation seam (Instrumentation API v2) ----
-  // Register-lifecycle notifications flowing *up* from the rename core to
-  // the pipeline, which fans them out to attached sim::Probe observers.
-  // Default no-ops keep test fixtures and custom-policy hosts source
-  // compatible; RegFileState only routes through its hooks pointer when the
-  // pipeline armed it (a probe is attached), so the unprobed hot path pays
-  // a null check, not a virtual call.
-
-  /// A physical register was allocated (`reused` = in-place recycle that
-  /// bypassed the free list).
-  virtual void on_reg_alloc(RC cls, PhysReg p, std::uint64_t cycle,
-                            bool reused) {
-    (void)cls, (void)p, (void)cycle, (void)reused;
-  }
-
-  /// A physical-register version ended (`squashed` = wrong-path free,
-  /// `reused` = in-place recycle).
-  virtual void on_reg_release(RC cls, PhysReg p, std::uint64_t cycle,
-                              bool squashed, bool reused) {
-    (void)cls, (void)p, (void)cycle, (void)squashed, (void)reused;
-  }
 };
 
 }  // namespace erel::core

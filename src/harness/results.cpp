@@ -1,15 +1,17 @@
 #include "harness/results.hpp"
 
-#include <cerrno>
+#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <map>
+#include <set>
 #include <sstream>
 
 #include "common/log.hpp"
+#include "common/parse.hpp"
 
 namespace erel::harness {
 
@@ -21,6 +23,18 @@ std::string render_double(double v) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.17g", v);
   return buf;
+}
+
+/// The inverse of render_double: the whole token must parse, and strtod's
+/// tolerance for leading whitespace is refused like any other stray byte.
+std::optional<double> parse_double(std::string_view text) {
+  if (text.empty() || std::isspace(static_cast<unsigned char>(text.front())))
+    return std::nullopt;
+  const std::string copy(text);
+  char* end = nullptr;
+  const double v = std::strtod(copy.c_str(), &end);
+  if (end != copy.c_str() + copy.size()) return std::nullopt;
+  return v;
 }
 
 // ---------------------------------------------------------------------------
@@ -116,18 +130,17 @@ struct FieldReader {
     }
     return &it->second;
   }
-  // Values must parse completely: a bit-flipped "1x1857" or a truncated
-  // token is a rejected entry (cache miss), never a silently-wrong number.
+  // Values must parse completely: a bit-flipped "1x1857", a sign, a
+  // stray space or a truncated token is a rejected entry (cache miss),
+  // never a silently-wrong number.
   void operator()(const std::string& name, std::uint64_t& v) {
     if (const std::string* s = get(name)) {
-      char* end = nullptr;
-      errno = 0;
-      const unsigned long long parsed = std::strtoull(s->c_str(), &end, 10);
-      if (s->empty() || end != s->c_str() + s->size() || errno == ERANGE) {
+      const std::optional<std::uint64_t> parsed = parse_u64(*s);
+      if (!parsed) {
         ok = false;
         return;
       }
-      v = parsed;
+      v = *parsed;
     }
   }
   void operator()(const std::string& name, bool& v) {
@@ -141,13 +154,12 @@ struct FieldReader {
   }
   void operator()(const std::string& name, double& v) {
     if (const std::string* s = get(name)) {
-      char* end = nullptr;
-      const double parsed = std::strtod(s->c_str(), &end);
-      if (s->empty() || end != s->c_str() + s->size()) {
+      const std::optional<double> parsed = parse_double(*s);
+      if (!parsed) {
         ok = false;
         return;
       }
-      v = parsed;
+      v = *parsed;
     }
   }
 };
@@ -504,6 +516,7 @@ std::optional<ExpEntry> parse_entry(std::string_view text,
                                     std::string_view expect_fp_hex,
                                     const ExpKey& expect_key) {
   std::map<std::string, std::string, std::less<>> fields;
+  std::set<std::string_view> seen;  // views into `text`
   std::vector<sim::SampleRecord> samples;
   std::vector<sim::Metric> metrics;
   std::uint64_t declared_samples = 0;
@@ -523,6 +536,11 @@ std::optional<ExpEntry> parse_entry(std::string_view text,
     const std::string_view value =
         sp == std::string_view::npos ? std::string_view{} : line.substr(sp + 1);
 
+    // Every line but a sample or a metric names a field that appears once;
+    // a repeat is corruption, not a value to pick between.
+    if (name != "s" && !name.starts_with("metric.") &&
+        !seen.insert(name).second)
+      return std::nullopt;
     if (!have_header) {
       if (name != "erel-result" || value != "v1") return std::nullopt;
       have_header = true;
@@ -535,33 +553,37 @@ std::optional<ExpEntry> parse_entry(std::string_view text,
         return std::nullopt;
       key.policy = core::parse_policy(value);
     } else if (name == "key.phys") {
-      key.phys = static_cast<unsigned>(
-          std::strtoul(std::string(value).c_str(), nullptr, 10));
+      const std::optional<std::uint64_t> phys = parse_u64(value);
+      if (!phys || *phys > std::numeric_limits<unsigned>::max())
+        return std::nullopt;
+      key.phys = static_cast<unsigned>(*phys);
     } else if (name == "key.variant") {
       key.variant = value;
     } else if (name == "kind") {
       if (value != "full" && value != "sampled") return std::nullopt;
       sampled = (value == "sampled");
     } else if (name == "samples") {
-      declared_samples =
-          std::strtoull(std::string(value).c_str(), nullptr, 10);
+      const std::optional<std::uint64_t> n = parse_u64(value);
+      if (!n) return std::nullopt;
+      declared_samples = *n;
     } else if (name == "s") {
-      unsigned long long start = 0, instructions = 0, cycles = 0;
-      if (std::sscanf(std::string(value).c_str(), "%llu %llu %llu", &start,
-                      &instructions, &cycles) != 3)
-        return std::nullopt;
-      samples.push_back(sim::SampleRecord{start, instructions, cycles});
+      // Exactly three integers, one space apart.
+      const std::size_t a = value.find(' ');
+      const std::size_t b =
+          a == std::string_view::npos ? a : value.find(' ', a + 1);
+      if (b == std::string_view::npos) return std::nullopt;
+      const auto start = parse_u64(value.substr(0, a));
+      const auto instructions = parse_u64(value.substr(a + 1, b - a - 1));
+      const auto cycles = parse_u64(value.substr(b + 1));
+      if (!start || !instructions || !cycles) return std::nullopt;
+      samples.push_back(sim::SampleRecord{*start, *instructions, *cycles});
     } else if (name == "end") {
       have_end = true;
     } else if (name.starts_with("metric.")) {
       // Open probe metrics: names are free-form, values strict doubles.
-      const std::string text(value);
-      char* end = nullptr;
-      const double parsed = std::strtod(text.c_str(), &end);
-      if (name.size() <= 7 || text.empty() ||
-          end != text.c_str() + text.size())
-        return std::nullopt;
-      metrics.push_back(sim::Metric{std::string(name.substr(7)), parsed});
+      const std::optional<double> parsed = parse_double(value);
+      if (name.size() <= 7 || !parsed) return std::nullopt;
+      metrics.push_back(sim::Metric{std::string(name.substr(7)), *parsed});
     } else if (name.starts_with("stats.") || name.starts_with("sampled.")) {
       fields.emplace(std::string(name), std::string(value));
     } else {

@@ -447,8 +447,8 @@ bool valid_stat_path(std::string_view path) {
   return true;
 }
 
-constexpr std::array<std::string_view, 4> kRegistryCalls = {
-    "counter", "accum", "distribution", "channel"};
+constexpr std::array<std::string_view, 3> kRegistryCalls = {
+    "counter", "accum", "channel"};
 
 struct StatSite {
   std::string path;  // the literal

@@ -14,6 +14,8 @@
 #include <cstring>
 #include <utility>
 
+#include "common/parse.hpp"
+
 namespace erel::net {
 
 Socket::~Socket() { close_fd(); }
@@ -151,14 +153,9 @@ bool Socket::send_frame(const Frame& frame) {
 }
 
 std::optional<std::uint16_t> parse_port(std::string_view text) {
-  if (text.empty()) return std::nullopt;
-  unsigned port = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9') return std::nullopt;
-    port = port * 10 + static_cast<unsigned>(c - '0');
-    if (port > 65535) return std::nullopt;
-  }
-  return static_cast<std::uint16_t>(port);
+  const std::optional<std::uint64_t> port = parse_u64(text);
+  if (!port || *port > 65535) return std::nullopt;
+  return static_cast<std::uint16_t>(*port);
 }
 
 std::optional<std::pair<std::string, std::uint16_t>> parse_endpoint(

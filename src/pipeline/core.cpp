@@ -59,7 +59,6 @@ Core::Core(const sim::SimConfig& config, const arch::Program& program,
   arch::load_program(program, mem_);
   fetch_.set_pc(program.entry);
   fetch_.set_decoded(decoded_.get());
-  fetch_.set_probes(&probes_);
   if (config.check_oracle)
     oracle_ = std::make_unique<arch::ArchState>(program, decoded_.get());
   if (config.flush_period != 0) next_flush_at_ = config.flush_period;
@@ -144,12 +143,6 @@ void Core::attach_probe(sim::Probe* probe) {
   EREL_CHECK(probe != nullptr, "attach_probe(nullptr)");
   probes_.push_back(probe);
   has_probes_ = true;
-  fetch_.note_probes_changed();
-  // Arm the register-lifecycle seam: RegFileState only routes alloc/release
-  // notifications through its hooks pointer once a probe is listening, so
-  // unprobed runs pay no virtual calls on the rename path.
-  for (unsigned c = 0; c < core::kNumClasses; ++c)
-    rename_.rf(static_cast<RC>(c)).hooks = this;
   probe->on_run_begin(config_, registry_);
 }
 
@@ -164,18 +157,6 @@ std::vector<std::unique_ptr<sim::Probe>> Core::attach_probes(
     attach_probe(instances.back().get());
   }
   return instances;
-}
-
-void Core::on_reg_alloc(RC cls, core::PhysReg p, std::uint64_t cycle,
-                        bool reused) {
-  const sim::RegEvent ev{cls, p, cycle, /*squashed=*/false, reused};
-  for (sim::Probe* probe : probes_) probe->on_reg_alloc(ev);
-}
-
-void Core::on_reg_release(RC cls, core::PhysReg p, std::uint64_t cycle,
-                          bool squashed, bool reused) {
-  const sim::RegEvent ev{cls, p, cycle, squashed, reused};
-  for (sim::Probe* probe : probes_) probe->on_reg_release(ev);
 }
 
 // --- PipelineHooks -----------------------------------------------------
@@ -515,11 +496,6 @@ void Core::phase_memory() {
       } else {
         const LsqEntry& le = lsq_.get(seq);
         const unsigned latency = hierarchy_.dload(le.addr);
-        if (has_probes_) {
-          const sim::CacheAccessEvent ev{le.addr, /*is_write=*/false, latency,
-                                         cycle_};
-          for (sim::Probe* probe : probes_) probe->on_cache_access(ev);
-        }
         const std::uint64_t raw = mem_.read(le.addr, le.size);
         e.result = finish_load_value(e.inst.op, raw);
         e.has_result = true;
@@ -542,11 +518,6 @@ void Core::resolve_branch(RosEntry& e) {
     ++*ctr_.indirect_jumps;
     if (mispredicted) ++*ctr_.indirect_mispredicts;
     btb_.update(e.pc, e.actual_target);
-  }
-  if (has_probes_) {
-    const sim::BranchEvent ev{e.pc,    e.actual_target, is_cond,
-                              e.actual_taken, mispredicted, cycle_};
-    for (sim::Probe* probe : probes_) probe->on_branch_resolve(ev);
   }
 
   if (!mispredicted) {
@@ -669,13 +640,7 @@ void Core::phase_commit() {
           fetch_.set_decoded(nullptr);
         }
         mem_.write(popped.addr, popped.data, popped.size);
-        const unsigned latency =
-            hierarchy_.dstore(popped.addr);  // commit-time D-cache update
-        if (has_probes_) {
-          const sim::CacheAccessEvent ev{popped.addr, /*is_write=*/true,
-                                         latency, cycle_};
-          for (sim::Probe* probe : probes_) probe->on_cache_access(ev);
-        }
+        hierarchy_.dstore(popped.addr);  // commit-time D-cache update
       }
     }
     rename_.on_commit(e.rec, e.seq, cycle_);
@@ -791,8 +756,10 @@ void Core::tick() {
 
     // Deadlock watchdog: with a non-empty pipeline something must commit
     // within a bounded window (longest chain: FP div + L2 misses).
-    if (!ros_.empty() && cycle_ - last_commit_cycle_ > 20000) {
-      EREL_FATAL("no commit for 20000 cycles at cycle ", cycle_, ", head pc ",
+    if (!ros_.empty() &&
+        cycle_ - last_commit_cycle_ > sim::kNoCommitWatchdogCycles) {
+      EREL_FATAL("no commit for ", sim::kNoCommitWatchdogCycles,
+                 " cycles at cycle ", cycle_, ", head pc ",
                  ros_.head().pc, " state ",
                  static_cast<int>(ros_.head().state));
     }
@@ -802,10 +769,6 @@ void Core::tick() {
     chan_commits_->push(
         static_cast<double>(committed_ - chan_committed_at_stride_));
     chan_committed_at_stride_ = committed_;
-  }
-  if (has_probes_) {
-    const sim::CycleEvent ev{cycle_};
-    for (sim::Probe* probe : probes_) probe->on_cycle(ev);
   }
 }
 
@@ -892,7 +855,6 @@ sim::SimStats Core::run() {
     tick();
   }
   finish_registry();
-  for (sim::Probe* probe : probes_) probe->on_run_end(registry_);
   return sim::materialize_sim_stats(registry_);
 }
 

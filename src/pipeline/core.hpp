@@ -78,13 +78,13 @@ class Core final : public core::PipelineHooks {
   /// the statistics registry and returns the SimStats view of it.
   sim::SimStats run();
 
-  // ---- instrumentation (Instrumentation API v2) ----
+  // ---- instrumentation ----
 
   /// Attaches an observer for the run. Call before the first tick; the
   /// probe's on_run_begin fires immediately (registering its counters in
-  /// the core's registry), its event callbacks fire during simulation, and
-  /// on_run_end fires inside run(). Probes never change simulation results;
-  /// the caller keeps ownership and must outlive the core.
+  /// the core's registry) and its rename, commit and squash callbacks fire
+  /// during simulation. Probes never change simulation results; the caller
+  /// keeps ownership and must outlive the core.
   void attach_probe(sim::Probe* probe);
 
   /// Builds fresh instances from named probe recipes (fatal on a null
@@ -123,10 +123,6 @@ class Core final : public core::PipelineHooks {
                               core::InstSeq hi) const override;
   core::InstSeq newest_pending_branch() const override;
   unsigned pending_branch_count() const override;
-  void on_reg_alloc(core::RC cls, core::PhysReg p, std::uint64_t cycle,
-                    bool reused) override;
-  void on_reg_release(core::RC cls, core::PhysReg p, std::uint64_t cycle,
-                      bool squashed, bool reused) override;
 
  private:
   /// Entry for `seq` if it is still the same dynamic instruction.

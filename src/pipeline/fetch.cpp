@@ -82,11 +82,6 @@ void FetchUnit::tick(std::uint64_t cycle) {
     if (line != current_line_) {
       const unsigned latency = hierarchy_.ifetch(pc_);
       current_line_ = line;
-      if (has_probes_) {
-        const sim::CacheAccessEvent ev{pc_, /*is_write=*/false, latency,
-                                       cycle, /*is_ifetch=*/true};
-        for (sim::Probe* probe : *probes_) probe->on_cache_access(ev);
-      }
       if (latency > hierarchy_.l1i().config().hit_latency) {
         icache_ready_cycle_ = cycle + latency;
         return;  // miss: deliver nothing this cycle

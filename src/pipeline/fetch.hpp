@@ -20,7 +20,6 @@
 #include "branch/ras.hpp"
 #include "isa/isa.hpp"
 #include "mem/hierarchy.hpp"
-#include "sim/probe.hpp"
 
 namespace erel::pipeline {
 
@@ -51,20 +50,6 @@ class FetchUnit {
   /// Attaches/detaches the decode-once fast path (non-owning; the core
   /// detaches when a committed store dirties the code image).
   void set_decoded(const arch::DecodedProgram* decoded) { decoded_ = decoded; }
-
-  /// Probe fan-out list for I-side CacheAccessEvents (non-owning; the core
-  /// shares its own attach-ordered list). The enable decision is cached in
-  /// one flag, so zero-probe runs pay a single predictable branch per line
-  /// touched; the core re-notifies after each attach_probe.
-  void set_probes(const std::vector<sim::Probe*>* probes) {
-    probes_ = probes;
-    note_probes_changed();
-  }
-
-  /// Re-caches has_probes_ after the shared probe list changed.
-  void note_probes_changed() {
-    has_probes_ = probes_ != nullptr && !probes_->empty();
-  }
 
   /// Squash recovery: drops buffered instructions and restarts at `pc`.
   void redirect(std::uint64_t pc);
@@ -97,8 +82,6 @@ class FetchUnit {
   branch::Btb& btb_;
   branch::Ras& ras_;
   const arch::DecodedProgram* decoded_ = nullptr;
-  const std::vector<sim::Probe*>* probes_ = nullptr;
-  bool has_probes_ = false;  // cached probes_->empty() (see set_probes)
 
   /// Returns the next free ring slot, cleared; the caller fills it and
   /// commits with ++buf_size_ (fetch runs a few million times per simulated

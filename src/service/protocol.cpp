@@ -1,10 +1,8 @@
 #include "service/protocol.hpp"
 
-#include <cctype>
-#include <cerrno>
-#include <cstdlib>
 #include <map>
 
+#include "common/parse.hpp"
 #include "core/release_policy.hpp"
 
 namespace erel::service {
@@ -50,17 +48,6 @@ void split_first_space(std::string_view line, std::string_view& key,
     key = line.substr(0, space);
     value = line.substr(space + 1);
   }
-}
-
-std::optional<std::uint64_t> parse_u64(std::string_view text) {
-  if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0])))
-    return std::nullopt;
-  const std::string copy(text);
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(copy.c_str(), &end, 10);
-  if (end != copy.c_str() + copy.size() || errno != 0) return std::nullopt;
-  return v;
 }
 
 std::optional<bool> parse_bool(std::string_view text) {

@@ -1,8 +1,9 @@
 #include "sim/config.hpp"
 
-#include <cctype>
-#include <cerrno>
-#include <cstdlib>
+#include <algorithm>
+
+#include "common/bits.hpp"
+#include "common/parse.hpp"
 
 namespace erel::sim {
 
@@ -87,59 +88,77 @@ struct FieldReader {
   std::size_t consumed = 0;
   bool ok = true;
 
-  std::optional<std::uint64_t> get(std::string_view name) {
+  /// The field's value if present, digits only and at most `max`.
+  std::optional<std::uint64_t> get(std::string_view name, std::uint64_t max) {
     const auto it = fields.find(name);
-    if (it == fields.end()) {
-      ok = false;
-      return std::nullopt;
-    }
-    ++consumed;
-    const std::string& text = it->second;
-    // strtoull silently wraps "-1"; require a plain digit string.
-    if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0]))) {
-      ok = false;
-      return std::nullopt;
-    }
-    char* end = nullptr;
-    errno = 0;
-    const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-    if (end != text.c_str() + text.size() || errno != 0) {
+    if (it != fields.end()) ++consumed;
+    const std::optional<std::uint64_t> v =
+        it == fields.end() ? std::nullopt : parse_u64(it->second);
+    if (!v || *v > max) {
       ok = false;
       return std::nullopt;
     }
     return v;
   }
   void operator()(std::string_view name, std::uint64_t& v) {
-    if (const auto got = get(name)) v = *got;
+    if (const auto got = get(name, ~std::uint64_t{0})) v = *got;
   }
   void operator()(std::string_view name, unsigned& v) {
-    const auto got = get(name);
-    if (!got) return;
-    if (*got > 0xffffffffull) {
-      ok = false;
-      return;
-    }
-    v = static_cast<unsigned>(*got);
+    if (const auto got = get(name, 0xffffffffull))
+      v = static_cast<unsigned>(*got);
   }
   void operator()(std::string_view name, bool& v) {
-    const auto got = get(name);
-    if (!got) return;
-    if (*got > 1) {
-      ok = false;
-      return;
-    }
-    v = *got != 0;
+    if (const auto got = get(name, 1)) v = *got != 0;
   }
   void operator()(std::string_view name, core::PolicyKind& v) {
-    const auto got = get(name);
-    if (!got) return;
-    if (*got > static_cast<std::uint64_t>(core::PolicyKind::Extended)) {
-      ok = false;
-      return;
-    }
-    v = static_cast<core::PolicyKind>(*got);
+    constexpr auto kLast =
+        static_cast<std::uint64_t>(core::PolicyKind::Extended);
+    if (const auto got = get(name, kLast))
+      v = static_cast<core::PolicyKind>(*got);
   }
 };
+
+// Bounds on what a daemon request may ask for. Every table the core sizes
+// from a width, count or capacity stays at most kMaxEntries long, and no
+// cache holds more than kMaxCacheLines lines, so one request cannot exhaust
+// the daemon's memory. Physical register numbers must stay below the
+// kNoReg sentinel.
+constexpr std::uint64_t kMaxEntries = std::uint64_t{1} << 16;
+constexpr std::uint64_t kMaxCacheLines = std::uint64_t{1} << 20;
+
+bool cache_buildable(const mem::CacheConfig& c) {
+  // Mirrors mem::Cache's constructor checks, in 64 bits so a huge line
+  // size times associativity cannot wrap.
+  if (!is_pow2(c.line_bytes) || c.associativity == 0) return false;
+  const std::uint64_t set_bytes =
+      std::uint64_t{c.line_bytes} * c.associativity;
+  return c.size_bytes % set_bytes == 0 && is_pow2(c.size_bytes / set_bytes) &&
+         c.size_bytes / c.line_bytes <= kMaxCacheLines;
+}
+
+bool buildable(const SimConfig& c) {
+  constexpr unsigned kMinPhys = isa::kNumLogicalRegs + 1;
+  for (const unsigned phys : {c.phys_int, c.phys_fp})
+    if (phys < kMinPhys || phys > core::kNoReg) return false;
+  for (const unsigned n :
+       {c.ros_size, c.lsq_size, c.decode_width, c.issue_width, c.commit_width,
+        c.max_pending_branches, c.fetch.width, c.fetch.max_blocks_per_cycle,
+        c.fetch.buffer_capacity, c.fus.int_alu, c.fus.int_mul, c.fus.fp_alu,
+        c.fus.fp_mul, c.fus.fp_div, c.fus.ld_st})
+    if (n == 0 || n > kMaxEntries) return false;
+  if (c.ghr_bits < 1 || c.ghr_bits > 24) return false;  // branch::Gshare
+  const mem::HierarchyConfig& m = c.memory;
+  if (!cache_buildable(m.l1i) || !cache_buildable(m.l1d) ||
+      !cache_buildable(m.l2))
+    return false;
+  // Between two commits an instruction can wait on a few full misses in a
+  // row (a wrong-path fetch, its own fetch, its own load), so one miss
+  // must fit in the watchdog window many times over.
+  const std::uint64_t miss = std::uint64_t{std::max(m.l1i.hit_latency,
+                                                    m.l1d.hit_latency)} +
+                             m.l2.hit_latency + m.memory_latency;
+  return miss <= kNoCommitWatchdogCycles / 8;
+}
 
 }  // namespace
 
@@ -152,7 +171,8 @@ std::optional<SimConfig> config_from_canonical_fields(
   SimConfig config;
   FieldReader reader{fields};
   canonical_fields(config, reader);
-  if (!reader.ok || reader.consumed != fields.size()) return std::nullopt;
+  if (!reader.ok || reader.consumed != fields.size() || !buildable(config))
+    return std::nullopt;
   return config;
 }
 

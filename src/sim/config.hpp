@@ -16,6 +16,10 @@
 
 namespace erel::sim {
 
+/// The core's deadlock watchdog: with a non-empty reorder structure, some
+/// instruction must commit within this many cycles or the run aborts.
+inline constexpr std::uint64_t kNoCommitWatchdogCycles = 20000;
+
 struct SimConfig {
   core::PolicyKind policy = core::PolicyKind::Conventional;
 
@@ -98,6 +102,12 @@ void append_canonical_fields(const SimConfig& config, std::string& out);
 /// field lists fail loudly (nullopt) instead of silently simulating a
 /// different machine. Fields excluded from the canonical rendering
 /// (fast_path, stat_stride) keep their defaults: neither changes results.
+///
+/// A config the daemon could not simulate is nullopt too: any value a
+/// component constructor refuses, a zero width, count, capacity or
+/// pending-branch limit (no instruction would ever commit), a structure
+/// large enough to exhaust memory, or a miss latency long enough to trip
+/// the no-commit watchdog.
 [[nodiscard]] std::optional<SimConfig> config_from_canonical_fields(
     const std::map<std::string, std::string, std::less<>>& fields);
 

@@ -9,8 +9,6 @@ void Probe::on_run_begin(const SimConfig& config, StatRegistry& registry) {
   (void)registry;
 }
 
-void Probe::on_run_end(StatRegistry& registry) { (void)registry; }
-
 void Probe::export_metrics(const SimConfig& config,
                            const StatRegistry& registry,
                            std::vector<Metric>& out) const {

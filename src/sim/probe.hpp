@@ -1,12 +1,11 @@
-// Event-driven instrumentation probes (Instrumentation API v2).
+// Event-driven instrumentation probes.
 //
 // A Probe is an observer attached to a pipeline::Core before the run. The
-// core emits typed events at the architectural points the paper's
-// evaluation cares about — cycle ticks, rename/allocate/release, commit,
-// squash, branch resolution, data-cache accesses — and the probe reacts:
-// bumping its own StatRegistry entries, writing a trace, sampling a
-// channel. Probes are pure observers: attaching any number of them never
-// changes simulation results, and with no probe attached the emission sites
+// core emits three typed events — rename, commit and squash, the points
+// register-file energy and commit traces are read from — and the probe
+// reacts: bumping its own StatRegistry entries or writing a trace. Probes
+// are pure observers: attaching any number of them never changes
+// simulation results, and with no probe attached the emission sites
 // compile down to a never-taken branch.
 //
 //   struct CommitCounter final : sim::Probe {
@@ -45,11 +44,6 @@ namespace erel::sim {
 
 struct SimConfig;
 
-/// End of one simulated cycle (all phases ran; `cycle` just finished).
-struct CycleEvent {
-  std::uint64_t cycle = 0;
-};
-
 /// One instruction renamed and dispatched — including wrong-path work (it
 /// holds physical registers, the resource this paper studies). `inst` and
 /// `rec` point into pipeline state and are valid during the callback only.
@@ -59,18 +53,6 @@ struct RenameEvent {
   const isa::DecodedInst* inst = nullptr;
   const core::RenameRec* rec = nullptr;
   std::uint64_t cycle = 0;
-};
-
-/// Physical-register lifecycle event (allocation or release). `reused`
-/// marks the basic mechanism's in-place recycle: the release and the
-/// allocation of the successor version arrive as a back-to-back pair that
-/// never visits the free list.
-struct RegEvent {
-  core::RC cls = core::RC::Int;
-  core::PhysReg reg = core::kNoReg;
-  std::uint64_t cycle = 0;
-  bool squashed = false;  // releases on the squash path
-  bool reused = false;
 };
 
 /// One committed instruction, in program order. The POD prefix doubles as
@@ -96,29 +78,6 @@ struct SquashEvent {
   std::uint64_t cycle = 0;
 };
 
-/// A conditional branch or indirect jump resolved.
-struct BranchEvent {
-  std::uint64_t pc = 0;
-  std::uint64_t target = 0;  // actual target
-  bool is_cond = false;
-  bool taken = false;
-  bool mispredicted = false;
-  std::uint64_t cycle = 0;
-};
-
-/// One memory access as issued to the cache hierarchy. D-side: loads at
-/// issue, stores at commit. I-side (`is_ifetch`): one event per fetch block
-/// line touched, mirroring how FetchUnit charges the I-cache. `latency` is
-/// the hierarchy's answer, so hit level is recoverable from the configured
-/// latencies.
-struct CacheAccessEvent {
-  std::uint64_t addr = 0;
-  bool is_write = false;
-  unsigned latency = 0;
-  std::uint64_t cycle = 0;
-  bool is_ifetch = false;
-};
-
 /// A named scalar a probe exports into experiment results (harness
 /// ResultSet metric columns). Names are registry-style paths: no spaces.
 struct Metric {
@@ -136,18 +95,9 @@ class Probe {
   /// registry (alive for the whole run) — register counters/channels here.
   virtual void on_run_begin(const SimConfig& config, StatRegistry& registry);
 
-  virtual void on_cycle(const CycleEvent&) {}
   virtual void on_rename(const RenameEvent&) {}
-  virtual void on_reg_alloc(const RegEvent&) {}
-  virtual void on_reg_release(const RegEvent&) {}
   virtual void on_commit(const CommitEvent&) {}
   virtual void on_squash(const SquashEvent&) {}
-  virtual void on_branch_resolve(const BranchEvent&) {}
-  virtual void on_cache_access(const CacheAccessEvent&) {}
-
-  /// Called once at the end of Core::run(), after the registry is
-  /// finalized (occupancy integrals, cache counters published).
-  virtual void on_run_end(StatRegistry& registry);
 
   /// Appends named scalar columns for experiment sinks, derived from a
   /// final registry and the run's config. Keep this a pure function of its

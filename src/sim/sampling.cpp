@@ -1,8 +1,6 @@
 #include "sim/sampling.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -17,6 +15,7 @@
 #include "arch/arch_state.hpp"
 #include "arch/checkpoint.hpp"
 #include "common/log.hpp"
+#include "common/parse.hpp"
 #include "common/thread_pool.hpp"
 #include "pipeline/core.hpp"
 #include "sim/warm_state.hpp"
@@ -156,17 +155,14 @@ std::optional<SamplingConfig> sampling_from_canonical_fields(
   bool ok = true;
   const auto get_u64 = [&](std::string_view name) -> std::uint64_t {
     const auto it = fields.find(name);
-    if (it == fields.end() || it->second.empty() ||
-        !std::isdigit(static_cast<unsigned char>(it->second[0]))) {
+    const std::optional<std::uint64_t> v =
+        it == fields.end() ? std::nullopt : parse_u64(it->second);
+    if (!v) {
       ok = false;
       return 0;
     }
     ++consumed;
-    char* end = nullptr;
-    errno = 0;
-    const unsigned long long v = std::strtoull(it->second.c_str(), &end, 10);
-    if (end != it->second.c_str() + it->second.size() || errno != 0) ok = false;
-    return v;
+    return *v;
   };
   s.period = get_u64("sampling.period");
   s.warmup = get_u64("sampling.warmup");
@@ -195,8 +191,12 @@ std::optional<SamplingConfig> sampling_from_canonical_fields(
   // own shard count. Reject extra fields so skew fails loudly.
   if (!ok || consumed != fields.size()) return std::nullopt;
   // The SampledSimulator constructor EREL_CHECKs these; validate here so a
-  // malformed request is an error reply, not a daemon abort.
-  if (s.detail == 0 || s.period <= s.warmup + s.detail) return std::nullopt;
+  // malformed request is an error reply, not a daemon abort. The period
+  // test is written so warmup + detail cannot wrap.
+  if (s.detail == 0 || s.warmup >= s.period ||
+      s.detail >= s.period - s.warmup)
+    return std::nullopt;
+  if (!std::isfinite(s.target_ci) || s.target_ci < 0.0) return std::nullopt;
   return s;
 }
 

@@ -150,7 +150,7 @@ struct SampledStats {
   SimStats measured;
 
   /// Merged measurement-window StatRegistry: counters and accumulators
-  /// summed, distributions combined, time-series channels appended — always
+  /// summed, time-series channels appended — always
   /// in interval order, so the merged registry is bit-identical at any
   /// thread count (sharded == serial, for *every* metric). Probe-registered
   /// entries merge the same way. Not serialized into the result cache.

@@ -1,24 +1,9 @@
 #include "sim/stat_registry.hpp"
 
-#include <algorithm>
-#include <cstdio>
-
 #include "common/log.hpp"
 #include "sim/stats.hpp"
 
 namespace erel::sim {
-
-void StatRegistry::Distribution::observe(double v) {
-  if (count == 0) {
-    min = v;
-    max = v;
-  } else {
-    min = std::min(min, v);
-    max = std::max(max, v);
-  }
-  ++count;
-  sum += v;
-}
 
 namespace {
 
@@ -26,9 +11,6 @@ const char* kind_name(const StatRegistry::Entry& e) {
   struct Visitor {
     const char* operator()(const StatRegistry::Counter&) { return "counter"; }
     const char* operator()(const StatRegistry::Accum&) { return "accum"; }
-    const char* operator()(const StatRegistry::Distribution&) {
-      return "distribution";
-    }
     const char* operator()(const StatRegistry::TimeSeries&) {
       return "timeseries";
     }
@@ -59,10 +41,6 @@ StatRegistry::Counter& StatRegistry::counter(std::string_view path) {
 
 StatRegistry::Accum& StatRegistry::accum(std::string_view path) {
   return get_or_create<Accum>(path);
-}
-
-StatRegistry::Distribution& StatRegistry::distribution(std::string_view path) {
-  return get_or_create<Distribution>(path);
 }
 
 StatRegistry::TimeSeries& StatRegistry::channel(std::string_view path,
@@ -99,11 +77,6 @@ const StatRegistry::Accum* StatRegistry::find_accum(
   return find_kind<Accum>(entries_, path);
 }
 
-const StatRegistry::Distribution* StatRegistry::find_distribution(
-    std::string_view path) const {
-  return find_kind<Distribution>(entries_, path);
-}
-
 const StatRegistry::TimeSeries* StatRegistry::find_channel(
     std::string_view path) const {
   return find_kind<TimeSeries>(entries_, path);
@@ -137,18 +110,6 @@ void StatRegistry::merge_from(const StatRegistry& other) {
       void operator()(Accum& mine) {
         mine.value += std::get<Accum>(theirs).value;
       }
-      void operator()(Distribution& mine) {
-        const auto& d = std::get<Distribution>(theirs);
-        if (d.count == 0) return;
-        if (mine.count == 0) {
-          mine = d;
-          return;
-        }
-        mine.count += d.count;
-        mine.sum += d.sum;
-        mine.min = std::min(mine.min, d.min);
-        mine.max = std::max(mine.max, d.max);
-      }
       void operator()(TimeSeries& mine) {
         const auto& ts = std::get<TimeSeries>(theirs);
         if (mine.stride == 0) mine.stride = ts.stride;
@@ -162,60 +123,6 @@ void StatRegistry::merge_from(const StatRegistry& other) {
     };
     std::visit(Merger{entry}, it->second);
   }
-}
-
-std::string StatRegistry::format_tree() const {
-  std::string out;
-  std::vector<std::string_view> open;  // currently-open path components
-  char buf[128];
-  for (const auto& [path, entry] : entries_) {
-    // Split the path and emit headers for newly-opened components.
-    std::vector<std::string_view> parts;
-    std::string_view rest = path;
-    for (std::size_t slash = rest.find('/'); slash != std::string_view::npos;
-         slash = rest.find('/')) {
-      parts.push_back(rest.substr(0, slash));
-      rest = rest.substr(slash + 1);
-    }
-    std::size_t common = 0;
-    while (common < parts.size() && common < open.size() &&
-           parts[common] == open[common])
-      ++common;
-    open.assign(parts.begin(), parts.end());
-    for (std::size_t d = common; d < parts.size(); ++d) {
-      out.append(2 * d, ' ');
-      out += parts[d];
-      out += ":\n";
-    }
-    out.append(2 * parts.size(), ' ');
-    out += rest;
-    out += " = ";
-    struct Renderer {
-      std::string& out;
-      char (&buf)[128];
-      void operator()(const Counter& c) {
-        out += std::to_string(c.value);
-      }
-      void operator()(const Accum& a) {
-        std::snprintf(buf, sizeof buf, "%g", a.value);
-        out += buf;
-      }
-      void operator()(const Distribution& d) {
-        std::snprintf(buf, sizeof buf, "n=%llu mean=%g min=%g max=%g",
-                      static_cast<unsigned long long>(d.count), d.mean(),
-                      d.min, d.max);
-        out += buf;
-      }
-      void operator()(const TimeSeries& ts) {
-        std::snprintf(buf, sizeof buf, "[%zu points @ stride %llu]", ts.points.size(),
-                      static_cast<unsigned long long>(ts.stride));
-        out += buf;
-      }
-    };
-    std::visit(Renderer{out, buf}, entry);
-    out += '\n';
-  }
-  return out;
 }
 
 std::string_view stat_class_name(unsigned cls) {

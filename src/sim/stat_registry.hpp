@@ -1,13 +1,12 @@
 // Hierarchical statistics registry: the open observation surface of the
-// simulator (Instrumentation API v2).
+// simulator.
 //
 // Every metric is a named entry in a flat, '/'-separated namespace
 // ("stall/ros_full", "policy/int/reuses", "channel/occupancy/fp/idle").
-// Four entry kinds exist:
+// Three entry kinds exist:
 //
 //   Counter      monotone 64-bit event counter            (merge: sum)
 //   Accum        additive real accumulator (integrals)    (merge: sum)
-//   Distribution count/sum/min/max of observed values     (merge: combine)
 //   TimeSeries   fixed-stride channel of double samples   (merge: append)
 //
 // pipeline::Core owns one registry per run and registers the built-in
@@ -68,20 +67,6 @@ class StatRegistry {
     bool operator==(const Accum&) const = default;
   };
 
-  /// Running distribution of observed values.
-  struct Distribution {
-    std::uint64_t count = 0;
-    double sum = 0.0;
-    double min = 0.0;
-    double max = 0.0;
-
-    void observe(double v);
-    [[nodiscard]] double mean() const {
-      return count == 0 ? 0.0 : sum / static_cast<double>(count);
-    }
-    bool operator==(const Distribution&) const = default;
-  };
-
   /// Fixed-stride time-series channel. `stride` is the x-axis step in
   /// whatever unit the producer documents (the core's built-in channels use
   /// cycles); points[k] covers [k*stride, (k+1)*stride). The final point of
@@ -94,21 +79,18 @@ class StatRegistry {
     bool operator==(const TimeSeries&) const = default;
   };
 
-  using Entry = std::variant<Counter, Accum, Distribution, TimeSeries>;
+  using Entry = std::variant<Counter, Accum, TimeSeries>;
 
   // ---- registration / lookup (create on first use) ----
   // Re-registering an existing path with a different kind is fatal: two
   // subsystems disagreeing about a metric's type is a bug, not a merge.
   Counter& counter(std::string_view path);
   Accum& accum(std::string_view path);
-  Distribution& distribution(std::string_view path);
   TimeSeries& channel(std::string_view path, std::uint64_t stride);
 
   // ---- const lookup (nullptr / default when missing) ----
   [[nodiscard]] const Counter* find_counter(std::string_view path) const;
   [[nodiscard]] const Accum* find_accum(std::string_view path) const;
-  [[nodiscard]] const Distribution* find_distribution(
-      std::string_view path) const;
   [[nodiscard]] const TimeSeries* find_channel(std::string_view path) const;
 
   [[nodiscard]] std::uint64_t counter_value(std::string_view path) const;
@@ -121,16 +103,12 @@ class StatRegistry {
   }
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
 
-  /// Folds `other` into this registry: counters and accums add,
-  /// distributions combine, time-series append (callers merge window
-  /// registries in interval order, so appended channels are deterministic).
-  /// Entries missing on either side are copied / left alone; a path present
-  /// on both sides with different kinds is fatal.
+  /// Folds `other` into this registry: counters and accums add, time-series
+  /// append (callers merge window registries in interval order, so appended
+  /// channels are deterministic). Entries missing on either side are copied
+  /// / left alone; a path present on both sides with different kinds is
+  /// fatal.
   void merge_from(const StatRegistry& other);
-
-  /// Indented hierarchical dump ('/'-separated path components become
-  /// nesting levels); channels render as "[n points @ stride s]".
-  [[nodiscard]] std::string format_tree() const;
 
   bool operator==(const StatRegistry&) const = default;
 

@@ -2,9 +2,11 @@
 
 #include <map>
 #include <mutex>
+#include <optional>
 
 #include "asmkit/assembler.hpp"
 #include "common/log.hpp"
+#include "common/parse.hpp"
 #include "trace/capture.hpp"
 
 namespace erel::workloads {
@@ -18,34 +20,34 @@ std::vector<Workload> build_registry() {
   // keeps the full Figure 11 sweep (390 simulations) tractable while staying
   // far above the pipeline's warm-up transient.
   w.push_back({"compress", "LZW over a run-biased 16 KB stream",
-               "16384 bytes, 64-symbol alphabet", false,
+               "16384 bytes, 64-symbol alphabet", false, false,
                kernel_compress(16384)});
   w.push_back({"gcc", "token dispatch via jump table + symbol hashing",
-               "20000 tokens, 8 handlers", false, kernel_gcc(20000)});
+               "20000 tokens, 8 handlers", false, false, kernel_gcc(20000)});
   w.push_back({"go", "19x19 board influence sweeps",
-               "120 sweeps with toy captures", false, kernel_go(120)});
+               "120 sweeps with toy captures", false, false, kernel_go(120)});
   w.push_back({"li", "recursive N-queens backtracking (paper input: queens)",
-               "8 queens (92 solutions)", false, kernel_li(8)});
+               "8 queens (92 solutions)", false, false, kernel_li(8)});
   w.push_back({"perl", "word scoring + prefix hashing",
-               "512 words x 40 passes", false, kernel_perl(40)});
+               "512 words x 40 passes", false, false, kernel_perl(40)});
   w.push_back({"mgrid", "3-D 7-point stencil relaxation",
-               "18^3 grid, 4 sweeps", true, kernel_mgrid(18, 4)});
+               "18^3 grid, 4 sweeps", true, false, kernel_mgrid(18, 4)});
   w.push_back({"tomcatv", "2-D mesh smoothing, dual coordinate arrays",
-               "48x48 mesh, 6 iterations", true, kernel_tomcatv(48, 6)});
+               "48x48 mesh, 6 iterations", true, false, kernel_tomcatv(48, 6)});
   w.push_back({"applu", "batched dense 5x5 LU + triangular solves",
-               "1200 systems", true, kernel_applu(1200)});
+               "1200 systems", true, false, kernel_applu(1200)});
   w.push_back({"swim", "shallow-water finite differences",
-               "80x80 fields, 3 steps", true, kernel_swim(80, 3)});
+               "80x80 fields, 3 steps", true, false, kernel_swim(80, 3)});
   w.push_back({"hydro2d", "limiter-based directional flux sweeps",
-               "64x64 fields, 5 steps", true, kernel_hydro2d(64, 5)});
+               "64x64 fields, 5 steps", true, false, kernel_hydro2d(64, 5)});
   // Interrupt-driven kernels (no SPEC95 namesake): src/dev/ device-model
   // workloads whose handlers run off asynchronous timer / console-RX
   // interrupts. Other periods resolve via "timer@N" / "echo@N".
   w.push_back({"timer", "LCG checksum loop under a periodic timer interrupt",
-               "28000 iterations, tick every 400 insts", false,
+               "28000 iterations, tick every 400 insts", false, true,
                kernel_timer(28000, 400)});
   w.push_back({"echo", "interrupt-driven console echo server",
-               "256 bytes, RX byte every 700 insts", false,
+               "256 bytes, RX byte every 700 insts", false, true,
                kernel_echo(256, 700)});
   return w;
 }
@@ -61,13 +63,10 @@ const Workload* find_parameterized(const std::string& name) {
   const std::string base = name.substr(0, at);
   if (base != "timer" && base != "echo") return nullptr;
   const std::string digits = name.substr(at + 1);
-  if (digits.empty() || digits.size() > 9) return nullptr;
-  unsigned period = 0;
-  for (const char ch : digits) {
-    if (ch < '0' || ch > '9') return nullptr;
-    period = period * 10 + static_cast<unsigned>(ch - '0');
-  }
-  if (period < 32) return nullptr;
+  if (digits.size() > 9) return nullptr;  // keeps the period in `unsigned`
+  const std::optional<std::uint64_t> parsed = parse_u64(digits);
+  if (!parsed || *parsed < 32) return nullptr;
+  const auto period = static_cast<unsigned>(*parsed);
 
   static std::mutex mu;
   static std::map<std::string, Workload>& cache =
@@ -78,6 +77,7 @@ const Workload* find_parameterized(const std::string& name) {
   Workload w;
   w.name = name;
   w.is_fp = false;
+  w.is_irq = true;
   if (base == "timer") {
     w.description = "LCG checksum loop under a periodic timer interrupt";
     w.input = "28000 iterations, tick every " + digits + " insts";

@@ -39,6 +39,9 @@ struct Workload {
   std::string description;  // what the kernel computes
   std::string input;        // Table 3 "inputs" analogue (scale description)
   bool is_fp = false;
+  /// Interrupt-driven kernel (timer, echo and their "@N" variants): no
+  /// SPEC95 namesake, so the paper's integer means leave it out.
+  bool is_irq = false;
   std::string source;       // assembly text
 };
 

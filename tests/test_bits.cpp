@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/parse.hpp"
+
 namespace erel {
 namespace {
 
@@ -85,6 +87,15 @@ TEST(Xorshift, Uniform01InRange) {
     EXPECT_GE(u, 0.0);
     EXPECT_LT(u, 1.0);
   }
+}
+
+TEST(ParseU64, DigitsOnlyWithoutSignSpaceOrOverflow) {
+  EXPECT_EQ(parse_u64("0"), 0u);
+  EXPECT_EQ(parse_u64("007"), 7u);
+  EXPECT_EQ(parse_u64("18446744073709551615"), ~std::uint64_t{0});
+  for (const char* bad : {"", "-1", "+1", " 1", "1 ", "1x", "0x10", "1.0",
+                          "18446744073709551616"})
+    EXPECT_FALSE(parse_u64(bad).has_value()) << '"' << bad << '"';
 }
 
 }  // namespace

@@ -512,6 +512,26 @@ TEST(ResultCache, CorruptValueIsAMissNotAWrongNumber) {
   EXPECT_FALSE(corrupt("stats.int.avg_idle 12.625", "stats.int.avg_idle abc"));
   // Garbage bool.
   EXPECT_FALSE(corrupt("stats.halted 1", "stats.halted yes"));
+  // Signs and stray spaces: strtoull would read 2^64-1 or skip the space.
+  EXPECT_FALSE(corrupt("stats.cycles 12345", "stats.cycles -1"));
+  EXPECT_FALSE(corrupt("stats.cycles 12345", "stats.cycles +12345"));
+  EXPECT_FALSE(corrupt("stats.cycles 12345", "stats.cycles  12345"));
+  EXPECT_FALSE(corrupt("stats.cycles 12345",
+                       "stats.cycles 18446744073709551616"));  // 2^64
+  EXPECT_FALSE(corrupt("stats.int.avg_idle 12.625",
+                       "stats.int.avg_idle  12.625"));
+  // A repeated field line is corruption, not a value to pick between.
+  EXPECT_FALSE(corrupt("stats.cycles 12345",
+                       "stats.cycles 12345\nstats.cycles 1"));
+  EXPECT_FALSE(corrupt("kind sampled", "kind sampled\nkind sampled"));
+  // Key, sample count and sample lines: every integer token is strict.
+  EXPECT_FALSE(corrupt("key.phys 48", "key.phys 48x"));
+  EXPECT_FALSE(corrupt("key.phys 48", "key.phys 4294967344"));  // 2^32+48
+  EXPECT_FALSE(corrupt("samples 2", "samples 2junk"));
+  EXPECT_FALSE(corrupt("s 0 100 200", "s 0 -10 20"));
+  EXPECT_FALSE(corrupt("s 0 100 200", "s 0 100 200 99"));
+  EXPECT_FALSE(corrupt("s 0 100 200", "s 0 100"));
+  EXPECT_FALSE(corrupt("s 0 100 200", "s 0  100 200"));
   // Control: untouched text still parses.
   EXPECT_TRUE(harness::parse_entry(good, "00ff00ff00ff00ff", e.key));
 }

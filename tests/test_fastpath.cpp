@@ -285,35 +285,5 @@ TEST(FastPathEquivalence, CheckpointWithModifiedCodeResumesByteAccurately) {
   }
 }
 
-/// I-side cache-access events: fetch emits one event per line charged, so
-/// the event count must equal the l1i access counter, and D-side events
-/// keep is_ifetch false.
-TEST(FastPathEquivalence, FetchEmitsIsideCacheAccessEvents) {
-  struct AccessCounter final : sim::Probe {
-    std::uint64_t iside = 0, dside = 0;
-    void on_cache_access(const sim::CacheAccessEvent& ev) override {
-      if (ev.is_ifetch) ++iside;
-      else ++dside;
-    }
-  };
-  sim::SimConfig config = smoke_config(/*fast_path=*/true);
-  const arch::Program program = workloads::assemble_workload("li");
-
-  AccessCounter counter;
-  pipeline::Core core(config, program);
-  core.attach_probe(&counter);
-  const sim::SimStats stats = core.run();
-  EXPECT_GT(counter.iside, 0u);
-  EXPECT_GT(counter.dside, 0u);
-  EXPECT_EQ(counter.iside, stats.l1i.accesses);
-
-  // Attaching the probe must not change results (golden pin guards the
-  // zero-probe path; this guards the probed one).
-  pipeline::Core plain(config, program);
-  const sim::SimStats plain_stats = plain.run();
-  EXPECT_EQ(stats.cycles, plain_stats.cycles);
-  EXPECT_EQ(stats.committed, plain_stats.committed);
-}
-
 }  // namespace
 }  // namespace erel

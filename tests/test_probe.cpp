@@ -1,9 +1,11 @@
 // sim::Probe event plumbing: delivery counts line up with the statistics,
-// event order is deterministic across runs, registers lifecycle events
-// balance, and fixed-stride channels cover the whole run.
+// event order is deterministic across runs, attaching probes never changes
+// results, and fixed-stride channels cover the whole run.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "sim/probe.hpp"
@@ -17,24 +19,12 @@ namespace {
 /// keeps per-kind counts.
 struct EventLog final : sim::Probe {
   std::string log;
-  std::uint64_t cycles = 0, renames = 0, allocs = 0, releases = 0;
-  std::uint64_t commits = 0, squashes = 0, squashed_entries = 0;
-  std::uint64_t branches = 0, cache_accesses = 0;
-  bool ended = false;
+  std::uint64_t renames = 0, commits = 0, squashes = 0, squashed_entries = 0;
 
-  void on_cycle(const sim::CycleEvent&) override { ++cycles; }
   void on_rename(const sim::RenameEvent& ev) override {
     ++renames;
     log += "R" + std::to_string(ev.seq) + "@" + std::to_string(ev.cycle) +
            ";";
-  }
-  void on_reg_alloc(const sim::RegEvent& ev) override {
-    ++allocs;
-    log += "A" + std::to_string(ev.reg) + (ev.reused ? "r" : "") + ";";
-  }
-  void on_reg_release(const sim::RegEvent& ev) override {
-    ++releases;
-    log += "F" + std::to_string(ev.reg) + (ev.squashed ? "s" : "") + ";";
   }
   void on_commit(const sim::CommitEvent& ev) override {
     ++commits;
@@ -47,14 +37,17 @@ struct EventLog final : sim::Probe {
     ++squashes;
     squashed_entries += ev.squashed_entries;
   }
-  void on_branch_resolve(const sim::BranchEvent& ev) override {
-    ++branches;
-    log += "B" + std::to_string(ev.pc) + (ev.mispredicted ? "m" : "") + ";";
+};
+
+/// Counts committed stores into a counter of its own in the core registry.
+struct StoreCounter final : sim::Probe {
+  sim::StatRegistry::Counter* stores = nullptr;
+  void on_run_begin(const sim::SimConfig&, sim::StatRegistry& reg) override {
+    stores = &reg.counter("mine/stores");
   }
-  void on_cache_access(const sim::CacheAccessEvent&) override {
-    ++cache_accesses;
+  void on_commit(const sim::CommitEvent& ev) override {
+    if (ev.inst->is_store()) ++*stores;
   }
-  void on_run_end(sim::StatRegistry&) override { ended = true; }
 };
 
 sim::SimConfig probe_config() {
@@ -72,31 +65,13 @@ TEST(Probe, EventCountsMatchStatistics) {
   const sim::SimStats stats =
       sim::Simulator(probe_config()).run(program, {&log});
 
-  EXPECT_TRUE(log.ended);
-  EXPECT_EQ(log.cycles, stats.cycles);
   EXPECT_EQ(log.commits, stats.committed);
   // Renames include wrong-path work: never fewer than commits.
   EXPECT_GE(log.renames, stats.committed);
-  EXPECT_EQ(log.branches,
-            stats.branches.cond_branches + stats.branches.indirect_jumps);
-  EXPECT_GT(log.cache_accesses, 0u);
   // Mispredicted work exists in this kernel, so squashes must be observed.
   ASSERT_GT(stats.branches.cond_mispredicts, 0u);
   EXPECT_GT(log.squashes, 0u);
   EXPECT_GT(log.squashed_entries, 0u);
-}
-
-TEST(Probe, RegisterLifecycleEventsBalance) {
-  const arch::Program program = workloads::assemble_workload("compress");
-  EventLog log;
-  (void)sim::Simulator(probe_config()).run(program, {&log});
-  EXPECT_GT(log.allocs, 0u);
-  EXPECT_GT(log.releases, 0u);
-  // Every release ends a version that an observed alloc started, except the
-  // initial architectural versions (never alloc-evented); at most
-  // 2 * kNumLogicalRegs allocations can still be in flight at the end.
-  EXPECT_GE(log.allocs + 2ull * isa::kNumLogicalRegs, log.releases);
-  EXPECT_GE(log.releases + 2ull * 48, log.allocs);
 }
 
 TEST(Probe, EventOrderIsDeterministic) {
@@ -105,7 +80,7 @@ TEST(Probe, EventOrderIsDeterministic) {
   (void)sim::Simulator(probe_config()).run(program, {&a});
   (void)sim::Simulator(probe_config()).run(program, {&b});
   EXPECT_EQ(a.log, b.log);  // bit-identical event sequence
-  EXPECT_EQ(a.cycles, b.cycles);
+  EXPECT_EQ(a.squashes, b.squashes);
   EXPECT_EQ(a.squashed_entries, b.squashed_entries);
 }
 
@@ -115,24 +90,59 @@ TEST(Probe, FanOutDeliversToEveryProbeInAttachOrder) {
   (void)sim::Simulator(probe_config()).run(program, {&first, &second});
   EXPECT_EQ(first.log, second.log);
   EXPECT_EQ(first.commits, second.commits);
+  EXPECT_EQ(first.squashed_entries, second.squashed_entries);
 }
 
 TEST(Probe, ProbesCanRegisterOwnCountersInTheCoreRegistry) {
-  struct StoreCounter final : sim::Probe {
-    sim::StatRegistry::Counter* stores = nullptr;
-    void on_run_begin(const sim::SimConfig&,
-                      sim::StatRegistry& reg) override {
-      stores = &reg.counter("mine/stores");
-    }
-    void on_cache_access(const sim::CacheAccessEvent& ev) override {
-      if (ev.is_write) ++*stores;
-    }
-  } probe;
+  StoreCounter probe;
   const arch::Program program = workloads::assemble_workload("li");
   auto core = sim::Simulator(probe_config()).make_core(program);
   core->attach_probe(&probe);
   (void)core->run();
   EXPECT_GT(core->registry().counter_value("mine/stores"), 0u);
+}
+
+// Probes are pure observers: a run with probes attached matches an
+// unprobed run of the same kernel in its SimStats and in every registry
+// entry the probes did not register themselves.
+TEST(Probe, AttachingProbesLeavesResultsUnchanged) {
+  const arch::Program program = workloads::assemble_workload("li");
+  EventLog log;
+  StoreCounter stores;
+  auto probed = sim::Simulator(probe_config()).make_core(program);
+  probed->attach_probe(&log);
+  probed->attach_probe(&stores);
+  const sim::SimStats with = probed->run();
+  auto plain = sim::Simulator(probe_config()).make_core(program);
+  const sim::SimStats without = plain->run();
+
+  const auto view = [](const sim::SimStats& s) {
+    return std::tuple{s.cycles,
+                      s.committed,
+                      s.halted,
+                      s.branches.cond_mispredicts,
+                      s.branches.indirect_mispredicts,
+                      s.stalls.free_list_empty,
+                      s.icache_stall_cycles,
+                      s.policy_stats[0].early_commit_releases,
+                      s.squash_released[0],
+                      s.occupancy[0].avg_empty,
+                      s.occupancy[0].avg_ready,
+                      s.occupancy[0].avg_idle,
+                      s.l1i.accesses,
+                      s.l1d.accesses,
+                      s.l2.misses};
+  };
+  EXPECT_EQ(view(with), view(without));
+
+  std::map<std::string, sim::StatRegistry::Entry, std::less<>> core_entries =
+      probed->registry().entries();
+  ASSERT_EQ(std::erase_if(core_entries,
+                          [](const auto& kv) {
+                            return kv.first.starts_with("mine/");
+                          }),
+            1u);
+  EXPECT_TRUE(core_entries == plain->registry().entries());
 }
 
 TEST(Probe, StatStrideRecordsChannelsCoveringTheRun) {

@@ -8,10 +8,13 @@
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
+#include <iterator>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "harness/experiment.hpp"
 #include "harness/fingerprint.hpp"
@@ -268,6 +271,88 @@ TEST(Service, DaemonRefusesMismatchedFingerprintsAndUnknownProbes) {
   const service::DaemonStats stats = fixture.daemon->stats();
   EXPECT_EQ(stats.errors, 2u);
   EXPECT_EQ(stats.simulated, 0u);
+}
+
+// A client fingerprints its own cell, so any config passes the daemon's
+// fingerprint check. One the core cannot simulate (a constructor would
+// abort, nothing would ever commit, or a miss outlasts the no-commit
+// watchdog) must be refused with a kError, and the daemon keeps serving.
+TEST(Service, OutOfRangeCellsAreRefusedAndTheDaemonKeepsServing) {
+  using Mutation = void (*)(service::CellRequest&);
+  const std::pair<const char*, Mutation> bad_cells[] = {
+      {"phys_int 10", [](auto& r) { r.config.phys_int = 10; }},
+      {"l1i line 48", [](auto& r) { r.config.memory.l1i.line_bytes = 48; }},
+      {"l1d assoc 0",
+       [](auto& r) { r.config.memory.l1d.associativity = 0; }},
+      {"ros 0", [](auto& r) { r.config.ros_size = 0; }},
+      {"ghr_bits 60", [](auto& r) { r.config.ghr_bits = 60; }},
+      {"int_alu 0", [](auto& r) { r.config.fus.int_alu = 0; }},
+      {"commit_width 0", [](auto& r) { r.config.commit_width = 0; }},
+      {"memory_latency 25000",
+       [](auto& r) { r.config.memory.memory_latency = 25000; }},
+      {"pending branches 0",
+       [](auto& r) { r.config.max_pending_branches = 0; }},
+      {"target_ci -1", [](auto& r) { r.sampling.emplace().target_ci = -1.0; }},
+      {"target_ci NaN",
+       [](auto& r) {
+         r.sampling.emplace().target_ci =
+             std::numeric_limits<double>::quiet_NaN();
+       }},
+  };
+
+  DaemonFixture fixture;
+  std::string error;
+  net::Socket socket =
+      net::connect_to("127.0.0.1", fixture.daemon->port(), &error);
+  ASSERT_TRUE(socket.valid()) << error;
+  ASSERT_TRUE(socket.recv_frame().has_value());  // kHello
+
+  const auto request_for = [](std::uint64_t id, Mutation mutate) {
+    service::CellRequest request;
+    request.id = id;
+    request.workload = "li";
+    request.config = tiny_config();
+    mutate(request);
+    request.key = harness::ExpKey{"li", core::PolicyKind::Conventional,
+                                  request.config.phys_int, ""};
+    request.fingerprint_hex =
+        harness::fingerprint_cell("li", request.config, request.sampling, {})
+            .hex();
+    return request;
+  };
+  const auto send = [&socket](const service::CellRequest& request) {
+    return socket.send_frame(
+        net::Frame{static_cast<std::uint8_t>(service::MsgType::kRunCell),
+                   service::encode_cell_request(request)});
+  };
+
+  std::uint64_t id = 1;
+  for (const auto& [name, mutate] : bad_cells) {
+    ASSERT_TRUE(send(request_for(id++, mutate))) << name;
+    const std::optional<net::Frame> reply = socket.recv_frame();
+    ASSERT_TRUE(reply.has_value()) << name;
+    EXPECT_EQ(reply->type, static_cast<std::uint8_t>(service::MsgType::kError))
+        << name;
+  }
+
+  // The same daemon, on the same connection, still simulates a valid cell.
+  const service::CellRequest good =
+      request_for(id, [](service::CellRequest&) {});
+  ASSERT_TRUE(send(good));
+  const std::optional<net::Frame> reply = socket.recv_frame();
+  ASSERT_TRUE(reply.has_value());
+  ASSERT_EQ(reply->type, static_cast<std::uint8_t>(service::MsgType::kResult));
+  const std::optional<service::ResultMsg> result =
+      service::decode_result(reply->payload);
+  ASSERT_TRUE(result.has_value());
+  EXPECT_EQ(result->id, good.id);
+  EXPECT_TRUE(harness::parse_entry(result->entry_text, good.fingerprint_hex,
+                                   good.key)
+                  .has_value());
+
+  const service::DaemonStats stats = fixture.daemon->stats();
+  EXPECT_EQ(stats.errors, std::size(bad_cells));
+  EXPECT_EQ(stats.simulated, 1u);
 }
 
 TEST(Service, ProtocolMismatchIsRefusedOnceAndTheSweepRunsLocally) {

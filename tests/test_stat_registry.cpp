@@ -1,5 +1,5 @@
 // sim::StatRegistry: entry kinds, hierarchical paths, merge semantics and
-// the SimStats view materialization (Instrumentation API v2).
+// the SimStats view materialization.
 #include <gtest/gtest.h>
 
 #include "sim/stat_registry.hpp"
@@ -22,18 +22,6 @@ TEST(StatRegistry, CountersCreateOnFirstUseAndPersist) {
   EXPECT_EQ(reg.size(), 1u);
 }
 
-TEST(StatRegistry, DistributionTracksMoments) {
-  sim::StatRegistry reg;
-  sim::StatRegistry::Distribution& d = reg.distribution("lat");
-  d.observe(4.0);
-  d.observe(1.0);
-  d.observe(7.0);
-  EXPECT_EQ(d.count, 3u);
-  EXPECT_DOUBLE_EQ(d.mean(), 4.0);
-  EXPECT_DOUBLE_EQ(d.min, 1.0);
-  EXPECT_DOUBLE_EQ(d.max, 7.0);
-}
-
 TEST(StatRegistry, ChannelKeepsStride) {
   sim::StatRegistry reg;
   sim::StatRegistry::TimeSeries& ts = reg.channel("chan/x", 1000);
@@ -50,25 +38,18 @@ TEST(StatRegistry, MergeSumsCombinesAndAppends) {
   sim::StatRegistry a;
   a.counter("n") += 3;
   a.accum("integral") += 1.5;
-  a.distribution("d").observe(2.0);
   a.channel("ts", 10).push(1.0);
   a.counter("only_in_a") += 7;
 
   sim::StatRegistry b;
   b.counter("n") += 4;
   b.accum("integral") += 2.25;
-  b.distribution("d").observe(6.0);
   b.channel("ts", 10).push(2.0);
   b.counter("only_in_b") += 9;
 
   a.merge_from(b);
   EXPECT_EQ(a.counter_value("n"), 7u);
   EXPECT_DOUBLE_EQ(a.accum_value("integral"), 3.75);
-  const auto* d = a.find_distribution("d");
-  ASSERT_NE(d, nullptr);
-  EXPECT_EQ(d->count, 2u);
-  EXPECT_DOUBLE_EQ(d->min, 2.0);
-  EXPECT_DOUBLE_EQ(d->max, 6.0);
   const auto* ts = a.find_channel("ts");
   ASSERT_NE(ts, nullptr);
   ASSERT_EQ(ts->points.size(), 2u);  // appended in merge order
@@ -87,18 +68,6 @@ TEST(StatRegistry, EqualityIsDeepAndOrderIndependent) {
   EXPECT_EQ(a, b);
   ++b.counter("x");
   EXPECT_NE(a, b);
-}
-
-TEST(StatRegistry, FormatTreeNestsComponents) {
-  sim::StatRegistry reg;
-  reg.counter("stall/ros_full") += 5;
-  reg.counter("stall/lsq_full") += 2;
-  reg.counter("core/cycles") += 100;
-  const std::string tree = reg.format_tree();
-  EXPECT_NE(tree.find("stall:"), std::string::npos);
-  EXPECT_NE(tree.find("  ros_full = 5"), std::string::npos);
-  EXPECT_NE(tree.find("  lsq_full = 2"), std::string::npos);
-  EXPECT_NE(tree.find("core:"), std::string::npos);
 }
 
 TEST(StatRegistry, MaterializeSimStatsReadsBuiltinPaths) {

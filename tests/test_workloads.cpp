@@ -5,6 +5,9 @@
 // surfaces here as an oracle divergence or a FreeList/RegTracker abort.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "arch/arch_state.hpp"
 #include "asmkit/assembler.hpp"
 #include "sim/simulator.hpp"
@@ -124,6 +127,22 @@ TEST(WorkloadSemantics, DynamicLengthsInBand) {
     ASSERT_TRUE(state.halted()) << name;
     EXPECT_GT(state.instructions_executed(), 100'000u) << name;
     EXPECT_LT(state.instructions_executed(), 5'000'000u) << name;
+  }
+}
+
+// The paper's integer means cover exactly the five SPECint analogues; the
+// interrupt kernels carry a flag that keeps them out.
+TEST(WorkloadSuites, OnlyTheSpecIntAnaloguesAreUnflaggedIntegerKernels) {
+  std::vector<std::string> spec_int;
+  for (const workloads::Workload& w : workloads::registry())
+    if (!w.is_fp && !w.is_irq) spec_int.push_back(w.name);
+  EXPECT_EQ(spec_int, (std::vector<std::string>{"compress", "gcc", "go", "li",
+                                                "perl"}));
+  for (const char* name : {"timer", "echo", "timer@500"}) {
+    const workloads::Workload* w = workloads::find_workload(name);
+    ASSERT_NE(w, nullptr) << name;
+    EXPECT_TRUE(w->is_irq) << name;
+    EXPECT_FALSE(w->is_fp) << name;
   }
 }
 
