@@ -6,6 +6,11 @@
 // cell is pinned — counters exactly, occupancy averages to 1e-12 relative
 // (they are double divisions of exactly-reproduced integrals).
 //
+// The basic/64 rows came later: they were captured on commit 2e4aa73, the
+// last tree whose LUs Table broadcast the C bit to every checkpoint copy and
+// whose extended policy kept a level-based Release Queue, with this test's
+// own config, before either structure was replaced.
+//
 // If this test fails, the observation-layer refactor changed simulated
 // results; fix the regression, do not re-capture the table.
 #include <gtest/gtest.h>
@@ -196,6 +201,87 @@ const GoldenCell kGolden[] = {
   0ull, 0ull, 0ull, 14960ull, 0ull, 151ull,
   {0ull, 11664ull, 7ull, 0ull, 0ull, 6713ull, 0ull, 0ull},
   {0ull, 4995ull, 5ull, 0ull, 0ull, 11ull, 0ull, 0ull},
+  {23.663931501962182, 12.81549530265192, 27.014092044238318}, {13.074206207634678, 3.1817100725413248, 29.010167677488404},
+  113ull, 11ull,
+  {5057ull, 7ull, 0ull}, {1669ull, 209ull, 0ull}, {216ull, 213ull, 0ull}}},
+// basic/64: captured later than the rows above; see the file comment.
+{"compress", "basic", 64,
+ {17040ull, 20006ull, 3677ull, 1005ull, 0ull, 0ull,
+  0ull, 0ull, 0ull, 12171ull, 0ull, 142ull,
+  {3150ull, 11512ull, 0ull, 1502ull, 0ull, 0ull, 11325ull, 0ull},
+  {0ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull},
+  {21.283392018779342, 13.349647887323943, 24.288849765258217}, {0, 0, 32},
+  23811ull, 0ull,
+  {11730ull, 7ull, 0ull}, {1281ull, 21ull, 0ull}, {28ull, 25ull, 0ull}}},
+{"gcc", "basic", 64,
+ {18409ull, 20004ull, 4465ull, 1725ull, 1786ull, 699ull,
+  0ull, 0ull, 0ull, 7961ull, 0ull, 462ull,
+  {3434ull, 10994ull, 0ull, 2186ull, 0ull, 0ull, 12100ull, 0ull},
+  {0ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull},
+  {16.534901406920529, 16.824976913466241, 20.733662882285838}, {0, 0, 32},
+  26543ull, 0ull,
+  {21005ull, 16ull, 0ull}, {2612ull, 9ull, 0ull}, {25ull, 17ull, 0ull}}},
+{"go", "basic", 64,
+ {12245ull, 20006ull, 7644ull, 1923ull, 0ull, 0ull,
+  0ull, 0ull, 0ull, 3034ull, 0ull, 87ull,
+  {4177ull, 7997ull, 0ull, 1532ull, 0ull, 0ull, 11947ull, 0ull},
+  {0ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull},
+  {13.602123315639036, 12.047121273989383, 24.219273172723561}, {0, 0, 32},
+  23777ull, 0ull,
+  {13208ull, 8ull, 0ull}, {5187ull, 6ull, 0ull}, {14ull, 10ull, 0ull}}},
+{"li", "basic", 64,
+ {14296ull, 20002ull, 6250ull, 2348ull, 259ull, 0ull,
+  0ull, 0ull, 0ull, 188ull, 0ull, 274ull,
+  {5354ull, 5141ull, 0ull, 2381ull, 0ull, 0ull, 28415ull, 0ull},
+  {0ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull},
+  {9.5253217683268048, 13.336247901510912, 21.934177392277562}, {0, 0, 32},
+  45130ull, 0ull,
+  {22120ull, 7ull, 0ull}, {8432ull, 4ull, 0ull}, {11ull, 8ull, 0ull}}},
+{"perl", "basic", 64,
+ {16782ull, 20001ull, 1739ull, 556ull, 0ull, 0ull,
+  0ull, 0ull, 0ull, 14594ull, 0ull, 95ull,
+  {842ull, 15790ull, 0ull, 13ull, 0ull, 0ull, 2526ull, 0ull},
+  {0ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull, 0ull},
+  {17.369145513049695, 23.939041830532712, 22.105529734239067}, {0, 0, 32},
+  2684ull, 0ull,
+  {6453ull, 9ull, 0ull}, {1678ull, 42ull, 0ull}, {51ull, 47ull, 0ull}}},
+{"mgrid", "basic", 64,
+ {16818ull, 20000ull, 1669ull, 19ull, 0ull, 0ull,
+  0ull, 0ull, 0ull, 14961ull, 0ull, 151ull,
+  {0ull, 11664ull, 0ull, 7ull, 0ull, 0ull, 86ull, 0ull},
+  {0ull, 4995ull, 0ull, 5ull, 0ull, 0ull, 2ull, 0ull},
+  {23.664050422166728, 12.81591152336782, 27.014092044238318}, {13.073492686407421, 3.1817100725413248, 29.010167677488404},
+  119ull, 2ull,
+  {5056ull, 7ull, 0ull}, {1669ull, 209ull, 0ull}, {216ull, 213ull, 0ull}}},
+{"tomcatv", "basic", 64,
+ {16818ull, 20000ull, 1669ull, 19ull, 0ull, 0ull,
+  0ull, 0ull, 0ull, 14960ull, 0ull, 151ull,
+  {0ull, 11664ull, 0ull, 7ull, 0ull, 0ull, 10ull, 0ull},
+  {0ull, 4995ull, 0ull, 5ull, 0ull, 0ull, 4ull, 0ull},
+  {23.663931501962182, 12.81549530265192, 27.014092044238318}, {13.074206207634678, 3.1817100725413248, 29.010167677488404},
+  113ull, 11ull,
+  {5057ull, 7ull, 0ull}, {1669ull, 209ull, 0ull}, {216ull, 213ull, 0ull}}},
+{"applu", "basic", 64,
+ {10035ull, 20001ull, 1561ull, 100ull, 0ull, 0ull,
+  0ull, 0ull, 0ull, 7795ull, 0ull, 318ull,
+  {1794ull, 10622ull, 0ull, 115ull, 0ull, 0ull, 2008ull, 0ull},
+  {964ull, 3222ull, 0ull, 123ull, 0ull, 0ull, 1026ull, 0ull},
+  {12.047932237169904, 28.664474339810663, 21.832984554060786}, {8.7456900847035381, 7.7197807673143997, 25.970503238664673},
+  641ull, 91ull,
+  {3975ull, 21ull, 0ull}, {2596ull, 5ull, 0ull}, {26ull, 16ull, 0ull}}},
+{"swim", "basic", 64,
+ {16818ull, 20000ull, 1669ull, 19ull, 0ull, 0ull,
+  0ull, 0ull, 0ull, 14960ull, 0ull, 151ull,
+  {0ull, 11664ull, 0ull, 7ull, 0ull, 0ull, 4ull, 0ull},
+  {0ull, 4995ull, 0ull, 5ull, 0ull, 0ull, 4ull, 0ull},
+  {23.663931501962182, 12.81549530265192, 27.014092044238318}, {13.074206207634678, 3.1817100725413248, 29.010167677488404},
+  113ull, 11ull,
+  {5057ull, 7ull, 0ull}, {1669ull, 209ull, 0ull}, {216ull, 213ull, 0ull}}},
+{"hydro2d", "basic", 64,
+ {16818ull, 20000ull, 1669ull, 19ull, 0ull, 0ull,
+  0ull, 0ull, 0ull, 14960ull, 0ull, 151ull,
+  {0ull, 11664ull, 0ull, 7ull, 0ull, 0ull, 10ull, 0ull},
+  {0ull, 4995ull, 0ull, 5ull, 0ull, 0ull, 4ull, 0ull},
   {23.663931501962182, 12.81549530265192, 27.014092044238318}, {13.074206207634678, 3.1817100725413248, 29.010167677488404},
   113ull, 11ull,
   {5057ull, 7ull, 0ull}, {1669ull, 209ull, 0ull}, {216ull, 213ull, 0ull}}},

@@ -9,6 +9,11 @@
 // instants the scan did, so the streams must match bit for bit. If this
 // test fails, the scheduler changed simulated behavior; fix the regression,
 // do not re-capture the table.
+//
+// The basic/64 rows came later: they were captured on commit 2e4aa73, the
+// last tree whose LUs Table broadcast the C bit to every checkpoint copy and
+// whose extended policy kept a level-based Release Queue, with this test's
+// own HashProbe and config, before either structure was replaced.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -173,6 +178,17 @@ const GoldenStream kGoldenStreams[] = {
     {"swim", "extended", 64, 0xed1696fccce2daabull},
     {"hydro2d", "conv", 96, 0x6ae3b01d9469e3a2ull},
     {"hydro2d", "extended", 64, 0xebf9406e5c5caf28ull},
+    // basic/64: captured later; see the file comment.
+    {"compress", "basic", 64, 0xeacf9bc092db81e5ull},
+    {"gcc", "basic", 64, 0xf901e572f8b77ceeull},
+    {"go", "basic", 64, 0x00e2b3abc1a937e3ull},
+    {"li", "basic", 64, 0xce9068edef97fae1ull},
+    {"perl", "basic", 64, 0x19992b294bd63e02ull},
+    {"mgrid", "basic", 64, 0x7ae35d0e483cbf3aull},
+    {"tomcatv", "basic", 64, 0xa9726926dd605d31ull},
+    {"applu", "basic", 64, 0xd25ce0c7f901de78ull},
+    {"swim", "basic", 64, 0xed1696fccce2daabull},
+    {"hydro2d", "basic", 64, 0xebf9406e5c5caf28ull},
 };
 
 TEST(CommitStreamBitIdentity, MatchesPreRefactorCore) {
