@@ -8,7 +8,6 @@
 #include "common/bits.hpp"
 #include "core/free_list.hpp"
 #include "core/lus_table.hpp"
-#include "core/release_queue.hpp"
 #include "mem/hierarchy.hpp"
 #include "sim/simulator.hpp"
 #include "workloads/workloads.hpp"
@@ -65,22 +64,6 @@ void BM_LusTableRecordLookup(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_LusTableRecordLookup);
-
-void BM_ReleaseQueueCycle(benchmark::State& state) {
-  // One branch level with a scheduling, confirmed each round.
-  core::InstSeq seq = 1;
-  for (auto _ : state) {
-    core::ReleaseQueue q;
-    q.push_level(seq);
-    q.schedule_committed(static_cast<core::PhysReg>(40 + seq % 8));
-    q.schedule_inflight(seq + 1, core::kRel1);
-    q.on_lu_commit(seq + 1, 50, 51, 52);
-    benchmark::DoNotOptimize(q.confirm(seq));
-    seq += 3;
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ReleaseQueueCycle);
 
 void BM_Assembler(benchmark::State& state) {
   const std::string source = workloads::workload("compress").source;

@@ -61,7 +61,7 @@ class SourceOnlyBasic final : public core::ReleasePolicy {
     // Only Figure-4a cases (source reads), only when LU is still in flight
     // and no unverified branch separates the pair.
     if (entry.kind != UseKind::Src1 && entry.kind != UseKind::Src2) return {};
-    if (entry.committed) return {};
+    if (lus_.committed(entry.seq)) return {};
     if (hooks_.branch_pending_between(entry.seq, nv_seq)) return {};
     RenameRec* lu = hooks_.find_inflight(entry.seq);
     if (lu == nullptr) return {};
@@ -82,14 +82,9 @@ class SourceOnlyBasic final : public core::ReleasePolicy {
 
   void make_checkpoint_into(PolicyCheckpoint& cp) const override {
     cp.lus = lus_.snapshot();
-    cp.has_lus = true;
   }
   void restore_checkpoint(const PolicyCheckpoint& cp) override {
     lus_.restore(cp.lus);
-  }
-  void commit_update_checkpoint(PolicyCheckpoint& cp,
-                                InstSeq seq) const override {
-    LUsTable::update_commit_in(cp.lus, seq);
   }
   void on_exception_flush() override { lus_.reset_architectural(); }
 

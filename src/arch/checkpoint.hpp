@@ -2,9 +2,8 @@
 // (PC, logical registers, every dirty memory page) that a run can be resumed
 // from. Checkpoints are what make sampled simulation work — the functional
 // oracle fast-forwards between sampling intervals and the detailed pipeline
-// is re-seeded from a checkpoint at each interval boundary — and they
-// serialize to disk (trace/checkpoint_io.hpp) so long fast-forwards can be
-// paid once and reused across experiments.
+// is re-seeded from a checkpoint at each interval boundary. They live in
+// memory only; nothing writes them to disk.
 #pragma once
 
 #include <array>

@@ -12,19 +12,17 @@ const LUsEntry& LUsTable::lookup(unsigned logical) const {
 void LUsTable::record_use(unsigned logical, InstSeq seq, UseKind kind) {
   EREL_CHECK(logical < isa::kNumLogicalRegs);
   EREL_CHECK(kind != UseKind::Arch);
-  table_[logical] = LUsEntry{seq, kind, false};
+  table_[logical] = LUsEntry{seq, kind};
 }
 
-void LUsTable::on_commit(InstSeq seq) { update_commit_in(table_, seq); }
-
-void LUsTable::update_commit_in(Snapshot& snapshot, InstSeq seq) {
-  for (LUsEntry& entry : snapshot) {
-    if (entry.seq == seq) entry.committed = true;
-  }
+void LUsTable::on_commit(InstSeq seq) {
+  EREL_CHECK(seq > frontier_, "commit of seq ", seq, " at frontier ",
+             frontier_);
+  frontier_ = seq;
 }
 
 void LUsTable::reset_architectural() {
-  table_.fill(LUsEntry{kNoSeq, UseKind::Arch, true});
+  table_.fill(LUsEntry{0, UseKind::Arch});
 }
 
 }  // namespace erel::core

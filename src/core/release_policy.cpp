@@ -1,6 +1,6 @@
 #include "core/release_policy.hpp"
 
-#include <bit>
+#include <deque>
 
 #include "common/log.hpp"
 
@@ -48,15 +48,11 @@ bool ReleasePolicy::can_rename_dest(unsigned, InstSeq, bool) const {
 }
 
 void ReleasePolicy::on_commit(const RenameRec&, InstSeq, std::uint64_t) {}
-void ReleasePolicy::on_branch_decoded(InstSeq) {}
 void ReleasePolicy::on_branch_confirmed(InstSeq, std::uint64_t) {}
 void ReleasePolicy::on_branch_mispredicted(InstSeq) {}
 
-void ReleasePolicy::make_checkpoint_into(PolicyCheckpoint& cp) const {
-  cp.has_lus = false;
-}
+void ReleasePolicy::make_checkpoint_into(PolicyCheckpoint&) const {}
 void ReleasePolicy::restore_checkpoint(const PolicyCheckpoint&) {}
-void ReleasePolicy::commit_update_checkpoint(PolicyCheckpoint&, InstSeq) const {}
 void ReleasePolicy::on_exception_flush() {}
 
 void ReleasePolicy::release_rel_bits(const RenameRec& rec, std::uint64_t cycle) {
@@ -169,13 +165,7 @@ class BasicPolicy : public ReleasePolicy {
         // Case 1, LU in flight: set the matching early-release bit in LU's
         // ROS entry and disconnect NV's conventional release (Figure 6b).
         const LUsEntry entry = lus_.lookup(rd);
-        RenameRec* lu = hooks_.find_inflight(entry.seq);
-        EREL_CHECK(lu != nullptr, "uncommitted LU ", entry.seq,
-                   " not in flight");
-        const std::uint8_t bit = rel_bit_for(entry.kind);
-        EREL_CHECK((lu->rel_bits & bit) == 0, "double scheduling on LU ",
-                   entry.seq);
-        lu->rel_bits |= bit;
+        set_lu_rel_bit(entry.seq, rel_bit_for(entry.kind));
         rec.rel_old = false;
         return {};
       }
@@ -191,7 +181,7 @@ class BasicPolicy : public ReleasePolicy {
 
   void on_commit(const RenameRec& rec, InstSeq seq,
                  std::uint64_t cycle) override {
-    // C-bit update: any LUs entry naming this instruction is now committed.
+    // C bit: every LUs entry naming this instruction now reads committed.
     lus_.on_commit(seq);
     // Early releases synchronized with this (LU) commit.
     release_rel_bits(rec, cycle);
@@ -204,17 +194,10 @@ class BasicPolicy : public ReleasePolicy {
 
   void make_checkpoint_into(PolicyCheckpoint& cp) const override {
     cp.lus = lus_.snapshot();
-    cp.has_lus = true;
   }
 
   void restore_checkpoint(const PolicyCheckpoint& cp) override {
-    EREL_CHECK(cp.has_lus);
     lus_.restore(cp.lus);
-  }
-
-  void commit_update_checkpoint(PolicyCheckpoint& cp,
-                                InstSeq seq) const override {
-    LUsTable::update_commit_in(cp.lus, seq);
   }
 
   void on_exception_flush() override { lus_.reset_architectural(); }
@@ -227,11 +210,20 @@ class BasicPolicy : public ReleasePolicy {
     const Mapping& old = rf_.map.get(rd);
     if (old.stale) return Case::StaleSuppressed;
     const LUsEntry& entry = lus_.lookup(rd);
-    // Arch entries (post-flush / program start) behave as an LU committed at
-    // sequence 0: any pending branch older than NV blocks Case 1.
-    const InstSeq lu_seq = entry.seq == kNoSeq ? 0 : entry.seq;
-    if (hooks_.branch_pending_between(lu_seq, nv_seq)) return Case::Fallback;
-    return entry.committed ? Case::Reuse : Case::ScheduleAtLu;
+    // Arch entries (post-flush / program start) name seq 0: any pending
+    // branch older than NV blocks Case 1.
+    if (hooks_.branch_pending_between(entry.seq, nv_seq)) return Case::Fallback;
+    return lus_.committed(entry.seq) ? Case::Reuse : Case::ScheduleAtLu;
+  }
+
+  /// Ties the release of LU `lu_seq`'s operand `bit` to its commit (RwC0).
+  /// The LU is uncommitted, so it must still be in flight.
+  void set_lu_rel_bit(InstSeq lu_seq, std::uint8_t bit) {
+    RenameRec* lu = hooks_.find_inflight(lu_seq);
+    EREL_CHECK(lu != nullptr, "uncommitted LU ", lu_seq,
+               " vanished from the pipeline");
+    EREL_CHECK((lu->rel_bits & bit) == 0, "double scheduling on LU ", lu_seq);
+    lu->rel_bits |= bit;
   }
 
   LUsTable lus_;
@@ -277,26 +269,15 @@ class ExtendedPolicy final : public BasicPolicy {
       case ExtCase::ScheduleRwc0: {
         // Non-speculative NV, LU in flight: unconditional rel bit (RwC0).
         const LUsEntry entry = lus_.lookup(rd);
-        RenameRec* lu = hooks_.find_inflight(entry.seq);
-        EREL_CHECK(lu != nullptr, "uncommitted LU ", entry.seq,
-                   " not in flight");
-        const std::uint8_t bit = rel_bit_for(entry.kind);
-        EREL_CHECK((lu->rel_bits & bit) == 0, "double scheduling on LU ",
-                   entry.seq);
-        lu->rel_bits |= bit;
+        set_lu_rel_bit(entry.seq, rel_bit_for(entry.kind));
         return {};
       }
-      case ExtCase::ScheduleRwns: {
-        // Speculative NV, LU committed: decoded conditional release at TAIL.
-        relque_.schedule_committed(old.phys);
-        ++stats_.conditional_schedulings;
-        return {};
-      }
-      case ExtCase::ScheduleRwc: {
-        // Speculative NV, LU in flight: commit-synchronized conditional
-        // release at TAIL.
+      case ExtCase::Defer: {
+        // Speculative NV (the paper's RwNS or RwC scheduling at TAIL): the
+        // release waits until no branch older than NV is pending.
         const LUsEntry entry = lus_.lookup(rd);
-        relque_.schedule_inflight(entry.seq, rel_bit_for(entry.kind));
+        deferred_.push_back(
+            {nv_seq, entry.seq, rel_bit_for(entry.kind), old.phys});
         ++stats_.conditional_schedulings;
         return {};
       }
@@ -307,44 +288,43 @@ class ExtendedPolicy final : public BasicPolicy {
   void on_commit(const RenameRec& rec, InstSeq seq,
                  std::uint64_t cycle) override {
     lus_.on_commit(seq);
-    // Conditional schedulings synchronized with this commit migrate from
-    // RwCn to RwNSn (Step 5; the register ids come from the ROS PRid filed).
-    relque_.on_lu_commit(seq, rec.p1, rec.p2, rec.pd);
     // RwC0: unconditional commit-synchronized releases.
     release_rel_bits(rec, cycle);
     EREL_CHECK(!(owns_dst(rec) && rec.rel_old),
                "extended mechanism must never use conventional release");
   }
 
-  void on_branch_decoded(InstSeq branch_seq) override {
-    relque_.push_level(branch_seq);
-  }
-
-  void on_branch_confirmed(InstSeq branch_seq, std::uint64_t cycle) override {
-    ReleaseQueue::ConfirmResult result = relque_.confirm(branch_seq);
-    for (const PhysReg p : result.release_now) {
-      rf_.release(p, cycle, /*squashed=*/false);
-      ++stats_.branch_confirm_releases;
-    }
-    for (const auto& [lu_seq, bits] : result.to_rwc0) {
-      RenameRec* lu = hooks_.find_inflight(lu_seq);
-      EREL_CHECK(lu != nullptr, "RwC1 entry for vanished LU ", lu_seq);
-      EREL_CHECK((lu->rel_bits & bits) == 0);
-      lu->rel_bits |= bits;
+  void on_branch_confirmed(InstSeq, std::uint64_t cycle) override {
+    // Steps 4-6: a deferred release becomes unconditional once no branch
+    // older than its NV is pending. The list is in decode order, so the
+    // ready records are a prefix.
+    while (!deferred_.empty() &&
+           !hooks_.branch_pending_between(0, deferred_.front().nv)) {
+      const Deferred d = deferred_.front();
+      deferred_.pop_front();
+      if (lus_.committed(d.lu)) {
+        rf_.release(d.reg, cycle, /*squashed=*/false);
+        ++stats_.branch_confirm_releases;
+        continue;
+      }
+      // LU still in flight: the release joins its rel bits (RwC -> RwC0).
+      set_lu_rel_bit(d.lu, d.bit);
     }
   }
 
   void on_branch_mispredicted(InstSeq branch_seq) override {
-    relque_.mispredict(branch_seq);
+    // Step 3: NVs younger than the branch were squashed with their records.
+    while (!deferred_.empty() && deferred_.back().nv > branch_seq)
+      deferred_.pop_back();
   }
 
   void on_exception_flush() override {
     BasicPolicy::on_exception_flush();
-    relque_.clear();
+    deferred_.clear();
   }
 
   [[nodiscard]] std::size_t relque_population() const override {
-    return relque_.total_scheduled();
+    return deferred_.size();
   }
 
  private:
@@ -352,22 +332,30 @@ class ExtendedPolicy final : public BasicPolicy {
     StaleSuppressed,
     ImmediateRelease,
     ScheduleRwc0,
-    ScheduleRwns,
-    ScheduleRwc,
+    Defer,
   };
 
-  ReleaseQueue relque_;
+  /// A speculative NV's release. `reg` is NV's old_pd, which is the LU's
+  /// register in the operand slot `bit` names.
+  struct Deferred {
+    InstSeq nv;
+    InstSeq lu;
+    std::uint8_t bit;
+    PhysReg reg;
+  };
 
-  [[nodiscard]] ExtCase classify_ext(unsigned rd, InstSeq) const {
+  std::deque<Deferred> deferred_;  // decode order of nv
+
+  [[nodiscard]] ExtCase classify_ext(unsigned rd, InstSeq nv_seq) const {
     const Mapping& old = rf_.map.get(rd);
     if (old.stale) return ExtCase::StaleSuppressed;
     const LUsEntry& entry = lus_.lookup(rd);
     // The release must survive only if NV survives, so it is conditional on
-    // *every* pending branch older than NV — i.e. all of them (Step 2).
-    const bool speculative = hooks_.pending_branch_count() > 0;
-    if (!speculative)
-      return entry.committed ? ExtCase::ImmediateRelease : ExtCase::ScheduleRwc0;
-    return entry.committed ? ExtCase::ScheduleRwns : ExtCase::ScheduleRwc;
+    // every pending branch older than NV. At NV's rename that is every
+    // pending branch (Step 2).
+    if (hooks_.branch_pending_between(0, nv_seq)) return ExtCase::Defer;
+    return lus_.committed(entry.seq) ? ExtCase::ImmediateRelease
+                                     : ExtCase::ScheduleRwc0;
   }
 };
 

@@ -6,14 +6,32 @@
 //     when no unverified branch lies between LU and NV, the release is tied
 //     to LU's commit via rel1/rel2/reld bits in the ROS, or performed
 //     immediately (reusing the register) when LU has already committed (§3).
-//   Extended — additionally handles speculative NVs through the Release
-//     Queue: releases conditional on pending branches migrate toward the
-//     unconditional level as branches confirm (§4).
+//   Extended — additionally handles speculative NVs, whose release must
+//     wait until the NV itself can no longer be squashed (§4).
+//
+// The paper keeps Extended's conditional releases in a Release Queue: one
+// level per pending branch, an NV's scheduling placed at the newest level
+// (TAIL), levels merging downward as branches confirm, and the bottom level
+// releasing (or handing its RwC bits to RwC0) when the oldest branch
+// confirms (Figures 7-8). Every branch pending at an NV's decode is older
+// than the NV, so a scheduling's level always belongs to the newest pending
+// branch older than its NV. It therefore reaches the bottom and confirms
+// exactly when no branch older than the NV is still pending, and it is
+// dropped exactly when such a branch mispredicts, which squashes the NV
+// too. Extended keeps the same releases as one decode-ordered list of
+// {NV, LU, rel bit, register} records instead:
+//   - branch confirm: fire records from the front while no branch older
+//     than the record's NV is pending. A committed LU's register is freed
+//     now (Steps 5-6); an in-flight LU gets the rel bit (RwC -> RwC0);
+//   - mispredict of branch b: drop records of NVs younger than b (Step 3);
+//   - exception flush: drop every record.
+// The ready records always form a prefix, because the condition only gets
+// easier for older NVs.
 //
 // A policy instance manages one register class; it owns the class's LUs
-// Table (and Release Queue for Extended) and performs every release through
-// the shared RegFileState so the free list / tracker invariants hold for all
-// policies identically.
+// Table (and the deferred releases for Extended) and performs every release
+// through the shared RegFileState so the free list / tracker invariants
+// hold for all policies identically.
 #pragma once
 
 #include <cstdint>
@@ -24,7 +42,6 @@
 
 #include "core/lus_table.hpp"
 #include "core/reg_state.hpp"
-#include "core/release_queue.hpp"
 #include "core/types.hpp"
 
 namespace erel::core {
@@ -53,8 +70,10 @@ struct PolicyStats {
   std::uint64_t early_commit_releases = 0;   // rel bits at LU commit (RwC0)
   std::uint64_t immediate_releases = 0;      // at NV decode, LU committed
   std::uint64_t reuses = 0;                  // basic: pd := old_pd, no alloc
-  std::uint64_t branch_confirm_releases = 0; // extended: RwNS1 drain
-  std::uint64_t conditional_schedulings = 0; // placed into the RelQue
+  std::uint64_t branch_confirm_releases = 0; // extended: fired, LU committed
+  // Extended: releases of speculative NVs, deferred until no branch older
+  // than the NV is pending (the paper's RelQue schedulings).
+  std::uint64_t conditional_schedulings = 0;
   std::uint64_t fallback_conventional = 0;   // basic: Case-2 NVs
   std::uint64_t stale_suppressed = 0;        // releases suppressed (dead map)
 };
@@ -63,7 +82,6 @@ struct PolicyStats {
 /// snapshot (the paper's "LUs Table copy at each branch prediction").
 struct PolicyCheckpoint {
   LUsTable::Snapshot lus{};
-  bool has_lus = false;
 };
 
 class ReleasePolicy {
@@ -93,7 +111,7 @@ class ReleasePolicy {
 
   /// Renaming step 2: decide the fate of the previous version of `rd`.
   /// Fills rec.old_pd / rec.rel_old, may set rel bits in the LU's record,
-  /// schedule in the RelQue, or release immediately. Only called when
+  /// defer the release, or release immediately. Only called when
   /// can_rename_dest() returned true in the same cycle.
   virtual DestPlan plan_dest(unsigned rd, InstSeq nv_seq, RenameRec& rec,
                              std::uint64_t cycle) = 0;
@@ -104,20 +122,19 @@ class ReleasePolicy {
 
   // ---- commit-time hook (in program order) ----
 
-  /// Updates C bits, performs commit-synchronized releases (rel bits /
-  /// old_pd), and migrates RelQue schedulings.
+  /// Advances the LUs Table's commit frontier and performs the
+  /// commit-synchronized releases (rel bits / old_pd).
   virtual void on_commit(const RenameRec& rec, InstSeq seq,
                          std::uint64_t cycle);
 
   // ---- branch lifecycle ----
 
-  virtual void on_branch_decoded(InstSeq branch_seq);
   virtual void on_branch_confirmed(InstSeq branch_seq, std::uint64_t cycle);
   virtual void on_branch_mispredicted(InstSeq branch_seq);
 
   // ---- checkpointing of policy-private state (the LUs Table) ----
 
-  /// Fills `cp` in place (policies without aux state only clear has_lus, so
+  /// Fills `cp` in place (policies without aux state leave it untouched, so
   /// checkpoint-heavy paths never copy an unused LUs snapshot around).
   virtual void make_checkpoint_into(PolicyCheckpoint& cp) const;
   [[nodiscard]] PolicyCheckpoint make_checkpoint() const {
@@ -126,16 +143,13 @@ class ReleasePolicy {
     return cp;
   }
   virtual void restore_checkpoint(const PolicyCheckpoint& cp);
-  /// Applies a committing instruction's C-bit update to a checkpoint copy.
-  virtual void commit_update_checkpoint(PolicyCheckpoint& cp,
-                                        InstSeq seq) const;
 
   /// Exception flush: pipeline emptied, map restored from the IOMT.
   virtual void on_exception_flush();
 
   [[nodiscard]] const PolicyStats& stats() const { return stats_; }
 
-  /// Extended only: scheduled-release population (invariant tests).
+  /// Extended only: deferred releases still waiting (invariant tests).
   [[nodiscard]] virtual std::size_t relque_population() const { return 0; }
 
  protected:

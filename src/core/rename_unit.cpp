@@ -97,7 +97,6 @@ void RenameUnit::note_branch_decoded(InstSeq seq) {
   for (unsigned c = 0; c < kNumClasses; ++c) {
     cp.map[c] = state_[c]->map.snapshot();
     policy_[c]->make_checkpoint_into(cp.aux[c]);
-    policy_[c]->on_branch_decoded(seq);
   }
 }
 
@@ -155,22 +154,10 @@ void RenameUnit::on_commit(const RenameRec& rec, InstSeq seq,
     rfs.iomt.set(rec.rd, rec.pd);
   }
 
-  // 3. Policy actions: C-bit updates, rel-bit releases, old_pd release,
-  //    RelQue migration.
+  // 3. Policy actions: the LUs Table's commit frontier (which is also the
+  //    C bit of every checkpoint copy), rel-bit releases, old_pd release.
   for (unsigned c = 0; c < kNumClasses; ++c)
     policy_[c]->on_commit(rec, seq, cycle);
-
-  // 4. The C-bit update must reach every live checkpoint copy (§3.2).
-  // Checkpoints without policy aux state (has_lus clear) have nothing to
-  // update; skipping them spares conventional-policy runs two virtual
-  // no-op calls per live checkpoint per commit.
-  for (const std::uint32_t id : order_) {
-    Checkpoint& cp = slots_[id];
-    for (unsigned c = 0; c < kNumClasses; ++c) {
-      if (cp.aux[c].has_lus)
-        policy_[c]->commit_update_checkpoint(cp.aux[c], seq);
-    }
-  }
 }
 
 void RenameUnit::on_squash_entry(const RenameRec& rec, std::uint64_t cycle) {

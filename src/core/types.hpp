@@ -60,8 +60,9 @@ struct RenameRec {
   // Previous-version release bit (paper: rel_old). Conventional release of
   // old_pd at commit happens only when set.
   bool rel_old = false;
-  // Early-release bits (paper: rel1/rel2/reld, also the RwC0 level of the
-  // extended mechanism's Release Queue).
+  // Early-release bits (paper: rel1/rel2/reld, also the RwC0 level the
+  // extended mechanism's deferred releases join while their LU is in
+  // flight).
   std::uint8_t rel_bits = 0;
   // Basic mechanism, LU-already-committed case: NV reuses old_pd as its
   // destination without allocating from the free list.
@@ -79,28 +80,21 @@ struct RenameRec {
   }
 };
 
-/// View of the pipeline state the release policies need: in-flight rename
-/// records and unverified branches. Implemented by the OoO core — and by
-/// lightweight fixtures in the policy unit tests.
+/// The pipeline state the release policies read: in-flight rename records
+/// and unverified branches. Implemented by the OoO core, and by small fakes
+/// in the policy and rename-unit tests.
 class PipelineHooks {
  public:
   virtual ~PipelineHooks() = default;
 
   /// Rename record of an in-flight (renamed, not yet committed/squashed)
-  /// instruction; nullptr otherwise.
+  /// instruction; nullptr otherwise. Policies set rel bits through it.
   virtual RenameRec* find_inflight(InstSeq seq) = 0;
 
-  /// True if any *unverified* branch b satisfies lo < b.seq < hi.
-  /// This is the basic mechanism's Case-1 test (paper §3).
+  /// True if any *unverified* branch b satisfies lo < b.seq < hi. Basic asks
+  /// it for (LU, NV): its Case-1 test (paper §3). Extended asks it for
+  /// (0, NV): is NV speculative, and may its deferred release fire (§4)?
   virtual bool branch_pending_between(InstSeq lo, InstSeq hi) const = 0;
-
-  /// Sequence number of the newest unverified branch (kNoSeq if none). The
-  /// extended mechanism schedules conditional releases under this level
-  /// (paper §4.2, Step 2: "the RelQue level pointed by TAIL").
-  virtual InstSeq newest_pending_branch() const = 0;
-
-  /// Number of unverified branches currently in flight.
-  virtual unsigned pending_branch_count() const = 0;
 };
 
 }  // namespace erel::core

@@ -111,9 +111,9 @@ class Machine {
   void write(std::uint64_t addr, std::uint64_t value, unsigned size,
              std::uint64_t now);
 
-  /// Checkpoint serialization: the full device state as words (FIFO bytes
+  /// Checkpoint capture: the full device state as words (FIFO bytes
   /// widened). load() accepts save() output or an empty vector (reset
-  /// state — pre-device checkpoint files decode to that).
+  /// state).
   [[nodiscard]] std::vector<std::uint64_t> save() const;
   void load(const std::vector<std::uint64_t>& words);
 

@@ -173,18 +173,12 @@ RosEntry* Core::live_entry(InstSeq seq, std::uint64_t uid) {
 }
 
 bool Core::branch_pending_between(InstSeq lo, InstSeq hi) const {
+  // pending_branches_ is in decode order: the oldest branch past `lo`
+  // decides.
   for (const InstSeq b : pending_branches_) {
-    if (b > lo && b < hi) return true;
+    if (b > lo) return b < hi;
   }
   return false;
-}
-
-InstSeq Core::newest_pending_branch() const {
-  return pending_branches_.empty() ? kNoSeq : pending_branches_.back();
-}
-
-unsigned Core::pending_branch_count() const {
-  return static_cast<unsigned>(pending_branches_.size());
 }
 
 // --- helpers ------------------------------------------------------------
@@ -587,7 +581,8 @@ void Core::phase_commit() {
     // head is the oldest correct-path instruction, so EPC = head pc mirrors
     // ArchState::step's check at the same boundary. The flush squashes the
     // head and everything younger — genuine wrong-path work the release
-    // policies must roll back (map table, free list, LUsT, release queue).
+    // policies must roll back (map table, free list, LUsT, deferred
+    // releases).
     if (!dev_.quiet()) {
       dev_.sync(icount_base_ + committed_);
       if (dev_.deliverable()) {

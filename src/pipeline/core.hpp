@@ -121,8 +121,6 @@ class Core final : public core::PipelineHooks {
   core::RenameRec* find_inflight(core::InstSeq seq) override;
   bool branch_pending_between(core::InstSeq lo,
                               core::InstSeq hi) const override;
-  core::InstSeq newest_pending_branch() const override;
-  unsigned pending_branch_count() const override;
 
  private:
   /// Entry for `seq` if it is still the same dynamic instruction.

@@ -1,4 +1,4 @@
-// Binary trace / checkpoint container format (version 1).
+// Binary trace container format (version 1).
 //
 // Traces hold the committed instruction stream of a detailed simulation —
 // one delta-encoded record per committed instruction (sequence number, PC,
@@ -30,14 +30,7 @@
 namespace erel::trace {
 
 inline constexpr std::array<std::uint8_t, 4> kTraceMagic = {'E', 'R', 'T', 'R'};
-inline constexpr std::array<std::uint8_t, 4> kCheckpointMagic = {'E', 'R', 'C',
-                                                                 'K'};
 inline constexpr std::uint32_t kFormatVersion = 1;
-
-/// Checkpoint files version independently of traces: v2 appends the device
-/// state section (dev::Machine words); v1 files (no device section) still
-/// load, resuming with a reset device.
-inline constexpr std::uint32_t kCheckpointVersion = 2;
 
 // --- encoding helpers -----------------------------------------------------
 

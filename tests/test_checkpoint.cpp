@@ -1,10 +1,9 @@
-// Architectural checkpoints: memory/register capture+restore, serialization,
-// and the determinism guarantee sampled simulation rests on — a detailed
+// Architectural checkpoints: memory/register capture+restore, and the
+// determinism guarantee sampled simulation rests on — a detailed
 // core resumed from a checkpoint commits the identical instruction stream an
 // uninterrupted run commits from that point on.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <vector>
 
 #include "arch/arch_state.hpp"
@@ -12,7 +11,6 @@
 #include "asmkit/assembler.hpp"
 #include "pipeline/core.hpp"
 #include "sim/simulator.hpp"
-#include "trace/checkpoint_io.hpp"
 #include "workloads/workloads.hpp"
 
 namespace erel {
@@ -141,18 +139,6 @@ result: .dword 0
   core.run();
   const std::uint64_t result_addr = program.symbols.at("result");
   EXPECT_EQ(core.memory().read(result_addr, 8), 1234u + 5678u);
-}
-
-TEST(Checkpoint, SerializationRoundTrips) {
-  const std::string path = testing::TempDir() + "ckpt.erck";
-  const arch::Program program = workloads::assemble_workload("compress");
-  arch::ArchState state(program);
-  state.run(2500);
-  const arch::Checkpoint ckpt = arch::capture(state);
-  trace::save_checkpoint(path, ckpt);
-  const arch::Checkpoint loaded = trace::load_checkpoint(path);
-  EXPECT_TRUE(loaded == ckpt);
-  std::remove(path.c_str());
 }
 
 TEST(Checkpoint, HaltedStateRoundTrips) {

@@ -52,6 +52,14 @@ struct TempDir {
   [[nodiscard]] std::string str() const { return path.string(); }
 };
 
+/// Run options with `threads` pool workers and the result cache in `dir`.
+harness::RunOptions cached_run(const TempDir& dir, unsigned threads = 0) {
+  harness::RunOptions opts;
+  opts.threads = threads;
+  opts.cache_dir = dir.str();
+  return opts;
+}
+
 // ---------------------------------------------------------------------------
 // Materialization
 // ---------------------------------------------------------------------------
@@ -551,14 +559,14 @@ TEST(ResultCache, MissThenHitThenResume) {
 
   // Cold: everything simulates.
   const harness::ResultSet first =
-      build({48, 96}).run({.threads = 2, .cache_dir = dir.str()});
+      build({48, 96}).run(cached_run(dir, 2));
   EXPECT_EQ(first.size(), 2u);
   EXPECT_EQ(first.cache_hits(), 0u);
   EXPECT_EQ(first.simulated(), 2u);
 
   // Warm rerun: zero re-simulations, identical stats.
   const harness::ResultSet second =
-      build({48, 96}).run({.threads = 2, .cache_dir = dir.str()});
+      build({48, 96}).run(cached_run(dir, 2));
   EXPECT_EQ(second.cache_hits(), 2u);
   EXPECT_EQ(second.simulated(), 0u);
   for (const unsigned p : {48u, 96u}) {
@@ -569,7 +577,7 @@ TEST(ResultCache, MissThenHitThenResume) {
 
   // Grown grid (interrupted-sweep resume): only the new cell simulates.
   const harness::ResultSet third =
-      build({48, 96, 64}).run({.threads = 2, .cache_dir = dir.str()});
+      build({48, 96, 64}).run(cached_run(dir, 2));
   EXPECT_EQ(third.size(), 3u);
   EXPECT_EQ(third.cache_hits(), 2u);
   EXPECT_EQ(third.simulated(), 1u);
@@ -579,7 +587,7 @@ TEST(ResultCache, CorruptEntryIsAMissNotAWrongResult) {
   TempDir dir;
   harness::Experiment exp;
   exp.base(tiny_config()).workloads({"li"}).phys_regs({48});
-  const harness::ResultSet first = exp.run({.cache_dir = dir.str()});
+  const harness::ResultSet first = exp.run(cached_run(dir));
   EXPECT_EQ(first.simulated(), 1u);
 
   // Truncate every cache entry mid-file.
@@ -591,7 +599,7 @@ TEST(ResultCache, CorruptEntryIsAMissNotAWrongResult) {
     std::ofstream out(f.path(), std::ios::binary | std::ios::trunc);
     out << buf.str().substr(0, buf.str().size() / 3);
   }
-  const harness::ResultSet again = exp.run({.cache_dir = dir.str()});
+  const harness::ResultSet again = exp.run(cached_run(dir));
   EXPECT_EQ(again.cache_hits(), 0u);
   EXPECT_EQ(again.simulated(), 1u);
 }
@@ -608,11 +616,11 @@ TEST(ResultCache, SampledRunsCacheWithCI) {
   harness::Experiment exp;
   exp.base(config).workloads({"li"}).phys_regs({64}).sampling(sampling);
 
-  const harness::ResultSet first = exp.run({.cache_dir = dir.str()});
+  const harness::ResultSet first = exp.run(cached_run(dir));
   ASSERT_TRUE(first.entries()[0].sampled.has_value());
   EXPECT_EQ(first.simulated(), 1u);
 
-  const harness::ResultSet second = exp.run({.cache_dir = dir.str()});
+  const harness::ResultSet second = exp.run(cached_run(dir));
   EXPECT_EQ(second.cache_hits(), 1u);
   ASSERT_TRUE(second.entries()[0].sampled.has_value());
   EXPECT_EQ(second.entries()[0].sampled->samples,
@@ -730,7 +738,7 @@ TEST(ResultSet, ProbeMetricsFlowThroughSinksAndCache) {
     return exp;
   };
   const harness::ResultSet rs =
-      build().run({.threads = 1, .cache_dir = dir.str()});
+      build().run(cached_run(dir, 1));
   ASSERT_EQ(rs.size(), 1u);
   const harness::ExpEntry& e = rs.entries()[0];
   ASSERT_TRUE(e.metric("power/energy_nj").has_value());
@@ -766,7 +774,7 @@ TEST(ResultSet, ProbeMetricsFlowThroughSinksAndCache) {
 
   // Warm rerun: the cache hit restores the metrics bit-exactly.
   const harness::ResultSet warm =
-      build().run({.threads = 1, .cache_dir = dir.str()});
+      build().run(cached_run(dir, 1));
   EXPECT_EQ(warm.cache_hits(), 1u);
   EXPECT_EQ(warm.entries()[0].metrics, e.metrics);
 
@@ -778,7 +786,7 @@ TEST(ResultSet, ProbeMetricsFlowThroughSinksAndCache) {
       .policies({PolicyKind::Extended})
       .phys_regs({48});
   const harness::ResultSet rs2 =
-      bare.run({.threads = 1, .cache_dir = dir.str()});
+      bare.run(cached_run(dir, 1));
   EXPECT_EQ(rs2.cache_hits(), 0u);
   EXPECT_TRUE(rs2.entries()[0].metrics.empty());
 }

@@ -186,7 +186,9 @@ std::string entry_text(const harness::ExpEntry& entry) {
 
 TEST(Faults, SweepThroughFaultProxyStaysBitIdentical) {
   const harness::Experiment exp = small_sweep();
-  const harness::ResultSet local = exp.run({.threads = 2});
+  harness::RunOptions local_opts;
+  local_opts.threads = 2;
+  const harness::ResultSet local = exp.run(local_opts);
 
   DaemonFixture fixture;
   unsigned broken_first = 0;

@@ -1,5 +1,6 @@
-// LUs Table semantics (paper §3.1/§3.2): last-use recording, C-bit commit
-// updates (including on checkpoint copies), architectural reset.
+// LUs Table semantics (paper §3.1/§3.2): last-use recording, the C bit
+// derived from the commit frontier (which checkpoint restores cannot move),
+// architectural reset.
 #include <gtest/gtest.h>
 
 #include "core/lus_table.hpp"
@@ -11,8 +12,8 @@ TEST(LUsTable, InitialStateIsArchitecturalCommitted) {
   LUsTable t;
   for (unsigned r = 0; r < isa::kNumLogicalRegs; ++r) {
     EXPECT_EQ(t.lookup(r).kind, UseKind::Arch);
-    EXPECT_TRUE(t.lookup(r).committed);
-    EXPECT_EQ(t.lookup(r).seq, kNoSeq);
+    EXPECT_EQ(t.lookup(r).seq, 0u);
+    EXPECT_TRUE(t.committed(t.lookup(r).seq));
   }
 }
 
@@ -24,31 +25,34 @@ TEST(LUsTable, RecordUseOverwritesInProgramOrder) {
   const LUsEntry& e = t.lookup(4);
   EXPECT_EQ(e.seq, 102u);
   EXPECT_EQ(e.kind, UseKind::Dst);
-  EXPECT_FALSE(e.committed);
+  EXPECT_FALSE(t.committed(e.seq));
 }
 
-TEST(LUsTable, CommitSetsCOnMatchingEntriesOnly) {
+TEST(LUsTable, CommitFrontierSetsCUpToTheCommittedSeq) {
   LUsTable t;
   t.record_use(1, 100, UseKind::Src1);
   t.record_use(2, 100, UseKind::Src2);  // same instruction, two registers
   t.record_use(3, 101, UseKind::Dst);
   t.on_commit(100);
-  EXPECT_TRUE(t.lookup(1).committed);
-  EXPECT_TRUE(t.lookup(2).committed);
-  EXPECT_FALSE(t.lookup(3).committed);
+  EXPECT_TRUE(t.committed(t.lookup(1).seq));
+  EXPECT_TRUE(t.committed(t.lookup(2).seq));
+  EXPECT_FALSE(t.committed(t.lookup(3).seq));
+  t.on_commit(101);
+  EXPECT_TRUE(t.committed(t.lookup(3).seq));
 }
 
-TEST(LUsTable, CommitUpdateReachesCheckpointCopies) {
+TEST(LUsTable, RestoredCopySeesCommitsMadeAfterTheSnapshot) {
   LUsTable t;
   t.record_use(5, 200, UseKind::Src1);
-  LUsTable::Snapshot checkpoint = t.snapshot();
+  const LUsTable::Snapshot checkpoint = t.snapshot();
   t.record_use(5, 201, UseKind::Src1);  // younger use in the working copy
-  // Instruction 200 commits: both copies must see C=1 where they still
-  // reference 200 (paper: "extended to all LUs Table copies").
   t.on_commit(200);
-  LUsTable::update_commit_in(checkpoint, 200);
-  EXPECT_TRUE(checkpoint[5].committed);
-  EXPECT_FALSE(t.lookup(5).committed);  // working copy points to 201
+  EXPECT_FALSE(t.committed(t.lookup(5).seq));  // working copy names 201
+  // The paper sets C "in all LUs Table copies"; the frontier covers the
+  // copy without touching it, and the restore leaves the frontier alone.
+  t.restore(checkpoint);
+  EXPECT_EQ(t.lookup(5).seq, 200u);
+  EXPECT_TRUE(t.committed(t.lookup(5).seq));
 }
 
 TEST(LUsTable, RestoreBringsBackOlderLastUses) {
@@ -67,7 +71,7 @@ TEST(LUsTable, ResetArchitecturalClearsEverything) {
   t.record_use(31, 2, UseKind::Dst);
   t.reset_architectural();
   EXPECT_EQ(t.lookup(0).kind, UseKind::Arch);
-  EXPECT_TRUE(t.lookup(31).committed);
+  EXPECT_TRUE(t.committed(t.lookup(31).seq));
 }
 
 TEST(LUsTable, RelBitMapping) {
@@ -75,6 +79,13 @@ TEST(LUsTable, RelBitMapping) {
   EXPECT_EQ(rel_bit_for(UseKind::Src2), kRel2);
   EXPECT_EQ(rel_bit_for(UseKind::Dst), kRelD);
   EXPECT_EQ(rel_bit_for(UseKind::Arch), 0);
+}
+
+TEST(LUsTableDeath, OutOfOrderCommitAborts) {
+  LUsTable t;
+  t.on_commit(10);
+  EXPECT_DEATH(t.on_commit(10), "frontier");
+  EXPECT_DEATH(t.on_commit(9), "frontier");
 }
 
 }  // namespace

@@ -24,12 +24,6 @@ class FakeHooks : public PipelineHooks {
     }
     return false;
   }
-  InstSeq newest_pending_branch() const override {
-    return pending.empty() ? kNoSeq : pending.back();
-  }
-  unsigned pending_branch_count() const override {
-    return static_cast<unsigned>(pending.size());
-  }
 
   std::map<InstSeq, RenameRec> inflight;
   std::vector<InstSeq> pending;
@@ -208,17 +202,40 @@ TEST_F(PolicyTest, BasicCheckpointRestoreRevertsLastUses) {
   EXPECT_EQ(hooks.inflight.at(2).rel_bits, kRel1);
 }
 
-TEST_F(PolicyTest, BasicCommitUpdatesCheckpointCopies) {
-  init(PolicyKind::Basic);
-  rename(1, 5);
-  rename(2, 6, /*rs1=*/5);  // instruction 2 uses r5 (src) and r6 (dst)
-  rename(3, 7);
-  PolicyCheckpoint cp = policy->make_checkpoint();
-  policy->commit_update_checkpoint(cp, 2);
-  // Every entry naming instruction 2 flips to committed; others don't.
-  EXPECT_TRUE(cp.lus[5].committed);
-  EXPECT_TRUE(cp.lus[6].committed);
-  EXPECT_FALSE(cp.lus[7].committed);
+TEST_F(PolicyTest, CheckpointRestoredAfterLuCommitSeesC) {
+  // The paper sets C "in all LUs Table copies" at commit. Here a checkpoint
+  // taken before the LU committed must read C=1 once restored: basic then
+  // reuses the register, extended releases it immediately.
+  for (const PolicyKind kind : {PolicyKind::Basic, PolicyKind::Extended}) {
+    SCOPED_TRACE(std::string(policy_name(kind)));
+    hooks = FakeHooks{};
+    init(kind);
+    rename(1, 5);
+    rename(2, 6, /*rs1=*/5);  // LU of r5's v1
+    const PhysReg v1 = rf->map.get(5).phys;
+    hooks.pending.push_back(3);  // branch 3 takes its checkpoint
+    const PolicyCheckpoint cp = policy->make_checkpoint();
+    const MapTable::Snapshot map_cp = rf->map.snapshot();
+    RenameRec& wrong = rename(4, 7, /*rs1=*/5);  // wrong-path last use of v1
+    commit(1, 10);
+    commit(2, 11);  // the LU commits while the checkpoint is live
+    // Branch 3 mispredicts: squash 4, restore the checkpoint.
+    rf->release(wrong.pd, 12, /*squashed=*/true);
+    hooks.inflight.erase(4);
+    rf->map.restore(map_cp);
+    policy->restore_checkpoint(cp);
+    policy->on_branch_mispredicted(3);
+    hooks.pending.clear();
+    RenameRec& nv = rename(4, 5, -1, 13);  // the reused seq redefines r5
+    if (kind == PolicyKind::Basic) {
+      EXPECT_TRUE(nv.reused_prev);
+      EXPECT_EQ(nv.pd, v1);
+    } else {
+      EXPECT_FALSE(nv.reused_prev);
+      EXPECT_TRUE(rf->free_list.is_free(v1));
+      EXPECT_EQ(policy->relque_population(), 0u);
+    }
+  }
 }
 
 TEST_F(PolicyTest, BasicExceptionFlushResetsToArch) {
@@ -266,7 +283,6 @@ TEST_F(PolicyTest, ExtendedConditionalRwnsReleaseOnConfirm) {
   commit(2, 11);
   // A pending branch makes the NV speculative: decoded conditional release.
   hooks.pending.push_back(3);
-  policy->on_branch_decoded(3);
   const PhysReg v1 = rf->map.get(5).phys;
   rename(4, 5);
   EXPECT_EQ(policy->relque_population(), 1u);
@@ -284,14 +300,13 @@ TEST_F(PolicyTest, ExtendedConditionalRwcMigratesOnLuCommit) {
   RenameRec lu_copy;
   RenameRec& lu = rename(2, 6, /*rs1=*/5);  // LU in flight
   hooks.pending.push_back(3);
-  policy->on_branch_decoded(3);
   rename(4, 5);                              // speculative NV
   EXPECT_EQ(policy->relque_population(), 1u);
-  EXPECT_EQ(lu.rel_bits, 0u);                // scheduling is in the RelQue
+  EXPECT_EQ(lu.rel_bits, 0u);                // the release is deferred
   const PhysReg v1 = lu.p1;
   commit(1, 10);
   lu_copy = lu;
-  commit(2, 11);                             // LU commits: RwC -> RwNS
+  commit(2, 11);                             // LU commits; still deferred
   EXPECT_FALSE(rf->free_list.is_free(v1));   // still conditional
   EXPECT_EQ(policy->relque_population(), 1u);
   hooks.pending.clear();
@@ -308,7 +323,6 @@ TEST_F(PolicyTest, ExtendedMispredictDropsConditionalReleases) {
   const PolicyCheckpoint cp = policy->make_checkpoint();
   const MapTable::Snapshot map_cp = rf->map.snapshot();
   hooks.pending.push_back(3);
-  policy->on_branch_decoded(3);
   const PhysReg v1 = rf->map.get(5).phys;
   RenameRec& nv = rename(4, 5);
   // Mispredict: squash the NV, drop the scheduling, restore state.
@@ -332,15 +346,13 @@ TEST_F(PolicyTest, ExtendedNestedBranchesConfirmInOrder) {
   commit(1, 10);
   commit(2, 11);
   hooks.pending.push_back(3);
-  policy->on_branch_decoded(3);
   const PhysReg v5 = rf->map.get(5).phys;
   rename(4, 5);                    // conditional on branch 3
   hooks.pending.push_back(5);
-  policy->on_branch_decoded(5);
   const PhysReg v6 = rf->map.get(6).phys;  // arch version of r6
   rename(6, 6);                    // conditional on branches 3 and 5
   EXPECT_EQ(policy->relque_population(), 2u);
-  // Younger branch confirms first: merge downward, nothing released.
+  // Younger branch confirms first: branch 3 still guards both NVs.
   hooks.pending.erase(hooks.pending.begin() + 1);
   policy->on_branch_confirmed(5, 20);
   EXPECT_FALSE(rf->free_list.is_free(v6));
@@ -352,10 +364,77 @@ TEST_F(PolicyTest, ExtendedNestedBranchesConfirmInOrder) {
   EXPECT_TRUE(rf->free_list.is_free(v6));
 }
 
+TEST_F(PolicyTest, ExtendedDeferredReleaseBecomesRelBitOfInFlightLu) {
+  init(PolicyKind::Extended);
+  rename(1, 5);
+  RenameRec& lu = rename(2, 6, /*rs1=*/5);  // LU in flight
+  hooks.pending.push_back(3);
+  rename(4, 5);                              // speculative NV
+  const PhysReg v1 = lu.p1;
+  // Branch 3 confirms before the LU commits: the release joins the LU's
+  // rel bits (RwC -> RwC0) instead of freeing anything now.
+  hooks.pending.clear();
+  policy->on_branch_confirmed(3, 20);
+  EXPECT_EQ(policy->relque_population(), 0u);
+  EXPECT_EQ(lu.rel_bits, kRel1);
+  EXPECT_FALSE(rf->free_list.is_free(v1));
+  EXPECT_EQ(policy->stats().branch_confirm_releases, 0u);
+  commit(1, 21);
+  commit(2, 22);  // the LU commits and releases v1
+  EXPECT_TRUE(rf->free_list.is_free(v1));
+  EXPECT_EQ(policy->stats().early_commit_releases, 1u);
+}
+
+TEST_F(PolicyTest, ExtendedYoungerMispredictKeepsOlderDeferredRelease) {
+  init(PolicyKind::Extended);
+  hooks.pending.push_back(1);
+  const PhysReg r5 = rf->map.get(5).phys;
+  rename(2, 5);                    // deferred behind branch 1
+  hooks.pending.push_back(3);
+  const MapTable::Snapshot map_cp = rf->map.snapshot();
+  RenameRec& young = rename(4, 6); // deferred behind branches 1 and 3
+  EXPECT_EQ(policy->relque_population(), 2u);
+  // Branch 3 mispredicts: only NV 4 is squashed.
+  rf->release(young.pd, 10, /*squashed=*/true);
+  hooks.inflight.erase(4);
+  rf->map.restore(map_cp);
+  hooks.pending.pop_back();
+  policy->on_branch_mispredicted(3);
+  EXPECT_EQ(policy->relque_population(), 1u);
+  hooks.pending.clear();
+  policy->on_branch_confirmed(1, 11);
+  EXPECT_TRUE(rf->free_list.is_free(r5));
+  EXPECT_EQ(policy->stats().branch_confirm_releases, 1u);
+}
+
+TEST_F(PolicyTest, ExtendedExceptionFlushDropsDeferredReleases) {
+  init(PolicyKind::Extended);
+  hooks.pending.push_back(1);
+  const PhysReg r5 = rf->map.get(5).phys;
+  const PhysReg r6 = rf->map.get(6).phys;
+  rename(2, 5);
+  rename(3, 6);
+  EXPECT_EQ(policy->relque_population(), 2u);
+  policy->on_exception_flush();
+  EXPECT_EQ(policy->relque_population(), 0u);
+  EXPECT_FALSE(rf->free_list.is_free(r5));
+  EXPECT_FALSE(rf->free_list.is_free(r6));
+}
+
+TEST_F(PolicyTest, ExtendedDoubleSchedulingAtFireAborts) {
+  init(PolicyKind::Extended);
+  rename(1, 5);
+  RenameRec& lu = rename(2, 6, /*rs1=*/5);
+  hooks.pending.push_back(3);
+  rename(4, 5);             // deferred: rel1 of LU 2
+  lu.rel_bits |= kRel1;     // the same bit is already scheduled
+  hooks.pending.clear();
+  EXPECT_DEATH(policy->on_branch_confirmed(3, 20), "double scheduling");
+}
+
 TEST_F(PolicyTest, ExtendedNeverSetsRelOld) {
   init(PolicyKind::Extended);
   hooks.pending.push_back(1);
-  policy->on_branch_decoded(1);
   RenameRec& nv = rename(2, 5);
   EXPECT_FALSE(nv.rel_old);
   hooks.pending.clear();

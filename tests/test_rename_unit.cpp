@@ -21,12 +21,6 @@ class FakeHooks : public PipelineHooks {
       if (b > lo && b < hi) return true;
     return false;
   }
-  InstSeq newest_pending_branch() const override {
-    return pending.empty() ? kNoSeq : pending.back();
-  }
-  unsigned pending_branch_count() const override {
-    return static_cast<unsigned>(pending.size());
-  }
   std::map<InstSeq, RenameRec> recs;
   std::vector<InstSeq> pending;
 };
@@ -143,6 +137,65 @@ TEST_F(RenameUnitTest, MispredictRestoresBothClassesAndDropsYounger) {
   EXPECT_EQ(unit->rf(RC::Int).free_list.size() +
                 unit->rf(RC::Int).tracker.allocated_count(),
             40u);
+}
+
+TEST_F(RenameUnitTest, ReusedSeqAfterMispredictNamesTheRightLu) {
+  // The ROS reuses the seqs of squashed instructions. The restored LUs
+  // Table must not name them, and the C bit derived from the commit
+  // frontier must read the reused seq as uncommitted.
+  for (const PolicyKind kind : {PolicyKind::Basic, PolicyKind::Extended}) {
+    SCOPED_TRACE(std::string(policy_name(kind)));
+    hooks = FakeHooks{};
+    init(kind);
+    const auto addi = [](unsigned rd, unsigned rs1) {
+      return make_inst(isa::Opcode::ADDI, rd, rs1, 0);
+    };
+    RenameRec& def = rename(addi(5, 3), 1);  // v1 of r5
+    RenameRec& lu = rename(addi(6, 5), 2);   // LU of v1
+    rename(make_inst(isa::Opcode::BEQ, 0, 1, 2), 3);
+    unit->note_branch_decoded(3);
+    hooks.pending.push_back(3);
+    // Wrong path: younger uses of r5 at seqs 4 and 5.
+    RenameRec& w4 = rename(addi(7, 5), 4);
+    RenameRec& w5 = rename(addi(8, 5), 5);
+    unit->on_squash_entry(w5, 6);
+    unit->on_squash_entry(w4, 6);
+    hooks.recs.erase(4);
+    hooks.recs.erase(5);
+    hooks.pending.clear();
+    unit->on_branch_mispredicted(3);
+    // A new NV of r5 at the reused seq 4 schedules on LU 2.
+    RenameRec& nv = rename(addi(5, 3), 4);
+    EXPECT_EQ(lu.rel_bits, kRel1);
+    EXPECT_FALSE(nv.rel_old);
+    // Commit 1..2: LU 2's other entry (its destination r6) now reads C=1.
+    unit->rf(RC::Int).write_value(def.pd, 1, 7);
+    unit->on_commit(def, 1, 8);
+    unit->rf(RC::Int).write_value(lu.pd, 1, 8);
+    const PhysReg r6 = lu.pd;
+    unit->on_commit(lu, 2, 9);
+    hooks.recs.erase(1);
+    hooks.recs.erase(2);
+    RenameRec& next = rename(addi(6, 3), 5);
+    if (kind == PolicyKind::Basic) {
+      EXPECT_TRUE(next.reused_prev);
+      EXPECT_EQ(next.pd, r6);
+    } else {
+      EXPECT_TRUE(unit->rf(RC::Int).free_list.is_free(r6));
+    }
+    // The reused seq 4 itself has not committed: r5's next NV schedules on
+    // it instead of releasing.
+    RenameRec& again = rename(addi(5, 3), 6);
+    EXPECT_EQ(hooks.recs.at(4).rel_bits, kRelD);
+    EXPECT_FALSE(again.reused_prev);
+  }
+}
+
+TEST_F(RenameUnitTest, ConfirmOfUnknownBranchAborts) {
+  init(PolicyKind::Extended);
+  unit->note_branch_decoded(1);
+  hooks.pending.push_back(1);
+  EXPECT_DEATH(unit->on_branch_confirmed(9, 1), "unknown branch");
 }
 
 TEST_F(RenameUnitTest, CommitUpdatesIomtAndTracksConsumers) {

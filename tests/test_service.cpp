@@ -37,6 +37,14 @@ sim::SimConfig tiny_config() {
   return config;
 }
 
+/// Run options with two pool workers, shipping cells to `server` if set.
+harness::RunOptions two_workers(std::string server = "") {
+  harness::RunOptions opts;
+  opts.threads = 2;
+  opts.server = std::move(server);
+  return opts;
+}
+
 struct TempDir {
   fs::path path;
   TempDir() {
@@ -132,9 +140,9 @@ TEST(Service, DaemonServedSweepIsBitIdenticalToLocal) {
   DaemonFixture fixture;
   const harness::Experiment exp = small_sweep();
 
-  const harness::ResultSet local = exp.run({.threads = 2});
+  const harness::ResultSet local = exp.run(two_workers());
   const harness::ResultSet remote =
-      exp.run({.threads = 2, .server = fixture.endpoint()});
+      exp.run(two_workers(fixture.endpoint()));
 
   ASSERT_EQ(remote.size(), local.size());
   for (const harness::ExpEntry& want : local.entries()) {
@@ -152,10 +160,10 @@ TEST(Service, SecondSweepIsServedFromTheWarmDaemonCache) {
   const harness::Experiment exp = small_sweep();
 
   const harness::ResultSet cold =
-      exp.run({.threads = 2, .server = fixture.endpoint()});
+      exp.run(two_workers(fixture.endpoint()));
   EXPECT_EQ(cold.cache_hits(), 0u);
   const harness::ResultSet warm =
-      exp.run({.threads = 2, .server = fixture.endpoint()});
+      exp.run(two_workers(fixture.endpoint()));
 
   EXPECT_EQ(warm.size(), cold.size());
   EXPECT_EQ(warm.cache_hits(), warm.size());  // "N hits, 0 simulated"
@@ -178,10 +186,10 @@ TEST(Service, ConcurrentClientsOnOverlappingCellsSimulateEachCellOnce) {
   // first client just filled — both are one simulation).
   harness::ResultSet a, b;
   std::thread ta([&] {
-    a = exp.run({.threads = 2, .server = fixture.endpoint()});
+    a = exp.run(two_workers(fixture.endpoint()));
   });
   std::thread tb([&] {
-    b = exp.run({.threads = 2, .server = fixture.endpoint()});
+    b = exp.run(two_workers(fixture.endpoint()));
   });
   ta.join();
   tb.join();
@@ -233,10 +241,10 @@ TEST(Service, UnreachableServerFallsBackToLocalSimulation) {
   const harness::Experiment exp = small_sweep();
   // Nothing listens on port 1; the sweep must still complete locally.
   const harness::ResultSet rs =
-      exp.run({.threads = 2, .server = "127.0.0.1:1"});
+      exp.run(two_workers("127.0.0.1:1"));
   ASSERT_EQ(rs.size(), 4u);
   EXPECT_EQ(rs.cache_hits(), 0u);
-  const harness::ResultSet local = exp.run({.threads = 2});
+  const harness::ResultSet local = exp.run(two_workers());
   for (const harness::ExpEntry& want : local.entries())
     EXPECT_EQ(entry_text(rs.at(want.key)), entry_text(want));
 }
