@@ -60,9 +60,11 @@ struct RunResult {
 
 /// Runs one spec on the calling thread.
 ///
-/// `cancelled` (optional) is cooperative cancellation, polled at coarse
-/// boundaries: before the run starts, and between a sampled run's planning
-/// steps and measurement batches. Once it returns true the run stops early
+/// `cancelled` (optional) is cooperative cancellation, polled on the
+/// calling thread at coarse boundaries: before the run starts, and inside
+/// a sampled run before each planning step (at threads = 1 that also falls
+/// between measurement windows) and, under confidence-driven stopping,
+/// before each measurement batch. Once it returns true the run stops early
 /// and the RunResult is PARTIAL — callers that cancel must discard it,
 /// never cache or serve it. Full-detail runs only honor the pre-start check
 /// (the detailed core has no safe interior stopping point).

@@ -1,9 +1,11 @@
 #include "sim/sampling.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <deque>
 #include <limits>
 #include <memory>
 #include <numeric>
@@ -34,16 +36,28 @@ std::uint64_t mix(std::uint64_t seed, std::uint64_t k) {
   return z ^ (z >> 31);
 }
 
+/// Outcome of one detailed window.
+struct UnitResult {
+  SimStats window;        // warmup + measured, as simulated
+  StatRegistry registry;  // the window core's full registry
+  std::uint64_t measured_insts = 0;
+  std::uint64_t measured_cycles = 0;
+  bool degenerate = false;  // committed work but zero measured cycles
+};
+
 /// One planned sampling unit: everything a worker needs to run its detailed
-/// window independently of every other unit.
+/// window independently of every other unit, then that window's outcome.
+/// Only the worker measuring the unit touches it until the merge.
 struct SamplingUnit {
-  std::uint64_t interval = 0;  // plan order, the deterministic merge key
-  arch::Checkpoint ckpt;
-  std::unique_ptr<const WarmState> warm;  // null when warming is off
+  arch::Checkpoint ckpt;  // only ckpt.icount survives measurement
+  // Null when warming is off, when the unit is measured inline from the
+  // planner's own warm state, and once the unit is measured.
+  std::unique_ptr<const WarmState> warm;
   // False once the planning pass has stored into the code image before this
   // unit's checkpoint: its window must not execute from the shared decode
   // cache (the checkpointed code bytes differ from the static program).
   bool decoded_ok = true;
+  std::optional<UnitResult> result;  // empty until measured
 };
 
 /// The planning pass's batched warming loop: fast-forwards the oracle to
@@ -55,15 +69,6 @@ void run_warmed(arch::ArchState& master, WarmState& warm,
   while (!master.halted() && master.instructions_executed() < target)
     warm.observe(master.step());
 }
-
-/// Outcome of one detailed window.
-struct UnitResult {
-  SimStats window;        // warmup + measured, as simulated
-  StatRegistry registry;  // the window core's full registry
-  std::uint64_t measured_insts = 0;
-  std::uint64_t measured_cycles = 0;
-  bool degenerate = false;  // committed work but zero measured cycles
-};
 
 /// Units are measured in batches of this size when confidence-driven
 /// stopping is active; the CI is re-evaluated between batches. Constant (not
@@ -187,8 +192,9 @@ std::optional<SamplingConfig> sampling_from_canonical_fields(
   } else {
     ok = false;
   }
-  // `threads` is absent by design (wall-clock only); the daemon picks its
-  // own shard count. Reject extra fields so skew fails loudly.
+  // `threads` is absent by design (wall-clock only); the daemon runs every
+  // sampled cell at the default threads = 1, one cell per worker. Reject
+  // extra fields so skew fails loudly.
   if (!ok || consumed != fields.size()) return std::nullopt;
   // The SampledSimulator constructor EREL_CHECKs these; validate here so a
   // malformed request is an error reply, not a daemon abort. The period
@@ -203,10 +209,13 @@ std::optional<SamplingConfig> sampling_from_canonical_fields(
 SampledSimulator::SampledSimulator(SimConfig config, SamplingConfig sampling)
     : config_(std::move(config)), sampling_(sampling) {
   EREL_CHECK(sampling_.detail > 0, "sampling window must measure something");
-  EREL_CHECK(sampling_.period > sampling_.warmup + sampling_.detail,
+  // Written so warmup + detail cannot wrap (as in
+  // sampling_from_canonical_fields).
+  EREL_CHECK(sampling_.warmup < sampling_.period &&
+                 sampling_.detail < sampling_.period - sampling_.warmup,
              "sampling period ", sampling_.period,
-             " must exceed warmup+detail ",
-             sampling_.warmup + sampling_.detail);
+             " must exceed warmup+detail (warmup ", sampling_.warmup,
+             ", detail ", sampling_.detail, ")");
   EREL_CHECK(sampling_.target_ci >= 0.0, "target_ci must be non-negative");
 }
 
@@ -235,14 +244,6 @@ SampledStats SampledSimulator::run(const arch::Program& program,
     EREL_FATAL("invalid Placement");
   };
 
-  // --- planning pass ------------------------------------------------------
-  // One functional sweep over the whole program: fast-forward (warming the
-  // predictors and caches when enabled) to each unit start, capture the
-  // architectural checkpoint plus a snapshot of the warm state, and keep
-  // going. After this pass the exact dynamic instruction count is known and
-  // every unit can be measured independently, in any order, on any thread.
-  SampledStats out;
-  std::vector<SamplingUnit> units;
   // One decode of the static program shared by the planning oracle and
   // every measurement window's core (each window otherwise re-decodes the
   // whole image). Null when the fast path is configured off.
@@ -250,16 +251,84 @@ SampledStats SampledSimulator::run(const arch::Program& program,
       config_.fast_path
           ? std::make_shared<const arch::DecodedProgram>(program)
           : nullptr;
-  // Pre-size the plan when a cap bounds it (clamped: the cap is
-  // user-supplied and may far exceed what the program can yield).
-  if (sampling_.max_samples != 0)
-    units.reserve(std::min<std::uint64_t>(sampling_.max_samples, 4096));
+
+  // --- one detailed window ------------------------------------------------
+  // A unit replays from its checkpoint through a fresh detailed core seeded
+  // from `warm`: `warmup` commits prime the pipeline, then the measured span
+  // runs to warmup+detail (or HALT, or a run-control limit). The outcome
+  // lands in unit.result; the snapshot and checkpoint pages are freed at
+  // once, since the merge reads only ckpt.icount.
+  const auto measure = [&](SamplingUnit& unit, const WarmState* warm) {
+    SimConfig cfg = config_;
+    cfg.max_instructions = window;
+    // A unit whose checkpoint carries self-modified code must not use (or
+    // rebuild) the static decode cache: force the byte-accurate engine.
+    if (!unit.decoded_ok) cfg.fast_path = false;
+    pipeline::Core core(cfg, program, unit.ckpt, warm,
+                        unit.decoded_ok ? decoded : nullptr);
+    const std::vector<std::unique_ptr<Probe>> instances =
+        core.attach_probes(probes);
+    while (!core.halted() && core.committed() < sampling_.warmup &&
+           core.cycle() < cfg.max_cycles)
+      core.tick();
+    const std::uint64_t warm_cycles = core.cycle();
+    const std::uint64_t warm_committed = core.committed();
+    UnitResult& r = unit.result.emplace();
+    r.window = core.run();
+    r.registry = core.registry();
+    r.measured_insts = r.window.committed - warm_committed;
+    r.measured_cycles = r.window.cycles - warm_cycles;
+    if (r.measured_insts > 0 && r.measured_cycles == 0) {
+      // The warm-up loop ran into cfg.max_cycles: everything this window
+      // committed was committed at the cycle limit, so its IPC would be
+      // infinite. Keep the raw counters, drop the sample.
+      r.degenerate = true;
+      EREL_WARN("sampling unit at instruction ", unit.ckpt.icount,
+                " hit max_cycles during warm-up (", r.measured_insts,
+                " insts, 0 measured cycles): sample dropped");
+    }
+    unit.warm.reset();
+    arch::Checkpoint spent;
+    spent.icount = unit.ckpt.icount;
+    unit.ckpt = std::move(spent);
+  };
+
+  // Confidence-driven stopping measures seeded-shuffled batches of the whole
+  // plan, so it plans everything first. Otherwise measurement is streamed:
+  // each unit is measured as soon as the planning pass has captured it — on
+  // the pool when sharded (built now: the unit count is not known yet), or
+  // inline on this thread.
+  const bool ci_stopping = sampling_.target_ci > 0.0;
+  unsigned threads = sampling_.threads;
+  if (threads == 0) threads = std::thread::hardware_concurrency();
+  if (threads == 0) threads = 1;
+  // Element addresses stay put while the planner appends, so a worker holds
+  // its own unit while the planner grows the plan.
+  std::deque<SamplingUnit> units;
+  // `cancel` is polled only on this thread; once it fires, this flag keeps
+  // every queued window from starting.
+  std::atomic<bool> cancelled{false};
+  std::optional<ThreadPool> pool;
+  if (threads > 1) pool.emplace(threads);
+
+  // --- planning pass ------------------------------------------------------
+  // One functional sweep over the whole program: fast-forward (warming the
+  // predictors and caches when enabled) to each unit start, capture the
+  // architectural checkpoint (plus a snapshot of the warm state unless the
+  // unit is measured right here), hand the unit to measurement, and keep
+  // going. After this pass the exact dynamic instruction count is known.
+  SampledStats out;
   {
     arch::ArchState master(program, decoded.get());
     WarmState warm(config_);
+    const WarmState* const live_warm =
+        sampling_.functional_warming ? &warm : nullptr;
     std::uint64_t start = 0;
     for (std::uint64_t k = 0; !master.halted(); ++k) {
-      if (cancel && cancel()) break;  // partial plan; caller discards
+      if (cancel && cancel()) {  // partial plan; caller discards
+        cancelled = true;
+        break;
+      }
       start = unit_start(k, start);
       if (sampling_.functional_warming) {
         run_warmed(master, warm, start);
@@ -281,100 +350,65 @@ SampledStats SampledSimulator::run(const arch::Program& program,
         break;
       }
       SamplingUnit& unit = units.emplace_back();
-      unit.interval = k;
       unit.ckpt = arch::capture(master);
       unit.decoded_ok = !master.code_dirtied();
-      if (sampling_.functional_warming)
+      if (!ci_stopping && !pool) {
+        // Inline: the planner waits for this window, so its live warm state
+        // serves as the unit's snapshot.
+        measure(unit, live_warm);
+        continue;
+      }
+      if (live_warm != nullptr)
         unit.warm = std::make_unique<const WarmState>(warm);
+      if (!ci_stopping) {
+        pool->submit([&measure, &cancelled, u = &unit] {
+          if (!cancelled) measure(*u, u->warm.get());
+        });
+      }
     }
     out.total_instructions = master.instructions_executed();
     out.estimate.committed = out.total_instructions;
     out.estimate.halted = master.halted();
   }
   out.units_planned = units.size();
+  if (pool) pool->wait_idle();
 
-  // --- measurement --------------------------------------------------------
-  // Each unit replays from its checkpoint through a fresh detailed core:
-  // `warmup` commits prime the pipeline, then the measured span runs to
-  // warmup+detail (or HALT, or a run-control limit).
-  const auto run_unit = [&](const SamplingUnit& unit) -> UnitResult {
-    SimConfig cfg = config_;
-    cfg.max_instructions = window;
-    // A unit whose checkpoint carries self-modified code must not use (or
-    // rebuild) the static decode cache: force the byte-accurate engine.
-    if (!unit.decoded_ok) cfg.fast_path = false;
-    pipeline::Core core(cfg, program, unit.ckpt, unit.warm.get(),
-                        unit.decoded_ok ? decoded : nullptr);
-    const std::vector<std::unique_ptr<Probe>> instances =
-        core.attach_probes(probes);
-    while (!core.halted() && core.committed() < sampling_.warmup &&
-           core.cycle() < cfg.max_cycles)
-      core.tick();
-    const std::uint64_t warm_cycles = core.cycle();
-    const std::uint64_t warm_committed = core.committed();
-    UnitResult r;
-    r.window = core.run();
-    r.registry = core.registry();
-    r.measured_insts = r.window.committed - warm_committed;
-    r.measured_cycles = r.window.cycles - warm_cycles;
-    if (r.measured_insts > 0 && r.measured_cycles == 0) {
-      // The warm-up loop ran into cfg.max_cycles: everything this window
-      // committed was committed at the cycle limit, so its IPC would be
-      // infinite. Keep the raw counters, drop the sample.
-      r.degenerate = true;
-      EREL_WARN("sampling unit at instruction ", unit.ckpt.icount,
-                " hit max_cycles during warm-up (", r.measured_insts,
-                " insts, 0 measured cycles): sample dropped");
-    }
-    return r;
-  };
-
-  // Measurement order: interval order normally; a seeded shuffle under
-  // confidence-driven stopping, so every batch is an unbiased spread over
-  // the whole program rather than its first intervals.
-  std::vector<std::size_t> order(units.size());
-  std::iota(order.begin(), order.end(), 0);
-  const bool ci_stopping = sampling_.target_ci > 0.0;
-  if (ci_stopping) {
+  // --- confidence-driven measurement --------------------------------------
+  // A seeded shuffle of the plan, measured in batches, so every batch is an
+  // unbiased spread over the whole program rather than its first intervals.
+  if (ci_stopping && !cancelled) {
+    std::vector<std::size_t> order(units.size());
+    std::iota(order.begin(), order.end(), 0);
     for (std::size_t i = order.size(); i > 1; --i) {
       const std::size_t j =
           mix(sampling_.seed ^ 0xa5a5a5a5a5a5a5a5ull, i) % i;
       std::swap(order[i - 1], order[j]);
     }
-  }
-
-  unsigned threads = sampling_.threads;
-  if (threads == 0) threads = std::thread::hardware_concurrency();
-  if (threads == 0) threads = 1;
-  std::optional<ThreadPool> pool;
-  if (threads > 1 && units.size() > 1) pool.emplace(threads);
-
-  std::vector<std::optional<UnitResult>> results(units.size());
-  std::vector<SampleRecord> scheduled_samples;  // CI bookkeeping only
-  scheduled_samples.reserve(units.size());
-  std::size_t next = 0;
-  while (next < order.size()) {
-    if (cancel && cancel()) break;  // partial measurement; caller discards
-    const std::size_t batch_end =
-        ci_stopping ? std::min(next + kCiBatch, order.size()) : order.size();
-    const auto measure = [&](std::size_t i) {
-      results[order[i]] = run_unit(units[order[i]]);
-    };
-    if (pool) {
-      parallel_for(*pool, batch_end - next,
-                   [&](std::size_t i) { measure(next + i); });
-    } else {
-      for (std::size_t i = next; i < batch_end; ++i) measure(i);
+    std::vector<SampleRecord> scheduled_samples;  // CI bookkeeping only
+    scheduled_samples.reserve(units.size());
+    for (std::size_t next = 0; next < order.size();) {
+      if (cancel && cancel()) break;  // partial measurement; caller discards
+      const std::size_t batch_end = std::min(next + kCiBatch, order.size());
+      const auto measure_at = [&](std::size_t i) {
+        SamplingUnit& unit = units[order[i]];
+        measure(unit, unit.warm.get());
+      };
+      if (pool) {
+        parallel_for(*pool, batch_end - next,
+                     [&](std::size_t i) { measure_at(next + i); });
+      } else {
+        for (std::size_t i = next; i < batch_end; ++i) measure_at(i);
+      }
+      for (std::size_t i = next; i < batch_end; ++i) {
+        const SamplingUnit& unit = units[order[i]];
+        if (unit.result->measured_insts > 0 && !unit.result->degenerate)
+          scheduled_samples.push_back({unit.ckpt.icount,
+                                       unit.result->measured_insts,
+                                       unit.result->measured_cycles});
+      }
+      next = batch_end;
+      if (ci_halfwidth(scheduled_samples) <= sampling_.target_ci) break;
     }
-    for (std::size_t i = next; i < batch_end; ++i) {
-      const UnitResult& r = *results[order[i]];
-      if (r.measured_insts > 0 && !r.degenerate)
-        scheduled_samples.push_back({units[order[i]].ckpt.icount,
-                                     r.measured_insts, r.measured_cycles});
-    }
-    next = batch_end;
-    if (ci_stopping && ci_halfwidth(scheduled_samples) <= sampling_.target_ci)
-      break;
   }
 
   // --- deterministic merge ------------------------------------------------
@@ -384,16 +418,16 @@ SampledStats SampledSimulator::run(const arch::Program& program,
   // channels append), so sharded and serial runs agree on every metric —
   // the SimStats `measured` view is then materialized from the merge.
   out.samples.reserve(units.size());
-  for (std::size_t u = 0; u < units.size(); ++u) {
-    if (!results[u]) continue;  // unscheduled (CI target met early)
-    const UnitResult& r = *results[u];
+  for (const SamplingUnit& unit : units) {
+    if (!unit.result) continue;  // unmeasured (CI target met, or cancelled)
+    const UnitResult& r = *unit.result;
     out.registry.merge_from(r.registry);
     out.detailed_instructions += r.window.committed;
     if (r.degenerate) {
       ++out.degenerate_windows;
     } else if (r.measured_insts > 0) {
       out.samples.push_back(
-          {units[u].ckpt.icount, r.measured_insts, r.measured_cycles});
+          {unit.ckpt.icount, r.measured_insts, r.measured_cycles});
       out.measured_instructions += r.measured_insts;
     }
   }

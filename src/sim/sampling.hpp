@@ -2,14 +2,17 @@
 //
 // A run is split into instruction intervals. A single planning pass
 // fast-forwards the functional oracle through the whole program (training
-// predictors and caches when functional warming is on), dropping an
-// arch::Checkpoint plus a WarmState snapshot at the start of every sampling
-// unit. Measurement then replays each unit independently from its snapshot —
-// `warmup` detailed-but-unmeasured instructions prime the short-lived
-// pipeline state, the next `detail` instructions are measured — so units can
-// run serially or sharded across a thread pool with bit-identical results:
-// per-unit SampleRecords are merged in interval order regardless of which
-// worker produced them.
+// predictors and caches when functional warming is on) and captures an
+// arch::Checkpoint plus the warm state at the start of every sampling unit.
+// Each unit is measured as soon as it is captured, while planning goes on:
+// on a thread pool when sharded (the unit carries its own WarmState
+// snapshot), or inline on the calling thread, which seeds the window from
+// the planner's own warm state. A window replays its unit from the
+// checkpoint — `warmup` detailed-but-unmeasured instructions prime the
+// short-lived pipeline state, the next `detail` instructions are measured —
+// and then frees the unit's snapshot and pages. Per-unit SampleRecords merge
+// in interval order regardless of which worker produced them, so results
+// are bit-identical at any thread count.
 //
 // Unit placement within each interval is configurable (periodic starts can
 // alias with program phases), and instead of measuring every planned unit
@@ -116,8 +119,10 @@ struct SamplingConfig {
   /// unit.
   double target_ci = 0.0;
 
-  /// Worker threads for the measurement phase. 1 = serial (default);
-  /// 0 = hardware concurrency. Results are identical at any value.
+  /// Measurement workers. 1 (default) measures each unit inline on the
+  /// calling thread, between planning steps; N > 1 measures on a pool of N
+  /// workers while the calling thread plans on; 0 = hardware concurrency.
+  /// Results are identical at any value.
   unsigned threads = 1;
 };
 
@@ -199,17 +204,21 @@ class SampledSimulator {
   SampledSimulator(SimConfig config, SamplingConfig sampling);
 
   /// Runs `program` to completion: one functional planning pass over the
-  /// whole program (checkpoints + warm-state snapshots at unit starts),
-  /// then detailed warm-up + measurement per unit, serial or sharded.
-  /// Each measurement window attaches fresh instances of every probe in
-  /// `probes` (instances are per-window, so sharding stays race-free);
-  /// their registry entries merge into SampledStats::registry in interval
-  /// order, bit-identically at any thread count.
+  /// whole program (checkpoints + warm state at unit starts), streaming
+  /// each unit into detailed warm-up + measurement, serial or sharded. With
+  /// `target_ci` > 0 the whole plan is captured first, then measured in
+  /// seeded-shuffled batches. Each measurement window attaches fresh
+  /// instances of every probe in `probes` (instances are per-window, so
+  /// sharding stays race-free); their registry entries merge into
+  /// SampledStats::registry in interval order, bit-identically at any
+  /// thread count.
   ///
-  /// `cancel` (optional) is polled between planning steps and between
-  /// measurement batches; once it returns true the run stops early and the
-  /// returned stats are PARTIAL — only a caller that requested the
-  /// cancellation may see them, and must discard them.
+  /// `cancel` (optional) is polled only on the calling thread: before each
+  /// planning step (at threads = 1, that is also after each unit's window)
+  /// and, with `target_ci` > 0, before each measurement batch. Once it
+  /// returns true no further window starts; windows already running on
+  /// the pool finish. The returned stats are then PARTIAL — only a caller
+  /// that requested the cancellation may see them, and must discard them.
   [[nodiscard]] SampledStats run(const arch::Program& program,
                                  const std::vector<ProbeSpec>& probes = {},
                                  const std::function<bool()>& cancel = {})

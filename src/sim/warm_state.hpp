@@ -27,8 +27,10 @@
 namespace erel::sim {
 
 // WarmState is a plain value type: the sampler's planning pass copies it at
-// every unit start, and each copy is the frozen warm microarchitectural
-// state a worker thread seeds its detailed core from (see sim/sampling.cpp).
+// every unit start it hands to a worker thread, and each copy is the frozen
+// warm microarchitectural state that worker seeds its detailed core from
+// (see sim/sampling.cpp). A unit measured inline seeds from the planner's
+// own WarmState instead.
 struct WarmState {
   explicit WarmState(const SimConfig& config)
       : gshare(config.ghr_bits),

@@ -4,9 +4,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <memory>
+#include <mutex>
+#include <string>
+#include <thread>
+#include <vector>
 
+#include "arch/arch_state.hpp"
+#include "arch/decoded_program.hpp"
+#include "asmkit/assembler.hpp"
 #include "harness/harness.hpp"
+#include "isa/isa.hpp"
 #include "sim/sampling.hpp"
 #include "sim/simulator.hpp"
 #include "workloads/workloads.hpp"
@@ -247,18 +256,133 @@ TEST(SamplingSharded, MatchesSerialBitForBit) {
   const arch::Program program = workloads::assemble_workload("li");
   for (const auto placement :
        {sim::Placement::kPeriodic, sim::Placement::kStratified}) {
-    sim::SamplingConfig s = test_sampling();
-    s.placement = placement;
-    s.seed = 99;
-    s.threads = 1;
-    const sim::SampledStats serial =
-        sim::SampledSimulator(test_config(), s).run(program);
-    s.threads = 4;
-    const sim::SampledStats sharded =
-        sim::SampledSimulator(test_config(), s).run(program);
-    ASSERT_GT(serial.samples.size(), 1u);
-    expect_stats_identical(serial, sharded);
+    // A cap of 3 trips mid-program: the planner runs on to HALT while the
+    // capped units are still being measured.
+    for (const std::uint64_t cap : {std::uint64_t{0}, std::uint64_t{3}}) {
+      SCOPED_TRACE(std::string(sim::placement_name(placement)) + " cap " +
+                   std::to_string(cap));
+      sim::SamplingConfig s = test_sampling();
+      s.placement = placement;
+      s.seed = 99;
+      s.max_samples = cap;
+      s.threads = 1;
+      const sim::SampledStats serial =
+          sim::SampledSimulator(test_config(), s).run(program);
+      ASSERT_GT(serial.samples.size(), 1u);
+      if (cap != 0) {
+        ASSERT_EQ(serial.units_planned, cap);
+        ASSERT_GT(serial.total_instructions, (cap + 1) * s.period);
+      }
+      for (const unsigned threads : {2u, 3u, 4u}) {
+        SCOPED_TRACE(threads);
+        s.threads = threads;
+        expect_stats_identical(
+            serial, sim::SampledSimulator(test_config(), s).run(program));
+      }
+    }
   }
+}
+
+/// A loop that patches an instruction of its second loop partway through.
+/// The drain loop between the store and the patched loop is longer than
+/// any fetch-ahead, so the store commits before the patched word is
+/// fetched and the oracle agrees with every committed instruction.
+arch::Program self_modifying_loop() {
+  isa::DecodedInst repl;
+  repl.op = isa::Opcode::ADDI;
+  repl.rd = 4;
+  repl.rs1 = 4;
+  repl.imm = 7;
+  char src[768];
+  std::snprintf(src, sizeof src, R"(
+main:
+  li   r3, 0
+  li   r4, 0
+  li   r5, 2000
+first:
+  addi r3, r3, 1
+  add  r4, r4, r3
+  blt  r3, r5, first
+  la   r2, patch
+  la   r6, newword
+  lw   r7, 0(r6)
+  sw   r7, 0(r2)       ; patch the second loop's body
+  li   r3, 0
+  li   r5, 500
+drain:
+  addi r3, r3, 1
+  blt  r3, r5, drain
+  li   r3, 0
+  li   r5, 3500
+second:
+patch:
+  addi r4, r4, 1       ; becomes addi r4, r4, 7
+  addi r3, r3, 1
+  blt  r3, r5, second
+  halt
+
+.data
+newword:
+  .word %u
+)",
+                static_cast<unsigned>(isa::encode(repl)));
+  return asmkit::assemble(src);
+}
+
+TEST(SamplingSharded, SelfModifyingCodeMatchesSerialBitForBit) {
+  const arch::Program program = self_modifying_loop();
+  // Where the planning oracle dirties its code image: units captured after
+  // this point must execute byte-accurately.
+  const arch::DecodedProgram decoded(program);
+  arch::ArchState master(program, &decoded);
+  while (!master.halted() && !master.code_dirtied()) master.step();
+  ASSERT_TRUE(master.code_dirtied());
+  const std::uint64_t patched_at = master.instructions_executed();
+
+  sim::SimConfig config = test_config();
+  config.check_oracle = true;
+  sim::SamplingConfig s;
+  s.period = 3'000;
+  s.warmup = 300;
+  s.detail = 700;
+  s.threads = 1;
+  const sim::SampledStats serial =
+      sim::SampledSimulator(config, s).run(program);
+  EXPECT_TRUE(serial.estimate.halted);
+  ASSERT_EQ(serial.samples.size(), 6u);
+  EXPECT_LT(serial.samples.front().start_instruction, patched_at);
+  EXPECT_GT(serial.samples.back().start_instruction, patched_at);
+  s.threads = 4;
+  expect_stats_identical(serial,
+                         sim::SampledSimulator(config, s).run(program));
+}
+
+TEST(SamplingSharded, CancelIsPolledOnTheCallingThreadOnly) {
+  const arch::Program program = workloads::assemble_workload("li");
+  sim::SamplingConfig s = test_sampling();
+  s.threads = 4;
+  const sim::SampledStats all =
+      sim::SampledSimulator(test_config(), s).run(program);
+  constexpr std::size_t kFiresOnCall = 3;
+  ASSERT_GT(all.samples.size(), kFiresOnCall);
+
+  // The mutex keeps the record race-free even if a worker polled.
+  std::mutex mu;
+  std::vector<std::thread::id> callers;
+  const auto cancel = [&] {
+    const std::scoped_lock lock(mu);
+    callers.push_back(std::this_thread::get_id());
+    return callers.size() >= kFiresOnCall;
+  };
+  const sim::SampledStats partial =
+      sim::SampledSimulator(test_config(), s).run(program, {}, cancel);
+  // Polled once before each planning step, and never again once it fired:
+  // the units planned before it fired are all that is measured.
+  ASSERT_EQ(callers.size(), kFiresOnCall);
+  for (const std::thread::id id : callers)
+    EXPECT_EQ(id, std::this_thread::get_id());
+  EXPECT_EQ(partial.units_planned, kFiresOnCall - 1);
+  EXPECT_LT(partial.samples.size(), all.samples.size());
 }
 
 TEST(SamplingSharded, HarnessRunsShardedSpecs) {
@@ -358,6 +482,11 @@ TEST(SamplingDeathTest, PeriodMustExceedWindow) {
   s.period = 1000;
   s.warmup = 800;
   s.detail = 300;
+  EXPECT_DEATH(sim::SampledSimulator(test_config(), s), "period");
+  // warmup + detail wraps to 1 here: the check must not add them.
+  s.period = 100;
+  s.warmup = ~std::uint64_t{0};
+  s.detail = 2;
   EXPECT_DEATH(sim::SampledSimulator(test_config(), s), "period");
 }
 
