@@ -9,13 +9,17 @@
 // gone; see harness/experiment.hpp.
 #pragma once
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
+#include "common/parse.hpp"
 #include "harness/experiment.hpp"
 #include "power/probe.hpp"
 #include "workloads/workloads.hpp"
@@ -43,8 +47,9 @@ namespace cli {
 /// Options common to every sweep binary. `--smoke` shrinks the grid (two
 /// short kernels, few sizes, small sampling windows) so CI can execute the
 /// binaries end-to-end on every PR instead of only compiling them.
-/// Positional arguments name a workload subset (registry kernels or
-/// "trace:<path>"); unknown names are rejected with a usage message.
+/// Positional arguments name a workload subset of registry kernels;
+/// unknown names are rejected with a usage message. Malformed numbers are
+/// rejected the same way.
 struct Options {
   unsigned threads = 0;  // --threads=N     harness pool (0 = hardware)
   bool sample = false;   // --sample        checkpointed interval sampling
@@ -109,8 +114,7 @@ struct Options {
   }
 
   // Workload subsets honoring positional selection, --smoke and
-  // --irq-period. Trace workloads ("trace:<path>") have no register class,
-  // so they appear in workload_names() but in neither per-class subset.
+  // --irq-period.
   [[nodiscard]] std::vector<std::string> int_names() const {
     if (!positional.empty())
       return apply_irq_period(class_subset(/*fp=*/false), /*append=*/true);
@@ -170,7 +174,7 @@ struct Options {
 inline void usage(const char* argv0) {
   std::printf(
       "usage: %s [options] [workload...]\n"
-      "  workload...        subset of registry kernels / trace:<path>\n"
+      "  workload...        subset of the registry kernels\n"
       "                     (default: the full set; see --list-workloads)\n"
       "  --threads=N        harness pool workers (0 = hardware default)\n"
       "  --sample           checkpointed interval sampling per cell\n"
@@ -204,8 +208,7 @@ inline void list_workloads() {
     std::printf("  %-10s %-4s %s\n", w.name.c_str(), w.is_fp ? "fp" : "int",
                 w.description.c_str());
   std::printf(
-      "  timer@N, echo@N the interrupt kernels at device period N (N >= 32)\n"
-      "  trace:<path>    replay the program embedded in a recorded trace\n");
+      "  timer@N, echo@N the interrupt kernels at device period N (N >= 32)\n");
 }
 
 inline void list_policies() {
@@ -234,6 +237,19 @@ inline Options parse(int argc, char** argv) {
              (arg.size() > flag.size() && arg.substr(0, flag.size()) == flag &&
               arg[flag.size()] == '=');
     };
+    const auto bad_value = [&](std::string_view flag, const std::string& text) {
+      std::fprintf(stderr, "%s: bad %.*s '%s'\n", argv[0],
+                   static_cast<int>(flag.size()), flag.data(), text.c_str());
+      usage(argv[0]);
+      std::exit(2);
+    };
+    // Integer flags: plain decimal digits that fit the field they set.
+    const auto number = [&](std::string_view flag, auto& field) {
+      const std::string text = value(flag);
+      const auto v = parse_uint<std::remove_reference_t<decltype(field)>>(text);
+      if (!v) bad_value(flag, text);
+      field = *v;
+    };
     if (arg == "--help" || arg == "-h") {
       usage(argv[0]);
       std::exit(0);
@@ -250,35 +266,38 @@ inline Options parse(int argc, char** argv) {
     } else if (arg == "--power") {
       opts.power = true;
     } else if (matches("--irq-period")) {
-      opts.irq_period =
-          std::strtoull(value("--irq-period").c_str(), nullptr, 10);
-      if (opts.irq_period < 32) {
+      number("--irq-period", opts.irq_period);
+      // find_workload owns the range: a period the "timer@N" scheme does
+      // not resolve would abort the sweep later.
+      const std::string kernel = "timer@" + std::to_string(opts.irq_period);
+      if (workloads::find_workload(kernel) == nullptr) {
         std::fprintf(stderr,
-                     "%s: --irq-period must be >= 32 (shorter periods "
-                     "re-enter the interrupt handler before it returns)\n",
+                     "%s: --irq-period must be 32..999999999 (shorter "
+                     "periods re-enter the interrupt handler before it "
+                     "returns)\n",
                      argv[0]);
         std::exit(2);
       }
     } else if (matches("--timeseries")) {
       opts.timeseries_path = value("--timeseries");
     } else if (matches("--stride")) {
-      opts.stride = std::strtoull(value("--stride").c_str(), nullptr, 10);
+      number("--stride", opts.stride);
     } else if (matches("--threads")) {
-      opts.threads = static_cast<unsigned>(
-          std::strtoul(value("--threads").c_str(), nullptr, 10));
+      number("--threads", opts.threads);
     } else if (matches("--placement")) {
       opts.placement = sim::parse_placement(value("--placement"));
     } else if (matches("--target-ci")) {
-      opts.target_ci = std::strtod(value("--target-ci").c_str(), nullptr);
+      const std::string text = value("--target-ci");
+      const std::optional<double> ci = parse_double(text);
+      if (!ci || !std::isfinite(*ci) || *ci < 0.0)
+        bad_value("--target-ci", text);
+      opts.target_ci = *ci;
     } else if (matches("--sample-period")) {
-      opts.sample_period =
-          std::strtoull(value("--sample-period").c_str(), nullptr, 10);
+      number("--sample-period", opts.sample_period);
     } else if (matches("--sample-warmup")) {
-      opts.sample_warmup =
-          std::strtoull(value("--sample-warmup").c_str(), nullptr, 10);
+      number("--sample-warmup", opts.sample_warmup);
     } else if (matches("--sample-detail")) {
-      opts.sample_detail =
-          std::strtoull(value("--sample-detail").c_str(), nullptr, 10);
+      number("--sample-detail", opts.sample_detail);
     } else if (matches("--csv")) {
       opts.csv_path = value("--csv");
     } else if (matches("--json")) {
@@ -286,11 +305,9 @@ inline Options parse(int argc, char** argv) {
     } else if (matches("--cache-dir")) {
       opts.cache_dir = value("--cache-dir");
     } else if (matches("--server-timeout-ms")) {
-      opts.server_timeout_ms = static_cast<unsigned>(
-          std::strtoul(value("--server-timeout-ms").c_str(), nullptr, 10));
+      number("--server-timeout-ms", opts.server_timeout_ms);
     } else if (matches("--server-retries")) {
-      opts.server_retries = static_cast<unsigned>(
-          std::strtoul(value("--server-retries").c_str(), nullptr, 10));
+      number("--server-retries", opts.server_retries);
     } else if (matches("--server")) {
       opts.server = value("--server");
     } else if (matches("--policies")) {
@@ -331,7 +348,6 @@ inline Options parse(int argc, char** argv) {
   // Validate workload selections up front: a typo should produce a usage
   // message here, not an abort deep inside workloads::workload().
   for (const std::string& name : opts.positional) {
-    if (workloads::is_trace_workload(name)) continue;
     if (workloads::find_workload(name) == nullptr) {
       std::fprintf(stderr, "%s: unknown workload '%s' (see --list-workloads)\n",
                    argv[0], name.c_str());

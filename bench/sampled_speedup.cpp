@@ -17,9 +17,11 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <thread>
 
 #include "asmkit/assembler.hpp"
+#include "common/parse.hpp"
 #include "common/table.hpp"
 #include "sim/sampling.hpp"
 #include "sim/simulator.hpp"
@@ -37,12 +39,22 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 int main(int argc, char** argv) {
   using namespace erel;
 
-  const unsigned sweeps =
-      argc > 1 ? static_cast<unsigned>(std::atoi(argv[1])) : 2400;
+  // Positional counts: plain decimal digits >= 1, or usage and exit 2.
+  const auto count = [&](int index, unsigned fallback) {
+    if (argc <= index) return fallback;
+    const std::optional<unsigned> v = parse_uint<unsigned>(argv[index]);
+    if (!v || *v == 0) {
+      std::fprintf(stderr,
+                   "%s: bad count '%s'\n"
+                   "usage: %s [sweeps] [threads] [placement]\n",
+                   argv[0], argv[index], argv[0]);
+      std::exit(2);
+    }
+    return *v;
+  };
+  const unsigned sweeps = count(1, 2400);
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  const unsigned threads =
-      argc > 2 ? static_cast<unsigned>(std::max(1, std::atoi(argv[2])))
-               : std::min(hw, 8u);
+  const unsigned threads = count(2, std::min(hw, 8u));
   const sim::Placement placement =
       argc > 3 ? sim::parse_placement(argv[3]) : sim::Placement::kStratified;
 

@@ -24,14 +24,17 @@
 // --smoke shrinks the suite/caps so CI can execute the binary on every PR;
 // in that mode any non-positive throughput value fails the run (exit 1).
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "arch/arch_state.hpp"
 #include "arch/decoded_program.hpp"
+#include "common/parse.hpp"
 #include "pipeline/core.hpp"
 #include "sim/config.hpp"
 #include "workloads/workloads.hpp"
@@ -183,6 +186,17 @@ int main(int argc, char** argv) {
     const auto value = [&arg](std::string_view flag) {
       return std::string(arg.substr(flag.size() + 1));
     };
+    const auto number = [&](std::string_view flag, std::uint64_t& field) {
+      const std::optional<std::uint64_t> v = erel::parse_u64(value(flag));
+      if (v) field = *v;
+      return v.has_value();
+    };
+    const auto bad = [&](std::string_view flag) {
+      std::fprintf(stderr, "%s: bad value in %.*s\n", argv[0],
+                   static_cast<int>(flag.size()), flag.data());
+      usage(argv[0]);
+      return 2;
+    };
     if (arg == "--help" || arg == "-h") {
       usage(argv[0]);
       return 0;
@@ -191,12 +205,13 @@ int main(int argc, char** argv) {
     } else if (arg.starts_with("--json=")) {
       json_path = value("--json");
     } else if (arg.starts_with("--func-insts=")) {
-      func_insts = std::strtoull(value("--func-insts").c_str(), nullptr, 10);
+      if (!number("--func-insts", func_insts)) return bad(arg);
     } else if (arg.starts_with("--pipeline-insts=")) {
-      pipeline_insts =
-          std::strtoull(value("--pipeline-insts").c_str(), nullptr, 10);
+      if (!number("--pipeline-insts", pipeline_insts)) return bad(arg);
     } else if (arg.starts_with("--min-seconds=")) {
-      min_seconds = std::strtod(value("--min-seconds").c_str(), nullptr);
+      const std::optional<double> v = erel::parse_double(value("--min-seconds"));
+      if (!v || !std::isfinite(*v) || *v < 0.0) return bad(arg);
+      min_seconds = *v;
     } else if (arg.starts_with("--")) {
       std::fprintf(stderr, "%s: unknown option %s\n", argv[0], argv[i]);
       usage(argv[0]);

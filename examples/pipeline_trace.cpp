@@ -1,14 +1,12 @@
-// Pipeline trace ("pipeview") on the binary trace format: records each
-// committed instruction's journey through the machine — dispatch, issue,
-// writeback, commit cycles — into a versioned delta-encoded trace file, then
-// reads it back for reporting. The human-readable table and ASCII lane
-// diagram remain available behind --dump. Rename (free-list) stalls are
-// directly visible as gaps between commits of redefining instructions and
-// dispatches of their successors.
+// Pipeline trace ("pipeview"): a commit probe records each committed
+// instruction's journey through the machine — dispatch, issue, writeback,
+// commit cycles — and the example summarizes the recorded stream. The
+// human-readable table and ASCII lane diagram are available behind --dump.
+// Rename (free-list) stalls are directly visible as gaps between commits of
+// redefining instructions and dispatches of their successors.
 //
-//   $ ./pipeline_trace                    # record + summarize pipeline.ertr
+//   $ ./pipeline_trace                    # summarize the commit stream
 //   $ ./pipeline_trace --dump             # also print the per-commit table
-//   $ ./pipeline_trace --dump my.ertr     # choose the trace path
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -17,24 +15,34 @@
 
 #include "asmkit/assembler.hpp"
 #include "isa/isa.hpp"
+#include "sim/probe.hpp"
 #include "sim/simulator.hpp"
-#include "trace/capture.hpp"
-#include "trace/reader.hpp"
+
+namespace {
+
+struct CommitRecorder final : erel::sim::Probe {
+  std::vector<erel::sim::CommitEvent> events;
+  void on_commit(const erel::sim::CommitEvent& ev) override {
+    erel::sim::CommitEvent copy = ev;
+    copy.inst = nullptr;  // pointers are valid during the callback only
+    copy.rec = nullptr;
+    events.push_back(copy);
+  }
+};
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace erel;
 
   bool dump = false;
-  std::string path = "pipeline.ertr";
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--dump") == 0) {
       dump = true;
-    } else if (argv[i][0] == '-') {
-      std::fprintf(stderr, "unknown option '%s'\nusage: %s [--dump] [out.ertr]\n",
+    } else {
+      std::fprintf(stderr, "unknown argument '%s'\nusage: %s [--dump]\n",
                    argv[i], argv[0]);
       return 2;
-    } else {
-      path = argv[i];
     }
   }
 
@@ -60,19 +68,11 @@ data: .double 1.5, 2.0, 0.0
   config.phys_int = 40;
   config.phys_fp = 36;  // very tight: only 4 FP rename registers
 
-  // Record the run straight into the binary trace format (the program image
-  // embeds, so `harness` can replay this file as workload "trace:<path>").
-  const sim::SimStats stats = trace::capture(program, config, path);
+  CommitRecorder recorder;
+  const sim::SimStats stats = sim::Simulator(config).run(program, {&recorder});
+  const std::vector<sim::CommitEvent>& events = recorder.events;
 
-  // Everything below re-reads the file: the reader, not the live run, is the
-  // source of truth.
-  trace::TraceReader reader(path);
-  std::printf("wrote %s: format v%u, %llu records, program image %s\n",
-              path.c_str(), reader.version(),
-              static_cast<unsigned long long>(reader.num_records()),
-              reader.has_program() ? "embedded" : "absent");
   if (dump) {
-    const std::vector<sim::CommitEvent> events = reader.read_all();
     std::printf("\n%-5s %-9s %-28s %9s %7s %9s %8s\n", "seq", "pc",
                 "instruction", "dispatch", "issue", "complete", "commit");
     for (const auto& ev : events) {
@@ -107,11 +107,18 @@ data: .double 1.5, 2.0, 0.0
     }
   }
 
-  const trace::ReplaySummary summary = trace::summarize(path);
-  std::printf("\ntrace summary: %llu instructions, IPC %.4f, "
+  // IPC over the last commit cycle; mean dispatch->commit latency.
+  std::uint64_t cycles = 0;
+  std::uint64_t latency = 0;
+  for (const auto& ev : events) {
+    cycles = ev.commit_cycle;
+    latency += ev.commit_cycle - ev.dispatch_cycle;
+  }
+  const double n = static_cast<double>(events.size());
+  std::printf("\ntrace summary: %zu instructions, IPC %.4f, "
               "avg dispatch->commit %.1f cycles\n",
-              static_cast<unsigned long long>(summary.instructions),
-              summary.ipc, summary.avg_latency());
+              events.size(), cycles == 0 ? 0.0 : n / cycles,
+              events.empty() ? 0.0 : latency / n);
   std::printf("\n%s", sim::format_stats(stats).c_str());
   return 0;
 }

@@ -34,7 +34,7 @@ struct Checkpoint {
   /// Device state words (dev::Machine::save): interrupt-controller, timer
   /// and console state are architectural — a run resumed mid-handler must
   /// deliver the same interrupts at the same boundaries as the full run.
-  /// Empty means reset state (checkpoints from pre-device files).
+  /// Empty means reset state.
   std::vector<std::uint64_t> dev;
   std::vector<PageImage> pages;  // sorted by base address
 

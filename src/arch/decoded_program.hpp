@@ -1,8 +1,8 @@
 // Decode-once program cache: the functional fast-path engine's static side.
 //
-// Every simulation mode — full pipeline runs, the commit-time oracle,
-// sampled planning/warming passes and trace replay — ultimately executes the
-// same static program image over and over. Decoding the 32-bit words on
+// Every simulation mode — full pipeline runs, the commit-time oracle and
+// sampled planning/warming passes — ultimately executes the same static
+// program image over and over. Decoding the 32-bit words on
 // every dynamic execution (and fetching them through SparseMemory's page
 // map) dominates the functional path, so a DecodedProgram pre-decodes the
 // whole image exactly once into a flat array of MicroOp records indexed by

@@ -13,7 +13,7 @@
 //   double hm = rs.hmean_ipc(fp_names, core::PolicyKind::Extended, 48);
 //
 // Axes:
-//   .workloads()  registry kernels or "trace:<path>" replays (required)
+//   .workloads()  workload registry names (required)
 //   .policies()   release policies; defaults to the base config's policy
 //   .phys_regs()  symmetric register-file sizes (phys_int = phys_fp = p);
 //                 defaults to the base config's sizes

@@ -1,12 +1,7 @@
 #include "harness/fingerprint.hpp"
 
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
-#include <map>
-#include <mutex>
 
-#include "common/log.hpp"
 #include "workloads/workloads.hpp"
 
 namespace erel::harness {
@@ -27,67 +22,9 @@ std::string Fingerprint::hex() const {
   return buf;
 }
 
-namespace {
-
-/// Streaming FNV-1a over a file's bytes; nullopt when unreadable.
-std::optional<std::uint64_t> hash_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::uint64_t hash = fnv1a64("");
-  char chunk[64 * 1024];
-  while (in.read(chunk, sizeof chunk) || in.gcount() > 0)
-    hash = fnv1a64(std::string_view(chunk, static_cast<std::size_t>(in.gcount())),
-                   hash);
-  return hash;
-}
-
-/// Content hashes are memoized so a sweep fingerprinting dozens of cells
-/// over the same workload hashes its content once, not once per cell —
-/// this matters for multi-hundred-MB trace files. Registry kernels are
-/// immutable within a process (static registry), so the name alone keys
-/// them; trace files are keyed by (path, size, mtime) so a re-recorded
-/// trace re-hashes instead of serving a stale digest.
-std::optional<std::uint64_t> workload_content_hash(const std::string& name) {
-  static std::mutex mutex;
-  static std::map<std::string, std::uint64_t> memo;
-
-  std::string memo_key = name;
-  if (workloads::is_trace_workload(name)) {
-    const std::string path = name.substr(workloads::kTracePrefix.size());
-    std::error_code size_ec, time_ec;
-    const auto size = std::filesystem::file_size(path, size_ec);
-    const auto mtime = std::filesystem::last_write_time(path, time_ec);
-    if (size_ec || time_ec) return std::nullopt;
-    memo_key += '|' + std::to_string(size) + '|' +
-                std::to_string(mtime.time_since_epoch().count());
-  }
-  {
-    const std::scoped_lock lock(mutex);
-    const auto it = memo.find(memo_key);
-    if (it != memo.end()) return it->second;
-  }
-
-  std::optional<std::uint64_t> hash;
-  if (workloads::is_trace_workload(name)) {
-    hash = hash_file(name.substr(workloads::kTracePrefix.size()));
-  } else if (const workloads::Workload* w = workloads::find_workload(name)) {
-    hash = fnv1a64(w->source);
-  }
-  if (hash) {
-    const std::scoped_lock lock(mutex);
-    memo.emplace(memo_key, *hash);
-  }
-  return hash;
-}
-
-}  // namespace
-
 bool fingerprintable(const std::string& workload,
                      const sim::SimConfig& config) {
   if (!sim::config_fingerprintable(config)) return false;
-  if (workloads::is_trace_workload(workload))
-    return std::filesystem::exists(
-        workload.substr(workloads::kTracePrefix.size()));
   return workloads::find_workload(workload) != nullptr;
 }
 
@@ -97,10 +34,8 @@ Fingerprint fingerprint_cell(const std::string& workload,
                              const std::vector<std::string>& probe_names) {
   std::string canon = "erel-fp-v1\n";
   canon += "workload=" + workload + "\n";
-  const std::optional<std::uint64_t> content = workload_content_hash(workload);
-  EREL_CHECK(content.has_value(), "cannot hash workload content for '",
-             workload, "'");
-  canon += "workload_content=" + std::to_string(*content) + "\n";
+  const std::uint64_t content = fnv1a64(workloads::workload(workload).source);
+  canon += "workload_content=" + std::to_string(content) + "\n";
   sim::append_canonical_fields(config, canon);
   if (sampling) {
     sim::append_canonical_fields(*sampling, canon);

@@ -5,7 +5,7 @@
 //
 //   erel-fp-v1                      format version (bump to flush caches)
 //   workload=<name>
-//   workload_content=<hash>         assembly source, or trace file bytes
+//   workload_content=<hash>         FNV-1a of the kernel's assembly source
 //   <SimConfig canonical fields>    sim::append_canonical_fields
 //   sampling=none | <SamplingConfig canonical fields>
 //   [probe=<name>]...               declared probe names, in order
@@ -23,10 +23,10 @@
 // both levels (harness pool size and SamplingConfig::threads) because they
 // never change results, only wall-clock.
 //
-// Registry workloads hash their generated assembly text, so a kernel
-// generator change invalidates exactly that kernel's entries. Trace
-// workloads ("trace:<path>") hash the trace file's bytes in streaming
-// 64 KB chunks, so a re-recorded trace never aliases a stale result.
+// Workloads hash their generated assembly text, so a kernel generator
+// change invalidates exactly that kernel's entries. Only names the workload
+// registry resolves (find_workload) are fingerprintable; nothing here reads
+// the filesystem.
 //
 // Configs carrying user callbacks (SimConfig::policy_factory) have no
 // stable content to hash; `fingerprintable` returns false and the
@@ -58,8 +58,7 @@ struct Fingerprint {
 };
 
 /// True when the (workload, config) cell can be cached: the config carries
-/// no user callbacks and the workload's content is resolvable (registered
-/// kernel, or an existing trace file).
+/// no user callbacks and the workload registry resolves the name.
 [[nodiscard]] bool fingerprintable(const std::string& workload,
                                    const sim::SimConfig& config);
 

@@ -26,8 +26,7 @@
 namespace erel::harness {
 
 struct RunSpec {
-  /// Workload registry name, or "trace:<path>" to replay the program image
-  /// embedded in a recorded binary trace (src/trace/).
+  /// Workload registry name (anything workloads::find_workload resolves).
   std::string workload;
   sim::SimConfig config;
   std::string tag;        // free-form label for table assembly

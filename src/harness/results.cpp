@@ -1,9 +1,7 @@
 #include "harness/results.hpp"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <map>
@@ -23,18 +21,6 @@ std::string render_double(double v) {
   char buf[64];
   std::snprintf(buf, sizeof buf, "%.17g", v);
   return buf;
-}
-
-/// The inverse of render_double: the whole token must parse, and strtod's
-/// tolerance for leading whitespace is refused like any other stray byte.
-std::optional<double> parse_double(std::string_view text) {
-  if (text.empty() || std::isspace(static_cast<unsigned char>(text.front())))
-    return std::nullopt;
-  const std::string copy(text);
-  char* end = nullptr;
-  const double v = std::strtod(copy.c_str(), &end);
-  if (end != copy.c_str() + copy.size()) return std::nullopt;
-  return v;
 }
 
 // ---------------------------------------------------------------------------

@@ -153,9 +153,7 @@ bool Socket::send_frame(const Frame& frame) {
 }
 
 std::optional<std::uint16_t> parse_port(std::string_view text) {
-  const std::optional<std::uint64_t> port = parse_u64(text);
-  if (!port || *port > 65535) return std::nullopt;
-  return static_cast<std::uint16_t>(*port);
+  return parse_uint<std::uint16_t>(text);
 }
 
 std::optional<std::pair<std::string, std::uint16_t>> parse_endpoint(

@@ -67,9 +67,8 @@ struct SimConfig {
   /// excluded from the result-cache fingerprint; read channels from a live
   /// core's registry, not from cached cells.
   ///
-  /// Per-committed-instruction observation (the old `trace` callback) is a
-  /// probe now: attach a sim::Probe (e.g. trace::CaptureProbe) to the core
-  /// and handle CommitEvents.
+  /// Per-committed-instruction observation is a probe: attach a
+  /// sim::Probe to the core and handle CommitEvents.
   // erel-lint: allow(fingerprint-coverage): stats are stride-invariant
   std::uint64_t stat_stride = 0;
 

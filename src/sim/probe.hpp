@@ -2,8 +2,8 @@
 //
 // A Probe is an observer attached to a pipeline::Core before the run. The
 // core emits three typed events — rename, commit and squash, the points
-// register-file energy and commit traces are read from — and the probe
-// reacts: bumping its own StatRegistry entries or writing a trace. Probes
+// register-file energy and per-commit timing are read from — and the probe
+// reacts, typically by bumping its own StatRegistry entries. Probes
 // are pure observers: attaching any number of them never changes
 // simulation results, and with no probe attached the emission sites
 // compile down to a never-taken branch.
@@ -26,8 +26,8 @@
 // two runs of the same (config, program) produce bit-identical event
 // sequences (pinned by tests/test_probe.cpp).
 //
-// Built-in probes: power::RixnerProbe (energy/ED² columns, src/power/),
-// trace::CaptureProbe (binary commit traces, src/trace/capture.hpp).
+// Built-in probe: power::RixnerProbe (energy/ED² columns, src/power/).
+// examples/pipeline_trace.cpp collects CommitEvents into a pipeview.
 #pragma once
 
 #include <cstdint>
@@ -55,9 +55,8 @@ struct RenameEvent {
   std::uint64_t cycle = 0;
 };
 
-/// One committed instruction, in program order. The POD prefix doubles as
-/// the binary trace record (src/trace/); `inst` / `rec` are only set when
-/// the event comes from a live core and are valid during the callback only.
+/// One committed instruction, in program order. `inst` / `rec` point into
+/// pipeline state and are valid during the callback only.
 struct CommitEvent {
   std::uint64_t seq = 0;
   std::uint64_t pc = 0;
@@ -114,7 +113,7 @@ class Probe {
 /// fresh instance per simulation (cells and sampling windows run
 /// concurrently; instances are never shared). Factories must therefore
 /// produce *self-contained* observers: instances that funnel into shared
-/// mutable state (one TraceWriter, one output stream) race under sharded
+/// mutable state (one output file, one shared vector) race under sharded
 /// sampling — accumulate into the run's StatRegistry instead, which merges
 /// deterministically. The *name* keys the cell's result-cache fingerprint
 /// — rename the probe when its exported metrics change meaning.

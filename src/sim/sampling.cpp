@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <deque>
 #include <limits>
 #include <memory>
@@ -51,7 +50,7 @@ struct UnitResult {
 struct SamplingUnit {
   arch::Checkpoint ckpt;  // only ckpt.icount survives measurement
   // Null when warming is off, when the unit is measured inline from the
-  // planner's own warm state, and once the unit is measured.
+  // planner's own warm state, and once the unit's window core is built.
   std::unique_ptr<const WarmState> warm;
   // False once the planning pass has stored into the code image before this
   // unit's checkpoint: its window must not execute from the shared decode
@@ -181,14 +180,15 @@ std::optional<SamplingConfig> sampling_from_canonical_fields(
     ok = false;
   s.placement = static_cast<Placement>(placement);
   s.seed = get_u64("sampling.seed");
-  // target_ci round-trips through the "%a" hexfloat rendering; strtod
-  // parses it exactly.
+  // target_ci round-trips through the "%a" hexfloat rendering;
+  // parse_double reads it exactly.
   if (const auto it = fields.find("sampling.target_ci"); it != fields.end()) {
     ++consumed;
-    char* end = nullptr;
-    s.target_ci = std::strtod(it->second.c_str(), &end);
-    if (it->second.empty() || end != it->second.c_str() + it->second.size())
+    if (const std::optional<double> ci = parse_double(it->second)) {
+      s.target_ci = *ci;
+    } else {
       ok = false;
+    }
   } else {
     ok = false;
   }
@@ -256,8 +256,10 @@ SampledStats SampledSimulator::run(const arch::Program& program,
   // A unit replays from its checkpoint through a fresh detailed core seeded
   // from `warm`: `warmup` commits prime the pipeline, then the measured span
   // runs to warmup+detail (or HALT, or a run-control limit). The outcome
-  // lands in unit.result; the snapshot and checkpoint pages are freed at
-  // once, since the merge reads only ckpt.icount.
+  // lands in unit.result. The core copies the snapshot and the checkpoint
+  // pages, so they are freed as soon as it is built (the merge reads only
+  // ckpt.icount): a running window holds one copy of its warm state, not
+  // two.
   const auto measure = [&](SamplingUnit& unit, const WarmState* warm) {
     SimConfig cfg = config_;
     cfg.max_instructions = window;
@@ -266,6 +268,10 @@ SampledStats SampledSimulator::run(const arch::Program& program,
     if (!unit.decoded_ok) cfg.fast_path = false;
     pipeline::Core core(cfg, program, unit.ckpt, warm,
                         unit.decoded_ok ? decoded : nullptr);
+    unit.warm.reset();
+    arch::Checkpoint spent;
+    spent.icount = unit.ckpt.icount;
+    unit.ckpt = std::move(spent);
     const std::vector<std::unique_ptr<Probe>> instances =
         core.attach_probes(probes);
     while (!core.halted() && core.committed() < sampling_.warmup &&
@@ -287,10 +293,6 @@ SampledStats SampledSimulator::run(const arch::Program& program,
                 " hit max_cycles during warm-up (", r.measured_insts,
                 " insts, 0 measured cycles): sample dropped");
     }
-    unit.warm.reset();
-    arch::Checkpoint spent;
-    spent.icount = unit.ckpt.icount;
-    unit.ckpt = std::move(spent);
   };
 
   // Confidence-driven stopping measures seeded-shuffled batches of the whole

@@ -7,7 +7,6 @@
 #include "asmkit/assembler.hpp"
 #include "common/log.hpp"
 #include "common/parse.hpp"
-#include "trace/capture.hpp"
 
 namespace erel::workloads {
 
@@ -110,13 +109,7 @@ const Workload& workload(const std::string& name) {
   return *w;
 }
 
-bool is_trace_workload(const std::string& name) {
-  return std::string_view(name).starts_with(kTracePrefix);
-}
-
 arch::Program assemble_workload(const std::string& name) {
-  if (is_trace_workload(name))
-    return trace::replay_program(name.substr(kTracePrefix.size()));
   return asmkit::assemble(workload(name).source);
 }
 

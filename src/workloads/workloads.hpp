@@ -58,15 +58,8 @@ const Workload& workload(const std::string& name);
 /// instances are cached with stable addresses.
 const Workload* find_workload(const std::string& name);
 
-/// Name scheme for the trace-replay workload family: "trace:<path>" resolves
-/// to the program image embedded in a recorded binary trace (src/trace/),
-/// so recorded runs re-simulate under any configuration without their
-/// original assembly source.
-inline constexpr std::string_view kTracePrefix = "trace:";
-bool is_trace_workload(const std::string& name);
-
-/// Assembles a workload: registry kernels by name, recorded traces via the
-/// "trace:<path>" scheme.
+/// Assembles a workload by name (anything find_workload resolves); aborts
+/// on unknown names.
 arch::Program assemble_workload(const std::string& name);
 
 /// Integer kernel generators (scale >= 1; default scales in workloads.cpp).

@@ -98,5 +98,21 @@ TEST(ParseU64, DigitsOnlyWithoutSignSpaceOrOverflow) {
     EXPECT_FALSE(parse_u64(bad).has_value()) << '"' << bad << '"';
 }
 
+TEST(ParseUint, RejectsValuesAboveTheFieldType) {
+  EXPECT_EQ(parse_uint<std::uint16_t>("65535"), std::uint16_t{65535});
+  EXPECT_FALSE(parse_uint<std::uint16_t>("65536").has_value());
+  EXPECT_EQ(parse_uint<unsigned>("4294967295"), 4294967295u);
+  EXPECT_FALSE(parse_uint<unsigned>("4294967296").has_value());
+  EXPECT_FALSE(parse_uint<unsigned>("-1").has_value());
+}
+
+TEST(ParseDouble, WholeTokenOnly) {
+  EXPECT_EQ(parse_double("0.02"), 0.02);
+  EXPECT_EQ(parse_double("1e-3"), 1e-3);
+  EXPECT_EQ(parse_double("0x1.8p+1"), 3.0);  // "%a" rendering
+  for (const char* bad : {"", " 1", "1x", "0.5 "})
+    EXPECT_FALSE(parse_double(bad).has_value()) << '"' << bad << '"';
+}
+
 }  // namespace
 }  // namespace erel

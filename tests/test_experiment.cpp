@@ -380,8 +380,11 @@ TEST(Fingerprint, CallbacksAreNotFingerprintable) {
     return core::make_policy(PolicyKind::Conventional, rf, hooks);
   };
   EXPECT_FALSE(harness::fingerprintable("li", config2));
-  // Unknown workload names are likewise uncacheable instead of fatal.
+  // Unknown workload names are likewise uncacheable instead of fatal, and
+  // a name is never resolved against the filesystem.
   EXPECT_FALSE(harness::fingerprintable("no-such-kernel", config));
+  EXPECT_FALSE(harness::fingerprintable(
+      "trace:" + std::filesystem::temp_directory_path().string(), config));
 }
 
 TEST(Fingerprint, ProbeNamesExtendTheHash) {

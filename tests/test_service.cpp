@@ -8,6 +8,8 @@
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <functional>
 #include <iterator>
 #include <limits>
 #include <memory>
@@ -285,8 +287,16 @@ TEST(Service, DaemonRefusesMismatchedFingerprintsAndUnknownProbes) {
 // fingerprint check. One the core cannot simulate (a constructor would
 // abort, nothing would ever commit, or a miss outlasts the no-commit
 // watchdog) must be refused with a kError, and the daemon keeps serving.
+// So must a workload name outside the registry, even one that names a
+// path on the daemon's host: the daemon never opens it, so the reply
+// carries no hash of the file's bytes.
 TEST(Service, OutOfRangeCellsAreRefusedAndTheDaemonKeepsServing) {
-  using Mutation = void (*)(service::CellRequest&);
+  DaemonFixture fixture;
+  const std::string dir = fixture.cache.str();
+  const std::string file = dir + "/cell.txt";
+  std::ofstream(file) << "li\n";
+
+  using Mutation = std::function<void(service::CellRequest&)>;
   const std::pair<const char*, Mutation> bad_cells[] = {
       {"phys_int 10", [](auto& r) { r.config.phys_int = 10; }},
       {"l1i line 48", [](auto& r) { r.config.memory.l1i.line_bytes = 48; }},
@@ -306,16 +316,19 @@ TEST(Service, OutOfRangeCellsAreRefusedAndTheDaemonKeepsServing) {
          r.sampling.emplace().target_ci =
              std::numeric_limits<double>::quiet_NaN();
        }},
+      {"trace: directory", [&](auto& r) { r.workload = "trace:" + dir; }},
+      {"trace:/dev/null", [](auto& r) { r.workload = "trace:/dev/null"; }},
+      {"trace: regular file",
+       [&](auto& r) { r.workload = "trace:" + file; }},
   };
 
-  DaemonFixture fixture;
   std::string error;
   net::Socket socket =
       net::connect_to("127.0.0.1", fixture.daemon->port(), &error);
   ASSERT_TRUE(socket.valid()) << error;
   ASSERT_TRUE(socket.recv_frame().has_value());  // kHello
 
-  const auto request_for = [](std::uint64_t id, Mutation mutate) {
+  const auto request_for = [](std::uint64_t id, const Mutation& mutate) {
     service::CellRequest request;
     request.id = id;
     request.workload = "li";
@@ -341,6 +354,11 @@ TEST(Service, OutOfRangeCellsAreRefusedAndTheDaemonKeepsServing) {
     ASSERT_TRUE(reply.has_value()) << name;
     EXPECT_EQ(reply->type, static_cast<std::uint8_t>(service::MsgType::kError))
         << name;
+    const std::optional<service::ErrorMsg> refusal =
+        service::decode_error(reply->payload);
+    ASSERT_TRUE(refusal.has_value()) << name;
+    EXPECT_EQ(refusal->message.find("fingerprint mismatch"), std::string::npos)
+        << name << ": " << refusal->message;
   }
 
   // The same daemon, on the same connection, still simulates a valid cell.

@@ -16,7 +16,9 @@
 #include <cstring>
 #include <optional>
 #include <string>
+#include <type_traits>
 
+#include "common/parse.hpp"
 #include "net/socket.hpp"
 #include "service/client.hpp"
 #include "service/daemon.hpp"
@@ -79,6 +81,18 @@ int main(int argc, char** argv) {
              (arg.size() > len && arg.compare(0, len, flag) == 0 &&
               arg[len] == '=');
     };
+    // Integer flags: plain decimal digits that fit the field they set.
+    const auto number = [&](const char* flag, auto& field) {
+      const std::string text = value(flag);
+      const auto v =
+          erel::parse_uint<std::remove_reference_t<decltype(field)>>(text);
+      if (!v) {
+        std::fprintf(stderr, "%s: bad %s '%s'\n", argv[0], flag, text.c_str());
+        usage(argv[0]);
+        std::exit(2);
+      }
+      field = *v;
+    };
     if (arg == "--help" || arg == "-h") {
       usage(argv[0]);
       return 0;
@@ -99,17 +113,13 @@ int main(int argc, char** argv) {
     } else if (matches("--cache-dir")) {
       opts.cache_dir = value("--cache-dir");
     } else if (matches("--workers")) {
-      opts.workers = static_cast<unsigned>(
-          std::strtoul(value("--workers").c_str(), nullptr, 10));
+      number("--workers", opts.workers);
     } else if (matches("--max-queue")) {
-      opts.max_queue = static_cast<std::size_t>(
-          std::strtoull(value("--max-queue").c_str(), nullptr, 10));
+      number("--max-queue", opts.max_queue);
     } else if (matches("--max-cache-bytes")) {
-      opts.max_cache_bytes =
-          std::strtoull(value("--max-cache-bytes").c_str(), nullptr, 10);
+      number("--max-cache-bytes", opts.max_cache_bytes);
     } else if (matches("--busy-retry-ms")) {
-      opts.busy_retry_ms = static_cast<unsigned>(
-          std::strtoul(value("--busy-retry-ms").c_str(), nullptr, 10));
+      number("--busy-retry-ms", opts.busy_retry_ms);
     } else {
       std::fprintf(stderr, "%s: unknown option %s\n", argv[0], argv[i]);
       usage(argv[0]);

@@ -22,6 +22,7 @@
 #include <poll.h>
 #include <unistd.h>
 
+#include "common/parse.hpp"
 #include "net/fault.hpp"
 
 namespace {
@@ -81,7 +82,15 @@ int main(int argc, char** argv) {
       }
       port = *parsed;
     } else if (matches("--seed")) {
-      seed = std::strtoull(value("--seed").c_str(), nullptr, 10);
+      const std::string text = value("--seed");
+      const std::optional<std::uint64_t> parsed = erel::parse_u64(text);
+      if (!parsed) {
+        std::fprintf(stderr, "%s: bad --seed '%s' (want decimal digits)\n",
+                     argv[0], text.c_str());
+        usage(argv[0]);
+        return 2;
+      }
+      seed = *parsed;
     } else {
       std::fprintf(stderr, "%s: unknown option %s\n", argv[0], argv[i]);
       usage(argv[0]);
