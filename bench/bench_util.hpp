@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "common/parse.hpp"
+#include "common/thread_pool.hpp"
 #include "harness/experiment.hpp"
 #include "power/probe.hpp"
 #include "workloads/workloads.hpp"
@@ -78,7 +79,7 @@ struct Options {
   /// Attaches the probes the flags ask for (--power) to an experiment.
   void add_probes(harness::Experiment& exp) const {
     if (power)
-      exp.probe("power",
+      exp.probe("rixner",
                 [] { return std::make_unique<power::RixnerProbe>(); });
   }
 
@@ -176,7 +177,8 @@ inline void usage(const char* argv0) {
       "usage: %s [options] [workload...]\n"
       "  workload...        subset of the registry kernels\n"
       "                     (default: the full set; see --list-workloads)\n"
-      "  --threads=N        harness pool workers (0 = hardware default)\n"
+      "  --threads=N        harness pool workers (0 = hardware default,\n"
+      "                     at most %u)\n"
       "  --sample           checkpointed interval sampling per cell\n"
       "  --placement=MODE   periodic|random|stratified (default stratified)\n"
       "  --target-ci=X      stop sampling at 95%% CI half-width <= X\n"
@@ -199,7 +201,7 @@ inline void usage(const char* argv0) {
       "  --smoke            tiny grid (CI: execute, don't just compile)\n"
       "  --list-workloads   print the workload registry and exit\n"
       "  --list-policies    print the release policies and exit\n",
-      argv0);
+      argv0, kMaxThreads);
 }
 
 inline void list_workloads() {
@@ -284,8 +286,14 @@ inline Options parse(int argc, char** argv) {
       number("--stride", opts.stride);
     } else if (matches("--threads")) {
       number("--threads", opts.threads);
+      if (opts.threads > kMaxThreads)
+        bad_value("--threads", std::to_string(opts.threads));
     } else if (matches("--placement")) {
-      opts.placement = sim::parse_placement(value("--placement"));
+      const std::string text = value("--placement");
+      const std::optional<sim::Placement> placement =
+          sim::parse_placement(text);
+      if (!placement) bad_value("--placement", text);
+      opts.placement = *placement;
     } else if (matches("--target-ci")) {
       const std::string text = value("--target-ci");
       const std::optional<double> ci = parse_double(text);
@@ -354,6 +362,19 @@ inline Options parse(int argc, char** argv) {
       usage(argv[0]);
       std::exit(2);
     }
+  }
+  // The window flags and --smoke combine into one SamplingConfig; refuse
+  // one the sampler cannot run before any cell starts.
+  if (opts.sample && !sim::valid_sampling(opts.sampling_config())) {
+    const sim::SamplingConfig s = opts.sampling_config();
+    std::fprintf(stderr,
+                 "%s: --sample-warmup (%llu) + --sample-detail (%llu) must "
+                 "be below --sample-period (%llu)\n",
+                 argv[0], static_cast<unsigned long long>(s.warmup),
+                 static_cast<unsigned long long>(s.detail),
+                 static_cast<unsigned long long>(s.period));
+    usage(argv[0]);
+    std::exit(2);
   }
   return opts;
 }

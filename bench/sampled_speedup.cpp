@@ -23,6 +23,7 @@
 #include "asmkit/assembler.hpp"
 #include "common/parse.hpp"
 #include "common/table.hpp"
+#include "common/thread_pool.hpp"
 #include "sim/sampling.hpp"
 #include "sim/simulator.hpp"
 #include "workloads/workloads.hpp"
@@ -39,24 +40,31 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 int main(int argc, char** argv) {
   using namespace erel;
 
-  // Positional counts: plain decimal digits >= 1, or usage and exit 2.
-  const auto count = [&](int index, unsigned fallback) {
+  const auto bad_argument = [&](const char* what, const char* text) {
+    std::fprintf(stderr,
+                 "%s: bad %s '%s'\n"
+                 "usage: %s [sweeps] [threads] [placement]\n"
+                 "  threads 1..%u; placement periodic|random|stratified\n",
+                 argv[0], what, text, argv[0], kMaxThreads);
+    std::exit(2);
+  };
+  // Positional counts: plain decimal digits in [1, max], or usage and exit 2.
+  const auto count = [&](int index, const char* what, unsigned fallback,
+                         unsigned max) {
     if (argc <= index) return fallback;
     const std::optional<unsigned> v = parse_uint<unsigned>(argv[index]);
-    if (!v || *v == 0) {
-      std::fprintf(stderr,
-                   "%s: bad count '%s'\n"
-                   "usage: %s [sweeps] [threads] [placement]\n",
-                   argv[0], argv[index], argv[0]);
-      std::exit(2);
-    }
+    if (!v || *v == 0 || *v > max) bad_argument(what, argv[index]);
     return *v;
   };
-  const unsigned sweeps = count(1, 2400);
+  const unsigned sweeps = count(1, "sweeps", 2400, ~0u);
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  const unsigned threads = count(2, std::min(hw, 8u));
-  const sim::Placement placement =
-      argc > 3 ? sim::parse_placement(argv[3]) : sim::Placement::kStratified;
+  const unsigned threads = count(2, "threads", std::min(hw, 8u), kMaxThreads);
+  sim::Placement placement = sim::Placement::kStratified;
+  if (argc > 3) {
+    const std::optional<sim::Placement> parsed = sim::parse_placement(argv[3]);
+    if (!parsed) bad_argument("placement", argv[3]);
+    placement = *parsed;
+  }
 
   std::printf("assembling go(%u) — board scanning, data-dependent branches\n",
               sweeps);

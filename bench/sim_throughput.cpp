@@ -1,5 +1,7 @@
-// Simulator throughput benchmark: the canonical data point for the perf
-// trajectory (BENCH_sim_throughput.json).
+// Simulator throughput benchmark: the decode-cache A/B behind
+// BENCH_sim_throughput.json, whose fast/legacy ratios CI's perf-trend job
+// compares against the committed report. The sweeps' own benchmark is
+// perfbench/ (BENCHMARK.json).
 //
 // For every kernel in the suite it measures
 //   - functional MIPS, fast engine   (DecodedProgram: ArchState::run's

@@ -18,6 +18,13 @@ int main(int argc, char** argv) {
   using core::PolicyKind;
 
   const std::string name = argc > 1 ? argv[1] : "swim";
+  if (workloads::find_workload(name) == nullptr) {
+    std::fprintf(stderr,
+                 "%s: unknown workload '%s'\n"
+                 "usage: %s [workload]   (a registry kernel; default swim)\n",
+                 argv[0], name.c_str(), argv[0]);
+    return 2;
+  }
   const workloads::Workload& w = workloads::workload(name);
   std::printf("workload: %s — %s (%s)\n\n", w.name.c_str(),
               w.description.c_str(), w.is_fp ? "FP" : "integer");

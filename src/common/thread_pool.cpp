@@ -5,6 +5,8 @@
 namespace erel {
 
 ThreadPool::ThreadPool(unsigned threads) {
+  EREL_CHECK(threads <= kMaxThreads, "thread pool of ", threads,
+             " workers exceeds the cap of ", kMaxThreads);
   if (threads == 0) threads = std::thread::hardware_concurrency();
   if (threads == 0) threads = 1;
   workers_.reserve(threads);

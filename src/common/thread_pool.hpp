@@ -13,9 +13,15 @@
 
 namespace erel {
 
+/// Most workers a pool may be asked for explicitly. Every CLI that sizes a
+/// pool refuses larger values up front; ThreadPool aborts on them before
+/// starting any thread.
+constexpr unsigned kMaxThreads = 1024;
+
 class ThreadPool {
  public:
-  /// Spawns `threads` workers (0 means std::thread::hardware_concurrency()).
+  /// Spawns `threads` workers (0 means std::thread::hardware_concurrency());
+  /// aborts if `threads` exceeds kMaxThreads.
   explicit ThreadPool(unsigned threads = 0);
 
   /// Drains outstanding tasks, then joins the workers.

@@ -8,8 +8,7 @@
 
 namespace erel::harness {
 
-RunResult run_one(const RunSpec& spec,
-                  const std::function<bool()>& cancelled) {
+RunResult run_one(const RunSpec& spec) {
   const arch::Program program = workloads::assemble_workload(spec.workload);
   // Metric export is a pure function of (config, registry), so a fresh
   // never-attached instance serves both the full and the sampled path.
@@ -33,13 +32,9 @@ RunResult run_one(const RunSpec& spec,
     });
     return metrics;
   };
-  if (cancelled && cancelled()) {
-    // Cancelled before starting: the result is partial by definition.
-    return RunResult{spec, {}, std::nullopt, {}};
-  }
   if (spec.sampling) {
     sim::SampledSimulator sampler(spec.config, *spec.sampling);
-    sim::SampledStats sampled = sampler.run(program, spec.probes, cancelled);
+    sim::SampledStats sampled = sampler.run(program, spec.probes);
     std::vector<sim::Metric> metrics = collect_metrics(sampled.registry);
     return RunResult{spec, sampled.estimate, std::move(sampled),
                      std::move(metrics)};

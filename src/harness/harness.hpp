@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <span>
 #include <string>
@@ -57,18 +56,8 @@ struct RunResult {
   std::vector<sim::Metric> metrics;
 };
 
-/// Runs one spec on the calling thread.
-///
-/// `cancelled` (optional) is cooperative cancellation, polled on the
-/// calling thread at coarse boundaries: before the run starts, and inside
-/// a sampled run before each planning step (at threads = 1 that also falls
-/// between measurement windows) and, under confidence-driven stopping,
-/// before each measurement batch. Once it returns true the run stops early
-/// and the RunResult is PARTIAL — callers that cancel must discard it,
-/// never cache or serve it. Full-detail runs only honor the pre-start check
-/// (the detailed core has no safe interior stopping point).
-RunResult run_one(const RunSpec& spec,
-                  const std::function<bool()>& cancelled = {});
+/// Runs one spec to completion on the calling thread.
+RunResult run_one(const RunSpec& spec);
 
 /// Runs every spec (each on its own worker thread; simulations share no
 /// state). Results keep the input order. `threads` 0 = hardware default.

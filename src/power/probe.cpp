@@ -59,9 +59,18 @@ void RixnerProbe::on_run_begin(const sim::SimConfig& config,
   inflight_.clear();
 }
 
-void RixnerProbe::on_rename(const sim::RenameEvent& event) {
+std::uint8_t RixnerProbe::lus_recordings(const core::RenameRec& rec) const {
   // One LUs Table recording per register operand (src lookups update the
   // last-use entry; the destination write starts the new version's entry).
+  if (!uses_lus_table_) return 0;
+  return static_cast<std::uint8_t>((rec.c1 != isa::RegClass::None) +
+                                   (rec.c2 != isa::RegClass::None) +
+                                   rec.has_dst());
+}
+
+void RixnerProbe::on_rename(const sim::RenameEvent& event) {
+  // Held only for the wrong-path counters: the headline counters are
+  // charged at commit.
   const core::RenameRec& rec = *event.rec;
   Inflight f;
   f.seq = event.seq;
@@ -70,12 +79,7 @@ void RixnerProbe::on_rename(const sim::RenameEvent& event) {
   if (rec.c2 != isa::RegClass::None)
     ++f.reads[static_cast<unsigned>(core::rc_from(rec.c2))];
   if (rec.has_dst()) ++f.writes[static_cast<unsigned>(core::rc_from(rec.cd))];
-  if (uses_lus_table_) {
-    f.lus = static_cast<std::uint8_t>((rec.c1 != isa::RegClass::None) +
-                                      (rec.c2 != isa::RegClass::None) +
-                                      rec.has_dst());
-    *lus_accesses_ += f.lus;
-  }
+  f.lus = lus_recordings(rec);
   inflight_.push_back(f);
 }
 
@@ -87,6 +91,7 @@ void RixnerProbe::on_commit(const sim::CommitEvent& event) {
     ++*reads_[static_cast<unsigned>(core::rc_from(rec.c2))];
   if (rec.has_dst())
     ++*writes_[static_cast<unsigned>(core::rc_from(rec.cd))];
+  *lus_accesses_ += lus_recordings(rec);
   // Commits retire the oldest in-flight record (squashes only ever remove
   // from the young end, so the front is always this instruction).
   if (!inflight_.empty() && inflight_.front().seq == event.seq)

@@ -5,7 +5,7 @@
 // The probe counts register-file accesses from commit events (per-class
 // operand reads and destination writes, the access mix the paper's §4.4
 // balance uses) plus Last-Uses-Table traffic for the basic/extended
-// mechanisms (source + destination recordings per renamed instruction),
+// mechanisms (source + destination recordings per committed instruction),
 // multiplies by the per-access energies of the configured file geometries,
 // and exports:
 //
@@ -64,6 +64,10 @@ class RixnerProbe final : public sim::Probe {
     std::uint8_t writes[2] = {};  // destination write per class
     std::uint8_t lus = 0;         // LUs Table recordings
   };
+
+  /// LUs Table recordings `rec` makes: one per register operand, none
+  /// without an LUs Table.
+  [[nodiscard]] std::uint8_t lus_recordings(const core::RenameRec& rec) const;
 
   bool uses_lus_table_ = false;
   sim::StatRegistry::Counter* reads_[2] = {};

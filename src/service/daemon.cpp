@@ -21,7 +21,7 @@ namespace {
 /// probed fingerprint.
 std::function<std::unique_ptr<sim::Probe>()> find_probe_factory(
     const std::string& name) {
-  if (name == "power")
+  if (name == "rixner")
     return [] { return std::make_unique<power::RixnerProbe>(); };
   return nullptr;
 }
@@ -30,17 +30,20 @@ std::function<std::unique_ptr<sim::Probe>()> find_probe_factory(
 
 ExperimentDaemon::ExperimentDaemon(const Options& opts)
     : opts_(opts), server_(*this, opts.host, opts.port), pool_(opts.workers) {
-  if (!opts_.cache_dir.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(opts_.cache_dir, ec);
-    if (ec) {
-      EREL_WARN("ereld: cannot create cache dir '", opts_.cache_dir,
-                "': ", ec.message(), "; serving without a disk cache");
-      opts_.cache_dir.clear();
-    }
+  // Every simulated cell lands in the store, including one whose
+  // requesters all left while it ran, so a daemon without one cannot serve.
+  if (opts_.cache_dir.empty()) {
+    error_ = "no cache dir given";
+    return;
   }
-  if (!opts_.cache_dir.empty())
-    store_.open(opts_.cache_dir, opts_.max_cache_bytes);
+  std::error_code ec;
+  std::filesystem::create_directories(opts_.cache_dir, ec);
+  if (ec) {
+    error_ = "cannot create cache dir '" + opts_.cache_dir +
+             "': " + ec.message();
+    return;
+  }
+  store_.open(opts_.cache_dir, opts_.max_cache_bytes);
 }
 
 DaemonStats ExperimentDaemon::stats() const {
@@ -57,7 +60,7 @@ DaemonStats ExperimentDaemon::stats() const {
 }
 
 void ExperimentDaemon::run() {
-  EREL_CHECK(valid(), "ereld: cannot listen: ", error());
+  EREL_CHECK(valid(), "ereld: cannot serve: ", error());
   server_.run();
   // Let queued/running simulations finish (their completion closures were
   // posted after stop and are dropped — the disk cache still gets the
@@ -97,29 +100,22 @@ void ExperimentDaemon::on_frame(std::uint64_t client, net::Frame frame) {
   }
 }
 
-auto ExperimentDaemon::reap_if_orphaned(
-    std::map<std::string, std::shared_ptr<InFlight>>::iterator it)
-    -> std::map<std::string, std::shared_ptr<InFlight>>::iterator {
-  InFlight& cell = *it->second;
-  if (!cell.waiters.empty()) return std::next(it);
-  if (!cell.running) {
-    // Still queued: erase now; the pool closure finds nothing and no-ops.
-    --stats_.inflight;
-    ++stats_.cancelled;
-    return inflight_.erase(it);
-  }
-  // Running: ask the worker to stop at its next cancellation check. The
-  // worker's abort path does the reaping (or resubmits if someone rejoins).
-  cell.cancel->store(true, std::memory_order_relaxed);
-  return std::next(it);
-}
-
 void ExperimentDaemon::on_disconnect(std::uint64_t client) {
   const std::scoped_lock lock(mu_);
   for (auto it = inflight_.begin(); it != inflight_.end();) {
-    std::erase_if(it->second->waiters,
+    InFlight& cell = *it->second;
+    std::erase_if(cell.waiters,
                   [client](const Waiter& w) { return w.client == client; });
-    it = reap_if_orphaned(it);
+    if (!cell.waiters.empty() || cell.running) {
+      // A running cell finishes into the store even with no one waiting.
+      ++it;
+      continue;
+    }
+    // Queued and wanted by no one: erase now; the pool closure finds
+    // nothing and no-ops.
+    --stats_.inflight;
+    ++stats_.cancelled;
+    it = inflight_.erase(it);
   }
 }
 
@@ -174,30 +170,24 @@ void ExperimentDaemon::handle_run_cell(std::uint64_t client,
   }
 
   // Disk first: a cached cell costs one file read.
-  if (!opts_.cache_dir.empty()) {
-    const std::optional<std::string> text = store_.load(fp_hex, request->key);
-    if (text) {
-      {
-        const std::scoped_lock lock(mu_);
-        ++stats_.cache_hits;
-      }
-      server_.send(client,
-                   net::Frame{static_cast<std::uint8_t>(MsgType::kResult),
-                              encode_result(ResultMsg{request->id,
-                                                      /*cached=*/true, *text})});
-      return;
+  if (const std::optional<std::string> text =
+          store_.load(fp_hex, request->key)) {
+    {
+      const std::scoped_lock lock(mu_);
+      ++stats_.cache_hits;
     }
+    server_.send(client,
+                 net::Frame{static_cast<std::uint8_t>(MsgType::kResult),
+                            encode_result(ResultMsg{request->id,
+                                                    /*cached=*/true, *text})});
+    return;
   }
 
   {
     const std::scoped_lock lock(mu_);
     if (const auto it = inflight_.find(fp_hex); it != inflight_.end()) {
-      // Same fingerprint already simulating: join its completion. Joining
-      // also rescinds any pending cooperative cancellation — the cell is
-      // wanted again (if the worker already stopped, its abort path sees
-      // the new waiter and resubmits).
+      // Same fingerprint already queued or simulating: join its completion.
       it->second->waiters.push_back(Waiter{client, request->id});
-      it->second->cancel->store(false, std::memory_order_relaxed);
       ++stats_.deduped;
       return;
     }
@@ -205,7 +195,6 @@ void ExperimentDaemon::handle_run_cell(std::uint64_t client,
       auto cell = std::make_shared<InFlight>();
       cell->request = std::move(*request);
       cell->waiters.push_back(Waiter{client, cell->request.id});
-      cell->cancel = std::make_shared<std::atomic<bool>>(false);
       inflight_.emplace(fp_hex, std::move(cell));
       ++stats_.inflight;
       pool_.submit([this, fp_hex] { run_cell(fp_hex); });
@@ -225,14 +214,14 @@ void ExperimentDaemon::handle_run_cell(std::uint64_t client,
 
 void ExperimentDaemon::run_cell(const std::string& fp_hex) {
   CellRequest request;
-  std::shared_ptr<std::atomic<bool>> cancel;
   {
     const std::scoped_lock lock(mu_);
     const auto it = inflight_.find(fp_hex);
-    if (it == inflight_.end()) return;  // reaped while queued
+    // Reaped while queued; or reaped, requested again and already picked
+    // up by this closure's successor in the queue.
+    if (it == inflight_.end() || it->second->running) return;
     it->second->running = true;
     request = it->second->request;
-    cancel = it->second->cancel;
   }
 
   harness::RunSpec spec;
@@ -243,44 +232,14 @@ void ExperimentDaemon::run_cell(const std::string& fp_hex) {
   for (const std::string& name : request.probe_names)
     spec.probes.push_back(sim::ProbeSpec{name, find_probe_factory(name)});
 
-  // `observed` latches locally: once the run saw the cancel flag the result
-  // is partial and must be discarded, even if a late joiner cleared the
-  // shared flag afterwards (the abort path resubmits for them).
-  bool observed = false;
-  const harness::RunResult result =
-      harness::run_one(spec, [&observed, &cancel] {
-        if (cancel->load(std::memory_order_relaxed)) observed = true;
-        return observed;
-      });
-  if (observed) {
-    abort_cell(fp_hex);
-    return;
-  }
+  const harness::RunResult result = harness::run_one(spec);
   harness::ExpEntry entry{request.key, result.stats, result.sampled,
                           result.metrics, /*from_cache=*/false};
   std::string text = harness::serialize_entry(entry, fp_hex);
-  if (!opts_.cache_dir.empty()) store_.store(fp_hex, text);
+  store_.store(fp_hex, text);
   server_.post([this, fp_hex, text = std::move(text)] {
     complete_cell(fp_hex, text);
   });
-}
-
-void ExperimentDaemon::abort_cell(const std::string& fp_hex) {
-  const std::scoped_lock lock(mu_);
-  const auto it = inflight_.find(fp_hex);
-  if (it == inflight_.end()) return;
-  InFlight& cell = *it->second;
-  if (!cell.waiters.empty()) {
-    // A requester joined between the cancellation and here: the partial
-    // run is discarded, but the cell is wanted again — run it afresh.
-    cell.running = false;
-    cell.cancel = std::make_shared<std::atomic<bool>>(false);
-    pool_.submit([this, fp_hex] { run_cell(fp_hex); });
-    return;
-  }
-  inflight_.erase(it);
-  --stats_.inflight;
-  ++stats_.cancelled;
 }
 
 // ---- loop thread: completion --------------------------------------------

@@ -15,13 +15,12 @@
 //   pool workers   run one cell each (harness::run_one); they touch only
 //                  the in-flight table (under mu_) and the filesystem.
 //
-// A cell stays in the in-flight table while at least one request waits on
-// it. A request's waiter leaves when its connection closes; when the last
-// waiter has left, the cell is reaped: dropped if still queued, stopped
-// cooperatively if running.
+// A request's waiter leaves when its connection closes. A queued cell that
+// no request waits on anymore is dropped; a running cell always finishes
+// into the result store, so a client that reconnects and resubmits joins
+// it or hits the store.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -41,7 +40,7 @@ class ExperimentDaemon : public net::EventServer::Handler {
   struct Options {
     std::string host = "127.0.0.1";
     std::uint16_t port = 0;   // 0 = ephemeral; read back via port()
-    std::string cache_dir;    // "" = no disk cache (pure compute server)
+    std::string cache_dir;    // result store; required (created if absent)
     unsigned workers = 0;     // simulation pool size; 0 = hardware
 
     /// Admission control: most cells queued-or-running before a new
@@ -60,9 +59,14 @@ class ExperimentDaemon : public net::EventServer::Handler {
   ExperimentDaemon(const ExperimentDaemon&) = delete;
   ExperimentDaemon& operator=(const ExperimentDaemon&) = delete;
 
-  /// False when the listening socket could not be bound (error() says why).
-  [[nodiscard]] bool valid() const { return server_.valid(); }
-  [[nodiscard]] const std::string& error() const { return server_.error(); }
+  /// False when the listening socket could not be bound or the cache dir
+  /// is missing or could not be created (error() says why).
+  [[nodiscard]] bool valid() const {
+    return server_.valid() && error_.empty();
+  }
+  [[nodiscard]] const std::string& error() const {
+    return server_.valid() ? error_ : server_.error();
+  }
   [[nodiscard]] std::uint16_t port() const { return server_.port(); }
 
   /// Serves until stop(); call from one thread (it becomes the loop
@@ -89,10 +93,6 @@ class ExperimentDaemon : public net::EventServer::Handler {
     CellRequest request;
     std::vector<Waiter> waiters;
     bool running = false;  // a pool worker has picked it up
-    /// Cooperative cancel flag, polled between the run's sampling batches.
-    /// Set when the last waiter leaves a running cell; cleared when a new
-    /// requester joins before the worker notices.
-    std::shared_ptr<std::atomic<bool>> cancel;
   };
 
   void handle_run_cell(std::uint64_t client, const net::Frame& frame);
@@ -101,19 +101,12 @@ class ExperimentDaemon : public net::EventServer::Handler {
   void run_cell(const std::string& fp_hex);        // pool worker
   void complete_cell(const std::string& fp_hex,    // loop thread (posted)
                      const std::string& entry_text);
-  /// Worker, after an observed cancellation: drops the cell (counting it
-  /// cancelled) or resubmits it if a new requester joined meanwhile.
-  void abort_cell(const std::string& fp_hex);
-  /// Requires mu_. Reaps `it`'s cell if nothing waits on it anymore:
-  /// erased outright when still queued, flagged for cooperative
-  /// cancellation when running. Returns the next iterator.
-  std::map<std::string, std::shared_ptr<InFlight>>::iterator reap_if_orphaned(
-      std::map<std::string, std::shared_ptr<InFlight>>::iterator it);
 
   Options opts_;
   net::EventServer server_;
   ThreadPool pool_;
-  ResultStore store_;  // owns cache_dir IO when a cache dir is configured
+  ResultStore store_;  // owns all cache_dir IO
+  std::string error_;  // why the cache dir is unusable; "" when it is fine
 
   mutable std::mutex mu_;
   std::map<std::string, std::shared_ptr<InFlight>> inflight_;

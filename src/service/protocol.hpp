@@ -25,7 +25,8 @@
 // (the client backs off and resubmits — safe, because requests are
 // content-addressed: a resubmitted cell is a cache hit or an in-flight
 // join, never a second simulation). A client withdraws its pending
-// requests by disconnecting.
+// requests by disconnecting; a cell already running finishes into the
+// daemon's store regardless.
 //
 // v3 retired tags 5-8 (v2's live channel subscriptions and ping) and v4
 // retires tag 12 (v2's explicit cancel). The daemon refuses them like any

@@ -1,7 +1,6 @@
 #include "sim/sampling.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <deque>
@@ -9,6 +8,7 @@
 #include <memory>
 #include <numeric>
 #include <optional>
+#include <semaphore>
 #include <sstream>
 #include <thread>
 #include <utility>
@@ -121,12 +121,17 @@ std::string_view placement_name(Placement placement) {
   EREL_FATAL("invalid Placement ", static_cast<int>(placement));
 }
 
-Placement parse_placement(std::string_view name) {
+std::optional<Placement> parse_placement(std::string_view name) {
   if (name == "periodic") return Placement::kPeriodic;
   if (name == "random") return Placement::kRandom;
   if (name == "stratified") return Placement::kStratified;
-  EREL_FATAL("unknown placement mode '", name,
-             "' (expected periodic|random|stratified)");
+  return std::nullopt;
+}
+
+bool valid_sampling(const SamplingConfig& sampling) {
+  return sampling.detail > 0 && sampling.warmup < sampling.period &&
+         sampling.detail < sampling.period - sampling.warmup &&
+         std::isfinite(sampling.target_ci) && sampling.target_ci >= 0.0;
 }
 
 void append_canonical_fields(const SamplingConfig& sampling, std::string& out) {
@@ -195,33 +200,24 @@ std::optional<SamplingConfig> sampling_from_canonical_fields(
   // `threads` is absent by design (wall-clock only); the daemon runs every
   // sampled cell at the default threads = 1, one cell per worker. Reject
   // extra fields so skew fails loudly.
-  if (!ok || consumed != fields.size()) return std::nullopt;
-  // The SampledSimulator constructor EREL_CHECKs these; validate here so a
-  // malformed request is an error reply, not a daemon abort. The period
-  // test is written so warmup + detail cannot wrap.
-  if (s.detail == 0 || s.warmup >= s.period ||
-      s.detail >= s.period - s.warmup)
+  // The SampledSimulator constructor checks the same predicate; refusing
+  // here makes a malformed request an error reply, not a daemon abort.
+  if (!ok || consumed != fields.size() || !valid_sampling(s))
     return std::nullopt;
-  if (!std::isfinite(s.target_ci) || s.target_ci < 0.0) return std::nullopt;
   return s;
 }
 
 SampledSimulator::SampledSimulator(SimConfig config, SamplingConfig sampling)
     : config_(std::move(config)), sampling_(sampling) {
-  EREL_CHECK(sampling_.detail > 0, "sampling window must measure something");
-  // Written so warmup + detail cannot wrap (as in
-  // sampling_from_canonical_fields).
-  EREL_CHECK(sampling_.warmup < sampling_.period &&
-                 sampling_.detail < sampling_.period - sampling_.warmup,
-             "sampling period ", sampling_.period,
-             " must exceed warmup+detail (warmup ", sampling_.warmup,
-             ", detail ", sampling_.detail, ")");
-  EREL_CHECK(sampling_.target_ci >= 0.0, "target_ci must be non-negative");
+  EREL_CHECK(valid_sampling(sampling_), "invalid sampling: period ",
+             sampling_.period, ", warmup ", sampling_.warmup, ", detail ",
+             sampling_.detail, ", target_ci ", sampling_.target_ci,
+             " (need detail > 0, warmup + detail < period, target_ci "
+             "finite and >= 0)");
 }
 
 SampledStats SampledSimulator::run(const arch::Program& program,
-                                   const std::vector<ProbeSpec>& probes,
-                                   const std::function<bool()>& cancel)
+                                   const std::vector<ProbeSpec>& probes)
     const {
   const std::uint64_t window = sampling_.warmup + sampling_.detail;
   const std::uint64_t slack = sampling_.period - window;  // ctor: period>window
@@ -307,11 +303,13 @@ SampledStats SampledSimulator::run(const arch::Program& program,
   // Element addresses stay put while the planner appends, so a worker holds
   // its own unit while the planner grows the plan.
   std::deque<SamplingUnit> units;
-  // `cancel` is polled only on this thread; once it fires, this flag keeps
-  // every queued window from starting.
-  std::atomic<bool> cancelled{false};
+  // A unit streamed to the pool holds its warm snapshot and checkpoint
+  // pages until its window is measured. The planner takes a slot per such
+  // unit and waits while 2 * threads are unmeasured, so peak memory is set
+  // by the shard count, not by how far planning outruns measurement.
+  std::counting_semaphore<> slots(2 * static_cast<std::ptrdiff_t>(threads));
   std::optional<ThreadPool> pool;
-  if (threads > 1) pool.emplace(threads);
+  if (threads > 1) pool.emplace(sampling_.threads);  // 0: the pool resolves it
 
   // --- planning pass ------------------------------------------------------
   // One functional sweep over the whole program: fast-forward (warming the
@@ -327,10 +325,6 @@ SampledStats SampledSimulator::run(const arch::Program& program,
         sampling_.functional_warming ? &warm : nullptr;
     std::uint64_t start = 0;
     for (std::uint64_t k = 0; !master.halted(); ++k) {
-      if (cancel && cancel()) {  // partial plan; caller discards
-        cancelled = true;
-        break;
-      }
       start = unit_start(k, start);
       if (sampling_.functional_warming) {
         run_warmed(master, warm, start);
@@ -351,6 +345,7 @@ SampledStats SampledSimulator::run(const arch::Program& program,
         }
         break;
       }
+      if (pool && !ci_stopping) slots.acquire();
       SamplingUnit& unit = units.emplace_back();
       unit.ckpt = arch::capture(master);
       unit.decoded_ok = !master.code_dirtied();
@@ -363,8 +358,9 @@ SampledStats SampledSimulator::run(const arch::Program& program,
       if (live_warm != nullptr)
         unit.warm = std::make_unique<const WarmState>(warm);
       if (!ci_stopping) {
-        pool->submit([&measure, &cancelled, u = &unit] {
-          if (!cancelled) measure(*u, u->warm.get());
+        pool->submit([&measure, &slots, u = &unit] {
+          measure(*u, u->warm.get());
+          slots.release();
         });
       }
     }
@@ -378,7 +374,7 @@ SampledStats SampledSimulator::run(const arch::Program& program,
   // --- confidence-driven measurement --------------------------------------
   // A seeded shuffle of the plan, measured in batches, so every batch is an
   // unbiased spread over the whole program rather than its first intervals.
-  if (ci_stopping && !cancelled) {
+  if (ci_stopping) {
     std::vector<std::size_t> order(units.size());
     std::iota(order.begin(), order.end(), 0);
     for (std::size_t i = order.size(); i > 1; --i) {
@@ -389,7 +385,6 @@ SampledStats SampledSimulator::run(const arch::Program& program,
     std::vector<SampleRecord> scheduled_samples;  // CI bookkeeping only
     scheduled_samples.reserve(units.size());
     for (std::size_t next = 0; next < order.size();) {
-      if (cancel && cancel()) break;  // partial measurement; caller discards
       const std::size_t batch_end = std::min(next + kCiBatch, order.size());
       const auto measure_at = [&](std::size_t i) {
         SamplingUnit& unit = units[order[i]];
@@ -421,7 +416,7 @@ SampledStats SampledSimulator::run(const arch::Program& program,
   // the SimStats `measured` view is then materialized from the merge.
   out.samples.reserve(units.size());
   for (const SamplingUnit& unit : units) {
-    if (!unit.result) continue;  // unmeasured (CI target met, or cancelled)
+    if (!unit.result) continue;  // unmeasured (CI target met)
     const UnitResult& r = *unit.result;
     out.registry.merge_from(r.registry);
     out.detailed_instructions += r.window.committed;

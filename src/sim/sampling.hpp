@@ -6,8 +6,9 @@
 // arch::Checkpoint plus the warm state at the start of every sampling unit.
 // Each unit is measured as soon as it is captured, while planning goes on:
 // on a thread pool when sharded (the unit carries its own WarmState
-// snapshot), or inline on the calling thread, which seeds the window from
-// the planner's own warm state. A window replays its unit from the
+// snapshot, and planning waits while 2 * threads units are unmeasured), or
+// inline on the calling thread, which seeds the window from the planner's
+// own warm state. A window replays its unit from the
 // checkpoint — `warmup` detailed-but-unmeasured instructions prime the
 // short-lived pipeline state, the next `detail` instructions are measured —
 // and then frees the unit's snapshot and pages. Per-unit SampleRecords merge
@@ -61,10 +62,17 @@ enum class Placement {
 /// "periodic" / "random" / "stratified" (for reports and CLI flags).
 std::string_view placement_name(Placement placement);
 
-/// Inverse of placement_name; aborts on an unknown name.
-Placement parse_placement(std::string_view name);
+/// Inverse of placement_name; nullopt on an unknown name.
+[[nodiscard]] std::optional<Placement> parse_placement(std::string_view name);
 
 struct SamplingConfig;
+
+/// Whether a SampledSimulator can run `sampling`: the window measures
+/// something (`detail` > 0), warmup + detail fits strictly inside the
+/// period (tested so the sum cannot wrap), and `target_ci` is finite and
+/// non-negative. The constructor checks it; the wire decoder and the sweep
+/// CLIs refuse a config that fails it.
+[[nodiscard]] bool valid_sampling(const SamplingConfig& sampling);
 
 /// Appends every result-affecting SamplingConfig field as canonical
 /// `name=value` lines for the experiment-result cache fingerprint
@@ -75,8 +83,8 @@ void append_canonical_fields(const SamplingConfig& sampling, std::string& out);
 
 /// Inverse of append_canonical_fields (experiment-daemon wire format).
 /// Strict: every canonical field present exactly once, no unknown names,
-/// and the (period, warmup, detail) relation the SampledSimulator asserts
-/// must hold — a malformed request parses as nullopt, never aborts.
+/// and valid_sampling must hold — a malformed request parses as nullopt,
+/// never aborts.
 [[nodiscard]] std::optional<SamplingConfig> sampling_from_canonical_fields(
     const std::map<std::string, std::string, std::less<>>& fields);
 
@@ -201,6 +209,7 @@ struct SampledStats {
 
 class SampledSimulator {
  public:
+  /// Aborts unless valid_sampling(sampling).
   SampledSimulator(SimConfig config, SamplingConfig sampling);
 
   /// Runs `program` to completion: one functional planning pass over the
@@ -212,16 +221,8 @@ class SampledSimulator {
   /// sharding stays race-free); their registry entries merge into
   /// SampledStats::registry in interval order, bit-identically at any
   /// thread count.
-  ///
-  /// `cancel` (optional) is polled only on the calling thread: before each
-  /// planning step (at threads = 1, that is also after each unit's window)
-  /// and, with `target_ci` > 0, before each measurement batch. Once it
-  /// returns true no further window starts; windows already running on
-  /// the pool finish. The returned stats are then PARTIAL — only a caller
-  /// that requested the cancellation may see them, and must discard them.
   [[nodiscard]] SampledStats run(const arch::Program& program,
-                                 const std::vector<ProbeSpec>& probes = {},
-                                 const std::function<bool()>& cancel = {})
+                                 const std::vector<ProbeSpec>& probes = {})
       const;
 
   [[nodiscard]] const SimConfig& config() const { return config_; }

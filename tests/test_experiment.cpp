@@ -393,7 +393,7 @@ TEST(Fingerprint, ProbeNamesExtendTheHash) {
   const sim::SimConfig config = tiny_config();
   const auto bare = harness::fingerprint_cell("li", config, std::nullopt);
   const auto with_probe =
-      harness::fingerprint_cell("li", config, std::nullopt, {"power"});
+      harness::fingerprint_cell("li", config, std::nullopt, {"rixner"});
   EXPECT_NE(bare.value, with_probe.value);
   EXPECT_EQ(bare.value,
             harness::fingerprint_cell("li", config, std::nullopt, {}).value);
@@ -736,7 +736,7 @@ TEST(ResultSet, ProbeMetricsFlowThroughSinksAndCache) {
         .workloads({"li"})
         .policies({PolicyKind::Extended})
         .phys_regs({48})
-        .probe("power",
+        .probe("rixner",
                [] { return std::make_unique<power::RixnerProbe>(); });
     return exp;
   };

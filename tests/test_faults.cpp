@@ -4,13 +4,15 @@
 // sweep; reconnecting resubmits only unanswered requests; the client's own
 // retry loop rides out a kBusy storm; the daemon's admission control,
 // disconnect reaping, LRU eviction and corrupt-entry quarantine all behave
-// under hostile clients; retried cells are never simulated twice.
+// under hostile clients; retried cells are never simulated twice, even when
+// every attempt's deadline expires before the cell finishes.
 //
 // Every blocking call in here is deadline-bounded (short ClientOptions
 // timeouts), so a regression that would hang a sweep fails this suite by
 // timeout instead of wedging CI.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -28,6 +30,7 @@
 
 #include "harness/experiment.hpp"
 #include "harness/fingerprint.hpp"
+#include "harness/harness.hpp"
 #include "harness/result_cache.hpp"
 #include "harness/results.hpp"
 #include "net/fault.hpp"
@@ -90,11 +93,13 @@ struct DaemonFixture {
     return cache.str() + "/daemon-cache";
   }
 
-  /// Polls stats() until `done` passes or ~10s elapse.
+  /// Polls stats() until `done` passes or about `limit` elapses.
   service::DaemonStats await_stats(
-      const std::function<bool(const service::DaemonStats&)>& done) {
+      const std::function<bool(const service::DaemonStats&)>& done,
+      std::chrono::seconds limit = std::chrono::seconds(10)) {
     service::DaemonStats stats;
-    for (int i = 0; i < 500; ++i) {
+    for (auto waited = std::chrono::milliseconds(0); waited < limit;
+         waited += std::chrono::milliseconds(20)) {
       stats = daemon->stats();
       if (done(stats)) break;
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -116,6 +121,29 @@ service::CellRequest make_request(std::uint64_t id, unsigned phys,
                                 std::string()};
   request.fingerprint_hex =
       harness::fingerprint_cell(request.workload, request.config, std::nullopt)
+          .hex();
+  return request;
+}
+
+/// A sampled cell that runs for a few hundred milliseconds in an optimized
+/// build: compress under extended at 40+40 registers, stratified windows.
+service::CellRequest slow_sampled_request(std::uint64_t id) {
+  service::CellRequest request;
+  request.id = id;
+  request.workload = "compress";
+  request.config = tiny_config(0);
+  request.config.policy = PolicyKind::Extended;
+  request.config.phys_int = request.config.phys_fp = 40;
+  request.sampling = sim::SamplingConfig{};
+  request.sampling->period = 6'000;
+  request.sampling->warmup = 1'000;
+  request.sampling->detail = 4'000;
+  request.sampling->placement = sim::Placement::kStratified;
+  request.key = harness::ExpKey{request.workload, request.config.policy, 40,
+                                std::string()};
+  request.fingerprint_hex =
+      harness::fingerprint_cell(request.workload, request.config,
+                                request.sampling)
           .hex();
   return request;
 }
@@ -300,42 +328,86 @@ TEST(Faults, DisconnectReapsOrphanedPendingCells) {
   auto client = std::make_unique<service::RemoteClient>(fast_client());
   ASSERT_TRUE(client->connect(fixture.endpoint())) << client->error();
 
-  // A long sampled cell (cancellation points between batches) plus two
-  // queued behind the single worker.
-  service::CellRequest running = make_request(1, 40, 2'000'000);
-  running.sampling = sim::SamplingConfig{};
-  running.sampling->period = 10'000;
-  running.sampling->warmup = 1'000;
-  running.sampling->detail = 4'000;
-  running.fingerprint_hex =
-      harness::fingerprint_cell(running.workload, running.config,
-                                running.sampling)
-          .hex();
+  // A slow cell on the single worker, and two queued behind it.
+  const service::CellRequest running = slow_sampled_request(1);
   ASSERT_TRUE(client->send_cell(running));
   ASSERT_TRUE(client->send_cell(make_request(2, 44)));
   ASSERT_TRUE(client->send_cell(make_request(3, 48)));
   fixture.await_stats(
       [](const service::DaemonStats& s) { return s.inflight == 3; });
+  // The idle worker picks the first cell up as soon as it is admitted; the
+  // pause only has to cover that hand-off, far less than the cell's run.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
 
-  // Kill the client without awaiting anything: the daemon must reap all
-  // three cells — queued ones outright, the running one cooperatively.
+  // Kill the client without awaiting anything: the daemon erases both
+  // queued cells and lets the running one finish into its store.
   client.reset();
 
   const service::DaemonStats stats = fixture.await_stats(
-      [](const service::DaemonStats& s) { return s.inflight == 0; });
+      [](const service::DaemonStats& s) { return s.inflight == 0; },
+      std::chrono::seconds(120));
   EXPECT_EQ(stats.inflight, 0u);
-  EXPECT_GE(stats.cancelled, 2u);  // the running cell may have finished
+  EXPECT_EQ(stats.cancelled, 2u);
+  EXPECT_EQ(stats.simulated, 1u);
   EXPECT_EQ(stats.errors, 0u);
 
-  // A reaped cell is still perfectly runnable: a new client requesting it
-  // gets it simulated afresh.
+  // The finished cell is served from the store; a reaped one is still
+  // perfectly runnable and is simulated afresh.
   service::RemoteClient again(fast_client());
   ASSERT_TRUE(again.connect(fixture.endpoint())) << again.error();
-  ASSERT_TRUE(again.send_cell(make_request(9, 44)));
-  const std::optional<service::ResultMsg> result = again.await(9, nullptr);
-  ASSERT_TRUE(result.has_value());
-  EXPECT_FALSE(result->cached);
-  EXPECT_EQ(fixture.daemon->stats().simulated, stats.simulated + 1);
+  service::CellRequest rerun = running;
+  rerun.id = 9;
+  ASSERT_TRUE(again.send_cell(rerun));
+  const std::optional<service::ResultMsg> kept = again.await(9, nullptr);
+  ASSERT_TRUE(kept.has_value());
+  EXPECT_TRUE(kept->cached);
+  ASSERT_TRUE(again.send_cell(make_request(10, 44)));
+  const std::optional<service::ResultMsg> reaped = again.await(10, nullptr);
+  ASSERT_TRUE(reaped.has_value());
+  EXPECT_FALSE(reaped->cached);
+  EXPECT_EQ(fixture.daemon->stats().simulated, 2u);
+}
+
+TEST(Faults, SlowCellOutlivesTheCallDeadline) {
+  // R: the cell's run time here, simulated locally.
+  const service::CellRequest cell = slow_sampled_request(1);
+  harness::RunSpec spec;
+  spec.workload = cell.workload;
+  spec.config = cell.config;
+  spec.sampling = cell.sampling;
+  const auto start = std::chrono::steady_clock::now();
+  const harness::RunResult local = harness::run_one(spec);
+  const auto r_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                        std::chrono::steady_clock::now() - start)
+                        .count();
+  ASSERT_TRUE(local.sampled.has_value());
+
+  service::ExperimentDaemon::Options dopts;
+  dopts.workers = 1;
+  DaemonFixture fixture(dopts);
+
+  // Every attempt's deadline expires long before the cell finishes. Each
+  // expiry drops the connection, and each retry reconnects and resubmits:
+  // the cell must keep running through all of that, and the resubmission
+  // joins it or, once it is done, hits the store.
+  service::ClientOptions opts = fast_client();
+  opts.call_timeout_ms = static_cast<unsigned>(std::max<long long>(1, r_ms / 3));
+  opts.retries = 4;
+  service::RemoteClient client(opts);
+  ASSERT_TRUE(client.connect(fixture.endpoint())) << client.error();
+  ASSERT_TRUE(client.send_cell(cell));
+  std::string why;
+  const std::optional<service::ResultMsg> result = client.await(1, &why);
+  ASSERT_TRUE(result.has_value())
+      << why << " (R = " << r_ms << " ms, call deadline "
+      << opts.call_timeout_ms << " ms)";
+  EXPECT_FALSE(result->entry_text.empty());
+
+  const service::DaemonStats stats = fixture.await_stats(
+      [](const service::DaemonStats& s) { return s.inflight == 0; });
+  EXPECT_EQ(stats.simulated, 1u);
+  EXPECT_EQ(stats.cancelled, 0u);
+  EXPECT_GE(stats.deduped + stats.cache_hits, 1u);
 }
 
 TEST(Faults, ResubmittedCellIsNeverSimulatedTwice) {

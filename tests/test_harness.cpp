@@ -30,6 +30,11 @@ TEST(ThreadPool, WaitIdleWithNoTasksReturns) {
   pool.wait_idle();  // must not hang
 }
 
+TEST(ThreadPoolDeathTest, RefusesMoreThanTheCap) {
+  // The check runs before the first worker starts, so this starts none.
+  EXPECT_DEATH(ThreadPool pool(kMaxThreads + 1), "exceeds the cap");
+}
+
 TEST(HarmonicMean, MatchesDefinition) {
   const double values[] = {1.0, 2.0, 4.0};
   EXPECT_NEAR(harness::harmonic_mean(values), 3.0 / (1.0 + 0.5 + 0.25), 1e-12);

@@ -193,7 +193,7 @@ service::CellRequest sample_request() {
   request.config.phys_int = request.config.phys_fp = 48;
   request.config.max_instructions = 20'000;
   request.config.check_oracle = false;
-  request.probe_names = {"power"};
+  request.probe_names = {"rixner"};
   return request;
 }
 

@@ -3,6 +3,7 @@
 // (whose Alpha 21264 example the paper quotes as "about 1.22 KBytes").
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "power/probe.hpp"
@@ -145,17 +146,31 @@ TEST(RixnerProbe, ExportsEnergyAndEd2) {
   EXPECT_GT(reg.counter_value("power/lus_accesses"), 0u);
 }
 
+/// Counts the LUs Table recordings of committed instructions: one per
+/// register operand.
+class CommittedRecordings final : public sim::Probe {
+ public:
+  void on_commit(const sim::CommitEvent& event) override {
+    const core::RenameRec& rec = *event.rec;
+    recordings += (rec.c1 != isa::RegClass::None) +
+                  (rec.c2 != isa::RegClass::None) + rec.has_dst();
+  }
+  std::uint64_t recordings = 0;
+};
+
 TEST(RixnerProbe, WrongPathTrafficIsCountedSeparately) {
   // The timer kernel's interrupt deliveries and IRET flushes squash
   // sequential-path work every few hundred instructions, so wrong-path
   // rename/RF traffic must show up — and stay out of the headline
   // committed-work counters (reads <= 2 and writes <= 1 per commit still
-  // hold exactly).
+  // hold exactly, and the LUs Table is charged committed recordings only).
   const arch::Program program = workloads::assemble_workload("timer");
   const sim::SimConfig config = probe_config(core::PolicyKind::Extended);
   RixnerProbe probe;
+  CommittedRecordings committed;
   auto core = sim::Simulator(config).make_core(program);
   core->attach_probe(&probe);
+  core->attach_probe(&committed);
   const sim::SimStats stats = core->run();
   ASSERT_GT(stats.committed, 10'000u);
 
@@ -176,6 +191,7 @@ TEST(RixnerProbe, WrongPathTrafficIsCountedSeparately) {
                                reg.counter_value("power/rf_writes/fp");
   EXPECT_LE(reads, 2 * stats.committed);
   EXPECT_LE(writes, stats.committed);
+  EXPECT_EQ(reg.counter_value("power/lus_accesses"), committed.recordings);
 }
 
 TEST(RixnerProbe, ConventionalPolicyHasNoLusTraffic) {

@@ -6,9 +6,8 @@
 #include <cmath>
 #include <cstdio>
 #include <memory>
-#include <mutex>
+#include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "arch/arch_state.hpp"
@@ -250,6 +249,7 @@ TEST(SamplingPlacement, ParseAndNameRoundTrip) {
     EXPECT_EQ(sim::parse_placement(sim::placement_name(placement)),
               placement);
   }
+  EXPECT_EQ(sim::parse_placement("bogus"), std::nullopt);
 }
 
 TEST(SamplingSharded, MatchesSerialBitForBit) {
@@ -259,25 +259,37 @@ TEST(SamplingSharded, MatchesSerialBitForBit) {
     // A cap of 3 trips mid-program: the planner runs on to HALT while the
     // capped units are still being measured.
     for (const std::uint64_t cap : {std::uint64_t{0}, std::uint64_t{3}}) {
-      SCOPED_TRACE(std::string(sim::placement_name(placement)) + " cap " +
-                   std::to_string(cap));
-      sim::SamplingConfig s = test_sampling();
-      s.placement = placement;
-      s.seed = 99;
-      s.max_samples = cap;
-      s.threads = 1;
-      const sim::SampledStats serial =
-          sim::SampledSimulator(test_config(), s).run(program);
-      ASSERT_GT(serial.samples.size(), 1u);
-      if (cap != 0) {
-        ASSERT_EQ(serial.units_planned, cap);
-        ASSERT_GT(serial.total_instructions, (cap + 1) * s.period);
-      }
-      for (const unsigned threads : {2u, 3u, 4u}) {
-        SCOPED_TRACE(threads);
-        s.threads = threads;
-        expect_stats_identical(
-            serial, sim::SampledSimulator(test_config(), s).run(program));
+      // Warming off takes the planner's plain fast-forward branches: no
+      // warm snapshot rides with a unit, and the capped tail runs untrained.
+      std::uint64_t warmed_total = 0;
+      for (const bool warming : {true, false}) {
+        SCOPED_TRACE(std::string(sim::placement_name(placement)) + " cap " +
+                     std::to_string(cap) + " warming " +
+                     (warming ? "on" : "off"));
+        sim::SamplingConfig s = test_sampling();
+        s.placement = placement;
+        s.seed = 99;
+        s.max_samples = cap;
+        s.functional_warming = warming;
+        s.threads = 1;
+        const sim::SampledStats serial =
+            sim::SampledSimulator(test_config(), s).run(program);
+        ASSERT_GT(serial.samples.size(), 1u);
+        if (cap != 0) {
+          ASSERT_EQ(serial.units_planned, cap);
+          ASSERT_GT(serial.total_instructions, (cap + 1) * s.period);
+        }
+        if (warming) {
+          warmed_total = serial.total_instructions;
+        } else {
+          EXPECT_EQ(serial.total_instructions, warmed_total);
+        }
+        for (const unsigned threads : {2u, 3u, 4u}) {
+          SCOPED_TRACE(threads);
+          s.threads = threads;
+          expect_stats_identical(
+              serial, sim::SampledSimulator(test_config(), s).run(program));
+        }
       }
     }
   }
@@ -355,34 +367,6 @@ TEST(SamplingSharded, SelfModifyingCodeMatchesSerialBitForBit) {
   s.threads = 4;
   expect_stats_identical(serial,
                          sim::SampledSimulator(config, s).run(program));
-}
-
-TEST(SamplingSharded, CancelIsPolledOnTheCallingThreadOnly) {
-  const arch::Program program = workloads::assemble_workload("li");
-  sim::SamplingConfig s = test_sampling();
-  s.threads = 4;
-  const sim::SampledStats all =
-      sim::SampledSimulator(test_config(), s).run(program);
-  constexpr std::size_t kFiresOnCall = 3;
-  ASSERT_GT(all.samples.size(), kFiresOnCall);
-
-  // The mutex keeps the record race-free even if a worker polled.
-  std::mutex mu;
-  std::vector<std::thread::id> callers;
-  const auto cancel = [&] {
-    const std::scoped_lock lock(mu);
-    callers.push_back(std::this_thread::get_id());
-    return callers.size() >= kFiresOnCall;
-  };
-  const sim::SampledStats partial =
-      sim::SampledSimulator(test_config(), s).run(program, {}, cancel);
-  // Polled once before each planning step, and never again once it fired:
-  // the units planned before it fired are all that is measured.
-  ASSERT_EQ(callers.size(), kFiresOnCall);
-  for (const std::thread::id id : callers)
-    EXPECT_EQ(id, std::this_thread::get_id());
-  EXPECT_EQ(partial.units_planned, kFiresOnCall - 1);
-  EXPECT_LT(partial.samples.size(), all.samples.size());
 }
 
 TEST(SamplingSharded, HarnessRunsShardedSpecs) {

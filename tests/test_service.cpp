@@ -2,7 +2,7 @@
 // local runs, warm-cache serving, in-flight dedupe across concurrent
 // clients, refusal of stale protocol versions and retired message tags,
 // and graceful degradation when the daemon is unreachable or refuses a
-// cell.
+// cell, and refusal to serve without a usable result store.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -446,6 +446,26 @@ TEST(Service, StatsAndShutdownRoundTrip) {
   EXPECT_EQ(stats->requests, 0u);
   EXPECT_TRUE(client.shutdown_server());  // daemon closes cleanly
   fixture.reset();                        // run() already returned; joins
+}
+
+TEST(Service, DaemonWithoutAUsableCacheDirIsInvalid) {
+  // Every cell the daemon simulates is kept in its store, so it has none
+  // to serve from without a cache dir it can create.
+  service::ExperimentDaemon::Options opts;
+  opts.workers = 1;
+  const service::ExperimentDaemon none(opts);
+  EXPECT_FALSE(none.valid());
+  EXPECT_NE(none.error().find("cache dir"), std::string::npos) << none.error();
+
+  // A path below a regular file can never become a directory.
+  TempDir dir;
+  const std::string file = dir.str() + "/plain-file";
+  std::ofstream(file) << "not a directory\n";
+  opts.cache_dir = file + "/cache";
+  const service::ExperimentDaemon blocked(opts);
+  EXPECT_FALSE(blocked.valid());
+  EXPECT_NE(blocked.error().find(opts.cache_dir), std::string::npos)
+      << blocked.error();
 }
 
 }  // namespace

@@ -9,7 +9,9 @@
 // requests; exposing it beyond the machine is an explicit --host choice),
 // prints one "ereld: listening on HOST:PORT" line once bound (scripts
 // parse it — ephemeral --port=0 is allowed), and serves until SIGINT,
-// SIGTERM, or a kShutdown frame from `ereld --stop`.
+// SIGTERM, or a kShutdown frame from `ereld --stop`. --cache-dir is
+// required: every cell the daemon simulates is kept there, including one
+// whose requesters all disconnected while it ran.
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -19,6 +21,7 @@
 #include <type_traits>
 
 #include "common/parse.hpp"
+#include "common/thread_pool.hpp"
 #include "net/socket.hpp"
 #include "service/client.hpp"
 #include "service/daemon.hpp"
@@ -37,13 +40,14 @@ void usage(const char* argv0) {
       "       %s --stop HOST:PORT\n"
       "  --host=ADDR          bind address (default 127.0.0.1)\n"
       "  --port=N             listen port (default 0 = ephemeral)\n"
-      "  --cache-dir=PATH     on-disk result cache (default: none)\n"
-      "  --workers=N          simulation workers (0 = hardware default)\n"
+      "  --cache-dir=PATH     on-disk result cache (required)\n"
+      "  --workers=N          simulation workers (0 = hardware default,\n"
+      "                       at most %u)\n"
       "  --max-queue=N       cells queued-or-running before kBusy (0 = off)\n"
       "  --max-cache-bytes=N  result-cache LRU byte budget (0 = unlimited)\n"
       "  --busy-retry-ms=N    retry hint carried in kBusy (default 50)\n"
       "  --stop HOST:PORT     ask a running daemon to shut down\n",
-      argv0, argv0);
+      argv0, argv0, erel::kMaxThreads);
 }
 
 int stop_daemon(const std::string& endpoint) {
@@ -114,6 +118,12 @@ int main(int argc, char** argv) {
       opts.cache_dir = value("--cache-dir");
     } else if (matches("--workers")) {
       number("--workers", opts.workers);
+      if (opts.workers > erel::kMaxThreads) {
+        std::fprintf(stderr, "%s: --workers must be at most %u\n", argv[0],
+                     erel::kMaxThreads);
+        usage(argv[0]);
+        return 2;
+      }
     } else if (matches("--max-queue")) {
       number("--max-queue", opts.max_queue);
     } else if (matches("--max-cache-bytes")) {
@@ -127,9 +137,15 @@ int main(int argc, char** argv) {
     }
   }
 
+  if (opts.cache_dir.empty()) {
+    std::fprintf(stderr, "%s: --cache-dir is required\n", argv[0]);
+    usage(argv[0]);
+    return 2;
+  }
+
   erel::service::ExperimentDaemon daemon(opts);
   if (!daemon.valid()) {
-    std::fprintf(stderr, "ereld: cannot listen on %s:%u: %s\n",
+    std::fprintf(stderr, "ereld: cannot serve on %s:%u: %s\n",
                  opts.host.c_str(), unsigned{opts.port},
                  daemon.error().c_str());
     return 1;
