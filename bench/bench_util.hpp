@@ -12,6 +12,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <optional>
 #include <string>
@@ -221,6 +222,18 @@ inline void list_policies() {
   std::printf("aliases: conventional, ext\n");
 }
 
+/// True if `path` opens for writing. An existing file is opened for
+/// append, so nothing is truncated; a file the check creates is removed.
+inline bool can_write(const std::string& path) {
+  std::error_code ec;
+  const bool existed = std::filesystem::exists(path, ec);
+  std::FILE* file = std::fopen(path.c_str(), "a");
+  if (file == nullptr) return false;
+  std::fclose(file);
+  if (!existed) std::filesystem::remove(path, ec);
+  return true;
+}
+
 inline Options parse(int argc, char** argv) {
   Options opts;
   for (int i = 1; i < argc; ++i) {
@@ -376,6 +389,25 @@ inline Options parse(int argc, char** argv) {
     usage(argv[0]);
     std::exit(2);
   }
+  // Check every output path before any cell runs: an unusable cache dir
+  // would abort the first cell, and an unwritable sink would lose the
+  // whole sweep's work at its end.
+  const auto bad_path = [&](const char* flag, const std::string& path) {
+    std::fprintf(stderr, "%s: cannot write %s '%s'\n", argv[0], flag,
+                 path.c_str());
+    usage(argv[0]);
+    std::exit(2);
+  };
+  if (!opts.cache_dir.empty()) {
+    std::error_code ec;
+    std::filesystem::create_directories(opts.cache_dir, ec);
+    if (ec || !std::filesystem::is_directory(opts.cache_dir, ec))
+      bad_path("--cache-dir", opts.cache_dir);
+  }
+  for (const auto& [flag, path] :
+       {std::pair{"--csv", &opts.csv_path}, std::pair{"--json", &opts.json_path},
+        std::pair{"--timeseries", &opts.timeseries_path}})
+    if (!path->empty() && !can_write(*path)) bad_path(flag, *path);
   return opts;
 }
 

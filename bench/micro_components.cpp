@@ -59,6 +59,7 @@ void BM_LusTableRecordLookup(benchmark::State& state) {
   for (auto _ : state) {
     lus.record_use(seq % 32, seq, core::UseKind::Src1);
     benchmark::DoNotOptimize(lus.lookup((seq + 7) % 32));
+    lus.on_commit(seq);  // drops the undo record, as commit does in a run
     ++seq;
   }
   state.SetItemsProcessed(state.iterations());

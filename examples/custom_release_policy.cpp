@@ -24,7 +24,6 @@ namespace {
 using namespace erel;
 using core::InstSeq;
 using core::LUsTable;
-using core::PolicyCheckpoint;
 using core::RenameRec;
 using core::UseKind;
 
@@ -50,10 +49,8 @@ class SourceOnlyBasic final : public core::ReleasePolicy {
 
   DestPlan plan_dest(unsigned rd, InstSeq nv_seq, RenameRec& rec,
                      std::uint64_t) override {
-    const core::Mapping& old = rf_.map.get(rd);
-    rec.old_pd = old.phys;
     rec.rel_old = true;  // default: conventional release
-    if (old.stale) {
+    if (rec.old_stale) {
       rec.rel_old = false;
       return {};
     }
@@ -80,12 +77,7 @@ class SourceOnlyBasic final : public core::ReleasePolicy {
       rf_.release(rec.old_pd, cycle, /*squashed=*/false);
   }
 
-  void make_checkpoint_into(PolicyCheckpoint& cp) const override {
-    cp.lus = lus_.snapshot();
-  }
-  void restore_checkpoint(const PolicyCheckpoint& cp) override {
-    lus_.restore(cp.lus);
-  }
+  void on_branch_mispredicted(InstSeq b) override { lus_.squash_after(b); }
   void on_exception_flush() override { lus_.reset_architectural(); }
 
  private:

@@ -22,8 +22,6 @@ struct Mapping {
 
 class MapTable {
  public:
-  using Snapshot = std::array<Mapping, isa::kNumLogicalRegs>;
-
   /// Identity-initializes: logical r -> physical r (the conventional reset
   /// state; requires at least kNumLogicalRegs physical registers).
   MapTable();
@@ -35,11 +33,8 @@ class MapTable {
 
   void mark_stale(unsigned logical);
 
-  [[nodiscard]] Snapshot snapshot() const { return map_; }
-  void restore(const Snapshot& snapshot) { map_ = snapshot; }
-
  private:
-  Snapshot map_;
+  std::array<Mapping, isa::kNumLogicalRegs> map_;
 };
 
 /// The IOMT is structurally a MapTable updated in commit order.

@@ -51,8 +51,6 @@ void ReleasePolicy::on_commit(const RenameRec&, InstSeq, std::uint64_t) {}
 void ReleasePolicy::on_branch_confirmed(InstSeq, std::uint64_t) {}
 void ReleasePolicy::on_branch_mispredicted(InstSeq) {}
 
-void ReleasePolicy::make_checkpoint_into(PolicyCheckpoint&) const {}
-void ReleasePolicy::restore_checkpoint(const PolicyCheckpoint&) {}
 void ReleasePolicy::on_exception_flush() {}
 
 void ReleasePolicy::release_rel_bits(const RenameRec& rec, std::uint64_t cycle) {
@@ -95,19 +93,13 @@ class ConventionalPolicy final : public ReleasePolicy {
     return PolicyKind::Conventional;
   }
 
-  DestPlan plan_dest(unsigned rd, InstSeq, RenameRec& rec,
+  DestPlan plan_dest(unsigned, InstSeq, RenameRec& rec,
                      std::uint64_t) override {
-    const Mapping& old = rf_.map.get(rd);
-    rec.old_pd = old.phys;
-    if (old.stale) {
-      // The previous version was already freed (early release + exception
-      // flush in a prior policy life; unreachable for pure conventional but
-      // kept for uniformity): never release it again.
-      rec.rel_old = false;
-      ++stats_.stale_suppressed;
-    } else {
-      rec.rel_old = true;
-    }
+    // A stale previous version was already freed (early release + exception
+    // flush in a prior policy life; unreachable for pure conventional but
+    // kept for uniformity): never release it again.
+    rec.rel_old = !rec.old_stale;
+    if (rec.old_stale) ++stats_.stale_suppressed;
     return {};
   }
 
@@ -148,8 +140,6 @@ class BasicPolicy : public ReleasePolicy {
 
   DestPlan plan_dest(unsigned rd, InstSeq nv_seq, RenameRec& rec,
                      std::uint64_t) override {
-    const Mapping& old = rf_.map.get(rd);
-    rec.old_pd = old.phys;
     switch (classify(rd, nv_seq)) {
       case Case::StaleSuppressed:
         rec.rel_old = false;
@@ -192,12 +182,8 @@ class BasicPolicy : public ReleasePolicy {
     }
   }
 
-  void make_checkpoint_into(PolicyCheckpoint& cp) const override {
-    cp.lus = lus_.snapshot();
-  }
-
-  void restore_checkpoint(const PolicyCheckpoint& cp) override {
-    lus_.restore(cp.lus);
+  void on_branch_mispredicted(InstSeq branch_seq) override {
+    lus_.squash_after(branch_seq);
   }
 
   void on_exception_flush() override { lus_.reset_architectural(); }
@@ -254,8 +240,6 @@ class ExtendedPolicy final : public BasicPolicy {
 
   DestPlan plan_dest(unsigned rd, InstSeq nv_seq, RenameRec& rec,
                      std::uint64_t cycle) override {
-    const Mapping& old = rf_.map.get(rd);
-    rec.old_pd = old.phys;
     rec.rel_old = false;  // the extended ROS has no old_pd/rel_old release
     switch (classify_ext(rd, nv_seq)) {
       case ExtCase::StaleSuppressed:
@@ -263,7 +247,7 @@ class ExtendedPolicy final : public BasicPolicy {
         return {};
       case ExtCase::ImmediateRelease:
         // Non-speculative NV, LU already committed: release right now.
-        rf_.release(old.phys, cycle, /*squashed=*/false);
+        rf_.release(rec.old_pd, cycle, /*squashed=*/false);
         ++stats_.immediate_releases;
         return {};
       case ExtCase::ScheduleRwc0: {
@@ -277,7 +261,7 @@ class ExtendedPolicy final : public BasicPolicy {
         // release waits until no branch older than NV is pending.
         const LUsEntry entry = lus_.lookup(rd);
         deferred_.push_back(
-            {nv_seq, entry.seq, rel_bit_for(entry.kind), old.phys});
+            {nv_seq, entry.seq, rel_bit_for(entry.kind), rec.old_pd});
         ++stats_.conditional_schedulings;
         return {};
       }
@@ -313,6 +297,7 @@ class ExtendedPolicy final : public BasicPolicy {
   }
 
   void on_branch_mispredicted(InstSeq branch_seq) override {
+    BasicPolicy::on_branch_mispredicted(branch_seq);
     // Step 3: NVs younger than the branch were squashed with their records.
     while (!deferred_.empty() && deferred_.back().nv > branch_seq)
       deferred_.pop_back();

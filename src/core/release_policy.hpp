@@ -78,12 +78,6 @@ struct PolicyStats {
   std::uint64_t stale_suppressed = 0;        // releases suppressed (dead map)
 };
 
-/// Aux state stored inside every branch checkpoint next to the Map Table
-/// snapshot (the paper's "LUs Table copy at each branch prediction").
-struct PolicyCheckpoint {
-  LUsTable::Snapshot lus{};
-};
-
 class ReleasePolicy {
  public:
   ReleasePolicy(RegFileState& rf, PipelineHooks& hooks)
@@ -109,10 +103,11 @@ class ReleasePolicy {
   [[nodiscard]] virtual bool can_rename_dest(unsigned rd, InstSeq nv_seq,
                                              bool self_src_use) const;
 
-  /// Renaming step 2: decide the fate of the previous version of `rd`.
-  /// Fills rec.old_pd / rec.rel_old, may set rel bits in the LU's record,
-  /// defer the release, or release immediately. Only called when
-  /// can_rename_dest() returned true in the same cycle.
+  /// Renaming step 2: decide the fate of the previous version of `rd`,
+  /// whose mapping rename has already put in rec.old_pd / rec.old_stale.
+  /// Fills rec.rel_old, may set rel bits in the LU's record, defer the
+  /// release, or release immediately. Only called when can_rename_dest()
+  /// returned true in the same cycle.
   virtual DestPlan plan_dest(unsigned rd, InstSeq nv_seq, RenameRec& rec,
                              std::uint64_t cycle) = 0;
 
@@ -130,19 +125,10 @@ class ReleasePolicy {
   // ---- branch lifecycle ----
 
   virtual void on_branch_confirmed(InstSeq branch_seq, std::uint64_t cycle);
+
+  /// Every instruction younger than the branch was squashed: undo their
+  /// policy state (LUs Table recordings, deferred releases).
   virtual void on_branch_mispredicted(InstSeq branch_seq);
-
-  // ---- checkpointing of policy-private state (the LUs Table) ----
-
-  /// Fills `cp` in place (policies without aux state leave it untouched, so
-  /// checkpoint-heavy paths never copy an unused LUs snapshot around).
-  virtual void make_checkpoint_into(PolicyCheckpoint& cp) const;
-  [[nodiscard]] PolicyCheckpoint make_checkpoint() const {
-    PolicyCheckpoint cp;
-    make_checkpoint_into(cp);
-    return cp;
-  }
-  virtual void restore_checkpoint(const PolicyCheckpoint& cp);
 
   /// Exception flush: pipeline emptied, map restored from the IOMT.
   virtual void on_exception_flush();

@@ -6,13 +6,7 @@ namespace erel::core {
 
 using isa::RegClass;
 
-RenameUnit::RenameUnit(const RenameConfig& config, PipelineHooks& hooks)
-    : config_(config) {
-  slots_.resize(config.max_pending_branches);
-  order_.reserve(config.max_pending_branches);
-  free_.reserve(config.max_pending_branches);
-  for (std::uint32_t id = config.max_pending_branches; id-- > 0;)
-    free_.push_back(id);
+RenameUnit::RenameUnit(const RenameConfig& config, PipelineHooks& hooks) {
   state_[0] = std::make_unique<RegFileState>(RC::Int, config.phys_int);
   state_[1] = std::make_unique<RegFileState>(RC::Fp, config.phys_fp);
   for (unsigned c = 0; c < kNumClasses; ++c) {
@@ -66,6 +60,11 @@ bool RenameUnit::try_rename(const isa::DecodedInst& inst, InstSeq seq,
   if (rec.cd != RegClass::None) {
     const RC cd = rc_from(rec.cd);
     RegFileState& rfs = rf(cd);
+    // The previous mapping: the policy plans its release, and a squash of
+    // this instruction puts it back.
+    const Mapping old = rfs.map.get(rec.rd);
+    rec.old_pd = old.phys;
+    rec.old_stale = old.stale;
     const ReleasePolicy::DestPlan plan =
         policy(cd).plan_dest(rec.rd, seq, rec, cycle);
     if (plan.reuse) {
@@ -84,57 +83,14 @@ bool RenameUnit::try_rename(const isa::DecodedInst& inst, InstSeq seq,
   return true;
 }
 
-void RenameUnit::note_branch_decoded(InstSeq seq) {
-  EREL_CHECK(can_checkpoint(), "checkpoint stack overflow");
-  EREL_CHECK(order_.empty() || slots_[order_.back()].branch_seq < seq);
-  // Built in place inside a recycled slot: no allocation, no copy of the
-  // ~1 KB snapshot arrays beyond the snapshots themselves.
-  const std::uint32_t id = free_.back();
-  free_.pop_back();
-  order_.push_back(id);
-  Checkpoint& cp = slots_[id];
-  cp.branch_seq = seq;
-  for (unsigned c = 0; c < kNumClasses; ++c) {
-    cp.map[c] = state_[c]->map.snapshot();
-    policy_[c]->make_checkpoint_into(cp.aux[c]);
-  }
-}
-
 void RenameUnit::on_branch_confirmed(InstSeq seq, std::uint64_t cycle) {
-  // Branches verify out of order: retire the matching checkpoint wherever
-  // it sits in the stack (only its 4-byte slot id moves).
-  bool found = false;
-  for (auto it = order_.begin(); it != order_.end(); ++it) {
-    if (slots_[*it].branch_seq == seq) {
-      free_.push_back(*it);
-      order_.erase(it);
-      found = true;
-      break;
-    }
-  }
-  EREL_CHECK(found, "confirm of unknown branch ", seq);
   for (unsigned c = 0; c < kNumClasses; ++c)
     policy_[c]->on_branch_confirmed(seq, cycle);
 }
 
 void RenameUnit::on_branch_mispredicted(InstSeq seq) {
-  // Find the checkpoint; restore it; drop it and everything younger.
-  std::size_t idx = order_.size();
-  for (std::size_t i = 0; i < order_.size(); ++i) {
-    if (slots_[order_[i]].branch_seq == seq) {
-      idx = i;
-      break;
-    }
-  }
-  EREL_CHECK(idx != order_.size(), "mispredict of unknown branch ", seq);
-  Checkpoint& cp = slots_[order_[idx]];
-  for (unsigned c = 0; c < kNumClasses; ++c) {
-    state_[c]->map.restore(cp.map[c]);
-    policy_[c]->restore_checkpoint(cp.aux[c]);
+  for (unsigned c = 0; c < kNumClasses; ++c)
     policy_[c]->on_branch_mispredicted(seq);
-  }
-  for (std::size_t i = idx; i < order_.size(); ++i) free_.push_back(order_[i]);
-  order_.resize(idx);
 }
 
 void RenameUnit::on_commit(const RenameRec& rec, InstSeq seq,
@@ -154,8 +110,8 @@ void RenameUnit::on_commit(const RenameRec& rec, InstSeq seq,
     rfs.iomt.set(rec.rd, rec.pd);
   }
 
-  // 3. Policy actions: the LUs Table's commit frontier (which is also the
-  //    C bit of every checkpoint copy), rel-bit releases, old_pd release.
+  // 3. Policy actions: the LUs Table's commit frontier (the C bit), rel-bit
+  //    releases, old_pd release.
   for (unsigned c = 0; c < kNumClasses; ++c)
     policy_[c]->on_commit(rec, seq, cycle);
 }
@@ -163,6 +119,8 @@ void RenameUnit::on_commit(const RenameRec& rec, InstSeq seq,
 void RenameUnit::on_squash_entry(const RenameRec& rec, std::uint64_t cycle) {
   if (rec.cd == RegClass::None) return;
   RegFileState& rfs = rf(rc_from(rec.cd));
+  rfs.map.set(rec.rd, rec.old_pd);
+  if (rec.old_stale) rfs.map.mark_stale(rec.rd);
   if (rec.reused_prev) {
     // A squashed reuse: the storage still backs the (restored) architectural
     // mapping, so it must stay allocated. Start a replacement version that
@@ -178,11 +136,9 @@ void RenameUnit::on_exception_flush(std::uint64_t cycle) {
   (void)cycle;
   for (unsigned c = 0; c < kNumClasses; ++c) {
     // The IOMT (with its stale bits) is the precise architectural mapping.
-    state_[c]->map.restore(state_[c]->iomt.snapshot());
+    state_[c]->map = state_[c]->iomt;
     policy_[c]->on_exception_flush();
   }
-  for (const std::uint32_t id : order_) free_.push_back(id);
-  order_.clear();
 }
 
 }  // namespace erel::core

@@ -1,20 +1,25 @@
-// Register rename unit: Map Tables, Free Lists, IOMT, branch checkpoint
-// stack and the release policy instances for both register classes
-// (Figure 1 of the paper plus the §3/§4 extensions).
+// Register rename unit: Map Tables, Free Lists, IOMT and the release
+// policy instances for both register classes (Figure 1 of the paper plus
+// the §3/§4 extensions).
 //
-// The pipeline drives it through five entry points:
+// The pipeline drives it through four entry points:
 //   try_rename()            - decode/rename stage, per instruction
-//   note_branch_decoded()   - after taking a checkpoint slot for a branch
 //   on_branch_confirmed() / on_branch_mispredicted()
 //   on_commit()             - per committing instruction, in order
 //   on_squash_entry() + on_exception_flush() - recovery
+//
+// The paper copies the Map Table and the LUs Table at every branch. Here a
+// mispredict undoes the squashed renames instead, like a history buffer:
+// on_squash_entry() puts each squashed instruction's previous mapping back,
+// youngest first, and on_branch_mispredicted() has the policies undo their
+// LUs Table recordings (core/lus_table.hpp). Together they restore exactly
+// the state a copy taken right after the branch renamed would hold.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <vector>
 
 #include "core/release_policy.hpp"
 #include "core/reg_state.hpp"
@@ -33,8 +38,7 @@ struct RenameConfig {
   unsigned phys_int = 96;
   unsigned phys_fp = 96;
   PolicyKind policy = PolicyKind::Conventional;
-  unsigned max_pending_branches = 20;  // checkpoint stack depth (Table 2)
-  PolicyFactory policy_factory;        // overrides `policy` when set
+  PolicyFactory policy_factory;  // overrides `policy` when set
 };
 
 class RenameUnit {
@@ -52,43 +56,32 @@ class RenameUnit {
     return *policy_[static_cast<unsigned>(cls)];
   }
 
-  /// True if a conditional/indirect branch can take a checkpoint now.
-  [[nodiscard]] bool can_checkpoint() const {
-    return order_.size() < config_.max_pending_branches;
-  }
-
   /// Renames one instruction into `rec` (which must already be registered so
-  /// PipelineHooks::find_inflight(seq) resolves to it). Returns false and
+  /// PipelineHooks::find_inflight(seq) resolves to it). Records rd's
+  /// previous mapping in rec.old_pd / rec.old_stale. Returns false and
   /// leaves all state untouched when a destination register cannot be
   /// obtained (free-list stall — the stall this paper attacks).
   bool try_rename(const isa::DecodedInst& inst, InstSeq seq, RenameRec& rec,
                   std::uint64_t cycle);
 
-  /// Takes Map Table + LUs Table checkpoints for branch `seq` (paper §3.1:
-  /// "an LUs Table copy is made at each branch prediction").
-  void note_branch_decoded(InstSeq seq);
-
   void on_branch_confirmed(InstSeq seq, std::uint64_t cycle);
 
-  /// Restores the checkpoint of `seq` and drops it plus all younger ones.
-  /// The pipeline must free the squashed instructions' destinations via
-  /// on_squash_entry() separately.
+  /// Branch `seq` mispredicted: the policies undo the state of every
+  /// younger instruction. The pipeline must also pass each squashed
+  /// instruction to on_squash_entry(), youngest first.
   void on_branch_mispredicted(InstSeq seq);
 
   /// Commit processing for one instruction, in program order: consumer/
   /// definer tracking, IOMT update, then the policy's release actions.
   void on_commit(const RenameRec& rec, InstSeq seq, std::uint64_t cycle);
 
-  /// Returns the destination register of a squashed in-flight instruction.
+  /// Undoes the rename of a squashed in-flight instruction: puts rd's
+  /// previous mapping back and frees the destination register.
   void on_squash_entry(const RenameRec& rec, std::uint64_t cycle);
 
   /// Exception recovery: pipeline already squashed everything; restore the
   /// speculative map from the IOMT and reset policy state.
   void on_exception_flush(std::uint64_t cycle);
-
-  [[nodiscard]] unsigned pending_checkpoints() const {
-    return static_cast<unsigned>(order_.size());
-  }
 
   /// Free-list-empty rename stalls observed (per class).
   [[nodiscard]] std::uint64_t rename_stalls(RC cls) const {
@@ -96,24 +89,8 @@ class RenameUnit {
   }
 
  private:
-  struct Checkpoint {
-    InstSeq branch_seq = kNoSeq;
-    std::array<MapTable::Snapshot, kNumClasses> map;
-    std::array<PolicyCheckpoint, kNumClasses> aux;
-  };
-
-  RenameConfig config_;
   std::array<std::unique_ptr<RegFileState>, kNumClasses> state_;
   std::array<std::unique_ptr<ReleasePolicy>, kNumClasses> policy_;
-  // Branch checkpoints live in a slot pool preallocated to the stack depth:
-  // a Checkpoint is ~1 KB of snapshot arrays, so container push/erase would
-  // pay a heap allocation per decoded branch and a multi-KB element shift
-  // per out-of-order confirm. Slots never move or reallocate; `order_`
-  // (alive slot ids, oldest first) carries all per-branch bookkeeping and
-  // `free_` recycles slots of confirmed/squashed branches.
-  std::vector<Checkpoint> slots_;
-  std::vector<std::uint32_t> order_;
-  std::vector<std::uint32_t> free_;
   std::array<std::uint64_t, kNumClasses> rename_stalls_{};
 };
 

@@ -57,6 +57,9 @@ struct RenameRec {
   PhysReg p1 = kNoReg, p2 = kNoReg, pd = kNoReg, old_pd = kNoReg;
   // Version tokens for the read-after-release safety check (see RegTracker).
   std::uint32_t p1_token = 0, p2_token = 0;
+  // Stale bit of rd's previous mapping. Rename records it with old_pd, and
+  // a squash puts both back into the Map Table.
+  bool old_stale = false;
   // Previous-version release bit (paper: rel_old). Conventional release of
   // old_pd at commit happens only when set.
   bool rel_old = false;

@@ -92,32 +92,6 @@ bool Socket::send_all(std::string_view bytes) {
   return true;
 }
 
-std::optional<Frame> Socket::recv_frame(bool* clean_eof) {
-  if (clean_eof != nullptr) *clean_eof = false;
-  Frame frame;
-  for (;;) {
-    switch (decoder_.next(frame)) {
-      case FrameDecoder::Status::kFrame:
-        return frame;
-      case FrameDecoder::Status::kError:
-        return std::nullopt;
-      case FrameDecoder::Status::kNeedMore:
-        break;
-    }
-    char chunk[64 * 1024];
-    const ssize_t n = ::recv(fd_, chunk, sizeof chunk, 0);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return std::nullopt;
-    }
-    if (n == 0) {  // EOF
-      if (clean_eof != nullptr) *clean_eof = !decoder_.mid_frame();
-      return std::nullopt;
-    }
-    decoder_.feed(std::string_view(chunk, static_cast<std::size_t>(n)));
-  }
-}
-
 Socket::RecvStatus Socket::recv_frame_deadline(Frame& out, int timeout_ms,
                                                bool* clean_eof) {
   if (clean_eof != nullptr) *clean_eof = false;

@@ -44,17 +44,13 @@ class Socket {
   /// Writes all of `bytes`; false on any error (the socket is then dead).
   bool send_all(std::string_view bytes);
 
-  /// Reads exactly one frame. nullopt on EOF, truncation, or corrupt
-  /// framing. A clean EOF *between* frames sets `*clean_eof` when provided
-  /// (a server shutting down vs. a torn connection).
-  std::optional<Frame> recv_frame(bool* clean_eof = nullptr);
-
-  /// Deadline-bounded recv_frame: the whole frame must arrive within
-  /// `timeout_ms` (measured from the call, across however many partial
-  /// reads it takes). kTimeout leaves the connection and any partially
-  /// decoded bytes intact — the caller may retry and the frame resumes
-  /// where it left off; kEof/kError mean the connection is unusable
-  /// (`*clean_eof` distinguishes orderly shutdown from mid-frame death).
+  /// Reads exactly one frame, which must arrive whole within `timeout_ms`
+  /// (measured from the call, across however many partial reads it
+  /// takes). kError also covers corrupt framing. kTimeout leaves the
+  /// connection and any partially decoded bytes intact — the caller may
+  /// retry and the frame resumes where it left off; kEof/kError mean the
+  /// connection is unusable (`*clean_eof` distinguishes orderly shutdown
+  /// from mid-frame death).
   enum class RecvStatus { kFrame, kTimeout, kEof, kError };
   RecvStatus recv_frame_deadline(Frame& out, int timeout_ms,
                                  bool* clean_eof = nullptr);

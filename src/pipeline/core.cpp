@@ -53,7 +53,7 @@ Core::Core(const sim::SimConfig& config, const arch::Program& program,
       lsq_(config.lsq_size),
       fu_pool_(config.fus),
       rename_({config.phys_int, config.phys_fp, config.policy,
-               config.max_pending_branches, config.policy_factory},
+               config.policy_factory},
               *this),
       scheduler_(config.phys_int, config.phys_fp) {
   arch::load_program(program, mem_);
@@ -265,9 +265,12 @@ void Core::phase_dispatch() {
       ++*ctr_.lsq_full;
       return;
     }
-    const bool needs_checkpoint =
-        inst.is_cond_branch() || inst.is_indirect_jump();
-    if (needs_checkpoint && !rename_.can_checkpoint()) {
+    // The paper's machine copies its Map and LUs Tables at every branch
+    // and holds at most max_pending_branches copies (Table 2). Recovery
+    // here undoes the squashed renames instead, but the limit stays.
+    const bool is_branch = inst.is_cond_branch() || inst.is_indirect_jump();
+    if (is_branch &&
+        pending_branches_.size() >= config_.max_pending_branches) {
       ++*ctr_.checkpoints_full;
       return;
     }
@@ -295,11 +298,7 @@ void Core::phase_dispatch() {
     e.predicted_target = fi.predicted_target;
     e.ghr_checkpoint = fi.ghr_checkpoint;
     e.ras_checkpoint = fi.ras_checkpoint;
-    if (needs_checkpoint) {
-      e.has_checkpoint = true;
-      rename_.note_branch_decoded(seq);
-      pending_branches_.push_back(seq);
-    }
+    if (is_branch) pending_branches_.push_back(seq);
     schedule_issue(e);
     if (has_probes_) {
       const sim::RenameEvent ev{seq, e.pc, &e.inst, &e.rec, cycle_};
@@ -523,8 +522,8 @@ void Core::resolve_branch(RosEntry& e) {
     return;
   }
 
-  // Misprediction: squash younger instructions, repair predictors, restore
-  // rename state, redirect fetch.
+  // Misprediction: squash younger instructions (which undoes their renames),
+  // repair predictors, undo the policies' state, redirect fetch.
   squash_after(e.seq);
   // A branch can itself be the LU instruction of a register version (it
   // reads sources). Any early-release bit on it was scheduled by an NV

@@ -177,8 +177,8 @@ class Core final : public core::PipelineHooks {
   core::RenameUnit rename_;
 
   std::vector<core::InstSeq> pending_branches_;  // unresolved, decode order
-                                                 // (bounded by the
-                                                 // checkpoint stack depth)
+                                                 // (at most
+                                                 // max_pending_branches)
   IssueScheduler scheduler_;
   CompletionQueue completions_;
   std::vector<SchedTag> woken_;  // wake_consumers scratch (no nesting)

@@ -46,7 +46,6 @@ struct RosEntry {
   SchedResidence sched = SchedResidence::None;
 
   // Branch bookkeeping (conditional branches and indirect jumps).
-  bool has_checkpoint = false;
   bool predicted_taken = false;
   std::uint64_t predicted_target = 0;
   std::uint32_t ghr_checkpoint = 0;
@@ -130,7 +129,8 @@ class Ros {
   }
 
   /// Squashes every entry younger than `boundary` (exclusive); the caller
-  /// iterates first via for_squash() to release registers.
+  /// first passes each of them to RenameUnit::on_squash_entry, youngest
+  /// first, to undo its rename.
   void truncate_after(core::InstSeq boundary) {
     EREL_CHECK(boundary >= head_ - 1 && boundary < tail_);
     tail_ = boundary + 1;

@@ -1,6 +1,6 @@
 // LUs Table semantics (paper §3.1/§3.2): last-use recording, the C bit
-// derived from the commit frontier (which checkpoint restores cannot move),
-// architectural reset.
+// derived from the commit frontier (which undoing cannot move), the undo
+// list a mispredict unwinds, architectural reset.
 #include <gtest/gtest.h>
 
 #include "core/lus_table.hpp"
@@ -41,28 +41,53 @@ TEST(LUsTable, CommitFrontierSetsCUpToTheCommittedSeq) {
   EXPECT_TRUE(t.committed(t.lookup(3).seq));
 }
 
-TEST(LUsTable, RestoredCopySeesCommitsMadeAfterTheSnapshot) {
+TEST(LUsTable, UndoneEntrySeesCommitsMadeMeanwhile) {
   LUsTable t;
   t.record_use(5, 200, UseKind::Src1);
-  const LUsTable::Snapshot checkpoint = t.snapshot();
-  t.record_use(5, 201, UseKind::Src1);  // younger use in the working copy
+  t.record_use(5, 201, UseKind::Src1);  // younger, wrong-path use
   t.on_commit(200);
-  EXPECT_FALSE(t.committed(t.lookup(5).seq));  // working copy names 201
+  EXPECT_FALSE(t.committed(t.lookup(5).seq));  // the table names 201
   // The paper sets C "in all LUs Table copies"; the frontier covers the
-  // copy without touching it, and the restore leaves the frontier alone.
-  t.restore(checkpoint);
+  // entry an undo puts back, and the undo leaves the frontier alone.
+  t.squash_after(200);
   EXPECT_EQ(t.lookup(5).seq, 200u);
   EXPECT_TRUE(t.committed(t.lookup(5).seq));
 }
 
-TEST(LUsTable, RestoreBringsBackOlderLastUses) {
+TEST(LUsTable, CommitTrimsTheUndoListAndSquashUnwindsNewestFirst) {
   LUsTable t;
-  t.record_use(7, 300, UseKind::Dst);
-  const LUsTable::Snapshot snap = t.snapshot();
-  t.record_use(7, 350, UseKind::Src2);  // wrong-path use
-  t.restore(snap);
-  EXPECT_EQ(t.lookup(7).seq, 300u);
-  EXPECT_EQ(t.lookup(7).kind, UseKind::Dst);
+  t.record_use(1, 10, UseKind::Src1);
+  t.record_use(2, 11, UseKind::Dst);
+  EXPECT_EQ(t.undo_size(), 2u);
+  t.on_commit(10);
+  EXPECT_EQ(t.undo_size(), 1u);
+  // add r1, r1, r1 at 12 records r1 three times.
+  t.record_use(1, 12, UseKind::Src1);
+  t.record_use(1, 12, UseKind::Src2);
+  t.record_use(1, 12, UseKind::Dst);
+  // Two younger instructions use r1 and r2 again.
+  t.record_use(1, 13, UseKind::Src2);
+  t.record_use(2, 13, UseKind::Dst);
+  t.record_use(1, 14, UseKind::Dst);
+  EXPECT_EQ(t.undo_size(), 7u);
+
+  t.squash_after(12);  // undoes 14 and 13
+  EXPECT_EQ(t.lookup(1).seq, 12u);
+  EXPECT_EQ(t.lookup(1).kind, UseKind::Dst);
+  EXPECT_EQ(t.lookup(2).seq, 11u);
+  EXPECT_EQ(t.undo_size(), 4u);
+
+  t.squash_after(11);  // undoes all three recordings of 12
+  EXPECT_EQ(t.lookup(1).seq, 10u);
+  EXPECT_EQ(t.lookup(1).kind, UseKind::Src1);
+  EXPECT_EQ(t.undo_size(), 1u);
+
+  // Committed recordings leave no undo record behind.
+  t.on_commit(11);
+  EXPECT_EQ(t.undo_size(), 0u);
+  t.squash_after(10);
+  EXPECT_EQ(t.lookup(2).seq, 11u);
+  EXPECT_EQ(t.lookup(2).kind, UseKind::Dst);
 }
 
 TEST(LUsTable, ResetArchitecturalClearsEverything) {
@@ -72,6 +97,9 @@ TEST(LUsTable, ResetArchitecturalClearsEverything) {
   t.reset_architectural();
   EXPECT_EQ(t.lookup(0).kind, UseKind::Arch);
   EXPECT_TRUE(t.committed(t.lookup(31).seq));
+  EXPECT_EQ(t.undo_size(), 0u);
+  t.squash_after(0);  // nothing left to undo
+  EXPECT_EQ(t.lookup(31).kind, UseKind::Arch);
 }
 
 TEST(LUsTable, RelBitMapping) {

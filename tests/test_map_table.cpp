@@ -1,4 +1,5 @@
-// MapTable / IOMT: identity reset, snapshot/restore, stale bits.
+// MapTable / IOMT: identity reset, stale bits. Squash restores are
+// RenameUnit's (test_rename_unit).
 #include <gtest/gtest.h>
 
 #include "core/map_table.hpp"
@@ -27,29 +28,6 @@ TEST(MapTable, SetClearsStale) {
   EXPECT_TRUE(mt.get(5).stale);
   mt.set(5, 40);
   EXPECT_FALSE(mt.get(5).stale);
-}
-
-TEST(MapTable, SnapshotRestoreRoundTrip) {
-  MapTable mt;
-  mt.set(1, 50);
-  mt.set(2, 51);
-  mt.mark_stale(2);
-  const MapTable::Snapshot snap = mt.snapshot();
-  mt.set(1, 60);
-  mt.set(2, 61);
-  mt.set(3, 62);
-  mt.restore(snap);
-  EXPECT_EQ(mt.get(1).phys, 50);
-  EXPECT_EQ(mt.get(2).phys, 51);
-  EXPECT_TRUE(mt.get(2).stale);
-  EXPECT_EQ(mt.get(3).phys, 3);
-}
-
-TEST(MapTable, SnapshotIsByValue) {
-  MapTable mt;
-  const MapTable::Snapshot snap = mt.snapshot();
-  mt.set(0, 99);
-  EXPECT_EQ(snap[0].phys, 0);  // unaffected by later mutation
 }
 
 }  // namespace

@@ -151,6 +151,8 @@ TEST(Endpoint, PortsAreDigitsUpTo65535) {
 }
 
 TEST(Socket, LoopbackFrameRoundTripAndCleanEof) {
+  using Status = net::Socket::RecvStatus;
+  constexpr int kTimeoutMs = 10'000;  // a silent peer fails, not hangs
   net::Listener listener("127.0.0.1", 0);
   ASSERT_TRUE(listener.valid()) << listener.error();
   ASSERT_NE(listener.port(), 0);
@@ -158,10 +160,10 @@ TEST(Socket, LoopbackFrameRoundTripAndCleanEof) {
   std::thread server([&listener] {
     net::Socket peer = listener.accept_client();
     ASSERT_TRUE(peer.valid());
-    const std::optional<Frame> frame = peer.recv_frame();
-    ASSERT_TRUE(frame.has_value());
-    EXPECT_EQ(frame->type, 11);
-    ASSERT_TRUE(peer.send_frame(Frame{12, "pong:" + frame->payload}));
+    Frame frame;
+    ASSERT_EQ(peer.recv_frame_deadline(frame, kTimeoutMs), Status::kFrame);
+    EXPECT_EQ(frame.type, 11);
+    ASSERT_TRUE(peer.send_frame(Frame{12, "pong:" + frame.payload}));
     // Destructor closes: the client should observe a clean EOF.
   });
 
@@ -169,11 +171,12 @@ TEST(Socket, LoopbackFrameRoundTripAndCleanEof) {
   net::Socket client = net::connect_to("127.0.0.1", listener.port(), &error);
   ASSERT_TRUE(client.valid()) << error;
   ASSERT_TRUE(client.send_frame(Frame{11, "ping"}));
-  const std::optional<Frame> reply = client.recv_frame();
-  ASSERT_TRUE(reply.has_value());
-  EXPECT_EQ(reply->payload, "pong:ping");
+  Frame reply;
+  ASSERT_EQ(client.recv_frame_deadline(reply, kTimeoutMs), Status::kFrame);
+  EXPECT_EQ(reply.payload, "pong:ping");
   bool clean_eof = false;
-  EXPECT_FALSE(client.recv_frame(&clean_eof).has_value());
+  EXPECT_EQ(client.recv_frame_deadline(reply, kTimeoutMs, &clean_eof),
+            Status::kEof);
   EXPECT_TRUE(clean_eof);
   server.join();
 }

@@ -308,7 +308,7 @@ loop:
 
 TEST(Pipeline, DeepRecursionExercisesCheckpointPressure) {
   sim::SimConfig config = base_config();
-  config.max_pending_branches = 4;  // tiny checkpoint stack
+  config.max_pending_branches = 4;  // at most four unresolved branches
   const auto stats = run_src(R"(
 main:
   li r2, 0x200000

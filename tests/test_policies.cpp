@@ -52,6 +52,8 @@ class PolicyTest : public testing::Test {
     }
     rec.rd = static_cast<std::uint8_t>(rd);
     rec.cd = isa::RegClass::Int;
+    rec.old_pd = rf->map.get(rd).phys;
+    rec.old_stale = rf->map.get(rd).stale;
     const auto plan = policy->plan_dest(rd, seq, rec, cycle);
     if (plan.reuse) {
       rec.pd = rec.old_pd;
@@ -76,6 +78,20 @@ class PolicyTest : public testing::Test {
       rf->iomt.set(rec.rd, rec.pd);
     }
     policy->on_commit(rec, seq, cycle);
+    hooks.inflight.erase(seq);
+  }
+
+  /// Squashes in-flight `seq` as RenameUnit::on_squash_entry does: puts
+  /// rd's previous mapping back and frees (or un-reuses) the destination.
+  void squash(InstSeq seq, std::uint64_t cycle) {
+    const RenameRec rec = hooks.inflight.at(seq);
+    rf->map.set(rec.rd, rec.old_pd);
+    if (rec.old_stale) rf->map.mark_stale(rec.rd);
+    if (rec.reused_prev) {
+      rf->tracker.on_reuse(rec.pd, rec.rd, cycle);
+    } else {
+      rf->release(rec.pd, cycle, /*squashed=*/true);
+    }
     hooks.inflight.erase(seq);
   }
 
@@ -188,24 +204,26 @@ TEST_F(PolicyTest, BasicStaleMappingSuppressed) {
   EXPECT_EQ(policy->stats().stale_suppressed, 1u);
 }
 
-TEST_F(PolicyTest, BasicCheckpointRestoreRevertsLastUses) {
+TEST_F(PolicyTest, BasicMispredictRevertsLastUses) {
   init(PolicyKind::Basic);
   rename(1, 5);
-  rename(2, 6, /*rs1=*/5);                 // LU of r5's v1
-  const PolicyCheckpoint cp = policy->make_checkpoint();
-  rename(3, 7, /*rs1=*/5);                 // wrong-path younger use
-  policy->restore_checkpoint(cp);
-  hooks.inflight.erase(3);
-  // After restore the LU of r5 is instruction 2 again.
+  rename(2, 6, /*rs1=*/5);     // LU of r5's v1
+  hooks.pending.push_back(2);  // instruction 2 stands in for the branch
+  rename(3, 7, /*rs1=*/5);     // wrong-path younger use
+  squash(3, 1);
+  hooks.pending.clear();
+  policy->on_branch_mispredicted(2);
+  // After the undo the LU of r5 is instruction 2 again.
   RenameRec& nv = rename(4, 5);
   EXPECT_FALSE(nv.rel_old);
   EXPECT_EQ(hooks.inflight.at(2).rel_bits, kRel1);
 }
 
-TEST_F(PolicyTest, CheckpointRestoredAfterLuCommitSeesC) {
-  // The paper sets C "in all LUs Table copies" at commit. Here a checkpoint
-  // taken before the LU committed must read C=1 once restored: basic then
-  // reuses the register, extended releases it immediately.
+TEST_F(PolicyTest, MispredictAfterLuCommitSeesC) {
+  // The paper sets C "in all LUs Table copies" at commit. Here a mispredict
+  // puts back an LUs entry whose LU committed while the wrong path was in
+  // flight; it must read C=1: basic then reuses the register, extended
+  // releases it immediately.
   for (const PolicyKind kind : {PolicyKind::Basic, PolicyKind::Extended}) {
     SCOPED_TRACE(std::string(policy_name(kind)));
     hooks = FakeHooks{};
@@ -213,19 +231,14 @@ TEST_F(PolicyTest, CheckpointRestoredAfterLuCommitSeesC) {
     rename(1, 5);
     rename(2, 6, /*rs1=*/5);  // LU of r5's v1
     const PhysReg v1 = rf->map.get(5).phys;
-    hooks.pending.push_back(3);  // branch 3 takes its checkpoint
-    const PolicyCheckpoint cp = policy->make_checkpoint();
-    const MapTable::Snapshot map_cp = rf->map.snapshot();
-    RenameRec& wrong = rename(4, 7, /*rs1=*/5);  // wrong-path last use of v1
+    hooks.pending.push_back(3);  // branch 3 is pending
+    rename(4, 7, /*rs1=*/5);     // wrong-path last use of v1
     commit(1, 10);
-    commit(2, 11);  // the LU commits while the checkpoint is live
-    // Branch 3 mispredicts: squash 4, restore the checkpoint.
-    rf->release(wrong.pd, 12, /*squashed=*/true);
-    hooks.inflight.erase(4);
-    rf->map.restore(map_cp);
-    policy->restore_checkpoint(cp);
-    policy->on_branch_mispredicted(3);
+    commit(2, 11);  // the LU commits while the wrong path is in flight
+    // Branch 3 mispredicts: squash 4, undo its LUs Table recordings.
+    squash(4, 12);
     hooks.pending.clear();
+    policy->on_branch_mispredicted(3);
     RenameRec& nv = rename(4, 5, -1, 13);  // the reused seq redefines r5
     if (kind == PolicyKind::Basic) {
       EXPECT_TRUE(nv.reused_prev);
@@ -320,16 +333,11 @@ TEST_F(PolicyTest, ExtendedMispredictDropsConditionalReleases) {
   rename(2, 6, /*rs1=*/5);
   commit(1, 10);
   commit(2, 11);
-  const PolicyCheckpoint cp = policy->make_checkpoint();
-  const MapTable::Snapshot map_cp = rf->map.snapshot();
   hooks.pending.push_back(3);
   const PhysReg v1 = rf->map.get(5).phys;
-  RenameRec& nv = rename(4, 5);
-  // Mispredict: squash the NV, drop the scheduling, restore state.
-  rf->release(nv.pd, 12, /*squashed=*/true);
-  hooks.inflight.erase(4);
-  rf->map.restore(map_cp);
-  policy->restore_checkpoint(cp);
+  rename(4, 5);
+  // Mispredict: squash the NV, drop the scheduling, undo its recordings.
+  squash(4, 12);
   policy->on_branch_mispredicted(3);
   hooks.pending.clear();
   EXPECT_EQ(policy->relque_population(), 0u);
@@ -391,13 +399,10 @@ TEST_F(PolicyTest, ExtendedYoungerMispredictKeepsOlderDeferredRelease) {
   const PhysReg r5 = rf->map.get(5).phys;
   rename(2, 5);                    // deferred behind branch 1
   hooks.pending.push_back(3);
-  const MapTable::Snapshot map_cp = rf->map.snapshot();
-  RenameRec& young = rename(4, 6); // deferred behind branches 1 and 3
+  rename(4, 6);                    // deferred behind branches 1 and 3
   EXPECT_EQ(policy->relque_population(), 2u);
   // Branch 3 mispredicts: only NV 4 is squashed.
-  rf->release(young.pd, 10, /*squashed=*/true);
-  hooks.inflight.erase(4);
-  rf->map.restore(map_cp);
+  squash(4, 10);
   hooks.pending.pop_back();
   policy->on_branch_mispredicted(3);
   EXPECT_EQ(policy->relque_population(), 1u);

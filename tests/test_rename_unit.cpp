@@ -1,9 +1,14 @@
-// RenameUnit: cross-class renaming, checkpoint stack management, commit
-// plumbing, squash/un-reuse, exception flush — driven directly with a fake
-// pipeline (complementing the policy-level tests).
+// RenameUnit: cross-class renaming, commit plumbing, squash/un-reuse,
+// mispredict and exception recovery — driven directly with a fake pipeline
+// (complementing the policy-level tests).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <deque>
+#include <iterator>
 #include <map>
+#include <random>
 
 #include "core/rename_unit.hpp"
 
@@ -39,7 +44,7 @@ class RenameUnitTest : public testing::Test {
  protected:
   void init(PolicyKind kind, unsigned phys_int = 40, unsigned phys_fp = 40) {
     unit = std::make_unique<RenameUnit>(
-        RenameConfig{phys_int, phys_fp, kind, 4, nullptr}, hooks);
+        RenameConfig{phys_int, phys_fp, kind, nullptr}, hooks);
   }
 
   RenameRec& rename(const isa::DecodedInst& inst, InstSeq seq,
@@ -96,43 +101,26 @@ TEST_F(RenameUnitTest, RenameStallLeavesNoSideEffects) {
   EXPECT_EQ(unit->rename_stalls(RC::Int), 1u);
 }
 
-TEST_F(RenameUnitTest, CheckpointStackDepthEnforced) {
-  init(PolicyKind::Extended);
-  for (InstSeq seq = 1; seq <= 4; ++seq) {
-    ASSERT_TRUE(unit->can_checkpoint());
-    unit->note_branch_decoded(seq);
-    hooks.pending.push_back(seq);
-  }
-  EXPECT_FALSE(unit->can_checkpoint());
-  EXPECT_EQ(unit->pending_checkpoints(), 4u);
-  // Confirming the youngest (out of order) frees a slot.
-  hooks.pending.pop_back();
-  unit->on_branch_confirmed(4, 10);
-  EXPECT_TRUE(unit->can_checkpoint());
-}
-
 TEST_F(RenameUnitTest, MispredictRestoresBothClassesAndDropsYounger) {
   init(PolicyKind::Basic);
   const PhysReg int5 = unit->rf(RC::Int).map.get(5).phys;
   const PhysReg fp3 = unit->rf(RC::Fp).map.get(3).phys;
-  unit->note_branch_decoded(1);
   hooks.pending.push_back(1);
-  unit->note_branch_decoded(2);
   hooks.pending.push_back(2);
   // Wrong path: redefine r5 (int) and f3 (fp).
   RenameRec& a = rename(make_inst(isa::Opcode::ADDI, 5, 3, 0), 3);
   RenameRec& b = rename(make_inst(isa::Opcode::FADD, 3, 1, 2), 4);
   EXPECT_NE(unit->rf(RC::Int).map.get(5).phys, int5);
-  // Squash back to branch 1: free wrong-path destinations, restore maps.
+  // Squash back to branch 1, youngest first: free wrong-path destinations
+  // and put the previous mappings back.
   unit->on_squash_entry(b, 5);
   unit->on_squash_entry(a, 5);
   hooks.recs.erase(3);
   hooks.recs.erase(4);
-  unit->on_branch_mispredicted(1);
   hooks.pending.clear();
+  unit->on_branch_mispredicted(1);
   EXPECT_EQ(unit->rf(RC::Int).map.get(5).phys, int5);
   EXPECT_EQ(unit->rf(RC::Fp).map.get(3).phys, fp3);
-  EXPECT_EQ(unit->pending_checkpoints(), 0u);
   // Conservation after recovery.
   EXPECT_EQ(unit->rf(RC::Int).free_list.size() +
                 unit->rf(RC::Int).tracker.allocated_count(),
@@ -153,7 +141,6 @@ TEST_F(RenameUnitTest, ReusedSeqAfterMispredictNamesTheRightLu) {
     RenameRec& def = rename(addi(5, 3), 1);  // v1 of r5
     RenameRec& lu = rename(addi(6, 5), 2);   // LU of v1
     rename(make_inst(isa::Opcode::BEQ, 0, 1, 2), 3);
-    unit->note_branch_decoded(3);
     hooks.pending.push_back(3);
     // Wrong path: younger uses of r5 at seqs 4 and 5.
     RenameRec& w4 = rename(addi(7, 5), 4);
@@ -191,11 +178,236 @@ TEST_F(RenameUnitTest, ReusedSeqAfterMispredictNamesTheRightLu) {
   }
 }
 
-TEST_F(RenameUnitTest, ConfirmOfUnknownBranchAborts) {
-  init(PolicyKind::Extended);
-  unit->note_branch_decoded(1);
+TEST_F(RenameUnitTest, SquashRestoresAStalePreviousMapping) {
+  init(PolicyKind::Basic);
+  RegFileState& rf = unit->rf(RC::Int);
+  rf.map.mark_stale(5);  // as an exception flush copies it from the IOMT
+  const PhysReg arch5 = rf.map.get(5).phys;
   hooks.pending.push_back(1);
-  EXPECT_DEATH(unit->on_branch_confirmed(9, 1), "unknown branch");
+  RenameRec& nv = rename(make_inst(isa::Opcode::ADDI, 5, 3, 0), 2);
+  EXPECT_TRUE(nv.old_stale);
+  EXPECT_FALSE(rf.map.get(5).stale);  // a fresh version is never stale
+  unit->on_squash_entry(nv, 3);
+  hooks.recs.erase(2);
+  hooks.pending.clear();
+  unit->on_branch_mispredicted(1);
+  EXPECT_EQ(rf.map.get(5).phys, arch5);
+  EXPECT_TRUE(rf.map.get(5).stale);
+}
+
+/// One RenameUnit driven the way Core drives it. Physical register names
+/// depend on the FIFO free list's order, which wrong-path allocations
+/// perturb, so the lane names each live register by its version: the seq
+/// of the instruction whose rename created it (kArch + r for the initial
+/// mapping of logical r).
+struct Lane {
+  static constexpr std::uint64_t kArch = std::uint64_t{1} << 40;
+  static constexpr unsigned kPhys = 40;
+
+  explicit Lane(PolicyKind kind)
+      : unit(RenameConfig{kPhys, kPhys, kind, nullptr}, hooks) {
+    for (auto& v : version) {
+      v.assign(kPhys, 0);
+      for (unsigned r = 0; r < isa::kNumLogicalRegs; ++r) v[r] = kArch + r;
+    }
+  }
+
+  [[nodiscard]] std::uint64_t ver(isa::RegClass cls, PhysReg p) const {
+    if (cls == isa::RegClass::None) return 0;
+    return version[static_cast<unsigned>(rc_from(cls))].at(p);
+  }
+
+  /// A record with physical names replaced by versions. old_pd counts at
+  /// rename only, and only when not stale: a released register may be
+  /// recycled, in a different order in each lane.
+  [[nodiscard]] std::vector<std::uint64_t> view(const RenameRec& r,
+                                                bool at_rename) const {
+    return {r.r1,
+            r.r2,
+            r.rd,
+            static_cast<std::uint64_t>(r.c1),
+            static_cast<std::uint64_t>(r.c2),
+            static_cast<std::uint64_t>(r.cd),
+            ver(r.c1, r.p1),
+            ver(r.c2, r.p2),
+            ver(r.cd, r.pd),
+            at_rename && !r.old_stale ? ver(r.cd, r.old_pd) : 0,
+            r.old_stale,
+            r.rel_old,
+            r.reused_prev,
+            r.rel_bits};
+  }
+
+  /// Both Map Tables (a stale mapping names a released register, so only
+  /// its stale bit counts), plus free-list sizes and deferred releases.
+  [[nodiscard]] std::vector<std::uint64_t> state() const {
+    std::vector<std::uint64_t> out;
+    for (unsigned c = 0; c < kNumClasses; ++c) {
+      const RegFileState& rf = unit.rf(static_cast<RC>(c));
+      for (unsigned r = 0; r < isa::kNumLogicalRegs; ++r) {
+        const Mapping& m = rf.map.get(r);
+        out.push_back(m.stale ? 0 : version[c].at(m.phys));
+        out.push_back(m.stale);
+      }
+      out.push_back(rf.free_list.size());
+      out.push_back(unit.policy(static_cast<RC>(c)).relque_population());
+    }
+    return out;
+  }
+
+  /// False on a free-list stall, which leaves no trace.
+  bool rename(const isa::DecodedInst& inst, InstSeq seq) {
+    RenameRec& rec = hooks.recs[seq];
+    rec = RenameRec{};
+    if (!unit.try_rename(inst, seq, rec, seq)) {
+      hooks.recs.erase(seq);
+      return false;
+    }
+    if (rec.has_dst())
+      version[static_cast<unsigned>(rc_from(rec.cd))].at(rec.pd) = seq;
+    if (inst.is_cond_branch()) hooks.pending.push_back(seq);
+    return true;
+  }
+
+  void commit(InstSeq seq, std::uint64_t cycle) {
+    RenameRec& rec = hooks.recs.at(seq);
+    if (rec.has_dst())
+      unit.rf(rc_from(rec.cd)).write_value(rec.pd, seq, cycle);
+    unit.on_commit(rec, seq, cycle);
+    hooks.recs.erase(seq);
+  }
+
+  void confirm(InstSeq branch, std::uint64_t cycle) {
+    std::erase(hooks.pending, branch);
+    unit.on_branch_confirmed(branch, cycle);
+  }
+
+  /// Core::squash_after: youngest first.
+  void squash_after(InstSeq boundary, std::uint64_t cycle) {
+    while (!hooks.recs.empty() && hooks.recs.rbegin()->first > boundary) {
+      unit.on_squash_entry(hooks.recs.rbegin()->second, cycle);
+      hooks.recs.erase(std::prev(hooks.recs.end()));
+    }
+  }
+
+  /// Core::resolve_branch's mispredict path.
+  void mispredict(InstSeq branch, std::uint64_t cycle) {
+    squash_after(branch, cycle);
+    hooks.recs.at(branch).rel_bits = 0;
+    std::erase_if(hooks.pending, [&](InstSeq b) { return b >= branch; });
+    unit.on_branch_mispredicted(branch);
+  }
+
+  /// Core::exception_flush.
+  void flush(std::uint64_t cycle) {
+    squash_after(0, cycle);
+    hooks.pending.clear();
+    unit.on_exception_flush(cycle);
+  }
+
+  FakeHooks hooks;
+  RenameUnit unit;
+  std::array<std::vector<std::uint64_t>, kNumClasses> version;
+};
+
+isa::DecodedInst random_inst(std::mt19937_64& rng) {
+  // Eight logical registers per class, so redefinitions, self-uses such as
+  // `add r1, r1, r1` and cross-class operands are all frequent.
+  const auto reg = [&] { return static_cast<unsigned>(rng() % 8); };
+  switch (rng() % 8) {
+    case 0: return make_inst(isa::Opcode::BEQ, 0, reg(), reg());
+    case 1: return make_inst(isa::Opcode::ADDI, reg(), reg(), 0);
+    case 2: return make_inst(isa::Opcode::FADD, reg(), reg(), reg());
+    case 3: return make_inst(isa::Opcode::FLD, reg(), reg(), 0);
+    case 4: return make_inst(isa::Opcode::FSD, 0, reg(), reg());
+    case 5: return make_inst(isa::Opcode::CVTID, reg(), reg(), 0);
+    default: return make_inst(isa::Opcode::ADD, reg(), reg(), reg());
+  }
+}
+
+TEST(RenameUnitRecovery, WrongPathBurstsLeaveNoTrace) {
+  // `clean` sees only the correct path. `noisy` sees the same stream, but
+  // after some branches it also renames a burst of wrong-path instructions
+  // and then recovers as Core does when the branch mispredicts. Where
+  // `noisy` recovers, `clean` confirms the branch instead. Every record,
+  // rel bit, mapping and free-list size must match. Occasional exception
+  // flushes hit both lanes and put stale bits into the Map Tables; the
+  // flushed instructions then re-execute, as they do in Core, so that a
+  // stale (dead) version is redefined before anything reads it.
+  for (const PolicyKind kind : all_policies()) {
+    SCOPED_TRACE(std::string(policy_name(kind)));
+    Lane clean(kind);
+    Lane noisy(kind);
+    std::mt19937_64 rng(23);
+    std::deque<isa::DecodedInst> upcoming;  // program order
+    std::map<InstSeq, isa::DecodedInst> in_flight;
+    InstSeq next = 1;
+    std::uint64_t cycle = 0;
+    std::uint64_t wrong_path = 0;
+    std::uint64_t flushes = 0;
+    const auto commit_head = [&] {
+      const InstSeq head = in_flight.begin()->first;
+      if (std::ranges::count(clean.hooks.pending, head) != 0) {
+        clean.confirm(head, cycle);
+        noisy.confirm(head, cycle);
+      }
+      ASSERT_EQ(clean.view(clean.hooks.recs.at(head), false),
+                noisy.view(noisy.hooks.recs.at(head), false))
+          << "at commit of seq " << head;
+      clean.commit(head, cycle);
+      noisy.commit(head, cycle);
+      in_flight.erase(head);
+    };
+    while (next < 4000) {
+      ++cycle;
+      if (in_flight.size() >= 16) {
+        ASSERT_NO_FATAL_FAILURE(commit_head());
+      }
+      if (upcoming.empty()) upcoming.push_back(random_inst(rng));
+      const isa::DecodedInst inst = upcoming.front();
+      const bool ok = clean.rename(inst, next);
+      ASSERT_EQ(ok, noisy.rename(inst, next)) << "seq " << next;
+      if (!ok) {  // free-list stall: commit, then retry the instruction
+        ASSERT_FALSE(in_flight.empty()) << "stall with nothing in flight";
+        ASSERT_NO_FATAL_FAILURE(commit_head());
+        continue;
+      }
+      ASSERT_EQ(clean.view(clean.hooks.recs.at(next), true),
+                noisy.view(noisy.hooks.recs.at(next), true))
+          << "at rename of seq " << next;
+      upcoming.pop_front();
+      const InstSeq seq = next++;
+      in_flight[seq] = inst;
+      if (inst.is_cond_branch() && rng() % 2 == 0) {
+        InstSeq wrong = seq + 1;
+        for (std::uint64_t n = rng() % 12; n-- > 0; ++wrong)
+          if (!noisy.rename(random_inst(rng), wrong)) break;
+        wrong_path += wrong - (seq + 1);
+        noisy.mispredict(seq, cycle);
+        clean.confirm(seq, cycle);
+      }
+      if (rng() % 2 == 0 && !in_flight.empty()) {
+        ASSERT_NO_FATAL_FAILURE(commit_head());
+      }
+      if (rng() % 4 == 0 && !clean.hooks.pending.empty()) {
+        const InstSeq b =
+            clean.hooks.pending[rng() % clean.hooks.pending.size()];
+        clean.confirm(b, cycle);
+        noisy.confirm(b, cycle);
+      }
+      if (rng() % 97 == 0) {
+        clean.flush(cycle);
+        noisy.flush(cycle);
+        for (auto it = in_flight.rbegin(); it != in_flight.rend(); ++it)
+          upcoming.push_front(it->second);
+        in_flight.clear();
+        ++flushes;
+      }
+      ASSERT_EQ(clean.state(), noisy.state()) << "after seq " << seq;
+    }
+    EXPECT_GT(wrong_path, 500u);
+    EXPECT_GT(flushes, 10u);
+  }
 }
 
 TEST_F(RenameUnitTest, CommitUpdatesIomtAndTracksConsumers) {
@@ -238,7 +450,6 @@ TEST_F(RenameUnitTest, ExceptionFlushRestoresFromIomt) {
   hooks.recs.clear();
   unit->on_exception_flush(4);
   EXPECT_EQ(unit->rf(RC::Int).map.get(5).phys, committed);
-  EXPECT_EQ(unit->pending_checkpoints(), 0u);
   EXPECT_EQ(unit->rf(RC::Int).free_list.size() +
                 unit->rf(RC::Int).tracker.allocated_count(),
             40u);
@@ -254,10 +465,9 @@ TEST_F(RenameUnitTest, CustomPolicyFactoryIsUsed) {
     [[nodiscard]] PolicyKind kind() const override {
       return PolicyKind::Conventional;
     }
-    DestPlan plan_dest(unsigned rd, InstSeq, RenameRec& rec,
+    DestPlan plan_dest(unsigned, InstSeq, RenameRec& rec,
                        std::uint64_t) override {
       ++g_counting_policy_plans;
-      rec.old_pd = rf_.map.get(rd).phys;
       rec.rel_old = true;
       return {};
     }

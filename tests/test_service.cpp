@@ -39,6 +39,17 @@ sim::SimConfig tiny_config() {
   return config;
 }
 
+/// Reads one frame from a raw daemon connection. A daemon silent for 10 s
+/// fails the test instead of hanging it.
+std::optional<net::Frame> recv_reply(net::Socket& socket,
+                                     bool* clean_eof = nullptr) {
+  net::Frame frame;
+  if (socket.recv_frame_deadline(frame, 10'000, clean_eof) !=
+      net::Socket::RecvStatus::kFrame)
+    return std::nullopt;
+  return frame;
+}
+
 /// Run options with two pool workers, shipping cells to `server` if set.
 harness::RunOptions two_workers(std::string server = "") {
   harness::RunOptions opts;
@@ -326,7 +337,7 @@ TEST(Service, OutOfRangeCellsAreRefusedAndTheDaemonKeepsServing) {
   net::Socket socket =
       net::connect_to("127.0.0.1", fixture.daemon->port(), &error);
   ASSERT_TRUE(socket.valid()) << error;
-  ASSERT_TRUE(socket.recv_frame().has_value());  // kHello
+  ASSERT_TRUE(recv_reply(socket).has_value());  // kHello
 
   const auto request_for = [](std::uint64_t id, const Mutation& mutate) {
     service::CellRequest request;
@@ -350,7 +361,7 @@ TEST(Service, OutOfRangeCellsAreRefusedAndTheDaemonKeepsServing) {
   std::uint64_t id = 1;
   for (const auto& [name, mutate] : bad_cells) {
     ASSERT_TRUE(send(request_for(id++, mutate))) << name;
-    const std::optional<net::Frame> reply = socket.recv_frame();
+    const std::optional<net::Frame> reply = recv_reply(socket);
     ASSERT_TRUE(reply.has_value()) << name;
     EXPECT_EQ(reply->type, static_cast<std::uint8_t>(service::MsgType::kError))
         << name;
@@ -365,7 +376,7 @@ TEST(Service, OutOfRangeCellsAreRefusedAndTheDaemonKeepsServing) {
   const service::CellRequest good =
       request_for(id, [](service::CellRequest&) {});
   ASSERT_TRUE(send(good));
-  const std::optional<net::Frame> reply = socket.recv_frame();
+  const std::optional<net::Frame> reply = recv_reply(socket);
   ASSERT_TRUE(reply.has_value());
   ASSERT_EQ(reply->type, static_cast<std::uint8_t>(service::MsgType::kResult));
   const std::optional<service::ResultMsg> result =
@@ -415,11 +426,11 @@ TEST(Service, RetiredMessageTagsAreRefused) {
     net::Socket socket =
         net::connect_to("127.0.0.1", fixture.daemon->port(), &error);
     ASSERT_TRUE(socket.valid()) << error;
-    ASSERT_TRUE(socket.recv_frame().has_value());  // kHello
+    ASSERT_TRUE(recv_reply(socket).has_value());  // kHello
     ASSERT_TRUE(
         socket.send_frame(net::Frame{static_cast<std::uint8_t>(tag), ""}));
 
-    const std::optional<net::Frame> reply = socket.recv_frame();
+    const std::optional<net::Frame> reply = recv_reply(socket);
     ASSERT_TRUE(reply.has_value()) << "tag " << tag;
     EXPECT_EQ(reply->type, static_cast<std::uint8_t>(service::MsgType::kError));
     const std::optional<service::ErrorMsg> msg =
@@ -431,7 +442,7 @@ TEST(Service, RetiredMessageTagsAreRefused) {
         << msg->message;
 
     bool clean_eof = false;
-    EXPECT_FALSE(socket.recv_frame(&clean_eof).has_value());
+    EXPECT_FALSE(recv_reply(socket, &clean_eof).has_value());
     EXPECT_TRUE(clean_eof) << "tag " << tag;
     EXPECT_EQ(fixture.daemon->stats().errors, errors_before + 1);
   }
