@@ -36,6 +36,7 @@
 
 #include "arch/arch_state.hpp"
 #include "arch/decoded_program.hpp"
+#include "bench_util.hpp"
 #include "common/parse.hpp"
 #include "pipeline/core.hpp"
 #include "sim/config.hpp"
@@ -229,6 +230,14 @@ int main(int argc, char** argv) {
       usage(argv[0]);
       return 2;
     }
+  }
+  // Checked before measuring: an unwritable report would otherwise fail
+  // only after every kernel ran.
+  if (!erel::benchutil::cli::can_write(json_path)) {
+    std::fprintf(stderr, "%s: cannot write --json '%s'\n", argv[0],
+                 json_path.c_str());
+    usage(argv[0]);
+    return 2;
   }
   if (names.empty())
     names = smoke ? std::vector<std::string>{"li", "swim"}

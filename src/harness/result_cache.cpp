@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 #include "common/log.hpp"
 
@@ -21,17 +22,28 @@ std::string cache_entry_path(const std::string& dir, std::string_view fp_hex) {
 
 std::optional<ExpEntry> load_cache_entry(const std::string& path,
                                          std::string_view fp_hex,
-                                         const ExpKey& key) {
+                                         const ExpKey& key,
+                                         std::string* raw_text,
+                                         bool* quarantined) {
+  if (quarantined != nullptr) *quarantined = false;
   std::ifstream in(path, std::ios::binary);
   if (!in) return std::nullopt;
   std::ostringstream buffer;
   buffer << in.rdbuf();
-  std::optional<ExpEntry> entry = parse_entry(buffer.str(), fp_hex, key);
-  if (!entry)
-    EREL_WARN("ignoring cache entry ", path,
-              " (malformed, stale, or from a different cell; treated as a "
-              "miss for ", key.to_string(), ")");
-  return entry;
+  std::string text = buffer.str();
+  std::optional<ExpEntry> entry = parse_entry(text, fp_hex, key);
+  if (entry) {
+    if (raw_text != nullptr) *raw_text = std::move(text);
+    return entry;
+  }
+  std::error_code ec;
+  std::filesystem::rename(path, path + ".bad", ec);
+  if (ec) std::filesystem::remove(path, ec);
+  if (quarantined != nullptr) *quarantined = true;
+  EREL_WARN("quarantined cache entry ", path, " -> ", path,
+            ".bad (malformed, stale, or from a different cell; treated as "
+            "a miss for ", key.to_string(), ")");
+  return std::nullopt;
 }
 
 void save_cache_entry(const std::string& path, const std::string& content) {

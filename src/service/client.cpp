@@ -9,12 +9,6 @@ namespace erel::service {
 
 namespace {
 
-/// The await/stats buffers hold responses to *pipelined* requests, so
-/// their size is bounded by how many requests a sane client pipelines. A
-/// peer that pushes more responses than that is broken or hostile; cap the
-/// buffers instead of letting it grow our heap without bound.
-constexpr std::size_t kMaxBufferedResponses = 1024;
-
 /// Backoff before retry k (from 0): kBackoffBaseMs << k, capped.
 constexpr std::uint64_t kBackoffBaseMs = 50;
 constexpr std::uint64_t kBackoffCapMs = 1'000;
@@ -31,11 +25,9 @@ int remaining_ms(std::chrono::steady_clock::time_point deadline) {
 
 // ---- the retry loop ------------------------------------------------------
 
-bool RemoteClient::call(
-    const std::function<Step(std::uint64_t& hint_ms)>& attempt) {
+bool RemoteClient::call(const std::function<Step()>& attempt) {
   for (unsigned retry = 0;; ++retry) {
-    std::uint64_t hint_ms = 0;
-    switch (attempt(hint_ms)) {
+    switch (attempt()) {
       case Step::kDone:
         return true;
       case Step::kFailed:
@@ -50,8 +42,7 @@ bool RemoteClient::call(
     }
     const std::uint64_t backoff = std::min<std::uint64_t>(
         kBackoffBaseMs << std::min(retry, 5u), kBackoffCapMs);
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(std::max(backoff, hint_ms)));
+    std::this_thread::sleep_for(std::chrono::milliseconds(backoff));
   }
 }
 
@@ -114,7 +105,7 @@ bool RemoteClient::connect(const std::string& endpoint) {
   failed_ = false;
   error_.clear();
   socket_ = net::Socket{};
-  return call([this](std::uint64_t&) { return reconnect(); });
+  return call([this] { return reconnect(); });
 }
 
 // ---- sends ---------------------------------------------------------------
@@ -168,14 +159,12 @@ bool RemoteClient::pump(int timeout_ms) {
   };
   const auto buffer = [&](auto& responses, auto msg) {
     const std::uint64_t id = msg.id;
+    if (pending_.count(id) == 0)
+      return broken("response to id " + std::to_string(id) +
+                    ", which no pending request has");
     if (response_buffered(id))
       return broken("duplicate response id " + std::to_string(id));
     responses.emplace(id, std::move(msg));
-    if (results_.size() + errors_.size() + busies_.size() >
-        kMaxBufferedResponses)
-      return broken("response buffer overflow (more than " +
-                    std::to_string(kMaxBufferedResponses) +
-                    " unclaimed responses)");
     return true;
   };
   switch (static_cast<MsgType>(frame.type)) {
@@ -229,7 +218,7 @@ std::optional<ResultMsg> RemoteClient::await(std::uint64_t id,
                                              std::string* why) {
   std::optional<ResultMsg> result;
   bool resend = false;  // after kBusy: the daemon holds nothing for `id`
-  const bool ok = call([&](std::uint64_t& hint_ms) {
+  const bool ok = call([&] {
     if (!response_buffered(id)) {
       if (pending_.count(id) == 0) {
         error_ = "no request " + std::to_string(id) + " is pending";
@@ -259,10 +248,8 @@ std::optional<ResultMsg> RemoteClient::await(std::uint64_t id,
       pending_.erase(id);
       return Step::kFailed;
     }
-    const auto it = busies_.find(id);
-    hint_ms = it->second.retry_ms;
-    error_ = "daemon busy (retry in " + std::to_string(hint_ms) + "ms)";
-    busies_.erase(it);
+    error_ = "daemon busy";
+    busies_.erase(id);
     resend = true;
     return Step::kRetry;
   });
@@ -272,7 +259,7 @@ std::optional<ResultMsg> RemoteClient::await(std::uint64_t id,
 
 std::optional<DaemonStats> RemoteClient::stats() {
   last_stats_.reset();
-  const bool ok = call([this](std::uint64_t&) {
+  const bool ok = call([this] {
     if (const Step step = reconnect(); step != Step::kDone) return step;
     if (!socket_.send_frame(
             net::Frame{static_cast<std::uint8_t>(MsgType::kStats), ""})) {

@@ -14,8 +14,8 @@
 //     at once;
 //   - a kBusy, an expired call deadline or a torn connection spends one
 //     retry from the call's budget (ClientOptions::retries). The client
-//     waits one capped exponential backoff, never shorter than the kBusy
-//     hint, drops the connection if the call timed out, and resends.
+//     waits one capped exponential backoff, drops the connection if the
+//     call timed out, and resends.
 // Reconnecting resubmits every pending request. That is safe by
 // construction because requests are content-addressed fingerprints: the
 // daemon answers a resubmitted cell from its cache or joins it to the
@@ -81,15 +81,17 @@ class RemoteClient {
   /// How one attempt of a call ended.
   enum class Step { kDone, kFailed, kRetry };
   /// The retry loop: runs `attempt` until it is done, fails, or spends the
-  /// budget. `attempt` may raise `hint_ms` (a kBusy retry hint).
-  bool call(const std::function<Step(std::uint64_t& hint_ms)>& attempt);
+  /// budget.
+  bool call(const std::function<Step()>& attempt);
   /// Marks the client failed with `message`, closing the connection.
   Step fail(std::string message);
 
   /// Reads one frame within `timeout_ms` and buffers it if it is a
-  /// response. Enforces the response-buffer cap and treats a duplicate
-  /// response id as a protocol violation. False when the connection
-  /// closed: torn, or the peer broke the protocol and the client failed.
+  /// response. A response must answer a pending request that has no
+  /// buffered response yet; any other id is a protocol violation, so the
+  /// buffers never hold more responses than the caller pipelined. False
+  /// when the connection closed: torn, or the peer broke the protocol and
+  /// the client failed.
   bool pump(int timeout_ms);
   /// Pumps until `arrived()` or the call deadline; a call that times out
   /// drops the connection and asks for a retry.

@@ -38,12 +38,9 @@ ExperimentDaemon::ExperimentDaemon(const Options& opts)
   }
   std::error_code ec;
   std::filesystem::create_directories(opts_.cache_dir, ec);
-  if (ec) {
+  if (ec)
     error_ = "cannot create cache dir '" + opts_.cache_dir +
              "': " + ec.message();
-    return;
-  }
-  store_.open(opts_.cache_dir, opts_.max_cache_bytes);
 }
 
 DaemonStats ExperimentDaemon::stats() const {
@@ -53,9 +50,6 @@ DaemonStats ExperimentDaemon::stats() const {
     stats = stats_;
   }
   stats.dropped_clients = server_.overflow_drops();
-  const ResultStore::Counters store = store_.counters();
-  stats.evicted = store.evicted;
-  stats.quarantined = store.quarantined;
   return stats;
 }
 
@@ -164,22 +158,29 @@ void ExperimentDaemon::handle_run_cell(std::uint64_t client,
     return;
   }
 
+  // Disk first: a cached cell costs one file read.
+  std::string text;
+  bool quarantined = false;
+  bool hit = false;
+  {
+    const std::scoped_lock lock(store_mu_);
+    hit = harness::load_cache_entry(
+              harness::cache_entry_path(opts_.cache_dir, fp_hex), fp_hex,
+              request->key, &text, &quarantined)
+              .has_value();
+  }
   {
     const std::scoped_lock lock(mu_);
     ++stats_.requests;
+    if (quarantined) ++stats_.quarantined;
+    if (hit) ++stats_.cache_hits;
   }
-
-  // Disk first: a cached cell costs one file read.
-  if (const std::optional<std::string> text =
-          store_.load(fp_hex, request->key)) {
-    {
-      const std::scoped_lock lock(mu_);
-      ++stats_.cache_hits;
-    }
+  if (hit) {
     server_.send(client,
                  net::Frame{static_cast<std::uint8_t>(MsgType::kResult),
                             encode_result(ResultMsg{request->id,
-                                                    /*cached=*/true, *text})});
+                                                    /*cached=*/true,
+                                                    std::move(text)})});
     return;
   }
 
@@ -204,10 +205,8 @@ void ExperimentDaemon::handle_run_cell(std::uint64_t client,
   }
   // Queue full: refuse admission. Nothing was enqueued; the client backs
   // off and resubmits (idempotent: the retry is a cache hit or a join).
-  server_.send(client,
-               net::Frame{static_cast<std::uint8_t>(MsgType::kBusy),
-                          encode_busy(BusyMsg{request->id,
-                                              opts_.busy_retry_ms})});
+  server_.send(client, net::Frame{static_cast<std::uint8_t>(MsgType::kBusy),
+                                  encode_busy(BusyMsg{request->id})});
 }
 
 // ---- worker thread ------------------------------------------------------
@@ -236,7 +235,11 @@ void ExperimentDaemon::run_cell(const std::string& fp_hex) {
   harness::ExpEntry entry{request.key, result.stats, result.sampled,
                           result.metrics, /*from_cache=*/false};
   std::string text = harness::serialize_entry(entry, fp_hex);
-  store_.store(fp_hex, text);
+  {
+    const std::scoped_lock lock(store_mu_);
+    harness::save_cache_entry(
+        harness::cache_entry_path(opts_.cache_dir, fp_hex), text);
+  }
   server_.post([this, fp_hex, text = std::move(text)] {
     complete_cell(fp_hex, text);
   });

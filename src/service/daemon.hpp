@@ -9,11 +9,16 @@
 // one is already simulating (the second requester simply joins the first's
 // completion), simulated exactly once otherwise.
 //
-// Threading (two kinds of threads, one lock):
+// Threading (two kinds of threads, two locks):
 //   loop thread    net::EventServer::run(): all socket I/O, all frame
 //                  handling, all send()s. Completions arrive via post().
 //   pool workers   run one cell each (harness::run_one); they touch only
-//                  the in-flight table (under mu_) and the filesystem.
+//                  the in-flight table (under mu_) and the store.
+// The store is the cache dir, read and written through the same harness
+// functions a local Experiment::run uses (harness/result_cache.hpp), under
+// store_mu_: a load that quarantines a corrupt entry and a worker that
+// publishes the fresh one never interleave, so the rename to `.bad` cannot
+// move the entry a worker has just published.
 //
 // A request's waiter leaves when its connection closes. A queued cell that
 // no request waits on anymore is dropped; a running cell always finishes
@@ -31,7 +36,6 @@
 #include "common/thread_pool.hpp"
 #include "net/server.hpp"
 #include "service/protocol.hpp"
-#include "service/store.hpp"
 
 namespace erel::service {
 
@@ -47,11 +51,6 @@ class ExperimentDaemon : public net::EventServer::Handler {
     /// kRunCell is refused with kBusy. 0 = unlimited. Cache hits and
     /// in-flight joins are never refused (they cost no queue slot).
     std::size_t max_queue = 0;
-    /// Result-store byte budget, enforced by LRU eviction (service/
-    /// store.hpp). 0 = unlimited.
-    std::uint64_t max_cache_bytes = 0;
-    /// Retry hint carried in kBusy replies, milliseconds.
-    unsigned busy_retry_ms = 50;
   };
 
   explicit ExperimentDaemon(const Options& opts);
@@ -105,8 +104,8 @@ class ExperimentDaemon : public net::EventServer::Handler {
   Options opts_;
   net::EventServer server_;
   ThreadPool pool_;
-  ResultStore store_;  // owns all cache_dir IO
   std::string error_;  // why the cache dir is unusable; "" when it is fine
+  std::mutex store_mu_;  // held around every load and store of cache_dir
 
   mutable std::mutex mu_;
   std::map<std::string, std::shared_ptr<InFlight>> inflight_;

@@ -262,26 +262,17 @@ std::optional<ErrorMsg> decode_error(std::string_view payload) {
 std::string encode_busy(const BusyMsg& msg) {
   std::string out;
   append_u64_line(out, "id", msg.id);
-  append_u64_line(out, "retry_ms", msg.retry_ms);
   return out;
 }
 
 std::optional<BusyMsg> decode_busy(std::string_view payload) {
   LineScanner scanner(payload);
   std::string_view line, key, value;
-  BusyMsg msg;
-  if (!scanner.next(line)) return std::nullopt;
+  if (!scanner.next(line) || !scanner.rest().empty()) return std::nullopt;
   split_first_space(line, key, value);
   const auto id = parse_u64(value);
   if (key != "id" || !id) return std::nullopt;
-  msg.id = *id;
-  if (!scanner.next(line)) return std::nullopt;
-  split_first_space(line, key, value);
-  const auto retry = parse_u64(value);
-  if (key != "retry_ms" || !retry) return std::nullopt;
-  msg.retry_ms = *retry;
-  if (!scanner.rest().empty()) return std::nullopt;
-  return msg;
+  return BusyMsg{*id};
 }
 
 // ---- DaemonStats --------------------------------------------------------
@@ -299,7 +290,6 @@ void daemon_stats_fields(Stats& stats, Fn&& f) {
   f("busy", stats.busy);
   f("cancelled", stats.cancelled);
   f("dropped_clients", stats.dropped_clients);
-  f("evicted", stats.evicted);
   f("quarantined", stats.quarantined);
 }
 

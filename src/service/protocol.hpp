@@ -14,7 +14,7 @@
 //   connect  ->  kHello "ereld <version>"
 //   kRunCell (id, fingerprint, cell)  -> kResult (id, cached, entry)
 //                                     or kError (id, reason)
-//   kRunCell when the queue is full   -> kBusy (id, retry_ms)
+//   kRunCell when the queue is full   -> kBusy (id)
 //   kStats -> kStatsReply             kShutdown -> close
 //
 // Requests are pipelined: a client may send any number of kRunCell frames
@@ -29,8 +29,9 @@
 // daemon's store regardless.
 //
 // v3 retired tags 5-8 (v2's live channel subscriptions and ping) and v4
-// retires tag 12 (v2's explicit cancel). The daemon refuses them like any
-// unknown tag; never reuse their numbers.
+// retired tag 12 (v2's explicit cancel). The daemon refuses them like any
+// unknown tag; never reuse their numbers. v5 dropped kBusy's retry hint and
+// the stats reply's eviction counter.
 #pragma once
 
 #include <cstdint>
@@ -47,7 +48,7 @@ namespace erel::service {
 
 /// Bump when any payload encoding changes; the client refuses to talk to a
 /// daemon announcing a different version (kHello).
-inline constexpr unsigned kProtocolVersion = 4;
+inline constexpr unsigned kProtocolVersion = 5;
 
 enum class MsgType : std::uint8_t {
   kHello = 1,       // server -> client, on connect
@@ -107,12 +108,11 @@ std::string encode_error(const ErrorMsg& msg);
 std::optional<ErrorMsg> decode_error(std::string_view payload);
 
 /// kBusy: admission refusal. The daemon's bounded queue (--max-queue) is
-/// full, the request was NOT enqueued, and the client resends it after at
-/// least `retry_ms` (its own backoff, when longer, wins). Cache hits and in-flight joins are never refused — kBusy only
-/// gates work that would grow the queue.
+/// full, the request was NOT enqueued, and the client resends it after its
+/// own backoff. Cache hits and in-flight joins are never refused — kBusy
+/// only gates work that would grow the queue.
 struct BusyMsg {
   std::uint64_t id = 0;
-  std::uint64_t retry_ms = 0;
 };
 
 std::string encode_busy(const BusyMsg& msg);
@@ -131,7 +131,6 @@ struct DaemonStats {
   std::uint64_t busy = 0;            // kBusy refusals sent (queue full)
   std::uint64_t cancelled = 0;       // cells reaped by disconnect
   std::uint64_t dropped_clients = 0; // dropped for outbound-buffer overflow
-  std::uint64_t evicted = 0;         // cache entries evicted by the byte cap
   std::uint64_t quarantined = 0;     // corrupt cache entries moved to .bad
 
   bool operator==(const DaemonStats&) const = default;

@@ -16,6 +16,7 @@
 #include "harness/experiment.hpp"
 #include "harness/fingerprint.hpp"
 #include "harness/harness.hpp"
+#include "harness/result_cache.hpp"
 #include "harness/results.hpp"
 #include "power/probe.hpp"
 #include "workloads/workloads.hpp"
@@ -594,7 +595,9 @@ TEST(ResultCache, CorruptEntryIsAMissNotAWrongResult) {
   EXPECT_EQ(first.simulated(), 1u);
 
   // Truncate every cache entry mid-file.
+  std::vector<fs::path> entries;
   for (const auto& f : fs::directory_iterator(dir.path)) {
+    entries.push_back(f.path());
     std::ifstream in(f.path(), std::ios::binary);
     std::stringstream buf;
     buf << in.rdbuf();
@@ -602,9 +605,16 @@ TEST(ResultCache, CorruptEntryIsAMissNotAWrongResult) {
     std::ofstream out(f.path(), std::ios::binary | std::ios::trunc);
     out << buf.str().substr(0, buf.str().size() / 3);
   }
+  ASSERT_EQ(entries.size(), 1u);
   const harness::ResultSet again = exp.run(cached_run(dir));
   EXPECT_EQ(again.cache_hits(), 0u);
   EXPECT_EQ(again.simulated(), 1u);
+  // The truncated entry is quarantined, and the rerun stored a valid one.
+  const std::string path = entries[0].string();
+  EXPECT_TRUE(fs::exists(path + ".bad"));
+  EXPECT_TRUE(harness::load_cache_entry(path, entries[0].stem().string(),
+                                        again.entries()[0].key)
+                  .has_value());
 }
 
 TEST(ResultCache, SampledRunsCacheWithCI) {

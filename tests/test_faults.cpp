@@ -1,11 +1,13 @@
 // Fault tolerance end to end: sweeps driven through the deterministic
 // fault-injecting proxy (net/fault.hpp) stay bit-identical to local runs
 // under eight seeded fault plans; a mute daemon costs one retry budget per
-// sweep; reconnecting resubmits only unanswered requests; the client's own
-// retry loop rides out a kBusy storm; the daemon's admission control,
-// disconnect reaping, LRU eviction and corrupt-entry quarantine all behave
-// under hostile clients; retried cells are never simulated twice, even when
-// every attempt's deadline expires before the cell finishes.
+// sweep; reconnecting resubmits only unanswered requests; the client buffers
+// every response to what it pipelined, in any order, and fails on a response
+// to anything else; the client's own retry loop rides out a kBusy storm; the
+// daemon's admission control, disconnect reaping and corrupt-entry
+// quarantine all behave under hostile clients; retried cells are never
+// simulated twice, even when every attempt's deadline expires before the
+// cell finishes.
 //
 // Every blocking call in here is deadline-bounded (short ClientOptions
 // timeouts), so a regression that would hang a sweep fails this suite by
@@ -206,6 +208,13 @@ harness::Experiment small_sweep() {
   return exp;
 }
 
+/// A kResult frame answering request `id` with the text "entry <id>".
+net::Frame result_frame(std::uint64_t id) {
+  return net::Frame{static_cast<std::uint8_t>(service::MsgType::kResult),
+                    service::encode_result(service::ResultMsg{
+                        id, false, "entry " + std::to_string(id)})};
+}
+
 std::string entry_text(const harness::ExpEntry& entry) {
   return harness::serialize_entry(entry, "comparefp0000000");
 }
@@ -290,7 +299,6 @@ TEST(Faults, BusyStormIsRefusedThenEveryCellLands) {
   service::ExperimentDaemon::Options dopts;
   dopts.workers = 1;
   dopts.max_queue = 1;
-  dopts.busy_retry_ms = 20;
   DaemonFixture fixture(dopts);
 
   // A budget that outlasts the slow cell: the client's own retry loop
@@ -464,11 +472,7 @@ TEST(Faults, ReconnectResubmitsOnlyUnansweredRequests) {
       seen.emplace_back(connection, request->id);
     }
     if (connection == 0 && request->id == 1) return;
-    server.send(client,
-                net::Frame{static_cast<std::uint8_t>(service::MsgType::kResult),
-                           service::encode_result(service::ResultMsg{
-                               request->id, false,
-                               "entry " + std::to_string(request->id)})});
+    server.send(client, result_frame(request->id));
     if (connection == 0) server.close_client(client);
   });
 
@@ -490,6 +494,62 @@ TEST(Faults, ReconnectResubmitsOnlyUnansweredRequests) {
   const std::scoped_lock lock(mu);
   EXPECT_EQ(seen, (std::vector<std::pair<unsigned, std::uint64_t>>{
                       {0, 1}, {0, 2}, {1, 1}, {1, 3}}));
+}
+
+TEST(Faults, ClientBuffersEveryResponseItPipelined) {
+  // Experiment::run dispatches every cell before it awaits the first, so a
+  // daemon may answer all the later cells (cache hits) before the first
+  // (a cold one): here 1099 of 1100 responses arrive ahead of request 1's.
+  constexpr std::uint64_t kCells = 1100;
+  const ScriptedDaemon daemon([](net::EventServer& server, unsigned,
+                                 std::uint64_t client,
+                                 const net::Frame& frame) {
+    const std::optional<service::CellRequest> request =
+        service::decode_cell_request(frame.payload);
+    ASSERT_TRUE(request.has_value());
+    if (request->id != 1) server.send(client, result_frame(request->id));
+    if (request->id == kCells) server.send(client, result_frame(1));
+  });
+
+  service::RemoteClient client(fast_client());
+  ASSERT_TRUE(client.connect(daemon.endpoint())) << client.error();
+  service::CellRequest cell = make_request(1, 40);
+  for (std::uint64_t id = 1; id <= kCells; ++id) {
+    cell.id = id;
+    ASSERT_TRUE(client.send_cell(cell));
+  }
+  for (std::uint64_t id = 1; id <= kCells; ++id) {
+    std::string why;
+    const std::optional<service::ResultMsg> result = client.await(id, &why);
+    ASSERT_TRUE(result.has_value()) << "request " << id << ": " << why;
+    EXPECT_EQ(result->entry_text, "entry " + std::to_string(id));
+  }
+  EXPECT_EQ(daemon.connections(), 1u);
+}
+
+TEST(Faults, ResponseToAnUnsentIdFailsTheClient) {
+  // Every id a response carries must belong to a pending request; anything
+  // else is a broken peer, never a response to buffer.
+  const ScriptedDaemon daemon([](net::EventServer& server, unsigned,
+                                 std::uint64_t client,
+                                 const net::Frame& frame) {
+    const std::optional<service::CellRequest> request =
+        service::decode_cell_request(frame.payload);
+    ASSERT_TRUE(request.has_value());
+    server.send(client, result_frame(request->id + 1000));
+  });
+
+  service::ClientOptions opts = fast_client();
+  opts.call_timeout_ms = 1'000;
+  service::RemoteClient client(opts);
+  ASSERT_TRUE(client.connect(daemon.endpoint())) << client.error();
+  ASSERT_TRUE(client.send_cell(make_request(1, 40)));
+  std::string why;
+  EXPECT_FALSE(client.await(1, &why).has_value());
+  EXPECT_NE(why.find("1001"), std::string::npos) << why;
+  // A protocol violation fails the client at once: no retry, no reconnect.
+  EXPECT_FALSE(client.send_cell(make_request(2, 44)));
+  EXPECT_EQ(daemon.connections(), 1u);
 }
 
 TEST(Faults, CorruptCacheEntryIsQuarantinedAndResimulated) {
@@ -526,36 +586,6 @@ TEST(Faults, CorruptCacheEntryIsQuarantinedAndResimulated) {
   // The healed entry is valid on disk again.
   EXPECT_TRUE(harness::load_cache_entry(path, cell.fingerprint_hex, cell.key)
                   .has_value());
-}
-
-TEST(Faults, LruEvictionKeepsTheByteBudget) {
-  service::ExperimentDaemon::Options dopts;
-  dopts.max_cache_bytes = 1;  // every store evicts everything else
-  DaemonFixture fixture(dopts);
-
-  service::RemoteClient client(fast_client());
-  ASSERT_TRUE(client.connect(fixture.endpoint())) << client.error();
-
-  for (std::uint64_t id = 1; id <= 3; ++id) {
-    ASSERT_TRUE(
-        client.send_cell(make_request(id, static_cast<unsigned>(36 + 4 * id))));
-    ASSERT_TRUE(client.await(id, nullptr).has_value());
-  }
-
-  const service::DaemonStats stats = fixture.daemon->stats();
-  EXPECT_EQ(stats.evicted, 2u);  // each store displaced its predecessor
-  std::size_t files = 0;
-  for (const auto& entry : fs::directory_iterator(fixture.cache_dir()))
-    files += entry.path().extension() == ".erelres" ? 1 : 0;
-  EXPECT_EQ(files, 1u);
-
-  // An evicted cell is a clean miss: re-simulated, not an error.
-  service::CellRequest again = make_request(9, 40);
-  ASSERT_TRUE(client.send_cell(again));
-  const std::optional<service::ResultMsg> result = client.await(9, nullptr);
-  ASSERT_TRUE(result.has_value());
-  EXPECT_FALSE(result->cached);
-  EXPECT_EQ(fixture.daemon->stats().simulated, 4u);
 }
 
 }  // namespace

@@ -308,23 +308,25 @@ TEST(Protocol, EveryMsgTypeHasAName) {
 }
 
 TEST(Protocol, DaemonStatsRoundTrip) {
-  const service::DaemonStats stats{100, 40, 55, 5, 2, 1, 9, 4, 11, 6, 2};
+  const service::DaemonStats stats{100, 40, 55, 5, 2, 1, 9, 4, 11, 2};
   const auto out = service::decode_stats(service::encode_stats(stats));
   ASSERT_TRUE(out.has_value());
   EXPECT_EQ(*out, stats);
   EXPECT_FALSE(service::decode_stats("requests 1\n"));       // missing fields
   EXPECT_FALSE(service::decode_stats(
       service::encode_stats(stats) + "extra 1\n"));          // unknown field
+  EXPECT_FALSE(service::decode_stats(
+      service::encode_stats(stats) + "evicted 6\n"));        // v4's field
 }
 
 TEST(Protocol, BusyRoundTrip) {
-  const service::BusyMsg busy{42, 250};
+  const service::BusyMsg busy{42};
   const auto busy_out = service::decode_busy(service::encode_busy(busy));
   ASSERT_TRUE(busy_out.has_value());
   EXPECT_EQ(busy_out->id, 42u);
-  EXPECT_EQ(busy_out->retry_ms, 250u);
-  EXPECT_FALSE(service::decode_busy("id 1\n"));              // missing hint
-  EXPECT_FALSE(service::decode_busy("retry_ms 10\nid 1\n")); // wrong order
+  EXPECT_FALSE(service::decode_busy(""));                 // no id
+  EXPECT_FALSE(service::decode_busy("id x\n"));           // bad id
+  EXPECT_FALSE(service::decode_busy("id 1\nhint 10\n"));  // v4's 2nd line
 }
 
 }  // namespace

@@ -43,9 +43,7 @@ void usage(const char* argv0) {
       "  --cache-dir=PATH     on-disk result cache (required)\n"
       "  --workers=N          simulation workers (0 = hardware default,\n"
       "                       at most %u)\n"
-      "  --max-queue=N       cells queued-or-running before kBusy (0 = off)\n"
-      "  --max-cache-bytes=N  result-cache LRU byte budget (0 = unlimited)\n"
-      "  --busy-retry-ms=N    retry hint carried in kBusy (default 50)\n"
+      "  --max-queue=N        cells queued-or-running before kBusy (0 = off)\n"
       "  --stop HOST:PORT     ask a running daemon to shut down\n",
       argv0, argv0, erel::kMaxThreads);
 }
@@ -126,10 +124,6 @@ int main(int argc, char** argv) {
       }
     } else if (matches("--max-queue")) {
       number("--max-queue", opts.max_queue);
-    } else if (matches("--max-cache-bytes")) {
-      number("--max-cache-bytes", opts.max_cache_bytes);
-    } else if (matches("--busy-retry-ms")) {
-      number("--busy-retry-ms", opts.busy_retry_ms);
     } else {
       std::fprintf(stderr, "%s: unknown option %s\n", argv[0], argv[i]);
       usage(argv[0]);
@@ -163,7 +157,7 @@ int main(int argc, char** argv) {
   std::printf(
       "ereld: served %llu requests (%llu cache hits, %llu simulated, "
       "%llu deduped, %llu errors, %llu busy, %llu cancelled), "
-      "%llu evicted, %llu quarantined, %llu client(s) dropped\n",
+      "%llu quarantined, %llu client(s) dropped\n",
       static_cast<unsigned long long>(stats.requests),
       static_cast<unsigned long long>(stats.cache_hits),
       static_cast<unsigned long long>(stats.simulated),
@@ -171,7 +165,6 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(stats.errors),
       static_cast<unsigned long long>(stats.busy),
       static_cast<unsigned long long>(stats.cancelled),
-      static_cast<unsigned long long>(stats.evicted),
       static_cast<unsigned long long>(stats.quarantined),
       static_cast<unsigned long long>(stats.dropped_clients));
   return 0;
