@@ -162,7 +162,7 @@ void usage(const char* argv0) {
   std::printf(
       "usage: %s [options] [workload...]\n"
       "  workload...            subset of registry kernels (default: all"
-      " ten)\n"
+      " twelve)\n"
       "  --json=PATH            JSON report path (default"
       " BENCH_sim_throughput.json)\n"
       "  --func-insts=N         cap functional runs at N instructions"

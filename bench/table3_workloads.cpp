@@ -1,6 +1,6 @@
 // Table 3 reproduction: the benchmark inventory with *measured* dynamic
 // instruction counts (the paper lists 47M-2231M for full SPEC95 runs; our
-// kernels are scaled-down analogues, see DESIGN.md).
+// kernels are scaled-down analogues, see src/workloads/workloads.hpp).
 #include <cstdio>
 
 #include "arch/arch_state.hpp"

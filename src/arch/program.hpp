@@ -28,7 +28,6 @@ struct Program {
   [[nodiscard]] std::uint64_t code_end() const {
     return code_base + 4 * code.size();
   }
-  [[nodiscard]] std::size_t num_instructions() const { return code.size(); }
 };
 
 }  // namespace erel::arch

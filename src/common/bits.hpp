@@ -49,21 +49,27 @@ constexpr bool is_pow2(std::uint64_t value) {
 inline std::uint64_t f2u(double d) { return std::bit_cast<std::uint64_t>(d); }
 inline double u2f(std::uint64_t u) { return std::bit_cast<double>(u); }
 
+/// The splitmix64 state increment: 2^64 divided by the golden ratio.
+inline constexpr std::uint64_t kGoldenGamma = 0x9e3779b97f4a7c15ull;
+
+/// splitmix64 (Steele, Lea & Flood): advances the state `x` by
+/// kGoldenGamma and returns the finalized result. A pure function, so a
+/// seeded draw is reproducible anywhere, and nearby inputs give
+/// uncorrelated outputs.
+constexpr std::uint64_t splitmix64(std::uint64_t x) {
+  x += kGoldenGamma;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
 /// xorshift128+ deterministic RNG: reproducible across platforms, fast enough
 /// to sit inside workload generation and fuzz tests.
 class Xorshift {
  public:
-  explicit Xorshift(std::uint64_t seed = 0x9e3779b97f4a7c15ull) {
-    // SplitMix64 seeding so nearby seeds give uncorrelated streams.
-    auto next = [&seed] {
-      seed += 0x9e3779b97f4a7c15ull;
-      std::uint64_t z = seed;
-      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-      z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-      return z ^ (z >> 31);
-    };
-    s0_ = next();
-    s1_ = next();
+  /// splitmix64 seeding so nearby seeds give uncorrelated streams.
+  explicit Xorshift(std::uint64_t seed = kGoldenGamma)
+      : s0_(splitmix64(seed)), s1_(splitmix64(seed + kGoldenGamma)) {
     if (s0_ == 0 && s1_ == 0) s1_ = 1;
   }
 

@@ -174,7 +174,7 @@ void RegFileState::release(PhysReg p, std::uint64_t cycle, bool squashed) {
   // If the released version is still the architectural mapping of its
   // logical register, an exception flush would restore a mapping to a freed
   // register: flag it stale so the next redefinition does not release it a
-  // second time (DESIGN.md, "stale-mapping bit").
+  // second time (the stale bit, see core/map_table.hpp).
   const std::uint8_t logical = tracker.logical_of(p);
   if (iomt.get(logical).phys == p && !iomt.get(logical).stale)
     iomt.mark_stale(logical);

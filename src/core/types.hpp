@@ -72,15 +72,6 @@ struct RenameRec {
   bool reused_prev = false;
 
   [[nodiscard]] bool has_dst() const { return cd != isa::RegClass::None; }
-  [[nodiscard]] PhysReg phys_for(UseKind kind) const {
-    switch (kind) {
-      case UseKind::Src1: return p1;
-      case UseKind::Src2: return p2;
-      case UseKind::Dst: return pd;
-      case UseKind::Arch: return kNoReg;
-    }
-    return kNoReg;
-  }
 };
 
 /// The pipeline state the release policies read: in-flight rename records

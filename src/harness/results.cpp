@@ -4,30 +4,20 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
-#include <map>
-#include <set>
-#include <sstream>
 
 #include "common/log.hpp"
-#include "common/parse.hpp"
+#include "common/record.hpp"
 
 namespace erel::harness {
 
 namespace {
 
-std::string render_u64(std::uint64_t v) { return std::to_string(v); }
-
-std::string render_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
 // ---------------------------------------------------------------------------
 // Exhaustive field visitors. `Stats` is (const) SimStats / SampledStats, so
-// the same enumeration serves serialization (const ref) and parsing
-// (mutable ref); a field added to the structs without a line here fails the
-// round-trip test rather than silently dropping data.
+// the same enumeration serves serialization (const ref, record::Writer) and
+// parsing (mutable ref, record::Reader); a field added to the structs
+// without a line here fails the round-trip test rather than silently
+// dropping data.
 // ---------------------------------------------------------------------------
 
 template <class Stats, class Fn>
@@ -89,67 +79,6 @@ void sampled_moment_fields(Stats& s, Fn&& f) {
   f("sampled.degenerate_windows", s.degenerate_windows);
 }
 
-/// Serializing visitor: appends "name value" lines.
-struct FieldWriter {
-  std::string& out;
-  void operator()(const std::string& name, const std::uint64_t& v) const {
-    out += name + ' ' + render_u64(v) + '\n';
-  }
-  void operator()(const std::string& name, const bool& v) const {
-    out += name + (v ? " 1\n" : " 0\n");
-  }
-  void operator()(const std::string& name, const double& v) const {
-    out += name + ' ' + render_double(v) + '\n';
-  }
-};
-
-/// Parsing visitor: assigns from a name->text map; records failures.
-struct FieldReader {
-  const std::map<std::string, std::string, std::less<>>& fields;
-  bool ok = true;
-
-  const std::string* get(const std::string& name) {
-    const auto it = fields.find(name);
-    if (it == fields.end()) {
-      ok = false;
-      return nullptr;
-    }
-    return &it->second;
-  }
-  // Values must parse completely: a bit-flipped "1x1857", a sign, a
-  // stray space or a truncated token is a rejected entry (cache miss),
-  // never a silently-wrong number.
-  void operator()(const std::string& name, std::uint64_t& v) {
-    if (const std::string* s = get(name)) {
-      const std::optional<std::uint64_t> parsed = parse_u64(*s);
-      if (!parsed) {
-        ok = false;
-        return;
-      }
-      v = *parsed;
-    }
-  }
-  void operator()(const std::string& name, bool& v) {
-    if (const std::string* s = get(name)) {
-      if (*s != "0" && *s != "1") {
-        ok = false;
-        return;
-      }
-      v = (*s == "1");
-    }
-  }
-  void operator()(const std::string& name, double& v) {
-    if (const std::string* s = get(name)) {
-      const std::optional<double> parsed = parse_double(*s);
-      if (!parsed) {
-        ok = false;
-        return;
-      }
-      v = *parsed;
-    }
-  }
-};
-
 void csv_field(std::string& out, const std::string& value) {
   if (value.find_first_of(",\"\n") == std::string::npos) {
     out += value;
@@ -186,7 +115,7 @@ std::string json_escape(const std::string& s) {
 
 std::string json_number(double v) {
   if (!std::isfinite(v)) return "null";
-  return render_double(v);
+  return record::format_double(v);
 }
 
 void write_file_or_die(const std::string& path, const std::string& content) {
@@ -367,23 +296,23 @@ void ResultSet::write_csv(const std::string& path) const {
     out += ',';
     out += e.from_cache ? '1' : '0';
     out += ',';
-    out += render_u64(e.stats.committed);
+    out += std::to_string(e.stats.committed);
     out += ',';
-    out += render_u64(e.stats.cycles);
+    out += std::to_string(e.stats.cycles);
     out += ',';
-    out += render_double(e.stats.ipc());
+    out += record::format_double(e.stats.ipc());
     out += ',';
-    out += render_double(e.ipc_ci95());
+    out += record::format_double(e.ipc_ci95());
     out += ',';
-    out += render_double(e.stats.branches.cond_accuracy());
+    out += record::format_double(e.stats.branches.cond_accuracy());
     out += ',';
-    out += render_double(e.stats.l1d.miss_rate());
+    out += record::format_double(e.stats.l1d.miss_rate());
     out += ',';
-    out += render_u64(e.stats.stalls.free_list_empty);
+    out += std::to_string(e.stats.stalls.free_list_empty);
     for (const std::string& name : metric_cols) {
       out += ',';
       if (const std::optional<double> v = e.metric(name))
-        out += render_double(*v);
+        out += record::format_double(*v);
     }
     out += '\n';
   }
@@ -420,7 +349,7 @@ void ResultSet::write_json(const std::string& path) const {
       } else if constexpr (std::is_same_v<T, double>) {
         out += json_number(v);
       } else {
-        out += render_u64(v);
+        out += std::to_string(v);
       }
     };
     sim_stats_fields(e.stats, emit, "");
@@ -449,9 +378,9 @@ void ResultSet::write_json(const std::string& path) const {
       out += ",\n        \"samples\": [";
       for (std::size_t i = 0; i < s.samples.size(); ++i) {
         if (i) out += ", ";
-        out += '[' + render_u64(s.samples[i].start_instruction) + ", " +
-               render_u64(s.samples[i].instructions) + ", " +
-               render_u64(s.samples[i].cycles) + ']';
+        out += '[' + std::to_string(s.samples[i].start_instruction) + ", " +
+               std::to_string(s.samples[i].instructions) + ", " +
+               std::to_string(s.samples[i].cycles) + ']';
       }
       out += "]\n      }";
     }
@@ -467,32 +396,31 @@ void ResultSet::write_json(const std::string& path) const {
 
 std::string serialize_entry(const ExpEntry& entry, std::string_view fp_hex) {
   std::string out = "erel-result v1\n";
-  out += "fingerprint ";
-  out += fp_hex;
-  out += '\n';
-  out += "key.workload " + entry.key.workload + '\n';
-  out += "key.policy " + std::string(policy_name(entry.key.policy)) + '\n';
-  out += "key.phys " + std::to_string(entry.key.phys) + '\n';
-  out += "key.variant " + entry.key.variant + '\n';
-  out += entry.sampled ? "kind sampled\n" : "kind full\n";
-  FieldWriter writer{out};
-  sim_stats_fields(entry.stats, writer, "stats.");
+  const record::Writer write(out, ' ');
+  write("fingerprint", fp_hex);
+  write("key.workload", entry.key.workload);
+  write("key.policy", policy_name(entry.key.policy));
+  write("key.phys", entry.key.phys);
+  write("key.variant", entry.key.variant);
+  write("kind", entry.sampled ? "sampled" : "full");
+  sim_stats_fields(entry.stats, write, "stats.");
   if (entry.sampled) {
     const sim::SampledStats& s = *entry.sampled;
-    sim_stats_fields(s.estimate, writer, "sampled.estimate.");
-    sim_stats_fields(s.measured, writer, "sampled.measured.");
-    sampled_moment_fields(s, writer);
-    out += "samples " + std::to_string(s.samples.size()) + '\n';
+    sim_stats_fields(s.estimate, write, "sampled.estimate.");
+    sim_stats_fields(s.measured, write, "sampled.measured.");
+    sampled_moment_fields(s, write);
+    write("samples", s.samples.size());
     for (const sim::SampleRecord& r : s.samples) {
-      out += "s " + render_u64(r.start_instruction) + ' ' +
-             render_u64(r.instructions) + ' ' + render_u64(r.cycles) + '\n';
+      write("s", std::to_string(r.start_instruction) + ' ' +
+                     std::to_string(r.instructions) + ' ' +
+                     std::to_string(r.cycles));
     }
   }
   for (const sim::Metric& m : entry.metrics) {
     EREL_CHECK(!m.name.empty() &&
                    m.name.find_first_of(" \n") == std::string::npos,
                "metric name '", m.name, "' is not serializable");
-    out += "metric." + m.name + ' ' + render_double(m.value) + '\n';
+    write("metric." + m.name, m.value);
   }
   out += "end\n";
   return out;
@@ -501,110 +429,74 @@ std::string serialize_entry(const ExpEntry& entry, std::string_view fp_hex) {
 std::optional<ExpEntry> parse_entry(std::string_view text,
                                     std::string_view expect_fp_hex,
                                     const ExpKey& expect_key) {
-  std::map<std::string, std::string, std::less<>> fields;
-  std::set<std::string_view> seen;  // views into `text`
+  const std::optional<std::string_view> body =
+      record::body(text, "erel-result v1");
+  if (!body) return std::nullopt;
+  record::FieldMap fields;
   std::vector<sim::SampleRecord> samples;
   std::vector<sim::Metric> metrics;
-  std::uint64_t declared_samples = 0;
-  bool have_header = false, have_end = false, sampled = false;
-  ExpKey key;
-  std::string fp_hex;
-
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t eol = text.find('\n', pos);
-    if (eol == std::string_view::npos) eol = text.size();
-    const std::string_view line = text.substr(pos, eol - pos);
-    pos = eol + 1;
-    if (line.empty()) continue;
-    const std::size_t sp = line.find(' ');
-    const std::string_view name = line.substr(0, sp);
-    const std::string_view value =
-        sp == std::string_view::npos ? std::string_view{} : line.substr(sp + 1);
-
-    // Every line but a sample or a metric names a field that appears once;
-    // a repeat is corruption, not a value to pick between.
-    if (name != "s" && !name.starts_with("metric.") &&
-        !seen.insert(name).second)
-      return std::nullopt;
-    if (!have_header) {
-      if (name != "erel-result" || value != "v1") return std::nullopt;
-      have_header = true;
-    } else if (name == "fingerprint") {
-      fp_hex = value;
-    } else if (name == "key.workload") {
-      key.workload = value;
-    } else if (name == "key.policy") {
-      if (value != "conv" && value != "basic" && value != "extended")
-        return std::nullopt;
-      key.policy = core::parse_policy(value);
-    } else if (name == "key.phys") {
-      const std::optional<std::uint64_t> phys = parse_u64(value);
-      if (!phys || *phys > std::numeric_limits<unsigned>::max())
-        return std::nullopt;
-      key.phys = static_cast<unsigned>(*phys);
-    } else if (name == "key.variant") {
-      key.variant = value;
-    } else if (name == "kind") {
-      if (value != "full" && value != "sampled") return std::nullopt;
-      sampled = (value == "sampled");
-    } else if (name == "samples") {
-      const std::optional<std::uint64_t> n = parse_u64(value);
-      if (!n) return std::nullopt;
-      declared_samples = *n;
-    } else if (name == "s") {
+  record::Lines lines(*body);
+  for (std::string_view line; lines.next(line);) {
+    const std::optional<record::Field> field = record::split(line, ' ');
+    if (!field) return std::nullopt;
+    if (field->name == "s") {
       // Exactly three integers, one space apart.
-      const std::size_t a = value.find(' ');
-      const std::size_t b =
-          a == std::string_view::npos ? a : value.find(' ', a + 1);
-      if (b == std::string_view::npos) return std::nullopt;
-      const auto start = parse_u64(value.substr(0, a));
-      const auto instructions = parse_u64(value.substr(a + 1, b - a - 1));
-      const auto cycles = parse_u64(value.substr(b + 1));
-      if (!start || !instructions || !cycles) return std::nullopt;
-      samples.push_back(sim::SampleRecord{*start, *instructions, *cycles});
-    } else if (name == "end") {
-      have_end = true;
-    } else if (name.starts_with("metric.")) {
+      const auto a = record::split(field->value, ' ');
+      const auto b = a ? record::split(a->value, ' ') : std::nullopt;
+      sim::SampleRecord r;
+      if (!b || !record::parse(a->name, r.start_instruction) ||
+          !record::parse(b->name, r.instructions) ||
+          !record::parse(b->value, r.cycles))
+        return std::nullopt;
+      samples.push_back(r);
+    } else if (field->name.starts_with("metric.")) {
       // Open probe metrics: names are free-form, values strict doubles.
-      const std::optional<double> parsed = parse_double(value);
-      if (name.size() <= 7 || !parsed) return std::nullopt;
-      metrics.push_back(sim::Metric{std::string(name.substr(7)), *parsed});
-    } else if (name.starts_with("stats.") || name.starts_with("sampled.")) {
-      fields.emplace(std::string(name), std::string(value));
-    } else {
-      return std::nullopt;  // unknown line: newer format or corruption
+      sim::Metric m{std::string(field->name.substr(7)), 0.0};
+      if (m.name.empty() || !record::parse(field->value, m.value))
+        return std::nullopt;
+      metrics.push_back(std::move(m));
+    } else if (!record::add(fields, *field)) {
+      return std::nullopt;
     }
   }
 
-  if (!have_header || !have_end) return std::nullopt;
-  if (fp_hex != expect_fp_hex) return std::nullopt;
+  record::Reader read(fields);
+  std::string fp_hex, workload, policy, variant, kind;
+  unsigned phys = 0;
+  read("fingerprint", fp_hex);
+  read("key.workload", workload);
+  read("key.policy", policy);
+  read("key.phys", phys);
+  read("key.variant", variant);  // a label alias is fine: see below
+  read("kind", kind);
+  ExpEntry entry;
+  entry.key = expect_key;
+  entry.from_cache = true;
+  entry.metrics = std::move(metrics);
+  sim_stats_fields(entry.stats, read, "stats.");
+  if (kind == "sampled") {
+    sim::SampledStats& s = entry.sampled.emplace();
+    sim_stats_fields(s.estimate, read, "sampled.estimate.");
+    sim_stats_fields(s.measured, read, "sampled.measured.");
+    sampled_moment_fields(s, read);
+    std::uint64_t declared_samples = 0;
+    read("samples", declared_samples);
+    if (samples.size() != declared_samples) return std::nullopt;
+    s.samples = std::move(samples);
+  } else if (kind != "full" || !samples.empty()) {
+    return std::nullopt;
+  }
+  // Each field of the entry's kind exactly once, and nothing else.
+  if (!read.complete() || fp_hex != expect_fp_hex) return std::nullopt;
   // Equal fingerprints imply identical results (the hash covers the
   // workload's content and every config field) but not identical variant
   // labels: different vary() labelings can mutate a config into the same
   // values, and the entry must serve all of them instead of thrashing.
   // Everything the hash does pin must agree, though — a mismatch there is
   // corruption or a hash collision, never a legitimate alias.
-  if (key.workload != expect_key.workload ||
-      key.policy != expect_key.policy || key.phys != expect_key.phys)
+  if (workload != expect_key.workload ||
+      policy != policy_name(expect_key.policy) || phys != expect_key.phys)
     return std::nullopt;
-  if (sampled && samples.size() != declared_samples) return std::nullopt;
-
-  ExpEntry entry;
-  entry.key = expect_key;
-  entry.from_cache = true;
-  entry.metrics = std::move(metrics);
-  FieldReader reader{fields};
-  sim_stats_fields(entry.stats, reader, "stats.");
-  if (sampled) {
-    sim::SampledStats s;
-    sim_stats_fields(s.estimate, reader, "sampled.estimate.");
-    sim_stats_fields(s.measured, reader, "sampled.measured.");
-    sampled_moment_fields(s, reader);
-    s.samples = std::move(samples);
-    entry.sampled = std::move(s);
-  }
-  if (!reader.ok) return std::nullopt;
   return entry;
 }
 

@@ -26,9 +26,14 @@
 //   [metric.<name> <double>]...        open probe-exported metrics, in order
 //   end
 //
-// Values are decimal integers or "%.17g" doubles (bit-exact round-trip for
-// IEEE binary64). Unknown lines are rejected, a missing "end" marks a
-// truncated write; both parse as cache misses, never as wrong results.
+// The lines are common/record.hpp records: values are decimal integers,
+// exact "0"/"1" bools or "%.17g" doubles (bit-exact round-trip for IEEE
+// binary64). An entry parses only when every field its kind requires
+// appears exactly once and nothing else does: a full entry carries no
+// sampled., samples or s line, a sampled one needs them all, and the
+// sample count matches the s lines. Anything else — an unknown or repeated
+// line, a malformed value, a missing "end" (a truncated write) or text
+// after it — is a cache miss, never a wrong result.
 #pragma once
 
 #include <cstdint>

@@ -27,7 +27,7 @@ enum class RegClass : std::uint8_t { None, Int, Fp };
 enum class FuClass : std::uint8_t {
   None,    // control-only ops that occupy no FU result slot (HALT)
   IntAlu,  // 8 units, latency 1
-  IntMul,  // 4 units, latency 7 (int divide shares this unit, see DESIGN.md)
+  IntMul,  // 4 units, latency 7 (int divide shares this unit at latency 12)
   FpAlu,   // 6 units, latency 4 ("simple FP")
   FpMul,   // 4 units, latency 4
   FpDiv,   // 4 units, latency 16, unpipelined

@@ -44,7 +44,7 @@ RuleConfig erel_project_rules() {
       {"SimConfig", "src/sim/config.hpp", "src/sim/config.cpp",
        "canonical_fields", "config", "."},
       {"SamplingConfig", "src/sim/sampling.hpp", "src/sim/sampling.cpp",
-       "append_canonical_fields", "sampling", "."},
+       "canonical_fields", "sampling", "."},
       {"FetchConfig", "src/pipeline/fetch.hpp", "src/sim/config.cpp",
        "canonical_fields", "fetch", "."},
       {"FuConfig", "src/pipeline/fu_pool.hpp", "src/sim/config.cpp",
@@ -68,10 +68,11 @@ RuleConfig erel_project_rules() {
 
   // Translation units whose output feeds fingerprints, the canonical wire
   // format, or stat identity. Randomness, wall-clock reads and
-  // hash-container iteration are banned here; splitmix64-style seeded
-  // mixing (sim/sampling.cpp) is fine because it uses none of the banned
-  // constructs.
+  // hash-container iteration are banned here; seeded splitmix64 draws
+  // (common/bits.hpp, used by sim/sampling.cpp) are fine because they use
+  // none of the banned constructs.
   rules.deterministic_tus = {
+      "src/common/record.cpp",        "src/common/record.hpp",
       "src/dev/machine.cpp",          "src/dev/machine.hpp",
       "src/harness/fingerprint.cpp", "src/harness/fingerprint.hpp",
       "src/harness/result_cache.cpp", "src/harness/results.cpp",

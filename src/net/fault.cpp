@@ -8,29 +8,16 @@
 #include <chrono>
 #include <utility>
 
+#include "common/bits.hpp"
 #include "common/log.hpp"
 
 namespace erel::net {
 
-namespace {
-
-/// SplitMix64 finalizer (same constants as Xorshift seeding in
-/// common/bits.hpp): one multiply-xor cascade per draw keeps nearby
-/// (seed, stream, k) triples uncorrelated.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
-
 std::uint64_t FaultPlan::draw(std::uint64_t stream, std::uint64_t k,
                               std::uint64_t bound) const {
   EREL_CHECK(bound != 0);
-  return mix64(mix64(seed_ ^ stream * 0xbf58476d1ce4e5b9ull) ^
-               k * 0x9e3779b97f4a7c15ull) %
+  return splitmix64(splitmix64(seed_ ^ stream * 0xbf58476d1ce4e5b9ull) ^
+                    k * kGoldenGamma) %
          bound;
 }
 

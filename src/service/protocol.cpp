@@ -1,70 +1,9 @@
 #include "service/protocol.hpp"
 
-#include <map>
-
-#include "common/parse.hpp"
+#include "common/record.hpp"
 #include "core/release_policy.hpp"
 
 namespace erel::service {
-
-namespace {
-
-// ---- line-oriented payload scanning ------------------------------------
-
-/// Splits `text` into '\n'-terminated lines; a trailing unterminated line
-/// counts as a line too.
-class LineScanner {
- public:
-  explicit LineScanner(std::string_view text) : rest_(text) {}
-
-  bool next(std::string_view& line) {
-    if (rest_.empty()) return false;
-    const std::size_t nl = rest_.find('\n');
-    if (nl == std::string_view::npos) {
-      line = rest_;
-      rest_ = {};
-    } else {
-      line = rest_.substr(0, nl);
-      rest_ = rest_.substr(nl + 1);
-    }
-    return true;
-  }
-
-  [[nodiscard]] std::string_view rest() const { return rest_; }
-
- private:
-  std::string_view rest_;
-};
-
-/// "key value" -> (key, value); "key" alone -> (key, ""). The value may
-/// contain spaces (workload paths, variant labels, error messages).
-void split_first_space(std::string_view line, std::string_view& key,
-                       std::string_view& value) {
-  const std::size_t space = line.find(' ');
-  if (space == std::string_view::npos) {
-    key = line;
-    value = {};
-  } else {
-    key = line.substr(0, space);
-    value = line.substr(space + 1);
-  }
-}
-
-std::optional<bool> parse_bool(std::string_view text) {
-  if (text == "0") return false;
-  if (text == "1") return true;
-  return std::nullopt;
-}
-
-void append_u64_line(std::string& out, std::string_view key,
-                     std::uint64_t value) {
-  out += key;
-  out += ' ';
-  out += std::to_string(value);
-  out += '\n';
-}
-
-}  // namespace
 
 // ---- message tags -------------------------------------------------------
 
@@ -86,114 +25,72 @@ std::string_view msg_type_name(MsgType type) {
 
 std::string encode_cell_request(const CellRequest& request) {
   std::string out = "erel-cell v1\n";
-  append_u64_line(out, "id", request.id);
-  out += "fp ";
-  out += request.fingerprint_hex;
-  out += '\n';
-  out += "workload ";
-  out += request.workload;
-  out += '\n';
-  out += "key.policy ";
-  out += core::policy_name(request.key.policy);
-  out += '\n';
-  append_u64_line(out, "key.phys", request.key.phys);
-  out += "key.variant ";
-  out += request.key.variant;
-  out += '\n';
-  for (const std::string& name : request.probe_names) {
-    out += "probe ";
-    out += name;
-    out += '\n';
-  }
+  const record::Writer write(out, ' ');
+  write("id", request.id);
+  write("fp", request.fingerprint_hex);
+  write("workload", request.workload);
+  write("key.policy", core::policy_name(request.key.policy));
+  write("key.phys", request.key.phys);
+  write("key.variant", request.key.variant);
+  for (const std::string& name : request.probe_names) write("probe", name);
   // The canonical renderings are reused verbatim (prefixed for config so
   // the decoder can route lines); whatever the fingerprint hashes is what
   // crosses the wire.
   std::string canon;
   sim::append_canonical_fields(request.config, canon);
-  LineScanner scanner(canon);
-  for (std::string_view line; scanner.next(line);) {
+  record::Lines lines(canon);
+  for (std::string_view line; lines.next(line);) {
     out += "cfg.";
     out += line;
     out += '\n';
   }
-  if (request.sampling) {
-    std::string sampling_canon;
-    sim::append_canonical_fields(*request.sampling, sampling_canon);
-    out += sampling_canon;  // lines already namespaced "sampling.*=..."
-  }
+  // Sampling lines are already namespaced "sampling.*=...".
+  if (request.sampling) sim::append_canonical_fields(*request.sampling, out);
   out += "end\n";
   return out;
 }
 
 std::optional<CellRequest> decode_cell_request(std::string_view payload) {
-  LineScanner scanner(payload);
-  std::string_view line;
-  if (!scanner.next(line) || line != "erel-cell v1") return std::nullopt;
-
+  const std::optional<std::string_view> body =
+      record::body(payload, "erel-cell v1");
+  if (!body) return std::nullopt;
   CellRequest request;
-  std::map<std::string, std::string, std::less<>> cfg_fields;
-  std::map<std::string, std::string, std::less<>> sampling_fields;
-  bool saw_id = false, saw_fp = false, saw_workload = false;
-  bool saw_policy = false, saw_phys = false, saw_variant = false;
-  bool saw_end = false;
-
-  while (scanner.next(line)) {
-    if (line == "end") {
-      saw_end = true;
-      break;
-    }
+  record::FieldMap fields, cfg_fields, sampling_fields;
+  record::Lines lines(*body);
+  for (std::string_view line; lines.next(line);) {
     // Canonical field lines are "name=value"; everything else "key value".
-    if (line.substr(0, 4) == "cfg." || line.substr(0, 9) == "sampling.") {
-      const std::size_t eq = line.find('=');
-      if (eq == std::string_view::npos) return std::nullopt;
-      const bool is_cfg = line[0] == 'c';
-      std::string name(line.substr(is_cfg ? 4 : 0, eq - (is_cfg ? 4 : 0)));
-      auto& fields = is_cfg ? cfg_fields : sampling_fields;
-      if (!fields.emplace(std::move(name), std::string(line.substr(eq + 1)))
-               .second)
-        return std::nullopt;  // duplicate field
+    const bool cfg = line.starts_with("cfg.");
+    if (cfg || line.starts_with("sampling.")) {
+      const auto field = record::split(line.substr(cfg ? 4 : 0), '=');
+      if (!field || !record::add(cfg ? cfg_fields : sampling_fields, *field))
+        return std::nullopt;
       continue;
     }
-    std::string_view key, value;
-    split_first_space(line, key, value);
-    if (key == "id") {
-      const auto v = parse_u64(value);
-      if (!v || saw_id) return std::nullopt;
-      request.id = *v;
-      saw_id = true;
-    } else if (key == "fp") {
-      if (value.empty() || saw_fp) return std::nullopt;
-      request.fingerprint_hex = value;
-      saw_fp = true;
-    } else if (key == "workload") {
-      if (value.empty() || saw_workload) return std::nullopt;
-      request.workload = value;
-      saw_workload = true;
-    } else if (key == "key.policy") {
-      const auto kind = core::try_parse_policy(value);
-      if (!kind || saw_policy) return std::nullopt;
-      request.key.policy = *kind;
-      saw_policy = true;
-    } else if (key == "key.phys") {
-      const auto v = parse_u64(value);
-      if (!v || *v > 0xffffffffull || saw_phys) return std::nullopt;
-      request.key.phys = static_cast<unsigned>(*v);
-      saw_phys = true;
-    } else if (key == "key.variant") {
-      if (saw_variant) return std::nullopt;
-      request.key.variant = value;
-      saw_variant = true;
-    } else if (key == "probe") {
-      if (value.empty() || value.find(' ') != std::string_view::npos)
+    const std::optional<record::Field> field = record::split(line, ' ');
+    if (!field) return std::nullopt;
+    if (field->name == "probe") {
+      if (field->value.empty() ||
+          field->value.find(' ') != std::string_view::npos)
         return std::nullopt;
-      request.probe_names.emplace_back(value);
-    } else {
-      return std::nullopt;  // unknown line: reject, never skip silently
+      request.probe_names.emplace_back(field->value);
+    } else if (!record::add(fields, *field)) {
+      return std::nullopt;
     }
   }
-  if (!saw_end || !saw_id || !saw_fp || !saw_workload || !saw_policy ||
-      !saw_phys || !saw_variant)
+  record::Reader read(fields);
+  std::string policy;
+  read("id", request.id);
+  read("fp", request.fingerprint_hex);
+  read("workload", request.workload);
+  read("key.policy", policy);
+  read("key.phys", request.key.phys);
+  read("key.variant", request.key.variant);
+  const std::optional<core::PolicyKind> kind = core::try_parse_policy(policy);
+  if (!read.complete() || !kind || request.fingerprint_hex.empty() ||
+      request.workload.empty())
     return std::nullopt;
+  request.key.policy = *kind;
+  request.key.workload = request.workload;
 
   const std::optional<sim::SimConfig> config =
       sim::config_from_canonical_fields(cfg_fields);
@@ -205,7 +102,6 @@ std::optional<CellRequest> decode_cell_request(std::string_view payload) {
     if (!sampling) return std::nullopt;
     request.sampling = *sampling;
   }
-  request.key.workload = request.workload;
   return request;
 }
 
@@ -213,28 +109,20 @@ std::optional<CellRequest> decode_cell_request(std::string_view payload) {
 
 std::string encode_result(const ResultMsg& msg) {
   std::string out;
-  append_u64_line(out, "id", msg.id);
-  out += msg.cached ? "cached 1\n" : "cached 0\n";
+  const record::Writer write(out, ' ');
+  write("id", msg.id);
+  write("cached", msg.cached);
   out += msg.entry_text;
   return out;
 }
 
 std::optional<ResultMsg> decode_result(std::string_view payload) {
-  LineScanner scanner(payload);
-  std::string_view line, key, value;
+  record::Lines lines(payload);
   ResultMsg msg;
-  if (!scanner.next(line)) return std::nullopt;
-  split_first_space(line, key, value);
-  const auto id = parse_u64(value);
-  if (key != "id" || !id) return std::nullopt;
-  msg.id = *id;
-  if (!scanner.next(line)) return std::nullopt;
-  split_first_space(line, key, value);
-  const auto cached = parse_bool(value);
-  if (key != "cached" || !cached) return std::nullopt;
-  msg.cached = *cached;
-  msg.entry_text = scanner.rest();
-  if (msg.entry_text.empty()) return std::nullopt;
+  if (!record::read_line(lines, "id", msg.id) ||
+      !record::read_line(lines, "cached", msg.cached) || lines.rest().empty())
+    return std::nullopt;
+  msg.entry_text = lines.rest();
   return msg;
 }
 
@@ -242,37 +130,35 @@ std::optional<ResultMsg> decode_result(std::string_view payload) {
 
 std::string encode_error(const ErrorMsg& msg) {
   std::string out;
-  append_u64_line(out, "id", msg.id);
+  const record::Writer write(out, ' ');
+  write("id", msg.id);
   out += msg.message;
   return out;
 }
 
 std::optional<ErrorMsg> decode_error(std::string_view payload) {
-  LineScanner scanner(payload);
-  std::string_view line, key, value;
-  if (!scanner.next(line)) return std::nullopt;
-  split_first_space(line, key, value);
-  const auto id = parse_u64(value);
-  if (key != "id" || !id) return std::nullopt;
-  return ErrorMsg{*id, std::string(scanner.rest())};
+  record::Lines lines(payload);
+  ErrorMsg msg;
+  if (!record::read_line(lines, "id", msg.id)) return std::nullopt;
+  msg.message = lines.rest();
+  return msg;
 }
 
 // ---- BusyMsg ------------------------------------------------------------
 
 std::string encode_busy(const BusyMsg& msg) {
   std::string out;
-  append_u64_line(out, "id", msg.id);
+  const record::Writer write(out, ' ');
+  write("id", msg.id);
   return out;
 }
 
 std::optional<BusyMsg> decode_busy(std::string_view payload) {
-  LineScanner scanner(payload);
-  std::string_view line, key, value;
-  if (!scanner.next(line) || !scanner.rest().empty()) return std::nullopt;
-  split_first_space(line, key, value);
-  const auto id = parse_u64(value);
-  if (key != "id" || !id) return std::nullopt;
-  return BusyMsg{*id};
+  record::Lines lines(payload);
+  BusyMsg msg;
+  if (!record::read_line(lines, "id", msg.id) || !lines.rest().empty())
+    return std::nullopt;
+  return msg;
 }
 
 // ---- DaemonStats --------------------------------------------------------
@@ -297,40 +183,21 @@ void daemon_stats_fields(Stats& stats, Fn&& f) {
 
 std::string encode_stats(const DaemonStats& stats) {
   std::string out;
-  daemon_stats_fields(stats, [&out](std::string_view name, std::uint64_t v) {
-    append_u64_line(out, name, v);
-  });
+  daemon_stats_fields(stats, record::Writer(out, ' '));
   return out;
 }
 
 std::optional<DaemonStats> decode_stats(std::string_view payload) {
-  std::map<std::string, std::string, std::less<>> fields;
-  LineScanner scanner(payload);
-  for (std::string_view line; scanner.next(line);) {
-    if (line.empty()) continue;
-    std::string_view key, value;
-    split_first_space(line, key, value);
-    if (!fields.emplace(std::string(key), std::string(value)).second)
-      return std::nullopt;
+  record::FieldMap fields;
+  record::Lines lines(payload);
+  for (std::string_view line; lines.next(line);) {
+    const std::optional<record::Field> field = record::split(line, ' ');
+    if (!field || !record::add(fields, *field)) return std::nullopt;
   }
   DaemonStats stats;
-  bool ok = true;
-  std::size_t consumed = 0;
-  daemon_stats_fields(stats, [&](std::string_view name, std::uint64_t& v) {
-    const auto it = fields.find(name);
-    if (it == fields.end()) {
-      ok = false;
-      return;
-    }
-    ++consumed;
-    const auto parsed = parse_u64(it->second);
-    if (!parsed) {
-      ok = false;
-      return;
-    }
-    v = *parsed;
-  });
-  if (!ok || consumed != fields.size()) return std::nullopt;
+  record::Reader read(fields);
+  daemon_stats_fields(stats, read);
+  if (!read.complete()) return std::nullopt;
   return stats;
 }
 

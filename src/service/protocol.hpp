@@ -7,7 +7,9 @@
 // and a result is a verbatim `.erelres` cache entry (harness/results.hpp) —
 // so a daemon-served cell is byte-identical to a locally-cached one by
 // construction, and the two ends cannot disagree about what a field means
-// without the strict parsers failing loudly.
+// without the strict parsers failing loudly. Every payload is written and
+// read through common/record.hpp, the one codec that decides what makes a
+// record malformed.
 //
 // Conversation shape (client = one figure binary / harness::RemoteBackend):
 //

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/bits.hpp"
-#include "common/parse.hpp"
 
 namespace erel::sim {
 
@@ -15,12 +14,11 @@ namespace {
 
 // Single enumeration of every result-affecting field, shared by the
 // canonical serializer and its parser so the two can never disagree about
-// the field list (a field added to one but not the other fails the strict
-// parse, which the round-trip test catches). `Config` is (const) SimConfig;
-// the visitor is overloaded on the member types.
+// the field list. `Config` is (const) SimConfig; `f` is a record::Writer
+// or record::Reader (common/record.hpp), overloaded on the member types.
 template <class Config, class Fn>
 void canonical_fields(Config& config, Fn&& f) {
-  f("policy", config.policy);
+  f("policy", config.policy, core::PolicyKind::Extended);
   f("phys_int", config.phys_int);
   f("phys_fp", config.phys_fp);
   f("ros_size", config.ros_size);
@@ -58,65 +56,6 @@ void canonical_fields(Config& config, Fn&& f) {
   // reason: the decode-once engine is bit-identical to the byte-accurate
   // one (pinned by tests/test_fastpath.cpp), so one cached cell serves both.
 }
-
-/// Appends "name=value" lines; every member type renders as a decimal
-/// std::uint64_t, exactly like the original hand-written serializer.
-struct FieldWriter {
-  std::string& out;
-
-  void emit(std::string_view name, std::uint64_t value) const {
-    out += name;
-    out += '=';
-    out += std::to_string(value);
-    out += '\n';
-  }
-  void operator()(std::string_view name, std::uint64_t v) const {
-    emit(name, v);
-  }
-  void operator()(std::string_view name, unsigned v) const { emit(name, v); }
-  void operator()(std::string_view name, bool v) const {
-    emit(name, v ? 1 : 0);
-  }
-  void operator()(std::string_view name, core::PolicyKind v) const {
-    emit(name, static_cast<std::uint64_t>(v));
-  }
-};
-
-/// Assigns members from a name->text map; tracks strictness violations.
-struct FieldReader {
-  const std::map<std::string, std::string, std::less<>>& fields;
-  std::size_t consumed = 0;
-  bool ok = true;
-
-  /// The field's value if present, digits only and at most `max`.
-  std::optional<std::uint64_t> get(std::string_view name, std::uint64_t max) {
-    const auto it = fields.find(name);
-    if (it != fields.end()) ++consumed;
-    const std::optional<std::uint64_t> v =
-        it == fields.end() ? std::nullopt : parse_u64(it->second);
-    if (!v || *v > max) {
-      ok = false;
-      return std::nullopt;
-    }
-    return v;
-  }
-  void operator()(std::string_view name, std::uint64_t& v) {
-    if (const auto got = get(name, ~std::uint64_t{0})) v = *got;
-  }
-  void operator()(std::string_view name, unsigned& v) {
-    if (const auto got = get(name, 0xffffffffull))
-      v = static_cast<unsigned>(*got);
-  }
-  void operator()(std::string_view name, bool& v) {
-    if (const auto got = get(name, 1)) v = *got != 0;
-  }
-  void operator()(std::string_view name, core::PolicyKind& v) {
-    constexpr auto kLast =
-        static_cast<std::uint64_t>(core::PolicyKind::Extended);
-    if (const auto got = get(name, kLast))
-      v = static_cast<core::PolicyKind>(*got);
-  }
-};
 
 // Bounds on what a daemon request may ask for. Every table the core sizes
 // from a width, count or capacity stays at most kMaxEntries long, and no
@@ -163,16 +102,15 @@ bool buildable(const SimConfig& c) {
 }  // namespace
 
 void append_canonical_fields(const SimConfig& config, std::string& out) {
-  canonical_fields(config, FieldWriter{out});
+  canonical_fields(config, record::Writer(out, '='));
 }
 
 std::optional<SimConfig> config_from_canonical_fields(
-    const std::map<std::string, std::string, std::less<>>& fields) {
+    const record::FieldMap& fields) {
   SimConfig config;
-  FieldReader reader{fields};
-  canonical_fields(config, reader);
-  if (!reader.ok || reader.consumed != fields.size() || !buildable(config))
-    return std::nullopt;
+  record::Reader read(fields);
+  canonical_fields(config, read);
+  if (!read.complete() || !buildable(config)) return std::nullopt;
   return config;
 }
 

@@ -4,10 +4,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
 #include <string>
 
+#include "common/record.hpp"
 #include "core/release_policy.hpp"
 #include "core/rename_unit.hpp"
 #include "mem/hierarchy.hpp"
@@ -108,6 +108,6 @@ void append_canonical_fields(const SimConfig& config, std::string& out);
 /// large enough to exhaust memory, or a miss latency long enough to trip
 /// the no-commit watchdog.
 [[nodiscard]] std::optional<SimConfig> config_from_canonical_fields(
-    const std::map<std::string, std::string, std::less<>>& fields);
+    const record::FieldMap& fields);
 
 }  // namespace erel::sim

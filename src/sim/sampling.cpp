@@ -15,8 +15,9 @@
 
 #include "arch/arch_state.hpp"
 #include "arch/checkpoint.hpp"
+#include "common/bits.hpp"
 #include "common/log.hpp"
-#include "common/parse.hpp"
+#include "common/record.hpp"
 #include "common/thread_pool.hpp"
 #include "pipeline/core.hpp"
 #include "sim/warm_state.hpp"
@@ -25,14 +26,11 @@ namespace erel::sim {
 
 namespace {
 
-/// splitmix64 of (seed, k): a stateless per-interval random draw, so a
-/// unit's placement depends only on the seed and its interval index — not
-/// on evaluation order or thread count.
+/// The k-th draw of the splitmix64 stream seeded with `seed`: stateless,
+/// so a unit's placement depends only on the seed and its interval index —
+/// not on evaluation order or thread count.
 std::uint64_t mix(std::uint64_t seed, std::uint64_t k) {
-  std::uint64_t z = seed + 0x9e3779b97f4a7c15ull * (k + 1);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
+  return splitmix64(seed + kGoldenGamma * k);
 }
 
 /// Outcome of one detailed window.
@@ -110,6 +108,24 @@ double ci_halfwidth(const std::vector<SampleRecord>& samples) {
   return 1.96 * cpi.se / (cpi.mean * cpi.mean);
 }
 
+// Single enumeration of every result-affecting SamplingConfig field, shared
+// by the canonical serializer and its parser. `threads` is absent by design
+// (wall-clock only): the daemon runs every sampled cell at the default
+// threads = 1, one cell per worker.
+template <class Sampling, class Fn>
+void canonical_fields(Sampling& sampling, Fn&& f) {
+  f("sampling.period", sampling.period);
+  f("sampling.warmup", sampling.warmup);
+  f("sampling.detail", sampling.detail);
+  f("sampling.max_samples", sampling.max_samples);
+  f("sampling.functional_warming", sampling.functional_warming);
+  f("sampling.placement", sampling.placement, Placement::kStratified);
+  f("sampling.seed", sampling.seed);
+  // target_ci is a double; its exact bit pattern ("%a") rather than a
+  // rounded decimal, so equal configs always hash equally.
+  f("sampling.target_ci", record::hexfloat(sampling.target_ci));
+}
+
 }  // namespace
 
 std::string_view placement_name(Placement placement) {
@@ -135,76 +151,18 @@ bool valid_sampling(const SamplingConfig& sampling) {
 }
 
 void append_canonical_fields(const SamplingConfig& sampling, std::string& out) {
-  const auto field = [&out](std::string_view name, std::uint64_t value) {
-    out += name;
-    out += '=';
-    out += std::to_string(value);
-    out += '\n';
-  };
-  field("sampling.period", sampling.period);
-  field("sampling.warmup", sampling.warmup);
-  field("sampling.detail", sampling.detail);
-  field("sampling.max_samples", sampling.max_samples);
-  field("sampling.functional_warming", sampling.functional_warming ? 1 : 0);
-  field("sampling.placement", static_cast<std::uint64_t>(sampling.placement));
-  field("sampling.seed", sampling.seed);
-  // target_ci is a double; print the exact bit pattern rather than a
-  // rounded decimal so equal configs always hash equally.
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%a", sampling.target_ci);
-  out += "sampling.target_ci=";
-  out += buf;
-  out += '\n';
+  canonical_fields(sampling, record::Writer(out, '='));
 }
 
 std::optional<SamplingConfig> sampling_from_canonical_fields(
-    const std::map<std::string, std::string, std::less<>>& fields) {
-  SamplingConfig s;
-  std::size_t consumed = 0;
-  bool ok = true;
-  const auto get_u64 = [&](std::string_view name) -> std::uint64_t {
-    const auto it = fields.find(name);
-    const std::optional<std::uint64_t> v =
-        it == fields.end() ? std::nullopt : parse_u64(it->second);
-    if (!v) {
-      ok = false;
-      return 0;
-    }
-    ++consumed;
-    return *v;
-  };
-  s.period = get_u64("sampling.period");
-  s.warmup = get_u64("sampling.warmup");
-  s.detail = get_u64("sampling.detail");
-  s.max_samples = get_u64("sampling.max_samples");
-  const std::uint64_t warming = get_u64("sampling.functional_warming");
-  if (warming > 1) ok = false;
-  s.functional_warming = warming != 0;
-  const std::uint64_t placement = get_u64("sampling.placement");
-  if (placement > static_cast<std::uint64_t>(Placement::kStratified))
-    ok = false;
-  s.placement = static_cast<Placement>(placement);
-  s.seed = get_u64("sampling.seed");
-  // target_ci round-trips through the "%a" hexfloat rendering;
-  // parse_double reads it exactly.
-  if (const auto it = fields.find("sampling.target_ci"); it != fields.end()) {
-    ++consumed;
-    if (const std::optional<double> ci = parse_double(it->second)) {
-      s.target_ci = *ci;
-    } else {
-      ok = false;
-    }
-  } else {
-    ok = false;
-  }
-  // `threads` is absent by design (wall-clock only); the daemon runs every
-  // sampled cell at the default threads = 1, one cell per worker. Reject
-  // extra fields so skew fails loudly.
+    const record::FieldMap& fields) {
+  SamplingConfig sampling;
+  record::Reader read(fields);
+  canonical_fields(sampling, read);
   // The SampledSimulator constructor checks the same predicate; refusing
   // here makes a malformed request an error reply, not a daemon abort.
-  if (!ok || consumed != fields.size() || !valid_sampling(s))
-    return std::nullopt;
-  return s;
+  if (!read.complete() || !valid_sampling(sampling)) return std::nullopt;
+  return sampling;
 }
 
 SampledSimulator::SampledSimulator(SimConfig config, SamplingConfig sampling)

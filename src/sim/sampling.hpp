@@ -27,7 +27,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -86,7 +85,7 @@ void append_canonical_fields(const SamplingConfig& sampling, std::string& out);
 /// and valid_sampling must hold — a malformed request parses as nullopt,
 /// never aborts.
 [[nodiscard]] std::optional<SamplingConfig> sampling_from_canonical_fields(
-    const std::map<std::string, std::string, std::less<>>& fields);
+    const record::FieldMap& fields);
 
 struct SamplingConfig {
   /// Instructions between consecutive sampling-unit starts (exactly, for

@@ -10,31 +10,21 @@ namespace erel::workloads {
 
 namespace {
 
-std::string subst1(std::string text, const std::string& key,
-                   unsigned long long value) {
-  const std::string pattern = "{" + key + "}";
-  const std::string repl = std::to_string(value);
-  for (std::size_t pos = text.find(pattern); pos != std::string::npos;
-       pos = text.find(pattern, pos)) {
-    text.replace(pos, pattern.size(), repl);
-    pos += repl.size();
-  }
-  return text;
-}
-
 struct Subst {
-  std::string key;
+  std::string_view key;
   unsigned long long value;
 };
 
-std::string subst(std::string text, std::initializer_list<Subst> pairs) {
-  for (const Subst& s : pairs) text = subst1(std::move(text), s.key, s.value);
+/// subst() for several numeric keys, in order.
+std::string subst_all(std::string text, std::initializer_list<Subst> pairs) {
+  for (const Subst& s : pairs) text = subst(std::move(text), s.key, s.value);
   return text;
 }
 
 /// Shared preamble: fills `count` doubles at label `dst` with pseudo-random
 /// values in [0,1) + 0.5, using f3 = 1/65536. Clobbers r5, r6, r9, r10, f4.
 /// The caller must have loaded f3 (inv65536) and f9 (half) already.
+/// {DST} and {TAG} are left for fill_random_at to substitute.
 std::string fill_random(unsigned long long count) {
   return subst(R"(  la   r6, {DST}
   li   r10, {COUNT}
@@ -54,26 +44,12 @@ fill_{TAG}:
   addi r6, r6, 8
   blt  r6, r10, fill_{TAG}
 )",
-               {{"COUNT", count}});
-  // {DST} and {TAG} are textual; substitute below.
+               "COUNT", count);
 }
 
 std::string fill_random_at(const std::string& dst, unsigned long long count,
                            const std::string& tag) {
-  std::string body = fill_random(count);
-  // Textual substitutions (subst() only handles numbers).
-  auto replace_all = [](std::string text, const std::string& pattern,
-                        const std::string& repl) {
-    for (std::size_t pos = text.find(pattern); pos != std::string::npos;
-         pos = text.find(pattern, pos)) {
-      text.replace(pos, pattern.size(), repl);
-      pos += repl.size();
-    }
-    return text;
-  };
-  body = replace_all(body, "{DST}", dst);
-  body = replace_all(body, "{TAG}", tag);
-  return body;
+  return subst(subst(fill_random(count), "DST", dst), "TAG", tag);
 }
 
 }  // namespace
@@ -184,18 +160,18 @@ gridA:  .space {CELLSB}
 gridB:  .space {CELLSB}
 result: .space 16
 )";
-  return subst(std::move(src),
-               {{"D", d},
-                {"SWEEPS", sweeps},
-                {"INTERIOR", d - 2},
-                {"DB", d * 8},
-                {"DBm8", d * 8 - 8},
-                {"DBp8", d * 8 + 8},
-                {"D2B", d * d * 8},
-                {"D2Bm8", d * d * 8 - 8},
-                {"D2Bp8", d * d * 8 + 8},
-                {"CELLS", cells},
-                {"CELLSB", cells * 8}});
+  return subst_all(std::move(src),
+                   {{"D", d},
+                    {"SWEEPS", sweeps},
+                    {"INTERIOR", d - 2},
+                    {"DB", d * 8},
+                    {"DBm8", d * 8 - 8},
+                    {"DBp8", d * 8 + 8},
+                    {"D2B", d * d * 8},
+                    {"D2Bm8", d * d * 8 - 8},
+                    {"D2Bp8", d * d * 8 + 8},
+                    {"CELLS", cells},
+                    {"CELLSB", cells * 8}});
 }
 
 // ---------------------------------------------------------------------------
@@ -303,12 +279,12 @@ meshX:  .space {AREAB}
 meshY:  .space {AREAB}
 result: .space 16
 )";
-  return subst(std::move(src), {{"D", d},
-                                {"ITERS", iters},
-                                {"INTERIOR", d - 2},
-                                {"DB", d * 8},
-                                {"MID", (d / 2) * d + d / 2},
-                                {"AREAB", d * d * 8}});
+  return subst_all(std::move(src), {{"D", d},
+                                    {"ITERS", iters},
+                                    {"INTERIOR", d - 2},
+                                    {"DB", d * 8},
+                                    {"MID", (d / 2) * d + d / 2},
+                                    {"AREAB", d * d * 8}});
 }
 
 // ---------------------------------------------------------------------------
@@ -498,7 +474,7 @@ consts: .double 0.0000152587890625, 0.5, 10.0, 0.0, 0.0, 1.0
 matA:   .space 240
 result: .space 16
 )";
-  return subst(std::move(src), {{"SYS", systems}});
+  return subst_all(std::move(src), {{"SYS", systems}});
 }
 
 // ---------------------------------------------------------------------------
@@ -620,13 +596,13 @@ newV:   .space {AREAB}
 newP:   .space {AREAB}
 result: .space 16
 )";
-  return subst(std::move(src), {{"D", d},
-                                {"STEPS", steps},
-                                {"INTERIOR", d - 2},
-                                {"DB", d * 8},
-                                {"CELLS", d * d},
-                                {"CELLS3", d * d * 3},
-                                {"AREAB", d * d * 8}});
+  return subst_all(std::move(src), {{"D", d},
+                                    {"STEPS", steps},
+                                    {"INTERIOR", d - 2},
+                                    {"DB", d * 8},
+                                    {"CELLS", d * d},
+                                    {"CELLS3", d * d * 3},
+                                    {"AREAB", d * d * 8}});
 }
 
 // ---------------------------------------------------------------------------
@@ -777,12 +753,12 @@ rho:    .space {AREAB}
 mom:    .space {AREAB}
 result: .space 16
 )";
-  return subst(std::move(src), {{"D", d},
-                                {"STEPS", steps},
-                                {"INTERIOR", d - 2},
-                                {"DB", d * 8},
-                                {"CELLS", d * d},
-                                {"AREAB", d * d * 8}});
+  return subst_all(std::move(src), {{"D", d},
+                                    {"STEPS", steps},
+                                    {"INTERIOR", d - 2},
+                                    {"DB", d * 8},
+                                    {"CELLS", d * d},
+                                    {"AREAB", d * d * 8}});
 }
 
 }  // namespace erel::workloads

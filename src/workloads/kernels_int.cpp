@@ -9,23 +9,6 @@
 
 namespace erel::workloads {
 
-namespace {
-
-/// Replaces every "{KEY}" in `text` with `value`.
-std::string subst(std::string text, const std::string& key,
-                  unsigned long long value) {
-  const std::string pattern = "{" + key + "}";
-  const std::string repl = std::to_string(value);
-  for (std::size_t pos = text.find(pattern); pos != std::string::npos;
-       pos = text.find(pattern, pos)) {
-    text.replace(pos, pattern.size(), repl);
-    pos += repl.size();
-  }
-  return text;
-}
-
-}  // namespace
-
 // ---------------------------------------------------------------------------
 // compress: LZW over a run-biased pseudo-random byte stream. Hash probing,
 // byte loads, unpredictable branches — the classic compress profile.

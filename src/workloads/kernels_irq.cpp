@@ -19,24 +19,6 @@
 
 namespace erel::workloads {
 
-namespace {
-
-/// Replaces every "{KEY}" in `text` with `value` (local copy of the
-/// kernels_int.cpp helper; both TUs keep their generators self-contained).
-std::string subst(std::string text, const std::string& key,
-                  unsigned long long value) {
-  const std::string pattern = "{" + key + "}";
-  const std::string repl = std::to_string(value);
-  for (std::size_t pos = text.find(pattern); pos != std::string::npos;
-       pos = text.find(pattern, pos)) {
-    text.replace(pos, pattern.size(), repl);
-    pos += repl.size();
-  }
-  return text;
-}
-
-}  // namespace
-
 // ---------------------------------------------------------------------------
 // timer: a fixed-length LCG checksum loop with a PIT firing every {P}
 // retired instructions. The handler counts ticks and folds the interrupt

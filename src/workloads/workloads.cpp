@@ -91,6 +91,17 @@ const Workload* find_parameterized(const std::string& name) {
 
 }  // namespace
 
+std::string subst(std::string text, std::string_view key,
+                  std::string_view value) {
+  const std::string pattern = "{" + std::string(key) + "}";
+  for (std::size_t pos = text.find(pattern); pos != std::string::npos;
+       pos = text.find(pattern, pos)) {
+    text.replace(pos, pattern.size(), value);
+    pos += value.size();
+  }
+  return text;
+}
+
 const std::vector<Workload>& registry() {
   static const std::vector<Workload> workloads = build_registry();
   return workloads;

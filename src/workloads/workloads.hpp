@@ -28,6 +28,8 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "arch/program.hpp"
@@ -61,6 +63,17 @@ const Workload* find_workload(const std::string& name);
 /// Assembles a workload by name (anything find_workload resolves); aborts
 /// on unknown names.
 arch::Program assemble_workload(const std::string& name);
+
+/// The kernel generators' templating step: replaces every "{KEY}" in
+/// `text` with `value`, left to right, resuming after each replacement.
+std::string subst(std::string text, std::string_view key,
+                  std::string_view value);
+
+/// subst with `value` in decimal.
+inline std::string subst(std::string text, std::string_view key,
+                         unsigned long long value) {
+  return subst(std::move(text), key, std::to_string(value));
+}
 
 /// Integer kernel generators (scale >= 1; default scales in workloads.cpp).
 std::string kernel_compress(unsigned bytes);

@@ -19,6 +19,7 @@
 #include "harness/result_cache.hpp"
 #include "harness/results.hpp"
 #include "power/probe.hpp"
+#include "service/protocol.hpp"
 #include "workloads/workloads.hpp"
 
 namespace erel {
@@ -267,6 +268,40 @@ TEST(CanonicalFields, MaximallyNonDefaultConfigRoundTrips) {
   auto extra = fields;
   extra.emplace("no_such_field", "1");
   EXPECT_FALSE(sim::config_from_canonical_fields(extra).has_value());
+}
+
+/// Canonical `name=value` text as the field map the parsers take.
+std::map<std::string, std::string, std::less<>> canonical_map(
+    const std::string& text) {
+  std::map<std::string, std::string, std::less<>> fields;
+  std::istringstream lines(text);
+  for (std::string line; std::getline(lines, line);) {
+    const std::size_t eq = line.find('=');
+    fields.emplace(line.substr(0, eq), line.substr(eq + 1));
+  }
+  return fields;
+}
+
+TEST(CanonicalFields, OracleFlagIsExactlyZeroOrOne) {
+  std::string text;
+  sim::append_canonical_fields(maximally_non_default_config(), text);
+  auto fields = canonical_map(text);
+  ASSERT_TRUE(sim::config_from_canonical_fields(fields).has_value());
+  fields["check_oracle"] = "1";
+  ASSERT_TRUE(sim::config_from_canonical_fields(fields).has_value());
+  fields["check_oracle"] = "01";
+  EXPECT_FALSE(sim::config_from_canonical_fields(fields).has_value());
+}
+
+TEST(CanonicalFields, WarmingFlagIsExactlyZeroOrOne) {
+  std::string text;
+  sim::append_canonical_fields(sim::SamplingConfig{}, text);
+  auto fields = canonical_map(text);
+  ASSERT_TRUE(sim::sampling_from_canonical_fields(fields).has_value());
+  fields["sampling.functional_warming"] = "0";
+  ASSERT_TRUE(sim::sampling_from_canonical_fields(fields).has_value());
+  fields["sampling.functional_warming"] = "01";
+  EXPECT_FALSE(sim::sampling_from_canonical_fields(fields).has_value());
 }
 
 TEST(CanonicalFields, SingleFieldDifferencesNeverShareAFingerprint) {
@@ -546,6 +581,66 @@ TEST(ResultCache, CorruptValueIsAMissNotAWrongNumber) {
   EXPECT_FALSE(corrupt("s 0 100 200", "s 0  100 200"));
   // Control: untouched text still parses.
   EXPECT_TRUE(harness::parse_entry(good, "00ff00ff00ff00ff", e.key));
+}
+
+/// `text` is a miss from parse_entry, and load_cache_entry renames the
+/// file holding it to <path>.bad.
+void expect_quarantined(const TempDir& dir, const std::string& text,
+                        const harness::ExpKey& key) {
+  EXPECT_FALSE(harness::parse_entry(text, "00ff00ff00ff00ff", key));
+  const std::string path =
+      harness::cache_entry_path(dir.str(), "00ff00ff00ff00ff");
+  std::ofstream(path, std::ios::binary) << text;
+  bool quarantined = false;
+  EXPECT_FALSE(harness::load_cache_entry(path, "00ff00ff00ff00ff", key,
+                                         nullptr, &quarantined));
+  EXPECT_TRUE(quarantined);
+  EXPECT_TRUE(fs::exists(path + ".bad"));
+  EXPECT_FALSE(fs::exists(path));
+  fs::remove(path + ".bad");
+}
+
+/// `text` with `lines` inserted before its "end" line.
+std::string insert_before_end(std::string text, const std::string& lines) {
+  text.insert(text.rfind("end\n"), lines);
+  return text;
+}
+
+TEST(ResultCache, UnknownStatsOrSampledLineIsQuarantined) {
+  TempDir dir;
+  const harness::ExpEntry e = fake_entry();
+  const std::string good = harness::serialize_entry(e, "00ff00ff00ff00ff");
+  ASSERT_TRUE(harness::parse_entry(good, "00ff00ff00ff00ff", e.key));
+  expect_quarantined(dir, insert_before_end(good, "stats.bogus_field 7\n"),
+                     e.key);
+  expect_quarantined(dir, insert_before_end(good, "sampled.nonsense 1\n"),
+                     e.key);
+}
+
+TEST(ResultCache, FullEntryWithSampleLinesIsQuarantined) {
+  TempDir dir;
+  harness::ExpEntry e = fake_entry();
+  e.sampled.reset();
+  const std::string good = harness::serialize_entry(e, "00ff00ff00ff00ff");
+  ASSERT_TRUE(harness::parse_entry(good, "00ff00ff00ff00ff", e.key));
+  expect_quarantined(dir, insert_before_end(good, "samples 1\ns 0 10 20\n"),
+                     e.key);
+  expect_quarantined(dir, insert_before_end(good, "samples 0\n"), e.key);
+  expect_quarantined(dir, insert_before_end(good, "s 0 10 20\n"), e.key);
+}
+
+TEST(ResultCache, SampledEntryWithoutSampleLinesIsQuarantined) {
+  TempDir dir;
+  const harness::ExpEntry e = fake_entry();  // two samples
+  const std::string good = harness::serialize_entry(e, "00ff00ff00ff00ff");
+  std::string text = good;
+  for (const std::string line :
+       {"samples 2\n", "s 0 100 200\n", "s 5000 100 150\n"}) {
+    const std::size_t at = text.find(line);
+    ASSERT_NE(at, std::string::npos) << line;
+    text.erase(at, line.size());
+  }
+  expect_quarantined(dir, text, e.key);
 }
 
 // ---------------------------------------------------------------------------
@@ -854,6 +949,361 @@ TEST(ResultSet, SpeedupVsZeroBaselineIsNaNNotInf) {
   EXPECT_TRUE(std::isnan(s));
   EXPECT_EQ(TextTable::pct(s), "n/a");
   EXPECT_EQ(rs.hmean_ipc({"li"}, PolicyKind::Conventional, 48), 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// Byte pins: the cache entry, the cell request, the stats reply, the
+// fingerprint and every kernel's generated source, captured byte for byte.
+// A change to any record format, to the canonical field text or to a
+// workload generator must show up here as a deliberate edit.
+// ---------------------------------------------------------------------------
+
+TEST(BytePins, FullCacheEntryText) {
+  harness::ExpEntry e = fake_entry();
+  e.sampled.reset();
+  e.metrics.clear();
+  EXPECT_EQ(harness::serialize_entry(e, "00ff00ff00ff00ff"),
+            R"(erel-result v1
+fingerprint 00ff00ff00ff00ff
+key.workload li
+key.policy extended
+key.phys 48
+key.variant lsq=32
+kind full
+stats.cycles 12345
+stats.committed 6789
+stats.halted 1
+stats.branches.cond_branches 42
+stats.branches.cond_mispredicts 7
+stats.branches.indirect_jumps 0
+stats.branches.indirect_mispredicts 0
+stats.stalls.ros_full 0
+stats.stalls.lsq_full 0
+stats.stalls.checkpoints_full 0
+stats.stalls.free_list_empty 11
+stats.flushes_injected 0
+stats.icache_stall_cycles 0
+stats.int.conventional_releases 0
+stats.int.early_commit_releases 0
+stats.int.immediate_releases 0
+stats.int.reuses 3
+stats.int.branch_confirm_releases 0
+stats.int.conditional_schedulings 0
+stats.int.fallback_conventional 0
+stats.int.stale_suppressed 0
+stats.int.avg_empty 0
+stats.int.avg_ready 0
+stats.int.avg_idle 12.625
+stats.int.squash_released 0
+stats.fp.conventional_releases 0
+stats.fp.early_commit_releases 5
+stats.fp.immediate_releases 0
+stats.fp.reuses 0
+stats.fp.branch_confirm_releases 0
+stats.fp.conditional_schedulings 0
+stats.fp.fallback_conventional 0
+stats.fp.stale_suppressed 0
+stats.fp.avg_empty 0
+stats.fp.avg_ready 0.10000000000000001
+stats.fp.avg_idle 0
+stats.fp.squash_released 9
+stats.l1i.accesses 0
+stats.l1i.misses 0
+stats.l1i.writebacks 0
+stats.l1d.accesses 1000
+stats.l1d.misses 31
+stats.l1d.writebacks 0
+stats.l2.accesses 0
+stats.l2.misses 0
+stats.l2.writebacks 0
+end
+)");
+}
+
+TEST(BytePins, SampledCacheEntryTextWithMetrics) {
+  EXPECT_EQ(harness::serialize_entry(fake_entry(), "00ff00ff00ff00ff"),
+            R"(erel-result v1
+fingerprint 00ff00ff00ff00ff
+key.workload li
+key.policy extended
+key.phys 48
+key.variant lsq=32
+kind sampled
+stats.cycles 12345
+stats.committed 6789
+stats.halted 1
+stats.branches.cond_branches 42
+stats.branches.cond_mispredicts 7
+stats.branches.indirect_jumps 0
+stats.branches.indirect_mispredicts 0
+stats.stalls.ros_full 0
+stats.stalls.lsq_full 0
+stats.stalls.checkpoints_full 0
+stats.stalls.free_list_empty 11
+stats.flushes_injected 0
+stats.icache_stall_cycles 0
+stats.int.conventional_releases 0
+stats.int.early_commit_releases 0
+stats.int.immediate_releases 0
+stats.int.reuses 3
+stats.int.branch_confirm_releases 0
+stats.int.conditional_schedulings 0
+stats.int.fallback_conventional 0
+stats.int.stale_suppressed 0
+stats.int.avg_empty 0
+stats.int.avg_ready 0
+stats.int.avg_idle 12.625
+stats.int.squash_released 0
+stats.fp.conventional_releases 0
+stats.fp.early_commit_releases 5
+stats.fp.immediate_releases 0
+stats.fp.reuses 0
+stats.fp.branch_confirm_releases 0
+stats.fp.conditional_schedulings 0
+stats.fp.fallback_conventional 0
+stats.fp.stale_suppressed 0
+stats.fp.avg_empty 0
+stats.fp.avg_ready 0.10000000000000001
+stats.fp.avg_idle 0
+stats.fp.squash_released 9
+stats.l1i.accesses 0
+stats.l1i.misses 0
+stats.l1i.writebacks 0
+stats.l1d.accesses 1000
+stats.l1d.misses 31
+stats.l1d.writebacks 0
+stats.l2.accesses 0
+stats.l2.misses 0
+stats.l2.writebacks 0
+sampled.estimate.cycles 12345
+sampled.estimate.committed 6789
+sampled.estimate.halted 1
+sampled.estimate.branches.cond_branches 42
+sampled.estimate.branches.cond_mispredicts 7
+sampled.estimate.branches.indirect_jumps 0
+sampled.estimate.branches.indirect_mispredicts 0
+sampled.estimate.stalls.ros_full 0
+sampled.estimate.stalls.lsq_full 0
+sampled.estimate.stalls.checkpoints_full 0
+sampled.estimate.stalls.free_list_empty 11
+sampled.estimate.flushes_injected 0
+sampled.estimate.icache_stall_cycles 0
+sampled.estimate.int.conventional_releases 0
+sampled.estimate.int.early_commit_releases 0
+sampled.estimate.int.immediate_releases 0
+sampled.estimate.int.reuses 3
+sampled.estimate.int.branch_confirm_releases 0
+sampled.estimate.int.conditional_schedulings 0
+sampled.estimate.int.fallback_conventional 0
+sampled.estimate.int.stale_suppressed 0
+sampled.estimate.int.avg_empty 0
+sampled.estimate.int.avg_ready 0
+sampled.estimate.int.avg_idle 12.625
+sampled.estimate.int.squash_released 0
+sampled.estimate.fp.conventional_releases 0
+sampled.estimate.fp.early_commit_releases 5
+sampled.estimate.fp.immediate_releases 0
+sampled.estimate.fp.reuses 0
+sampled.estimate.fp.branch_confirm_releases 0
+sampled.estimate.fp.conditional_schedulings 0
+sampled.estimate.fp.fallback_conventional 0
+sampled.estimate.fp.stale_suppressed 0
+sampled.estimate.fp.avg_empty 0
+sampled.estimate.fp.avg_ready 0.10000000000000001
+sampled.estimate.fp.avg_idle 0
+sampled.estimate.fp.squash_released 9
+sampled.estimate.l1i.accesses 0
+sampled.estimate.l1i.misses 0
+sampled.estimate.l1i.writebacks 0
+sampled.estimate.l1d.accesses 1000
+sampled.estimate.l1d.misses 31
+sampled.estimate.l1d.writebacks 0
+sampled.estimate.l2.accesses 0
+sampled.estimate.l2.misses 0
+sampled.estimate.l2.writebacks 0
+sampled.measured.cycles 0
+sampled.measured.committed 0
+sampled.measured.halted 0
+sampled.measured.branches.cond_branches 0
+sampled.measured.branches.cond_mispredicts 0
+sampled.measured.branches.indirect_jumps 0
+sampled.measured.branches.indirect_mispredicts 0
+sampled.measured.stalls.ros_full 0
+sampled.measured.stalls.lsq_full 0
+sampled.measured.stalls.checkpoints_full 0
+sampled.measured.stalls.free_list_empty 0
+sampled.measured.flushes_injected 0
+sampled.measured.icache_stall_cycles 0
+sampled.measured.int.conventional_releases 0
+sampled.measured.int.early_commit_releases 0
+sampled.measured.int.immediate_releases 0
+sampled.measured.int.reuses 0
+sampled.measured.int.branch_confirm_releases 0
+sampled.measured.int.conditional_schedulings 0
+sampled.measured.int.fallback_conventional 0
+sampled.measured.int.stale_suppressed 0
+sampled.measured.int.avg_empty 0
+sampled.measured.int.avg_ready 0
+sampled.measured.int.avg_idle 0
+sampled.measured.int.squash_released 0
+sampled.measured.fp.conventional_releases 0
+sampled.measured.fp.early_commit_releases 0
+sampled.measured.fp.immediate_releases 0
+sampled.measured.fp.reuses 0
+sampled.measured.fp.branch_confirm_releases 0
+sampled.measured.fp.conditional_schedulings 0
+sampled.measured.fp.fallback_conventional 0
+sampled.measured.fp.stale_suppressed 0
+sampled.measured.fp.avg_empty 0
+sampled.measured.fp.avg_ready 0
+sampled.measured.fp.avg_idle 0
+sampled.measured.fp.squash_released 0
+sampled.measured.l1i.accesses 0
+sampled.measured.l1i.misses 0
+sampled.measured.l1i.writebacks 0
+sampled.measured.l1d.accesses 0
+sampled.measured.l1d.misses 0
+sampled.measured.l1d.writebacks 0
+sampled.measured.l2.accesses 0
+sampled.measured.l2.misses 0
+sampled.measured.l2.writebacks 0
+sampled.cpi_mean 0.123456789012345
+sampled.cpi_stddev 0
+sampled.cpi_stderr 0
+sampled.ipc_mean 0
+sampled.ipc_stddev 0
+sampled.ipc_stderr 0
+sampled.ipc_ci95 0.042099999999999999
+sampled.total_instructions 999999
+sampled.measured_instructions 0
+sampled.detailed_instructions 0
+sampled.units_planned 12
+sampled.degenerate_windows 1
+samples 2
+s 0 100 200
+s 5000 100 150
+metric.power/energy_nj 1234.5625
+metric.power/ed2 0.10000000000000001
+end
+)");
+}
+
+TEST(BytePins, CellRequestText) {
+  service::CellRequest request;
+  request.id = 77;
+  request.workload = "li";
+  request.key = {"li", PolicyKind::Basic, 41, "lsq=65,maxbr=21"};
+  request.fingerprint_hex = "0123456789abcdef";
+  request.config = maximally_non_default_config();
+  sim::SamplingConfig sampling;
+  sampling.target_ci = 0.02;
+  request.sampling = sampling;
+  request.probe_names = {"rixner"};
+  EXPECT_EQ(service::encode_cell_request(request),
+            R"(erel-cell v1
+id 77
+fp 0123456789abcdef
+workload li
+key.policy basic
+key.phys 41
+key.variant lsq=65,maxbr=21
+probe rixner
+cfg.policy=1
+cfg.phys_int=41
+cfg.phys_fp=43
+cfg.ros_size=129
+cfg.lsq_size=65
+cfg.decode_width=7
+cfg.issue_width=6
+cfg.commit_width=5
+cfg.max_pending_branches=21
+cfg.ghr_bits=11
+cfg.fetch.width=9
+cfg.fetch.max_blocks_per_cycle=3
+cfg.fetch.buffer_capacity=17
+cfg.fus.int_alu=1
+cfg.fus.int_mul=2
+cfg.fus.fp_alu=3
+cfg.fus.fp_mul=5
+cfg.fus.fp_div=6
+cfg.fus.ld_st=7
+cfg.memory.L1I.size_bytes=65536
+cfg.memory.L1I.associativity=4
+cfg.memory.L1I.line_bytes=128
+cfg.memory.L1I.hit_latency=2
+cfg.memory.L1D.size_bytes=16384
+cfg.memory.L1D.associativity=8
+cfg.memory.L1D.line_bytes=32
+cfg.memory.L1D.hit_latency=3
+cfg.memory.L2.size_bytes=2097152
+cfg.memory.L2.associativity=16
+cfg.memory.L2.line_bytes=256
+cfg.memory.L2.hit_latency=13
+cfg.memory.memory_latency=51
+cfg.max_cycles=123456789
+cfg.max_instructions=42
+cfg.check_oracle=0
+cfg.flush_period=9
+sampling.period=100000
+sampling.warmup=2000
+sampling.detail=10000
+sampling.max_samples=0
+sampling.functional_warming=1
+sampling.placement=0
+sampling.seed=0
+sampling.target_ci=0x1.47ae147ae147bp-6
+end
+)");
+}
+
+TEST(BytePins, DaemonStatsText) {
+  const service::DaemonStats stats{100, 40, 55, 5, 2, 1, 9, 4, 11, 2};
+  EXPECT_EQ(service::encode_stats(stats), R"(requests 100
+cache_hits 40
+simulated 55
+deduped 5
+errors 2
+inflight 1
+busy 9
+cancelled 4
+dropped_clients 11
+quarantined 2
+)");
+}
+
+TEST(BytePins, CellFingerprints) {
+  sim::SamplingConfig sampling;
+  sampling.period = 30'000;
+  sampling.warmup = 1'000;
+  sampling.detail = 5'000;
+  sampling.placement = sim::Placement::kStratified;
+  EXPECT_EQ(harness::fingerprint_cell("li", tiny_config(), std::nullopt).hex(),
+            "b9982322459f47c7");
+  EXPECT_EQ(harness::fingerprint_cell("li", tiny_config(), sampling).hex(),
+            "e27aef04ec8cc1f1");
+}
+
+TEST(BytePins, EveryKernelSource) {
+  const std::vector<std::pair<std::string, std::uint64_t>> pinned = {
+      {"compress", 0xcaa03bd2b99d0fd2ull},
+      {"gcc", 0x40914a6ca0cac877ull},
+      {"go", 0x464c166842e2bb21ull},
+      {"li", 0xf32ec36425256f9bull},
+      {"perl", 0x5b72adb3e200a03dull},
+      {"mgrid", 0xdc6b760752c32d49ull},
+      {"tomcatv", 0x5704242f40818407ull},
+      {"applu", 0x980828c5e4f70af2ull},
+      {"swim", 0x84cbde2389f3190full},
+      {"hydro2d", 0x9c04d74fdce2f5ceull},
+      {"timer", 0x35406a98dd60074bull},
+      {"echo", 0x36a36061cfb92d97ull},
+  };
+  ASSERT_EQ(workloads::registry().size(), pinned.size());
+  for (std::size_t i = 0; i < pinned.size(); ++i) {
+    const workloads::Workload& w = workloads::registry()[i];
+    EXPECT_EQ(w.name, pinned[i].first);
+    EXPECT_EQ(harness::fnv1a64(w.source), pinned[i].second) << w.name;
+  }
 }
 
 }  // namespace

@@ -437,5 +437,40 @@ TEST(LintProject, DeletingACanonicalFieldLineFailsTheLint) {
       << format_findings(clean);
 }
 
+TEST(LintProject, DeletingASamplingFieldLineFailsTheLint) {
+  // The same guarantee for SamplingConfig: strip the seed line from the
+  // real canonical_fields() visitor and the coverage rule must fire.
+  const std::string header_path =
+      std::string(EREL_SOURCE_DIR) + "/src/sim/sampling.hpp";
+  const std::string impl_path =
+      std::string(EREL_SOURCE_DIR) + "/src/sim/sampling.cpp";
+  std::string impl = read_file_or_die(impl_path);
+  const std::size_t at = impl.find("\"sampling.seed\"");
+  ASSERT_NE(at, std::string::npos);
+  const std::size_t from = impl.rfind('\n', at) + 1;
+  const std::size_t to = impl.find('\n', at) + 1;
+  impl.erase(from, to - from);
+
+  RuleConfig rules;
+  rules.coverage = {{"SamplingConfig", "src/sim/sampling.hpp",
+                     "src/sim/sampling.cpp", "canonical_fields", "sampling",
+                     "."}};
+  const auto lint_with = [&](const std::string& impl_text) {
+    FileSet files;
+    files.emplace("src/sim/sampling.hpp",
+                  tokenize("src/sim/sampling.hpp",
+                           read_file_or_die(header_path)));
+    files.emplace("src/sim/sampling.cpp",
+                  tokenize("src/sim/sampling.cpp", impl_text));
+    return subjects(with_rule(lint(files, rules), "fingerprint-coverage"));
+  };
+  EXPECT_TRUE(lint_with(impl).count("SamplingConfig::seed"));
+
+  // Control: with the untouched file the only coverage finding is the
+  // documented exemption (which the checked-in allowlist carries).
+  EXPECT_EQ(lint_with(read_file_or_die(impl_path)),
+            (std::set<std::string>{"SamplingConfig::threads"}));
+}
+
 }  // namespace
 }  // namespace erel::lint
