@@ -119,7 +119,8 @@ int main(int argc, char** argv) {
       "\npaper: the Idle state inflates used registers by 45.8%% (int) and\n"
       "16.8%% (FP). Our kernels reproduce the premise (a large Idle share\n"
       "for every program); the int-vs-FP asymmetry depends on SPEC code\n"
-      "shapes we approximate only loosely (see EXPERIMENTS.md).\n");
+      "shapes we approximate only loosely (ROADMAP.md item 8 measures\n"
+      "the gap).\n");
   if (!opts.timeseries_path.empty()) write_timeseries(opts, kPhys);
   benchutil::cli::finish(rs, opts);
   return 0;

@@ -1,5 +1,7 @@
 #include "harness/harness.hpp"
 
+#include <algorithm>
+
 #include "asmkit/assembler.hpp"
 #include "common/log.hpp"
 #include "common/thread_pool.hpp"
@@ -8,36 +10,47 @@
 
 namespace erel::harness {
 
+namespace {
+
+/// Exports the spec's probe metrics over `registry`. Metric export is a
+/// pure function of (config, registry), so a fresh never-attached instance
+/// serves both the full and the sampled path. Metrics with unserializable
+/// names are dropped here with a warning rather than aborting a finished
+/// sweep at cache-save time.
+std::vector<sim::Metric> collect_metrics(const RunSpec& spec,
+                                         const sim::StatRegistry& registry) {
+  std::vector<sim::Metric> metrics;
+  for (const sim::ProbeSpec& p : spec.probes) {
+    const std::unique_ptr<sim::Probe> probe = p.make();
+    EREL_CHECK(probe != nullptr, "probe factory '", p.name,
+               "' returned null");
+    probe->export_metrics(spec.config, registry, metrics);
+  }
+  std::erase_if(metrics, [&spec](const sim::Metric& m) {
+    const bool bad =
+        m.name.empty() || m.name.find_first_of(" \n") != std::string::npos;
+    if (bad)
+      EREL_WARN("dropping metric with unserializable name '", m.name,
+                "' from a probe of spec ", spec.tag);
+    return bad;
+  });
+  return metrics;
+}
+
+RunResult sampled_result(const RunSpec& spec, sim::SampledStats sampled) {
+  std::vector<sim::Metric> metrics = collect_metrics(spec, sampled.registry);
+  return RunResult{spec, sampled.estimate, std::move(sampled),
+                   std::move(metrics)};
+}
+
+}  // namespace
+
 RunResult run_one(const RunSpec& spec) {
   const arch::Program program = workloads::assemble_workload(spec.workload);
-  // Metric export is a pure function of (config, registry), so a fresh
-  // never-attached instance serves both the full and the sampled path.
-  // Metrics with unserializable names are dropped here with a warning
-  // rather than aborting a finished sweep at cache-save time.
-  const auto collect_metrics = [&spec](const sim::StatRegistry& registry) {
-    std::vector<sim::Metric> metrics;
-    for (const sim::ProbeSpec& p : spec.probes) {
-      const std::unique_ptr<sim::Probe> probe = p.make();
-      EREL_CHECK(probe != nullptr, "probe factory '", p.name,
-                 "' returned null");
-      probe->export_metrics(spec.config, registry, metrics);
-    }
-    std::erase_if(metrics, [&spec](const sim::Metric& m) {
-      const bool bad =
-          m.name.empty() || m.name.find_first_of(" \n") != std::string::npos;
-      if (bad)
-        EREL_WARN("dropping metric with unserializable name '", m.name,
-                  "' from a probe of spec ", spec.tag);
-      return bad;
-    });
-    return metrics;
-  };
   if (spec.sampling) {
-    sim::SampledSimulator sampler(spec.config, *spec.sampling);
-    sim::SampledStats sampled = sampler.run(program, spec.probes);
-    std::vector<sim::Metric> metrics = collect_metrics(sampled.registry);
-    return RunResult{spec, sampled.estimate, std::move(sampled),
-                     std::move(metrics)};
+    return sampled_result(spec, sim::SampledSimulator(spec.config,
+                                                      *spec.sampling)
+                                    .run(program, spec.probes));
   }
   sim::Simulator simulator(spec.config);
   std::unique_ptr<pipeline::Core> core = simulator.make_core(program);
@@ -45,15 +58,71 @@ RunResult run_one(const RunSpec& spec) {
       core->attach_probes(spec.probes);
   const sim::SimStats stats = core->run();
   return RunResult{spec, stats, std::nullopt,
-                   collect_metrics(core->registry())};
+                   collect_metrics(spec, core->registry())};
 }
 
 std::vector<RunResult> run_all(const std::vector<RunSpec>& specs,
                                unsigned threads) {
   std::vector<RunResult> results(specs.size());
   ThreadPool pool(threads);
-  parallel_for(pool, specs.size(),
-               [&](std::size_t i) { results[i] = run_one(specs[i]); });
+
+  // Full-detail specs run one task each. Sampled specs that can share a
+  // planning pass — the same workload, the same canonical sampling fields
+  // and the same plan key (sim::same_plan) — form one plan group.
+  const auto run_alone = [&](std::size_t i) {
+    pool.submit([&results, &specs, i] { results[i] = run_one(specs[i]); });
+  };
+  struct PlanGroup {
+    std::string sampling;  // canonical sampling fields
+    std::vector<std::size_t> members;
+  };
+  std::vector<PlanGroup> groups;
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const RunSpec& spec = specs[i];
+    if (!spec.sampling) {
+      run_alone(i);
+      continue;
+    }
+    std::string sampling;
+    sim::append_canonical_fields(*spec.sampling, sampling);
+    const auto shares_plan = [&](const PlanGroup& group) {
+      const RunSpec& first = specs[group.members.front()];
+      return group.sampling == sampling && first.workload == spec.workload &&
+             sim::same_plan(first.config, spec.config);
+    };
+    auto group = std::find_if(groups.begin(), groups.end(), shares_plan);
+    if (group == groups.end())
+      group = groups.insert(groups.end(), PlanGroup{std::move(sampling), {}});
+    group->members.push_back(i);
+  }
+
+  // A group of one has no plan to share, so it is a task like the above
+  // (and its own sampling.threads still applies): a single planner here
+  // would serialize the planning that these tasks do side by side.
+  for (const PlanGroup& group : groups)
+    if (group.members.size() == 1) run_alone(group.members.front());
+
+  // Every larger group is planned once, here, and each of its windows is
+  // measured on the pool alongside the tasks above.
+  for (const PlanGroup& group : groups) {
+    if (group.members.size() == 1) continue;
+    const RunSpec& first = specs[group.members.front()];
+    std::vector<sim::SimConfig> configs;
+    std::vector<std::vector<sim::ProbeSpec>> probes;
+    for (const std::size_t i : group.members) {
+      configs.push_back(specs[i].config);
+      probes.push_back(specs[i].probes);
+    }
+    const arch::Program program = workloads::assemble_workload(first.workload);
+    std::vector<sim::SampledStats> sampled =
+        sim::SampledSimulator(std::move(configs), *first.sampling)
+            .run_group(program, probes, &pool);
+    for (std::size_t j = 0; j < group.members.size(); ++j) {
+      const std::size_t i = group.members[j];
+      results[i] = sampled_result(specs[i], std::move(sampled[j]));
+    }
+  }
+  pool.wait_idle();
   return results;
 }
 

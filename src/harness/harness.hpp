@@ -2,13 +2,22 @@
 // independent cells across a thread pool (run_all), and aggregates the
 // series the paper's tables/figures report.
 //
-// run_one is the one way a cell is simulated: run_all's workers (and so
-// harness::Experiment's local runs) and the experiment daemon's pool
-// (src/service/) all call it, so a cell's result does not depend on which
-// of them ran it. Sweeps should normally be declared through
-// harness::Experiment (harness/experiment.hpp), which materializes axis
-// cross-products into structurally-keyed RunSpecs, serves cells from the
-// on-disk result cache or a daemon, and returns a typed harness::ResultSet.
+// run_one simulates a cell on the calling thread; the experiment daemon's
+// pool (src/service/) calls it for every cell. run_all runs each
+// full-detail spec as one run_one task on its pool. Its sampled specs form
+// plan groups: specs with the same workload, the same canonical sampling
+// fields and the same plan key (sim::same_plan: ghr_bits, memory,
+// fast_path — the only config fields the planning pass reads) share one
+// planning pass. A group of several specs is planned once on run_all's
+// calling thread and each of its windows is measured on run_all's pool
+// (sim::SampledSimulator::run_group); a group of one is a run_one task like
+// any other. Either way each cell's result is bit-identical to run_one's,
+// so it does not depend on which path ran it.
+//
+// Sweeps should normally be declared through harness::Experiment
+// (harness/experiment.hpp), which materializes axis cross-products into
+// structurally-keyed RunSpecs, serves cells from the on-disk result cache
+// or a daemon, and returns a typed harness::ResultSet.
 #pragma once
 
 #include <cstdint>
@@ -34,9 +43,9 @@ struct RunSpec {
   /// detailed simulation; `RunResult::stats` then holds the sampled
   /// estimate and `RunResult::sampled` the per-sample detail. The whole
   /// SamplingConfig rides along: placement mode + seed, `target_ci`
-  /// confidence-driven stopping, and `threads` (keep the default of 1 when
-  /// a sweep already saturates the harness pool with one spec per worker;
-  /// raise it to shard a single long workload's units instead).
+  /// confidence-driven stopping, and `threads`, which matters only to
+  /// run_one (raise it to shard a single long workload's units). run_all
+  /// measures a shared plan's windows on its own pool instead.
   std::optional<sim::SamplingConfig> sampling;
 
   /// Named probes attached to the run (Instrumentation API v2): fresh
@@ -59,8 +68,9 @@ struct RunResult {
 /// Runs one spec to completion on the calling thread.
 RunResult run_one(const RunSpec& spec);
 
-/// Runs every spec (each on its own worker thread; simulations share no
-/// state). Results keep the input order. `threads` 0 = hardware default.
+/// Runs every spec on a pool of `threads` workers (0 = hardware default),
+/// planning each plan group of sampled specs once (see the header comment).
+/// Results keep the input order and equal run_one's, spec by spec.
 std::vector<RunResult> run_all(const std::vector<RunSpec>& specs,
                                unsigned threads = 0);
 

@@ -16,6 +16,8 @@ struct CacheConfig {
   unsigned associativity = 2;
   unsigned line_bytes = 64;
   unsigned hit_latency = 1;
+
+  bool operator==(const CacheConfig&) const = default;
 };
 
 struct CacheStats {

@@ -21,6 +21,8 @@ struct HierarchyConfig {
   CacheConfig l1d{"L1D", 32 * 1024, 2, 64, 1};
   CacheConfig l2{"L2", 1024 * 1024, 2, 64, 12};
   unsigned memory_latency = 50;
+
+  bool operator==(const HierarchyConfig&) const = default;
 };
 
 class MemoryHierarchy {

@@ -3,13 +3,14 @@
 // process — the model the paper uses for Figure 9 and the §4.4 cost
 // analysis.
 //
-// Functional form (see EXPERIMENTS.md for the calibration):
+// Functional form (constants: RixnerModel's private members below):
 //   access time  t(P,T,w) = a + b*T + c*sqrt(P*w*(1 + d*T))   [ns]
 //   energy       E(P,T,w) = e*(1 + f*T)*P*w                   [pJ/access]
 // where P = registers, T = total ports, w = word bits. Constants are
 // calibrated to the paper's anchors: the LUs Table (32 entries, 56 ports,
 // 9 bits) at 0.98 ns / 193.2 pJ, the 40-entry integer file 26% slower than
-// the LUs Table, and the §4.4 energy-balance comparison.
+// the LUs Table, and the §4.4 energy-balance comparison; tests/test_power.cpp
+// checks each anchor.
 #pragma once
 
 namespace erel::power {

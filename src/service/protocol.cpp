@@ -85,9 +85,11 @@ std::optional<CellRequest> decode_cell_request(std::string_view payload) {
   read("key.policy", policy);
   read("key.phys", request.key.phys);
   read("key.variant", request.key.variant);
+  // Only policy_name()'s spelling, as parse_entry requires: the CLI aliases
+  // ("conventional", "ext") are for humans, and no encoder writes them.
   const std::optional<core::PolicyKind> kind = core::try_parse_policy(policy);
-  if (!read.complete() || !kind || request.fingerprint_hex.empty() ||
-      request.workload.empty())
+  if (!read.complete() || !kind || policy != core::policy_name(*kind) ||
+      request.fingerprint_hex.empty() || request.workload.empty())
     return std::nullopt;
   request.key.policy = *kind;
   request.key.workload = request.workload;

@@ -2,13 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <condition_variable>
 #include <cstdio>
 #include <deque>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <numeric>
 #include <optional>
-#include <semaphore>
 #include <sstream>
 #include <thread>
 #include <utility>
@@ -42,19 +43,32 @@ struct UnitResult {
   bool degenerate = false;  // committed work but zero measured cycles
 };
 
-/// One planned sampling unit: everything a worker needs to run its detailed
-/// window independently of every other unit, then that window's outcome.
-/// Only the worker measuring the unit touches it until the merge.
+/// What a unit's windows replay from: the architectural checkpoint and,
+/// when warming is on, a frozen copy of the planner's warm state. The
+/// unit's windows share one snapshot; whoever drops the last reference
+/// (the last window to build its core, or the end of the run) frees it.
+struct UnitSnapshot {
+  arch::Checkpoint ckpt;
+  std::unique_ptr<const WarmState> warm;  // null when warming is off
+};
+
+/// One planned sampling unit: everything a worker needs to run its
+/// detailed windows independently of every other unit, then each config's
+/// outcome. Only the worker measuring (unit, config) touches that result
+/// until the merge.
 struct SamplingUnit {
-  arch::Checkpoint ckpt;  // only ckpt.icount survives measurement
-  // Null when warming is off, when the unit is measured inline from the
-  // planner's own warm state, and once the unit's window core is built.
-  std::unique_ptr<const WarmState> warm;
+  std::uint64_t icount = 0;  // dynamic instructions before the unit starts
   // False once the planning pass has stored into the code image before this
-  // unit's checkpoint: its window must not execute from the shared decode
+  // unit's checkpoint: its windows must not execute from the shared decode
   // cache (the checkpointed code bytes differ from the static program).
+  // One flag serves every config of the group.
   bool decoded_ok = true;
-  std::optional<UnitResult> result;  // empty until measured
+  // Held by the unit itself only under confidence-driven stopping, which
+  // measures after planning; streamed windows hold it themselves.
+  std::shared_ptr<const UnitSnapshot> snapshot;
+  std::vector<std::optional<UnitResult>> results;  // per config; empty
+                                                   // until measured
+  std::size_t windows_done = 0;  // guarded by the run's window mutex
 };
 
 /// The planning pass's batched warming loop: fast-forwards the oracle to
@@ -106,6 +120,60 @@ double ci_halfwidth(const std::vector<SampleRecord>& samples) {
   if (samples.size() < 2 || cpi.mean <= 0.0)
     return std::numeric_limits<double>::infinity();
   return 1.96 * cpi.se / (cpi.mean * cpi.mean);
+}
+
+/// Folds one config's window of a unit into that config's result. Callers
+/// fold in interval order, so the output is a pure function of (config,
+/// program, seed), never of scheduling. Every window merges its whole
+/// StatRegistry (counters sum, occupancy integrals sum, channels append),
+/// so sharded and serial runs agree on every metric.
+void fold(SampledStats& out, std::uint64_t icount, const UnitResult& r) {
+  out.registry.merge_from(r.registry);
+  out.detailed_instructions += r.window.committed;
+  if (r.degenerate) {
+    ++out.degenerate_windows;
+  } else if (r.measured_insts > 0) {
+    out.samples.push_back({icount, r.measured_insts, r.measured_cycles});
+    out.measured_instructions += r.measured_insts;
+  }
+}
+
+/// Materializes the `measured` view and the whole-program estimate with
+/// its error bars from the folded windows and `total_instructions`.
+void finish(SampledStats& out) {
+  out.measured = materialize_sim_stats(out.registry);
+  const std::size_t n = out.samples.size();
+  if (n > 0) {
+    const CpiMoments cpi = cpi_moments(out.samples);
+    out.cpi_mean = cpi.mean;
+    out.cpi_stddev = cpi.stddev;
+    out.cpi_stderr = cpi.se;
+    double ipc_sum = 0.0;
+    for (const SampleRecord& s : out.samples) ipc_sum += s.ipc();
+    out.ipc_mean = ipc_sum / static_cast<double>(n);
+    double ipc_var = 0.0;
+    for (const SampleRecord& s : out.samples) {
+      const double di = s.ipc() - out.ipc_mean;
+      ipc_var += di * di;
+    }
+    if (n > 1) {
+      out.ipc_stddev = std::sqrt(ipc_var / static_cast<double>(n - 1));
+      // Delta method: the error bar is centered on estimate.ipc().
+      out.ipc_stderr = out.cpi_stderr / (out.cpi_mean * out.cpi_mean);
+      out.ipc_ci95 = 1.96 * out.ipc_stderr;
+    }
+    out.estimate.cycles = static_cast<std::uint64_t>(
+        std::llround(static_cast<double>(out.total_instructions) *
+                     out.cpi_mean));
+  } else if (out.measured.committed > 0) {
+    // Program ended inside the first warm-up window: no clean sample exists,
+    // so fall back to the CPI of whatever detailed work ran rather than
+    // reporting an IPC of zero.
+    const double fallback_cpi = static_cast<double>(out.measured.cycles) /
+                                static_cast<double>(out.measured.committed);
+    out.estimate.cycles = static_cast<std::uint64_t>(std::llround(
+        static_cast<double>(out.total_instructions) * fallback_cpi));
+  }
 }
 
 // Single enumeration of every result-affecting SamplingConfig field, shared
@@ -165,18 +233,45 @@ std::optional<SamplingConfig> sampling_from_canonical_fields(
   return sampling;
 }
 
+bool same_plan(const SimConfig& a, const SimConfig& b) {
+  return a.ghr_bits == b.ghr_bits && a.memory == b.memory &&
+         a.fast_path == b.fast_path;
+}
+
 SampledSimulator::SampledSimulator(SimConfig config, SamplingConfig sampling)
-    : config_(std::move(config)), sampling_(sampling) {
+    : SampledSimulator(std::vector<SimConfig>{std::move(config)}, sampling) {}
+
+SampledSimulator::SampledSimulator(std::vector<SimConfig> configs,
+                                   SamplingConfig sampling)
+    : configs_(std::move(configs)), sampling_(sampling) {
   EREL_CHECK(valid_sampling(sampling_), "invalid sampling: period ",
              sampling_.period, ", warmup ", sampling_.warmup, ", detail ",
              sampling_.detail, ", target_ci ", sampling_.target_ci,
              " (need detail > 0, warmup + detail < period, target_ci "
              "finite and >= 0)");
+  EREL_CHECK(!configs_.empty(), "a plan group needs at least one config");
+  for (const SimConfig& config : configs_)
+    EREL_CHECK(same_plan(config, configs_.front()),
+               "the configs of a plan group must share ghr_bits, memory and "
+               "fast_path");
 }
 
 SampledStats SampledSimulator::run(const arch::Program& program,
                                    const std::vector<ProbeSpec>& probes)
     const {
+  EREL_CHECK(configs_.size() == 1, "run() measures one config; this group "
+             "has ", configs_.size(), " (use run_group)");
+  return std::move(run_group(program, {probes}).front());
+}
+
+std::vector<SampledStats> SampledSimulator::run_group(
+    const arch::Program& program,
+    const std::vector<std::vector<ProbeSpec>>& probes, ThreadPool* pool)
+    const {
+  const std::size_t n_configs = configs_.size();
+  EREL_CHECK(probes.empty() || probes.size() == n_configs, "run_group: ",
+             probes.size(), " probe lists for ", n_configs, " configs");
+  const std::vector<ProbeSpec> no_probes;
   const std::uint64_t window = sampling_.warmup + sampling_.detail;
   const std::uint64_t slack = sampling_.period - window;  // ctor: period>window
 
@@ -200,40 +295,43 @@ SampledStats SampledSimulator::run(const arch::Program& program,
 
   // One decode of the static program shared by the planning oracle and
   // every measurement window's core (each window otherwise re-decodes the
-  // whole image). Null when the fast path is configured off.
+  // whole image). Null when the fast path is configured off. Every config
+  // of the group agrees on fast_path, ghr_bits and memory, so the first
+  // one plans for all of them.
+  const SimConfig& plan_config = configs_.front();
   const std::shared_ptr<const arch::DecodedProgram> decoded =
-      config_.fast_path
+      plan_config.fast_path
           ? std::make_shared<const arch::DecodedProgram>(program)
           : nullptr;
 
   // --- one detailed window ------------------------------------------------
-  // A unit replays from its checkpoint through a fresh detailed core seeded
-  // from `warm`: `warmup` commits prime the pipeline, then the measured span
-  // runs to warmup+detail (or HALT, or a run-control limit). The outcome
-  // lands in unit.result. The core copies the snapshot and the checkpoint
-  // pages, so they are freed as soon as it is built (the merge reads only
-  // ckpt.icount): a running window holds one copy of its warm state, not
-  // two.
-  const auto measure = [&](SamplingUnit& unit, const WarmState* warm) {
-    SimConfig cfg = config_;
+  // Config c replays `unit` from `snap`'s checkpoint through a fresh
+  // detailed core seeded from `warm`: `warmup` commits prime the pipeline,
+  // then the measured span runs to warmup+detail (or HALT, or a run-control
+  // limit). The outcome lands in unit.results[c]. The core copies the warm
+  // state and the checkpoint pages, so this window drops its reference to
+  // the snapshot as soon as the core is built (`warm` may point into it):
+  // the last window of a unit frees it, and a running window holds one
+  // copy of its warm state, not two.
+  const auto measure = [&](std::size_t c, SamplingUnit& unit,
+                           std::shared_ptr<const UnitSnapshot> snap,
+                           const WarmState* warm) {
+    SimConfig cfg = configs_[c];
     cfg.max_instructions = window;
     // A unit whose checkpoint carries self-modified code must not use (or
     // rebuild) the static decode cache: force the byte-accurate engine.
     if (!unit.decoded_ok) cfg.fast_path = false;
-    pipeline::Core core(cfg, program, unit.ckpt, warm,
+    pipeline::Core core(cfg, program, snap->ckpt, warm,
                         unit.decoded_ok ? decoded : nullptr);
-    unit.warm.reset();
-    arch::Checkpoint spent;
-    spent.icount = unit.ckpt.icount;
-    unit.ckpt = std::move(spent);
+    snap.reset();
     const std::vector<std::unique_ptr<Probe>> instances =
-        core.attach_probes(probes);
+        core.attach_probes(probes.empty() ? no_probes : probes[c]);
     while (!core.halted() && core.committed() < sampling_.warmup &&
            core.cycle() < cfg.max_cycles)
       core.tick();
     const std::uint64_t warm_cycles = core.cycle();
     const std::uint64_t warm_committed = core.committed();
-    UnitResult& r = unit.result.emplace();
+    UnitResult& r = unit.results[c].emplace();
     r.window = core.run();
     r.registry = core.registry();
     r.measured_insts = r.window.committed - warm_committed;
@@ -243,95 +341,153 @@ SampledStats SampledSimulator::run(const arch::Program& program,
       // committed was committed at the cycle limit, so its IPC would be
       // infinite. Keep the raw counters, drop the sample.
       r.degenerate = true;
-      EREL_WARN("sampling unit at instruction ", unit.ckpt.icount,
+      EREL_WARN("sampling unit at instruction ", unit.icount,
                 " hit max_cycles during warm-up (", r.measured_insts,
                 " insts, 0 measured cycles): sample dropped");
     }
   };
 
+  // Streamed: captured and not yet folded (interval order). Under
+  // confidence-driven stopping: the whole plan. Element addresses stay put
+  // while the planner appends and folds, so a worker holds its own unit
+  // while the planner grows and shrinks the plan.
+  std::deque<SamplingUnit> units;
+  std::mutex mu;  // guards `unmeasured` and every unit's windows_done
+  std::condition_variable measured_cv;
+  std::size_t unmeasured = 0;  // windows handed to the pool, not yet done
+
   // Confidence-driven stopping measures seeded-shuffled batches of the whole
   // plan, so it plans everything first. Otherwise measurement is streamed:
   // each unit is measured as soon as the planning pass has captured it — on
-  // the pool when sharded (built now: the unit count is not known yet), or
-  // inline on this thread.
+  // the pool when sharded (the caller's, or one built now: the unit count
+  // is not known yet), or inline on this thread.
   const bool ci_stopping = sampling_.target_ci > 0.0;
-  unsigned threads = sampling_.threads;
-  if (threads == 0) threads = std::thread::hardware_concurrency();
-  if (threads == 0) threads = 1;
-  // Element addresses stay put while the planner appends, so a worker holds
-  // its own unit while the planner grows the plan.
-  std::deque<SamplingUnit> units;
+  std::optional<ThreadPool> own_pool;
+  ThreadPool* shards = pool;
+  if (shards == nullptr) {
+    unsigned threads = sampling_.threads;
+    if (threads == 0) threads = std::thread::hardware_concurrency();
+    // 0 again: the pool resolves it the same way.
+    if (threads > 1) shards = &own_pool.emplace(sampling_.threads);
+  }
   // A unit streamed to the pool holds its warm snapshot and checkpoint
-  // pages until its window is measured. The planner takes a slot per such
-  // unit and waits while 2 * threads are unmeasured, so peak memory is set
-  // by the shard count, not by how far planning outruns measurement.
-  std::counting_semaphore<> slots(2 * static_cast<std::ptrdiff_t>(threads));
-  std::optional<ThreadPool> pool;
-  if (threads > 1) pool.emplace(sampling_.threads);  // 0: the pool resolves it
+  // pages until its last window is built. The planner waits while this
+  // many windows are unmeasured, so peak memory is set by the shard count,
+  // not by how far planning outruns measurement.
+  const std::size_t max_unmeasured =
+      shards == nullptr ? 0 : 2 * std::size_t{shards->size()};
+
+  const auto submit = [&](std::size_t c, SamplingUnit& unit,
+                          std::shared_ptr<const UnitSnapshot> snap) {
+    shards->submit([&, c, u = &unit, snap = std::move(snap)]() mutable {
+      const WarmState* const warm = snap->warm.get();
+      measure(c, *u, std::move(snap), warm);
+      // Notified under the lock: once the planner sees its last window
+      // done it returns, and `mu` and `measured_cv` go with it.
+      const std::lock_guard lock(mu);
+      ++u->windows_done;
+      --unmeasured;
+      measured_cv.notify_one();
+    });
+  };
+  // Waits until fewer than `limit` windows are unmeasured; returns how many
+  // units at the front of the plan have every window measured.
+  const auto wait_below = [&](std::size_t limit) {
+    std::unique_lock lock(mu);
+    measured_cv.wait(lock, [&] { return unmeasured < limit; });
+    std::size_t ready = 0;
+    while (ready < units.size() && units[ready].windows_done == n_configs)
+      ++ready;
+    return ready;
+  };
+
+  std::vector<SampledStats> outs(n_configs);
+  // Streamed measurement folds a unit into every config's result as soon
+  // as all its windows are measured, so a unit's window results live only
+  // while it is in flight.
+  const auto fold_front = [&](std::size_t count) {
+    for (; count > 0; --count) {
+      const SamplingUnit& unit = units.front();
+      for (std::size_t c = 0; c < n_configs; ++c)
+        fold(outs[c], unit.icount, *unit.results[c]);
+      units.pop_front();
+    }
+  };
 
   // --- planning pass ------------------------------------------------------
   // One functional sweep over the whole program: fast-forward (warming the
   // predictors and caches when enabled) to each unit start, capture the
   // architectural checkpoint (plus a snapshot of the warm state unless the
-  // unit is measured right here), hand the unit to measurement, and keep
-  // going. After this pass the exact dynamic instruction count is known.
-  SampledStats out;
+  // unit is measured right here), hand the unit's windows to measurement,
+  // and keep going. After this pass the exact dynamic instruction count is
+  // known.
+  const bool warming = sampling_.functional_warming;
+  std::uint64_t units_planned = 0;
+  std::uint64_t total_instructions = 0;
+  bool halted = false;
   {
     arch::ArchState master(program, decoded.get());
-    WarmState warm(config_);
-    const WarmState* const live_warm =
-        sampling_.functional_warming ? &warm : nullptr;
+    WarmState warm(plan_config);
     std::uint64_t start = 0;
     for (std::uint64_t k = 0; !master.halted(); ++k) {
       start = unit_start(k, start);
-      if (sampling_.functional_warming) {
+      if (warming) {
         run_warmed(master, warm, start);
       } else if (master.instructions_executed() < start) {
         master.run(start - master.instructions_executed());
       }
       if (master.halted()) break;
       if (sampling_.max_samples != 0 &&
-          units.size() >= sampling_.max_samples) {
+          units_planned >= sampling_.max_samples) {
         // Cap reached: finish the program functionally so the total count
         // stays exact — still through the warming loop when warming is on,
         // so the warm state never develops a cold gap relative to the
         // instruction stream.
-        if (sampling_.functional_warming) {
+        if (warming) {
           run_warmed(master, warm, ~std::uint64_t{0});
         } else {
           master.run();
         }
         break;
       }
-      if (pool && !ci_stopping) slots.acquire();
+      if (shards != nullptr && !ci_stopping)
+        fold_front(wait_below(max_unmeasured));
+      ++units_planned;
       SamplingUnit& unit = units.emplace_back();
-      unit.ckpt = arch::capture(master);
+      auto snap = std::make_shared<UnitSnapshot>();
+      snap->ckpt = arch::capture(master);
+      unit.icount = snap->ckpt.icount;
       unit.decoded_ok = !master.code_dirtied();
-      if (!ci_stopping && !pool) {
-        // Inline: the planner waits for this window, so its live warm state
-        // serves as the unit's snapshot.
-        measure(unit, live_warm);
+      unit.results.resize(n_configs);
+      if (shards == nullptr && !ci_stopping) {
+        // Inline: the planner waits for these windows, so its live warm
+        // state serves as the unit's snapshot.
+        for (std::size_t c = 0; c < n_configs; ++c)
+          measure(c, unit, snap, warming ? &warm : nullptr);
+        fold_front(1);
         continue;
       }
-      if (live_warm != nullptr)
-        unit.warm = std::make_unique<const WarmState>(warm);
-      if (!ci_stopping) {
-        pool->submit([&measure, &slots, u = &unit] {
-          measure(*u, u->warm.get());
-          slots.release();
-        });
+      if (warming) snap->warm = std::make_unique<const WarmState>(warm);
+      if (ci_stopping) {
+        unit.snapshot = std::move(snap);
+        continue;
       }
+      {
+        const std::lock_guard lock(mu);
+        unmeasured += n_configs;
+      }
+      for (std::size_t c = 0; c < n_configs; ++c) submit(c, unit, snap);
     }
-    out.total_instructions = master.instructions_executed();
-    out.estimate.committed = out.total_instructions;
-    out.estimate.halted = master.halted();
+    total_instructions = master.instructions_executed();
+    halted = master.halted();
   }
-  out.units_planned = units.size();
-  if (pool) pool->wait_idle();
+  if (shards != nullptr && !ci_stopping) fold_front(wait_below(1));
 
   // --- confidence-driven measurement --------------------------------------
   // A seeded shuffle of the plan, measured in batches, so every batch is an
   // unbiased spread over the whole program rather than its first intervals.
+  // Each config stops on its own CI, then folds its windows in interval
+  // order.
   if (ci_stopping) {
     std::vector<std::size_t> order(units.size());
     std::iota(order.begin(), order.end(), 0);
@@ -340,87 +496,51 @@ SampledStats SampledSimulator::run(const arch::Program& program,
           mix(sampling_.seed ^ 0xa5a5a5a5a5a5a5a5ull, i) % i;
       std::swap(order[i - 1], order[j]);
     }
-    std::vector<SampleRecord> scheduled_samples;  // CI bookkeeping only
-    scheduled_samples.reserve(units.size());
-    for (std::size_t next = 0; next < order.size();) {
-      const std::size_t batch_end = std::min(next + kCiBatch, order.size());
-      const auto measure_at = [&](std::size_t i) {
-        SamplingUnit& unit = units[order[i]];
-        measure(unit, unit.warm.get());
-      };
-      if (pool) {
-        parallel_for(*pool, batch_end - next,
-                     [&](std::size_t i) { measure_at(next + i); });
-      } else {
-        for (std::size_t i = next; i < batch_end; ++i) measure_at(i);
+    for (std::size_t c = 0; c < n_configs; ++c) {
+      std::vector<SampleRecord> scheduled_samples;  // CI bookkeeping only
+      scheduled_samples.reserve(units.size());
+      for (std::size_t next = 0; next < order.size();) {
+        const std::size_t batch_end = std::min(next + kCiBatch, order.size());
+        if (shards != nullptr) {
+          {
+            const std::lock_guard lock(mu);
+            unmeasured += batch_end - next;
+          }
+          for (std::size_t i = next; i < batch_end; ++i)
+            submit(c, units[order[i]], units[order[i]].snapshot);
+          wait_below(1);
+        } else {
+          for (std::size_t i = next; i < batch_end; ++i) {
+            SamplingUnit& unit = units[order[i]];
+            measure(c, unit, unit.snapshot, unit.snapshot->warm.get());
+          }
+        }
+        for (std::size_t i = next; i < batch_end; ++i) {
+          const SamplingUnit& unit = units[order[i]];
+          const UnitResult& r = *unit.results[c];
+          if (r.measured_insts > 0 && !r.degenerate)
+            scheduled_samples.push_back(
+                {unit.icount, r.measured_insts, r.measured_cycles});
+        }
+        next = batch_end;
+        if (ci_halfwidth(scheduled_samples) <= sampling_.target_ci) break;
       }
-      for (std::size_t i = next; i < batch_end; ++i) {
-        const SamplingUnit& unit = units[order[i]];
-        if (unit.result->measured_insts > 0 && !unit.result->degenerate)
-          scheduled_samples.push_back({unit.ckpt.icount,
-                                       unit.result->measured_insts,
-                                       unit.result->measured_cycles});
+      for (SamplingUnit& unit : units) {
+        if (!unit.results[c]) continue;  // unmeasured (CI target met)
+        fold(outs[c], unit.icount, *unit.results[c]);
+        unit.results[c].reset();
       }
-      next = batch_end;
-      if (ci_halfwidth(scheduled_samples) <= sampling_.target_ci) break;
     }
   }
 
-  // --- deterministic merge ------------------------------------------------
-  // Fold measured units back in interval order: the output is a pure
-  // function of (config, program, seed), never of scheduling. Every window
-  // merges its whole StatRegistry (counters sum, occupancy integrals sum,
-  // channels append), so sharded and serial runs agree on every metric —
-  // the SimStats `measured` view is then materialized from the merge.
-  out.samples.reserve(units.size());
-  for (const SamplingUnit& unit : units) {
-    if (!unit.result) continue;  // unmeasured (CI target met)
-    const UnitResult& r = *unit.result;
-    out.registry.merge_from(r.registry);
-    out.detailed_instructions += r.window.committed;
-    if (r.degenerate) {
-      ++out.degenerate_windows;
-    } else if (r.measured_insts > 0) {
-      out.samples.push_back(
-          {unit.ckpt.icount, r.measured_insts, r.measured_cycles});
-      out.measured_instructions += r.measured_insts;
-    }
+  for (SampledStats& out : outs) {
+    out.total_instructions = total_instructions;
+    out.estimate.committed = total_instructions;
+    out.estimate.halted = halted;
+    out.units_planned = units_planned;
+    finish(out);
   }
-  out.measured = materialize_sim_stats(out.registry);
-
-  const std::size_t n = out.samples.size();
-  if (n > 0) {
-    const CpiMoments cpi = cpi_moments(out.samples);
-    out.cpi_mean = cpi.mean;
-    out.cpi_stddev = cpi.stddev;
-    out.cpi_stderr = cpi.se;
-    double ipc_sum = 0.0;
-    for (const SampleRecord& s : out.samples) ipc_sum += s.ipc();
-    out.ipc_mean = ipc_sum / static_cast<double>(n);
-    double ipc_var = 0.0;
-    for (const SampleRecord& s : out.samples) {
-      const double di = s.ipc() - out.ipc_mean;
-      ipc_var += di * di;
-    }
-    if (n > 1) {
-      out.ipc_stddev = std::sqrt(ipc_var / static_cast<double>(n - 1));
-      // Delta method: the error bar is centered on estimate.ipc().
-      out.ipc_stderr = out.cpi_stderr / (out.cpi_mean * out.cpi_mean);
-      out.ipc_ci95 = 1.96 * out.ipc_stderr;
-    }
-    out.estimate.cycles = static_cast<std::uint64_t>(
-        std::llround(static_cast<double>(out.total_instructions) *
-                     out.cpi_mean));
-  } else if (out.measured.committed > 0) {
-    // Program ended inside the first warm-up window: no clean sample exists,
-    // so fall back to the CPI of whatever detailed work ran rather than
-    // reporting an IPC of zero.
-    const double fallback_cpi = static_cast<double>(out.measured.cycles) /
-                                static_cast<double>(out.measured.committed);
-    out.estimate.cycles = static_cast<std::uint64_t>(std::llround(
-        static_cast<double>(out.total_instructions) * fallback_cpi));
-  }
-  return out;
+  return outs;
 }
 
 std::string format_sampled_stats(const SampledStats& stats) {

@@ -5,20 +5,31 @@
 // predictors and caches when functional warming is on) and captures an
 // arch::Checkpoint plus the warm state at the start of every sampling unit.
 // Each unit is measured as soon as it is captured, while planning goes on:
-// on a thread pool when sharded (the unit carries its own WarmState
-// snapshot, and planning waits while 2 * threads units are unmeasured), or
-// inline on the calling thread, which seeds the window from the planner's
-// own warm state. A window replays its unit from the
-// checkpoint — `warmup` detailed-but-unmeasured instructions prime the
-// short-lived pipeline state, the next `detail` instructions are measured —
-// and then frees the unit's snapshot and pages. Per-unit SampleRecords merge
-// in interval order regardless of which worker produced them, so results
-// are bit-identical at any thread count.
+// on a thread pool when sharded (the unit's windows share one WarmState
+// snapshot, freed once the last of them has built its core, and planning
+// waits while 2 * threads windows are unmeasured), or inline on the
+// calling thread, which seeds each window from the planner's own warm
+// state. A window replays its unit from the checkpoint — `warmup`
+// detailed-but-unmeasured instructions prime the short-lived pipeline
+// state, the next `detail` instructions are measured. Per-unit
+// SampleRecords merge in interval order regardless of which worker
+// produced them, so results are bit-identical at any thread count.
+//
+// Plan groups. The planning pass reads only the program, the sampling
+// fields and three config fields: `ghr_bits` and the whole `memory` config
+// (the warmed gshare and hierarchy, which a window copies together with
+// its latencies), and `fast_path` (the shared decode). Configs that agree
+// on those (same_plan, "the plan key") share one pass: run_group measures
+// every captured unit once per config and returns one SampledStats per
+// config, each bit-identical to that config's own run. Policy, register
+// files, widths and run control never reach the planner, so a Figure 11
+// sweep plans each kernel once instead of once per cell. A one-config run
+// is the group of one.
 //
 // Unit placement within each interval is configurable (periodic starts can
 // alias with program phases), and instead of measuring every planned unit
 // the sampler can keep scheduling units only until the 95% confidence
-// interval on IPC is tight enough (`target_ci`).
+// interval on IPC is tight enough (`target_ci`, per config).
 //
 //   sim::SampledSimulator sampler(config, {.period = 200'000});
 //   sim::SampledStats s = sampler.run(program);
@@ -36,6 +47,10 @@
 #include "sim/probe.hpp"
 #include "sim/stat_registry.hpp"
 #include "sim/stats.hpp"
+
+namespace erel {
+class ThreadPool;
+}
 
 namespace erel::sim {
 
@@ -129,7 +144,9 @@ struct SamplingConfig {
   /// Measurement workers. 1 (default) measures each unit inline on the
   /// calling thread, between planning steps; N > 1 measures on a pool of N
   /// workers while the calling thread plans on; 0 = hardware concurrency.
-  /// Results are identical at any value.
+  /// Results are identical at any value. A run handed a pool
+  /// (SampledSimulator::run_group, as harness::run_all does) measures on
+  /// that pool and ignores this field.
   unsigned threads = 1;
 };
 
@@ -206,29 +223,51 @@ struct SampledStats {
   }
 };
 
+/// Whether one planning pass serves both configs (the plan key): the same
+/// `ghr_bits`, the same whole `memory` config and the same `fast_path`.
+/// Those are the only config fields the planning pass reads.
+[[nodiscard]] bool same_plan(const SimConfig& a, const SimConfig& b);
+
 class SampledSimulator {
  public:
-  /// Aborts unless valid_sampling(sampling).
+  /// A group of one. Aborts unless valid_sampling(sampling).
   SampledSimulator(SimConfig config, SamplingConfig sampling);
 
-  /// Runs `program` to completion: one functional planning pass over the
-  /// whole program (checkpoints + warm state at unit starts), streaming
-  /// each unit into detailed warm-up + measurement, serial or sharded. With
-  /// `target_ci` > 0 the whole plan is captured first, then measured in
-  /// seeded-shuffled batches. Each measurement window attaches fresh
-  /// instances of every probe in `probes` (instances are per-window, so
-  /// sharding stays race-free); their registry entries merge into
-  /// SampledStats::registry in interval order, bit-identically at any
-  /// thread count.
+  /// A plan group. Aborts unless valid_sampling(sampling), `configs` is
+  /// non-empty and every config shares the first one's plan (same_plan).
+  SampledSimulator(std::vector<SimConfig> configs, SamplingConfig sampling);
+
+  /// Runs `program` to completion under a group of one (aborts on a larger
+  /// group): one functional planning pass over the whole program
+  /// (checkpoints + warm state at unit starts), streaming each unit into
+  /// detailed warm-up + measurement, serial or sharded. With `target_ci` >
+  /// 0 the whole plan is captured first, then measured in seeded-shuffled
+  /// batches. Each measurement window attaches fresh instances of every
+  /// probe in `probes` (instances are per-window, so sharding stays
+  /// race-free); their registry entries merge into SampledStats::registry
+  /// in interval order, bit-identically at any thread count.
   [[nodiscard]] SampledStats run(const arch::Program& program,
                                  const std::vector<ProbeSpec>& probes = {})
       const;
 
-  [[nodiscard]] const SimConfig& config() const { return config_; }
+  /// Runs `program` under every config of the group from one planning
+  /// pass and returns one SampledStats per config, in order. Each captured
+  /// unit is measured once per config; confidence-driven stopping, the
+  /// sample cap and degenerate-window handling apply per config, and each
+  /// result is bit-identical to that config's own run(). `probes[i]` are
+  /// config i's probes (empty: no probes anywhere). With a `pool`, the
+  /// windows are measured there, alongside whatever else it runs, while
+  /// this thread plans; the call waits for its own windows only, so it
+  /// must not run on one of `pool`'s workers.
+  [[nodiscard]] std::vector<SampledStats> run_group(
+      const arch::Program& program,
+      const std::vector<std::vector<ProbeSpec>>& probes = {},
+      ThreadPool* pool = nullptr) const;
+
   [[nodiscard]] const SamplingConfig& sampling() const { return sampling_; }
 
  private:
-  SimConfig config_;
+  std::vector<SimConfig> configs_;
   SamplingConfig sampling_;
 };
 

@@ -304,12 +304,12 @@ TEST(CanonicalFields, WarmingFlagIsExactlyZeroOrOne) {
   EXPECT_FALSE(sim::sampling_from_canonical_fields(fields).has_value());
 }
 
-TEST(CanonicalFields, SingleFieldDifferencesNeverShareAFingerprint) {
-  // One mutation per canonical field; all resulting fingerprints must be
-  // pairwise distinct (and distinct from the base). A collision here means
-  // two different machines would share a cache entry.
-  using Mutation = std::pair<const char*, void (*)(sim::SimConfig&)>;
-  const std::vector<Mutation> mutations = {
+/// One mutation per canonical SimConfig field. Each keeps a config
+/// buildable as long as its caches are direct-mapped (so ++associativity
+/// stays a power-of-two set count).
+using Mutation = std::pair<const char*, void (*)(sim::SimConfig&)>;
+const std::vector<Mutation>& single_field_mutations() {
+  static const std::vector<Mutation> mutations = {
       {"policy", [](sim::SimConfig& c) { c.policy = PolicyKind::Extended; }},
       {"phys_int", [](sim::SimConfig& c) { ++c.phys_int; }},
       {"phys_fp", [](sim::SimConfig& c) { ++c.phys_fp; }},
@@ -364,6 +364,14 @@ TEST(CanonicalFields, SingleFieldDifferencesNeverShareAFingerprint) {
        [](sim::SimConfig& c) { c.check_oracle = !c.check_oracle; }},
       {"flush_period", [](sim::SimConfig& c) { ++c.flush_period; }},
   };
+  return mutations;
+}
+
+TEST(CanonicalFields, SingleFieldDifferencesNeverShareAFingerprint) {
+  // One mutation per canonical field; all resulting fingerprints must be
+  // pairwise distinct (and distinct from the base). A collision here means
+  // two different machines would share a cache entry.
+  const std::vector<Mutation>& mutations = single_field_mutations();
 
   const sim::SimConfig base = maximally_non_default_config();
   std::map<std::uint64_t, const char*> seen;
@@ -911,6 +919,146 @@ TEST(ResultSet, MissingCellIsFatalWithCoordinates) {
   const harness::ResultSet rs;
   EXPECT_DEATH((void)rs.ipc({"li", PolicyKind::Conventional, 48, ""}),
                "li/conv/48");
+}
+
+// ---------------------------------------------------------------------------
+// Plan groups: run_all plans the sampled cells that share a plan key once
+// and measures each of them from that pass
+// ---------------------------------------------------------------------------
+
+std::unique_ptr<sim::Probe> make_rixner() {
+  return std::make_unique<power::RixnerProbe>();
+}
+
+/// Expects a cell from a grouped run to equal run_one of the same spec in
+/// everything a sweep observes: each sample, the merged registry (which is
+/// not serialized), the metrics, and the serialized cache entry (stats,
+/// estimate, moments).
+void expect_same_cell(const harness::ExpEntry& got,
+                      const harness::RunResult& want) {
+  ASSERT_TRUE(got.sampled.has_value());
+  ASSERT_TRUE(want.sampled.has_value());
+  EXPECT_EQ(got.sampled->samples, want.sampled->samples);
+  EXPECT_TRUE(got.sampled->registry == want.sampled->registry);
+  EXPECT_EQ(got.metrics, want.metrics);
+  const harness::ExpEntry single{got.key, want.stats, want.sampled,
+                                 want.metrics};
+  EXPECT_EQ(harness::serialize_entry(got, "0123456789abcdef"),
+            harness::serialize_entry(single, "0123456789abcdef"));
+}
+
+sim::SamplingConfig plan_group_sampling() {
+  sim::SamplingConfig s;
+  s.period = 40'000;
+  s.warmup = 500;
+  s.detail = 1'500;
+  s.placement = sim::Placement::kStratified;
+  s.seed = 3;
+  return s;
+}
+
+TEST(PlanGroups, SingleFieldMutationsMatchPerCellRuns) {
+  // The plan key is exactly what the planning pass reads: ghr_bits (the
+  // warmed gshare), every memory field (the warmed hierarchy, which a
+  // window copies together with its latencies) and fast_path (the shared
+  // decode). A key that dropped ghr_bits or a memory field would measure
+  // the mutated config from the base's warm state and break the equality
+  // below; the same_plan check pins the whole key, fast_path included.
+  sim::SimConfig base = tiny_config();
+  base.phys_int = base.phys_fp = 48;
+  base.flush_period = 500;
+  for (mem::CacheConfig* cache :
+       {&base.memory.l1i, &base.memory.l1d, &base.memory.l2})
+    cache->associativity = 1;
+  std::vector<Mutation> mutations = single_field_mutations();
+  mutations.emplace_back("fast_path",
+                         [](sim::SimConfig& c) { c.fast_path = !c.fast_path; });
+  const auto spec = [](const sim::SimConfig& config) {
+    return harness::RunSpec{"li", config, "", plan_group_sampling(),
+                            {{"rixner", make_rixner}}};
+  };
+  const auto entry = [](const harness::RunResult& r) {
+    return harness::ExpEntry{{"li", r.spec.config.policy,
+                              r.spec.config.phys_int, ""},
+                             r.stats, r.sampled, r.metrics};
+  };
+  for (const auto& [name, mutate] : mutations) {
+    SCOPED_TRACE(name);
+    sim::SimConfig mutated = base;
+    mutate(mutated);
+    const std::string_view field = name;
+    const bool plan_field = field == "ghr_bits" ||
+                            field.starts_with("memory.") ||
+                            field == "fast_path";
+    EXPECT_EQ(sim::same_plan(base, mutated), !plan_field);
+    const std::vector<harness::RunResult> grouped =
+        harness::run_all({spec(base), spec(mutated)}, 2);
+    ASSERT_EQ(grouped.size(), 2u);
+    expect_same_cell(entry(grouped[0]), harness::run_one(spec(base)));
+    expect_same_cell(entry(grouped[1]), harness::run_one(spec(mutated)));
+  }
+}
+
+/// Two kernels (one integer, one FP) x three policies x two sizes with the
+/// rixner probe: Experiment::run plans each kernel once for its six cells.
+/// Every cell must equal run_one's at pool sizes 1, 2 and 4. Returns the
+/// per-cell results.
+std::vector<harness::RunResult> expect_grouped_run_equals_run_one(
+    const sim::SamplingConfig& sampling) {
+  harness::Experiment exp;
+  exp.base(tiny_config())
+      .workloads({"li", "mgrid"})
+      .policies(core::all_policies())
+      .phys_regs({40, 64})
+      .sampling(sampling)
+      .probe("rixner", make_rixner);
+  const std::vector<harness::Experiment::Cell> cells = exp.materialize();
+  std::vector<harness::RunResult> want;
+  for (const harness::Experiment::Cell& cell : cells)
+    want.push_back(harness::run_one(cell.spec));
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    harness::RunOptions opts;
+    opts.threads = threads;
+    const harness::ResultSet rs = exp.run(opts);
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      SCOPED_TRACE(cells[i].key.to_string());
+      expect_same_cell(rs.at(cells[i].key), want[i]);
+    }
+  }
+  return want;
+}
+
+TEST(PlanGroups, ExperimentRunEqualsRunOnePerCell) {
+  expect_grouped_run_equals_run_one(plan_group_sampling());
+}
+
+TEST(PlanGroups, CiStoppingStaysPerConfig) {
+  sim::SamplingConfig s = plan_group_sampling();
+  s.period = 20'000;
+  s.target_ci = 0.1;
+  const std::vector<harness::RunResult> want =
+      expect_grouped_run_equals_run_one(s);
+  // The target must stop some cells early and not others that share their
+  // plan, or this tests nothing.
+  const auto stopped = [](const harness::RunResult& r) {
+    return r.sampled->samples.size() < r.sampled->units_planned;
+  };
+  EXPECT_TRUE(std::any_of(want.begin(), want.end(), stopped));
+  EXPECT_FALSE(std::all_of(want.begin(), want.end(), stopped));
+}
+
+TEST(PlanGroups, SampleCapStaysPerConfig) {
+  sim::SamplingConfig s = plan_group_sampling();
+  s.max_samples = 3;
+  for (const harness::RunResult& r : expect_grouped_run_equals_run_one(s))
+    EXPECT_EQ(r.sampled->units_planned, 3u);
+}
+
+TEST(PlanGroups, WarmingOffEqualsRunOne) {
+  sim::SamplingConfig s = plan_group_sampling();
+  s.functional_warming = false;
+  expect_grouped_run_equals_run_one(s);
 }
 
 // ---------------------------------------------------------------------------

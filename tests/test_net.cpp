@@ -263,6 +263,28 @@ TEST(Protocol, CellRequestRejectsMalformedPayloads) {
   EXPECT_FALSE(service::decode_cell_request(bad_cfg));
 }
 
+TEST(Protocol, CellRequestPolicyIsPolicyNamesSpellingOnly) {
+  // The three names policy_name() writes round-trip; the CLI aliases that
+  // no encoder writes (and parse_entry refuses) are malformed requests.
+  for (const core::PolicyKind kind : core::all_policies()) {
+    service::CellRequest in = sample_request();
+    in.key.policy = kind;
+    const auto out =
+        service::decode_cell_request(service::encode_cell_request(in));
+    ASSERT_TRUE(out.has_value()) << core::policy_name(kind);
+    EXPECT_EQ(out->key.policy, kind);
+  }
+  const std::string good = service::encode_cell_request(sample_request());
+  const std::string line = "key.policy extended\n";
+  ASSERT_NE(good.find(line), std::string::npos);
+  for (const char* alias : {"conventional", "ext"}) {
+    std::string text = good;
+    text.replace(text.find(line), line.size(),
+                 std::string("key.policy ") + alias + "\n");
+    EXPECT_FALSE(service::decode_cell_request(text)) << alias;
+  }
+}
+
 TEST(Protocol, ResultAndErrorRoundTrip) {
   const service::ResultMsg msg{23, true, "erel-result v1\n...entry...\nend\n"};
   const auto out = service::decode_result(service::encode_result(msg));

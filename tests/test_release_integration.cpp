@@ -127,7 +127,7 @@ TEST(Occupancy, IdleInflationIsSubstantialEverywhere) {
   // allocated registers sit Idle (dead value, not yet released). The paper
   // reports +45.8% (int) / +16.8% (FP) used-register inflation; our kernels
   // show 30-90% for both classes (the int-vs-FP gap depends on compiled
-  // SPEC code shapes we don't replicate — see EXPERIMENTS.md).
+  // SPEC code shapes we don't replicate — ROADMAP item 8 measures the gap).
   for (const char* workload : {"gcc", "li", "swim", "mgrid"}) {
     const bool is_fp = workloads::workload(workload).is_fp;
     const auto stats = run_policy(workload, PolicyKind::Conventional, 96);

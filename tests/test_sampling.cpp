@@ -13,6 +13,7 @@
 #include "arch/arch_state.hpp"
 #include "arch/decoded_program.hpp"
 #include "asmkit/assembler.hpp"
+#include "common/thread_pool.hpp"
 #include "harness/harness.hpp"
 #include "isa/isa.hpp"
 #include "sim/sampling.hpp"
@@ -369,6 +370,44 @@ TEST(SamplingSharded, SelfModifyingCodeMatchesSerialBitForBit) {
                          sim::SampledSimulator(config, s).run(program));
 }
 
+TEST(SamplingGroups, SelfModifyingCodeServesEveryConfigFromOnePlan) {
+  // One planning pass and one decoded_ok per unit for every config of the
+  // group: units captured after the patch (see the test above) replay
+  // byte-accurately under each config, and each config's result equals its
+  // own run — inline, on a pool of its own, and on a caller's pool.
+  const arch::Program program = self_modifying_loop();
+  sim::SamplingConfig s;
+  s.period = 3'000;
+  s.warmup = 300;
+  s.detail = 700;
+  std::vector<sim::SimConfig> configs;
+  for (const core::PolicyKind policy : core::all_policies()) {
+    for (const unsigned phys : {40u, 64u}) {
+      sim::SimConfig config = test_config();
+      config.check_oracle = true;
+      config.policy = policy;
+      config.phys_int = config.phys_fp = phys;
+      configs.push_back(config);
+    }
+  }
+  std::vector<sim::SampledStats> want;
+  for (const sim::SimConfig& config : configs)
+    want.push_back(sim::SampledSimulator(config, s).run(program));
+  const auto expect_group = [&](const std::vector<sim::SampledStats>& got) {
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      SCOPED_TRACE("config " + std::to_string(i));
+      expect_stats_identical(got[i], want[i]);
+    }
+  };
+  for (const unsigned threads : {1u, 4u}) {
+    s.threads = threads;
+    expect_group(sim::SampledSimulator(configs, s).run_group(program));
+  }
+  ThreadPool pool(2);
+  expect_group(sim::SampledSimulator(configs, s).run_group(program, {}, &pool));
+}
+
 TEST(SamplingSharded, HarnessRunsShardedSpecs) {
   harness::RunSpec spec{
       "li", harness::experiment_config(core::PolicyKind::Extended, 64),
@@ -472,6 +511,21 @@ TEST(SamplingDeathTest, PeriodMustExceedWindow) {
   s.warmup = ~std::uint64_t{0};
   s.detail = 2;
   EXPECT_DEATH(sim::SampledSimulator(test_config(), s), "period");
+}
+
+TEST(SamplingDeathTest, PlanGroupMustShareItsPlanKey) {
+  sim::SimConfig other = test_config();
+  other.ghr_bits = 12;
+  EXPECT_DEATH(sim::SampledSimulator(
+                   std::vector<sim::SimConfig>{test_config(), other},
+                   test_sampling()),
+               "plan group");
+  other = test_config();
+  other.policy = core::PolicyKind::Basic;
+  const sim::SampledSimulator group(
+      std::vector<sim::SimConfig>{test_config(), other}, test_sampling());
+  EXPECT_DEATH((void)group.run(workloads::assemble_workload("li")),
+               "run_group");
 }
 
 }  // namespace
