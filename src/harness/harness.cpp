@@ -69,9 +69,6 @@ std::vector<RunResult> run_all(const std::vector<RunSpec>& specs,
   // Full-detail specs run one task each. Sampled specs that can share a
   // planning pass — the same workload, the same canonical sampling fields
   // and the same plan key (sim::same_plan) — form one plan group.
-  const auto run_alone = [&](std::size_t i) {
-    pool.submit([&results, &specs, i] { results[i] = run_one(specs[i]); });
-  };
   struct PlanGroup {
     std::string sampling;  // canonical sampling fields
     std::vector<std::size_t> members;
@@ -80,7 +77,7 @@ std::vector<RunResult> run_all(const std::vector<RunSpec>& specs,
   for (std::size_t i = 0; i < specs.size(); ++i) {
     const RunSpec& spec = specs[i];
     if (!spec.sampling) {
-      run_alone(i);
+      pool.submit([&results, &specs, i] { results[i] = run_one(specs[i]); });
       continue;
     }
     std::string sampling;
@@ -96,31 +93,28 @@ std::vector<RunResult> run_all(const std::vector<RunSpec>& specs,
     group->members.push_back(i);
   }
 
-  // A group of one has no plan to share, so it is a task like the above
-  // (and its own sampling.threads still applies): a single planner here
-  // would serialize the planning that these tasks do side by side.
-  for (const PlanGroup& group : groups)
-    if (group.members.size() == 1) run_alone(group.members.front());
-
-  // Every larger group is planned once, here, and each of its windows is
-  // measured on the pool alongside the tasks above.
+  // Each group is one task too: it plans once, on whichever worker runs
+  // it, and measures its windows there while the pool is busy, handing the
+  // rest of a unit's windows to workers that idle (see run_group).
   for (const PlanGroup& group : groups) {
-    if (group.members.size() == 1) continue;
-    const RunSpec& first = specs[group.members.front()];
-    std::vector<sim::SimConfig> configs;
-    std::vector<std::vector<sim::ProbeSpec>> probes;
-    for (const std::size_t i : group.members) {
-      configs.push_back(specs[i].config);
-      probes.push_back(specs[i].probes);
-    }
-    const arch::Program program = workloads::assemble_workload(first.workload);
-    std::vector<sim::SampledStats> sampled =
-        sim::SampledSimulator(std::move(configs), *first.sampling)
-            .run_group(program, probes, &pool);
-    for (std::size_t j = 0; j < group.members.size(); ++j) {
-      const std::size_t i = group.members[j];
-      results[i] = sampled_result(specs[i], std::move(sampled[j]));
-    }
+    pool.submit([&results, &specs, &pool, &group] {
+      const RunSpec& first = specs[group.members.front()];
+      std::vector<sim::SimConfig> configs;
+      std::vector<std::vector<sim::ProbeSpec>> probes;
+      for (const std::size_t i : group.members) {
+        configs.push_back(specs[i].config);
+        probes.push_back(specs[i].probes);
+      }
+      const arch::Program program =
+          workloads::assemble_workload(first.workload);
+      std::vector<sim::SampledStats> sampled =
+          sim::SampledSimulator(std::move(configs), *first.sampling)
+              .run_group(program, probes, &pool);
+      for (std::size_t j = 0; j < group.members.size(); ++j) {
+        const std::size_t i = group.members[j];
+        results[i] = sampled_result(specs[i], std::move(sampled[j]));
+      }
+    });
   }
   pool.wait_idle();
   return results;

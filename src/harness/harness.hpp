@@ -8,11 +8,12 @@
 // plan groups: specs with the same workload, the same canonical sampling
 // fields and the same plan key (sim::same_plan: ghr_bits, memory,
 // fast_path — the only config fields the planning pass reads) share one
-// planning pass. A group of several specs is planned once on run_all's
-// calling thread and each of its windows is measured on run_all's pool
-// (sim::SampledSimulator::run_group); a group of one is a run_one task like
-// any other. Either way each cell's result is bit-identical to run_one's,
-// so it does not depend on which path ran it.
+// planning pass. Each group, a group of one included, is one task on the
+// same pool (sim::SampledSimulator::run_group): it plans once and measures
+// its windows itself while the pool is busy, and hands the rest of a
+// unit's windows to workers that idle, so the windows of a sweep's last
+// groups spread over the whole pool. Each cell's result is bit-identical
+// to run_one's.
 //
 // Sweeps should normally be declared through harness::Experiment
 // (harness/experiment.hpp), which materializes axis cross-products into
@@ -44,8 +45,9 @@ struct RunSpec {
   /// estimate and `RunResult::sampled` the per-sample detail. The whole
   /// SamplingConfig rides along: placement mode + seed, `target_ci`
   /// confidence-driven stopping, and `threads`, which matters only to
-  /// run_one (raise it to shard a single long workload's units). run_all
-  /// measures a shared plan's windows on its own pool instead.
+  /// run_one and to direct sim::SampledSimulator callers (raise it to
+  /// shard a single long workload's units). run_all measures every
+  /// sampled spec on its own pool instead.
   std::optional<sim::SamplingConfig> sampling;
 
   /// Named probes attached to the run (Instrumentation API v2): fresh

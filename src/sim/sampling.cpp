@@ -1,6 +1,7 @@
 #include "sim/sampling.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <condition_variable>
 #include <cstdio>
@@ -44,9 +45,10 @@ struct UnitResult {
 };
 
 /// What a unit's windows replay from: the architectural checkpoint and,
-/// when warming is on, a frozen copy of the planner's warm state. The
-/// unit's windows share one snapshot; whoever drops the last reference
-/// (the last window to build its core, or the end of the run) frees it.
+/// when warming is on and the planner moves on before every window has
+/// built its core, a frozen copy of the planner's warm state. The unit's
+/// windows share one snapshot; whoever drops the last reference (the last
+/// window to build its core, or the end of the run) frees it.
 struct UnitSnapshot {
   arch::Checkpoint ckpt;
   std::unique_ptr<const WarmState> warm;  // null when warming is off
@@ -68,7 +70,22 @@ struct SamplingUnit {
   std::shared_ptr<const UnitSnapshot> snapshot;
   std::vector<std::optional<UnitResult>> results;  // per config; empty
                                                    // until measured
-  std::size_t windows_done = 0;  // guarded by the run's window mutex
+  // Windows that have built their core, and windows measured; guarded by
+  // the run's window mutex.
+  std::size_t windows_built = 0;
+  std::size_t windows_done = 0;
+};
+
+/// One window handed to a pool. Whoever claims it first measures it: a
+/// worker, or the planner, which takes back its own unclaimed windows
+/// rather than wait behind other tasks. The pool's copy of a ticket that
+/// someone else claimed is a no-op.
+struct Ticket {
+  std::atomic<bool> claimed{false};
+  std::size_t config = 0;
+  SamplingUnit* unit = nullptr;
+  std::shared_ptr<const UnitSnapshot> snapshot;  // moved out by the claimer
+  const WarmState* warm = nullptr;  // the snapshot's, or the planner's own
 };
 
 /// The planning pass's batched warming loop: fast-forwards the oracle to
@@ -269,9 +286,8 @@ std::vector<SampledStats> SampledSimulator::run_group(
     const std::vector<std::vector<ProbeSpec>>& probes, ThreadPool* pool)
     const {
   const std::size_t n_configs = configs_.size();
-  EREL_CHECK(probes.empty() || probes.size() == n_configs, "run_group: ",
-             probes.size(), " probe lists for ", n_configs, " configs");
-  const std::vector<ProbeSpec> no_probes;
+  EREL_CHECK(probes.size() == n_configs, "run_group: ", probes.size(),
+             " probe lists for ", n_configs, " configs");
   const std::uint64_t window = sampling_.warmup + sampling_.detail;
   const std::uint64_t slack = sampling_.period - window;  // ctor: period>window
 
@@ -304,6 +320,16 @@ std::vector<SampledStats> SampledSimulator::run_group(
           ? std::make_shared<const arch::DecodedProgram>(program)
           : nullptr;
 
+  // Streamed: captured and not yet folded (interval order). Under
+  // confidence-driven stopping: the whole plan. Element addresses stay put
+  // while the planner appends and folds, so a worker holds its own unit
+  // while the planner grows and shrinks the plan.
+  std::deque<SamplingUnit> units;
+  std::mutex mu;  // guards `unmeasured`, `offered` and units' window counts
+  std::condition_variable measured_cv;
+  std::size_t unmeasured = 0;  // windows handed to the pool, not yet done
+  std::deque<std::shared_ptr<Ticket>> offered;  // possibly still unclaimed
+
   // --- one detailed window ------------------------------------------------
   // Config c replays `unit` from `snap`'s checkpoint through a fresh
   // detailed core seeded from `warm`: `warmup` commits prime the pipeline,
@@ -312,7 +338,8 @@ std::vector<SampledStats> SampledSimulator::run_group(
   // state and the checkpoint pages, so this window drops its reference to
   // the snapshot as soon as the core is built (`warm` may point into it):
   // the last window of a unit frees it, and a running window holds one
-  // copy of its warm state, not two.
+  // copy of its warm state, not two. The unit counts its built windows, so
+  // a planner whose live warm state serves them knows when it may move on.
   const auto measure = [&](std::size_t c, SamplingUnit& unit,
                            std::shared_ptr<const UnitSnapshot> snap,
                            const WarmState* warm) {
@@ -324,8 +351,14 @@ std::vector<SampledStats> SampledSimulator::run_group(
     pipeline::Core core(cfg, program, snap->ckpt, warm,
                         unit.decoded_ok ? decoded : nullptr);
     snap.reset();
+    {
+      // Notified under the lock, as in run_ticket.
+      const std::lock_guard lock(mu);
+      ++unit.windows_built;
+      measured_cv.notify_one();
+    }
     const std::vector<std::unique_ptr<Probe>> instances =
-        core.attach_probes(probes.empty() ? no_probes : probes[c]);
+        core.attach_probes(probes[c]);
     while (!core.halted() && core.committed() < sampling_.warmup &&
            core.cycle() < cfg.max_cycles)
       core.tick();
@@ -347,20 +380,17 @@ std::vector<SampledStats> SampledSimulator::run_group(
     }
   };
 
-  // Streamed: captured and not yet folded (interval order). Under
-  // confidence-driven stopping: the whole plan. Element addresses stay put
-  // while the planner appends and folds, so a worker holds its own unit
-  // while the planner grows and shrinks the plan.
-  std::deque<SamplingUnit> units;
-  std::mutex mu;  // guards `unmeasured` and every unit's windows_done
-  std::condition_variable measured_cv;
-  std::size_t unmeasured = 0;  // windows handed to the pool, not yet done
-
   // Confidence-driven stopping measures seeded-shuffled batches of the whole
   // plan, so it plans everything first. Otherwise measurement is streamed:
-  // each unit is measured as soon as the planning pass has captured it — on
-  // the pool when sharded (the caller's, or one built now: the unit count
-  // is not known yet), or inline on this thread.
+  // each unit is measured as soon as the planning pass has captured it.
+  // Three schedules, all with the same results:
+  // - no pool (threads = 1): every window inline, on this thread;
+  // - a pool of its own (threads > 1): every window on the pool (the unit
+  //   count is not known yet, so the pool is built now) while this thread
+  //   only plans, waiting while 2 * threads windows are unmeasured;
+  // - the caller's `pool`, which this thread may be a worker of: windows
+  //   inline while the pool is busy, and the rest of a unit's windows on
+  //   the pool once a worker idles.
   const bool ci_stopping = sampling_.target_ci > 0.0;
   std::optional<ThreadPool> own_pool;
   ThreadPool* shards = pool;
@@ -370,31 +400,86 @@ std::vector<SampledStats> SampledSimulator::run_group(
     // 0 again: the pool resolves it the same way.
     if (threads > 1) shards = &own_pool.emplace(sampling_.threads);
   }
-  // A unit streamed to the pool holds its warm snapshot and checkpoint
-  // pages until its last window is built. The planner waits while this
-  // many windows are unmeasured, so peak memory is set by the shard count,
-  // not by how far planning outruns measurement.
-  const std::size_t max_unmeasured =
-      shards == nullptr ? 0 : 2 * std::size_t{shards->size()};
-
-  const auto submit = [&](std::size_t c, SamplingUnit& unit,
-                          std::shared_ptr<const UnitSnapshot> snap) {
-    shards->submit([&, c, u = &unit, snap = std::move(snap)]() mutable {
-      const WarmState* const warm = snap->warm.get();
-      measure(c, *u, std::move(snap), warm);
-      // Notified under the lock: once the planner sees its last window
-      // done it returns, and `mu` and `measured_cv` go with it.
-      const std::lock_guard lock(mu);
-      ++u->windows_done;
-      --unmeasured;
-      measured_cv.notify_one();
-    });
+  const auto offer_now = [&] {
+    return own_pool.has_value() ||
+           (shards != nullptr && shards->has_idle_worker());
   };
-  // Waits until fewer than `limit` windows are unmeasured; returns how many
-  // units at the front of the plan have every window measured.
-  const auto wait_below = [&](std::size_t limit) {
+  // A unit on its own pool holds its warm snapshot and checkpoint pages
+  // until its last window is built. The planner waits while this many
+  // windows are unmeasured, so peak memory is set by the shard count, not
+  // by how far planning outruns measurement. The caller's pool needs no
+  // bound: windows go there only while a worker idles.
+  const std::size_t max_unmeasured =
+      own_pool ? 2 * std::size_t{own_pool->size()} : 0;
+
+  const auto run_ticket = [&](Ticket& ticket) {
+    measure(ticket.config, *ticket.unit, std::move(ticket.snapshot),
+            ticket.warm);
+    // Notified under the lock: once the planner sees its last window
+    // done it returns, and `mu` and `measured_cv` go with it.
+    const std::lock_guard lock(mu);
+    ++ticket.unit->windows_done;
+    --unmeasured;
+    measured_cv.notify_one();
+  };
+  // Hands windows [first, last), window i being `window(i)` -> (config,
+  // unit), to the pool. They replay from `snap` and `warm` when given, and
+  // from their unit's own snapshot otherwise.
+  const auto offer = [&](std::size_t first, std::size_t last,
+                         const auto& window,
+                         const std::shared_ptr<const UnitSnapshot>& snap,
+                         const WarmState* warm) {
+    std::vector<std::shared_ptr<Ticket>> tickets;
+    for (std::size_t i = first; i < last; ++i) {
+      auto ticket = std::make_shared<Ticket>();
+      std::tie(ticket->config, ticket->unit) = window(i);
+      ticket->snapshot = snap ? snap : ticket->unit->snapshot;
+      ticket->warm = snap ? warm : ticket->snapshot->warm.get();
+      tickets.push_back(std::move(ticket));
+    }
+    {
+      const std::lock_guard lock(mu);
+      while (!offered.empty() && offered.front()->claimed) offered.pop_front();
+      unmeasured += tickets.size();
+      offered.insert(offered.end(), tickets.begin(), tickets.end());
+    }
+    for (std::shared_ptr<Ticket>& ticket : tickets) {
+      shards->submit([&run_ticket, ticket = std::move(ticket)] {
+        if (!ticket->claimed.exchange(true)) run_ticket(*ticket);
+      });
+    }
+  };
+  // Measures every window handed to the pool that no worker has claimed
+  // yet, on this thread.
+  const auto claim_offered = [&] {
+    for (;;) {
+      std::shared_ptr<Ticket> mine;
+      {
+        const std::lock_guard lock(mu);
+        while (!offered.empty() && mine == nullptr) {
+          std::shared_ptr<Ticket> front = std::move(offered.front());
+          offered.pop_front();
+          if (!front->claimed.exchange(true)) mine = std::move(front);
+        }
+      }
+      if (mine == nullptr) return;
+      run_ticket(*mine);
+    }
+  };
+  // Then waits until the claimed ones are measured too. It never waits on
+  // a window queued behind other tasks, so planners running on the pool's
+  // own workers cannot deadlock.
+  const auto finish_offered = [&] {
+    claim_offered();
     std::unique_lock lock(mu);
-    measured_cv.wait(lock, [&] { return unmeasured < limit; });
+    measured_cv.wait(lock, [&] { return unmeasured == 0; });
+  };
+  // Waits for the bound above on a pool of its own; returns how many units
+  // at the front of the plan have every window measured.
+  const auto measured_front = [&] {
+    std::unique_lock lock(mu);
+    if (own_pool)
+      measured_cv.wait(lock, [&] { return unmeasured < max_unmeasured; });
     std::size_t ready = 0;
     while (ready < units.size() && units[ready].windows_done == n_configs)
       ++ready;
@@ -417,9 +502,9 @@ std::vector<SampledStats> SampledSimulator::run_group(
   // --- planning pass ------------------------------------------------------
   // One functional sweep over the whole program: fast-forward (warming the
   // predictors and caches when enabled) to each unit start, capture the
-  // architectural checkpoint (plus a snapshot of the warm state unless the
-  // unit is measured right here), hand the unit's windows to measurement,
-  // and keep going. After this pass the exact dynamic instruction count is
+  // architectural checkpoint (plus a frozen copy of the warm state when
+  // windows outlive this step), measure or hand out the unit's windows, and
+  // keep going. After this pass the exact dynamic instruction count is
   // known.
   const bool warming = sampling_.functional_warming;
   std::uint64_t units_planned = 0;
@@ -450,8 +535,7 @@ std::vector<SampledStats> SampledSimulator::run_group(
         }
         break;
       }
-      if (shards != nullptr && !ci_stopping)
-        fold_front(wait_below(max_unmeasured));
+      if (!ci_stopping) fold_front(measured_front());
       ++units_planned;
       SamplingUnit& unit = units.emplace_back();
       auto snap = std::make_shared<UnitSnapshot>();
@@ -459,35 +543,52 @@ std::vector<SampledStats> SampledSimulator::run_group(
       unit.icount = snap->ckpt.icount;
       unit.decoded_ok = !master.code_dirtied();
       unit.results.resize(n_configs);
-      if (shards == nullptr && !ci_stopping) {
-        // Inline: the planner waits for these windows, so its live warm
-        // state serves as the unit's snapshot.
-        for (std::size_t c = 0; c < n_configs; ++c)
-          measure(c, unit, snap, warming ? &warm : nullptr);
-        fold_front(1);
-        continue;
-      }
-      if (warming) snap->warm = std::make_unique<const WarmState>(warm);
       if (ci_stopping) {
+        if (warming) snap->warm = std::make_unique<const WarmState>(warm);
         unit.snapshot = std::move(snap);
         continue;
       }
+      // Windows measured here replay from the planner's live warm state,
+      // and so do windows on the caller's pool: the planner measures those
+      // no worker claims and waits until every one has built its core
+      // before it moves on. On a pool of its own the planner moves on at
+      // once, so those windows get a frozen copy.
+      std::size_t c = 0;
+      for (; c < n_configs && !offer_now(); ++c)
+        measure(c, unit, snap, warming ? &warm : nullptr);
       {
         const std::lock_guard lock(mu);
-        unmeasured += n_configs;
+        unit.windows_done += c;
       }
-      for (std::size_t c = 0; c < n_configs; ++c) submit(c, unit, snap);
+      if (c == n_configs) continue;
+      const WarmState* replay_warm = warming ? &warm : nullptr;
+      if (own_pool && warming) {
+        snap->warm = std::make_unique<const WarmState>(warm);
+        replay_warm = snap->warm.get();
+      }
+      offer(c, n_configs,
+            [&unit](std::size_t i) { return std::pair{i, &unit}; },
+            std::move(snap), replay_warm);
+      if (own_pool) continue;
+      claim_offered();
+      std::unique_lock lock(mu);
+      measured_cv.wait(lock, [&] { return unit.windows_built == n_configs; });
     }
     total_instructions = master.instructions_executed();
     halted = master.halted();
   }
-  if (shards != nullptr && !ci_stopping) fold_front(wait_below(1));
+  if (!ci_stopping) {
+    finish_offered();
+    fold_front(units.size());
+  }
 
   // --- confidence-driven measurement --------------------------------------
   // A seeded shuffle of the plan, measured in batches, so every batch is an
   // unbiased spread over the whole program rather than its first intervals.
-  // Each config stops on its own CI, then folds its windows in interval
-  // order.
+  // Each round measures the next batch of every config that has not met its
+  // target yet, all at once; each config stops on its own CI, then folds
+  // its windows in interval order. A config's measured set depends only on
+  // its own batches, never on the others' or on the thread count.
   if (ci_stopping) {
     std::vector<std::size_t> order(units.size());
     std::iota(order.begin(), order.end(), 0);
@@ -496,35 +597,39 @@ std::vector<SampledStats> SampledSimulator::run_group(
           mix(sampling_.seed ^ 0xa5a5a5a5a5a5a5a5ull, i) % i;
       std::swap(order[i - 1], order[j]);
     }
-    for (std::size_t c = 0; c < n_configs; ++c) {
-      std::vector<SampleRecord> scheduled_samples;  // CI bookkeeping only
-      scheduled_samples.reserve(units.size());
-      for (std::size_t next = 0; next < order.size();) {
-        const std::size_t batch_end = std::min(next + kCiBatch, order.size());
-        if (shards != nullptr) {
-          {
-            const std::lock_guard lock(mu);
-            unmeasured += batch_end - next;
-          }
-          for (std::size_t i = next; i < batch_end; ++i)
-            submit(c, units[order[i]], units[order[i]].snapshot);
-          wait_below(1);
-        } else {
-          for (std::size_t i = next; i < batch_end; ++i) {
-            SamplingUnit& unit = units[order[i]];
-            measure(c, unit, unit.snapshot, unit.snapshot->warm.get());
-          }
-        }
-        for (std::size_t i = next; i < batch_end; ++i) {
-          const SamplingUnit& unit = units[order[i]];
+    std::vector<std::size_t> active(n_configs);  // configs still measuring
+    std::iota(active.begin(), active.end(), 0);
+    // CI bookkeeping only, per config.
+    std::vector<std::vector<SampleRecord>> scheduled(n_configs);
+    for (std::size_t next = 0; !active.empty(); next += kCiBatch) {
+      const std::size_t batch_end = std::min(next + kCiBatch, order.size());
+      const std::size_t batch = batch_end - next;
+      // Window i of the round: config active[i / batch], unit
+      // order[next + i % batch].
+      const auto window = [&](std::size_t i) {
+        return std::pair{active[i / batch], &units[order[next + i % batch]]};
+      };
+      const std::size_t round = batch * active.size();
+      std::size_t i = 0;
+      for (; i < round && !offer_now(); ++i) {
+        const auto [c, unit] = window(i);
+        measure(c, *unit, unit->snapshot, unit->snapshot->warm.get());
+      }
+      if (i < round) offer(i, round, window, nullptr, nullptr);
+      finish_offered();
+      std::erase_if(active, [&](std::size_t c) {
+        for (std::size_t u = next; u < batch_end; ++u) {
+          const SamplingUnit& unit = units[order[u]];
           const UnitResult& r = *unit.results[c];
           if (r.measured_insts > 0 && !r.degenerate)
-            scheduled_samples.push_back(
+            scheduled[c].push_back(
                 {unit.icount, r.measured_insts, r.measured_cycles});
         }
-        next = batch_end;
-        if (ci_halfwidth(scheduled_samples) <= sampling_.target_ci) break;
-      }
+        return batch_end == order.size() ||
+               ci_halfwidth(scheduled[c]) <= sampling_.target_ci;
+      });
+    }
+    for (std::size_t c = 0; c < n_configs; ++c) {
       for (SamplingUnit& unit : units) {
         if (!unit.results[c]) continue;  // unmeasured (CI target met)
         fold(outs[c], unit.icount, *unit.results[c]);

@@ -4,16 +4,21 @@
 // fast-forwards the functional oracle through the whole program (training
 // predictors and caches when functional warming is on) and captures an
 // arch::Checkpoint plus the warm state at the start of every sampling unit.
-// Each unit is measured as soon as it is captured, while planning goes on:
-// on a thread pool when sharded (the unit's windows share one WarmState
-// snapshot, freed once the last of them has built its core, and planning
-// waits while 2 * threads windows are unmeasured), or inline on the
-// calling thread, which seeds each window from the planner's own warm
-// state. A window replays its unit from the checkpoint — `warmup`
-// detailed-but-unmeasured instructions prime the short-lived pipeline
-// state, the next `detail` instructions are measured. Per-unit
-// SampleRecords merge in interval order regardless of which worker
-// produced them, so results are bit-identical at any thread count.
+// Each unit is measured as soon as it is captured, in one of three ways:
+// inline on the calling thread, which seeds each window from the
+// planner's own warm state; on a pool the run builds for `threads` > 1,
+// while the calling thread plans on (the unit's windows share one frozen
+// WarmState copy, freed once the last of them has built its core, and
+// planning waits while 2 * threads windows are unmeasured); or on a pool
+// the caller shares, such as harness::run_all's, whose own workers may be
+// planners: there the planner measures inline while the pool is busy and
+// hands the rest of a unit's windows to workers that idle, which build
+// their cores from its live warm state before it moves on. A window
+// replays its unit from the checkpoint — `warmup` detailed-but-unmeasured
+// instructions prime the short-lived pipeline state, the next `detail`
+// instructions are measured. Per-unit SampleRecords merge in interval
+// order regardless of which thread produced them, so results are
+// bit-identical at any thread count and under any schedule.
 //
 // Plan groups. The planning pass reads only the program, the sampling
 // fields and three config fields: `ghr_bits` and the whole `memory` config
@@ -145,8 +150,8 @@ struct SamplingConfig {
   /// calling thread, between planning steps; N > 1 measures on a pool of N
   /// workers while the calling thread plans on; 0 = hardware concurrency.
   /// Results are identical at any value. A run handed a pool
-  /// (SampledSimulator::run_group, as harness::run_all does) measures on
-  /// that pool and ignores this field.
+  /// (SampledSimulator::run_group, as harness::run_all does) shares that
+  /// pool and ignores this field.
   unsigned threads = 1;
 };
 
@@ -255,13 +260,14 @@ class SampledSimulator {
   /// unit is measured once per config; confidence-driven stopping, the
   /// sample cap and degenerate-window handling apply per config, and each
   /// result is bit-identical to that config's own run(). `probes[i]` are
-  /// config i's probes (empty: no probes anywhere). With a `pool`, the
-  /// windows are measured there, alongside whatever else it runs, while
-  /// this thread plans; the call waits for its own windows only, so it
-  /// must not run on one of `pool`'s workers.
+  /// config i's probes (one list per config). With a `pool`, this thread
+  /// may be one of its workers, as harness::run_all's plan-group tasks
+  /// are: it measures windows itself while the pool is busy and hands the
+  /// rest of a unit's windows to idle workers, measuring any that stay
+  /// unclaimed, so it never waits on a window queued behind other tasks.
   [[nodiscard]] std::vector<SampledStats> run_group(
       const arch::Program& program,
-      const std::vector<std::vector<ProbeSpec>>& probes = {},
+      const std::vector<std::vector<ProbeSpec>>& probes,
       ThreadPool* pool = nullptr) const;
 
   [[nodiscard]] const SamplingConfig& sampling() const { return sampling_; }

@@ -400,12 +400,75 @@ TEST(SamplingGroups, SelfModifyingCodeServesEveryConfigFromOnePlan) {
       expect_stats_identical(got[i], want[i]);
     }
   };
+  const std::vector<std::vector<sim::ProbeSpec>> no_probes(configs.size());
   for (const unsigned threads : {1u, 4u}) {
     s.threads = threads;
-    expect_group(sim::SampledSimulator(configs, s).run_group(program));
+    expect_group(
+        sim::SampledSimulator(configs, s).run_group(program, no_probes));
   }
   ThreadPool pool(2);
-  expect_group(sim::SampledSimulator(configs, s).run_group(program, {}, &pool));
+  expect_group(sim::SampledSimulator(configs, s).run_group(program, no_probes,
+                                                           &pool));
+}
+
+TEST(SamplingGroups, PlannersOnThePoolsOwnWorkersMatchTheirOwnRuns) {
+  // harness::run_all runs each plan group as a task on the pool that its
+  // windows go to. Here three groups plan on a pool of two workers (more
+  // planners than workers) and of five (idle workers from the start), with
+  // and without CI stopping. A planner measures its windows itself while
+  // the pool is busy and hands them to idle workers otherwise, and it
+  // never waits on a window queued behind another planner. Every result
+  // must equal the config's own run.
+  const arch::Program program = workloads::assemble_workload("li");
+  std::vector<std::vector<sim::SimConfig>> groups;
+  for (const unsigned ghr_bits : {8u, 10u, 12u}) {
+    std::vector<sim::SimConfig>& configs = groups.emplace_back();
+    for (const core::PolicyKind policy : core::all_policies()) {
+      sim::SimConfig config = test_config();
+      config.ghr_bits = ghr_bits;
+      config.policy = policy;
+      config.phys_int = config.phys_fp = 48;
+      configs.push_back(config);
+    }
+  }
+  for (const double target_ci : {0.0, 0.05}) {
+    sim::SamplingConfig s = test_sampling();
+    s.placement = sim::Placement::kStratified;
+    s.seed = 7;
+    s.target_ci = target_ci;
+    std::vector<std::vector<sim::SampledStats>> want;
+    for (const std::vector<sim::SimConfig>& configs : groups) {
+      std::vector<sim::SampledStats>& runs = want.emplace_back();
+      for (const sim::SimConfig& config : configs)
+        runs.push_back(sim::SampledSimulator(config, s).run(program));
+    }
+    for (const unsigned workers : {2u, 5u}) {
+      SCOPED_TRACE("target_ci " + std::to_string(target_ci) + ", " +
+                   std::to_string(workers) + " workers");
+      std::vector<std::vector<sim::SampledStats>> got(groups.size());
+      {
+        ThreadPool pool(workers);
+        for (std::size_t g = 0; g < groups.size(); ++g) {
+          pool.submit([&, g] {
+            got[g] = sim::SampledSimulator(groups[g], s)
+                         .run_group(program,
+                                    std::vector<std::vector<sim::ProbeSpec>>(
+                                        groups[g].size()),
+                                    &pool);
+          });
+        }
+        pool.wait_idle();
+      }
+      for (std::size_t g = 0; g < groups.size(); ++g) {
+        ASSERT_EQ(got[g].size(), groups[g].size());
+        for (std::size_t c = 0; c < groups[g].size(); ++c) {
+          SCOPED_TRACE("group " + std::to_string(g) + " config " +
+                       std::to_string(c));
+          expect_stats_identical(got[g][c], want[g][c]);
+        }
+      }
+    }
+  }
 }
 
 TEST(SamplingSharded, HarnessRunsShardedSpecs) {
