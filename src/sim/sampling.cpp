@@ -45,13 +45,14 @@ struct UnitResult {
 };
 
 /// What a unit's windows replay from: the architectural checkpoint and,
-/// when warming is on and the planner moves on before every window has
-/// built its core, a frozen copy of the planner's warm state. The unit's
-/// windows share one snapshot; whoever drops the last reference (the last
-/// window to build its core, or the end of the run) frees it.
+/// when the planner moves on before every window has built its core, a
+/// frozen copy of the planner's warm state. The unit's windows share one
+/// snapshot; whoever drops the last reference (the last window to build its
+/// core, or the end of the run) frees it.
 struct UnitSnapshot {
   arch::Checkpoint ckpt;
-  std::unique_ptr<const WarmState> warm;  // null when warming is off
+  // Null while the windows replay from the planner's live warm state.
+  std::unique_ptr<const WarmState> warm;
 };
 
 /// One planned sampling unit: everything a worker needs to run its
@@ -196,19 +197,25 @@ void finish(SampledStats& out) {
 // Single enumeration of every result-affecting SamplingConfig field, shared
 // by the canonical serializer and its parser. `threads` is absent by design
 // (wall-clock only): the daemon runs every sampled cell at the default
-// threads = 1, one cell per worker.
+// threads = 1, one cell per worker. The two SamplingConfig constants keep
+// their lines, so fingerprints do not change; false when a parsed line
+// holds anything but its constant.
 template <class Sampling, class Fn>
-void canonical_fields(Sampling& sampling, Fn&& f) {
+bool canonical_fields(Sampling& sampling, Fn&& f) {
   f("sampling.period", sampling.period);
   f("sampling.warmup", sampling.warmup);
   f("sampling.detail", sampling.detail);
-  f("sampling.max_samples", sampling.max_samples);
-  f("sampling.functional_warming", sampling.functional_warming);
+  std::uint64_t max_samples = SamplingConfig::max_samples;
+  bool functional_warming = SamplingConfig::functional_warming;
+  f("sampling.max_samples", max_samples);
+  f("sampling.functional_warming", functional_warming);
   f("sampling.placement", sampling.placement, Placement::kStratified);
   f("sampling.seed", sampling.seed);
   // target_ci is a double; its exact bit pattern ("%a") rather than a
   // rounded decimal, so equal configs always hash equally.
   f("sampling.target_ci", record::hexfloat(sampling.target_ci));
+  return max_samples == SamplingConfig::max_samples &&
+         functional_warming == SamplingConfig::functional_warming;
 }
 
 }  // namespace
@@ -243,10 +250,11 @@ std::optional<SamplingConfig> sampling_from_canonical_fields(
     const record::FieldMap& fields) {
   SamplingConfig sampling;
   record::Reader read(fields);
-  canonical_fields(sampling, read);
+  const bool constants_hold = canonical_fields(sampling, read);
   // The SampledSimulator constructor checks the same predicate; refusing
   // here makes a malformed request an error reply, not a daemon abort.
-  if (!read.complete() || !valid_sampling(sampling)) return std::nullopt;
+  if (!read.complete() || !constants_hold || !valid_sampling(sampling))
+    return std::nullopt;
   return sampling;
 }
 
@@ -342,13 +350,13 @@ std::vector<SampledStats> SampledSimulator::run_group(
   // a planner whose live warm state serves them knows when it may move on.
   const auto measure = [&](std::size_t c, SamplingUnit& unit,
                            std::shared_ptr<const UnitSnapshot> snap,
-                           const WarmState* warm) {
+                           const WarmState& warm) {
     SimConfig cfg = configs_[c];
     cfg.max_instructions = window;
     // A unit whose checkpoint carries self-modified code must not use (or
     // rebuild) the static decode cache: force the byte-accurate engine.
     if (!unit.decoded_ok) cfg.fast_path = false;
-    pipeline::Core core(cfg, program, snap->ckpt, warm,
+    pipeline::Core core(cfg, program, snap->ckpt, &warm,
                         unit.decoded_ok ? decoded : nullptr);
     snap.reset();
     {
@@ -414,7 +422,7 @@ std::vector<SampledStats> SampledSimulator::run_group(
 
   const auto run_ticket = [&](Ticket& ticket) {
     measure(ticket.config, *ticket.unit, std::move(ticket.snapshot),
-            ticket.warm);
+            *ticket.warm);
     // Notified under the lock: once the planner sees its last window
     // done it returns, and `mu` and `measured_cv` go with it.
     const std::lock_guard lock(mu);
@@ -500,13 +508,11 @@ std::vector<SampledStats> SampledSimulator::run_group(
   };
 
   // --- planning pass ------------------------------------------------------
-  // One functional sweep over the whole program: fast-forward (warming the
-  // predictors and caches when enabled) to each unit start, capture the
-  // architectural checkpoint (plus a frozen copy of the warm state when
-  // windows outlive this step), measure or hand out the unit's windows, and
-  // keep going. After this pass the exact dynamic instruction count is
-  // known.
-  const bool warming = sampling_.functional_warming;
+  // One functional sweep over the whole program: fast-forward, warming the
+  // predictors and caches, to each unit start, capture the architectural
+  // checkpoint (plus a frozen copy of the warm state when windows outlive
+  // this step), measure or hand out the unit's windows, and keep going.
+  // After this pass the exact dynamic instruction count is known.
   std::uint64_t units_planned = 0;
   std::uint64_t total_instructions = 0;
   bool halted = false;
@@ -516,25 +522,8 @@ std::vector<SampledStats> SampledSimulator::run_group(
     std::uint64_t start = 0;
     for (std::uint64_t k = 0; !master.halted(); ++k) {
       start = unit_start(k, start);
-      if (warming) {
-        run_warmed(master, warm, start);
-      } else if (master.instructions_executed() < start) {
-        master.run(start - master.instructions_executed());
-      }
+      run_warmed(master, warm, start);
       if (master.halted()) break;
-      if (sampling_.max_samples != 0 &&
-          units_planned >= sampling_.max_samples) {
-        // Cap reached: finish the program functionally so the total count
-        // stays exact — still through the warming loop when warming is on,
-        // so the warm state never develops a cold gap relative to the
-        // instruction stream.
-        if (warming) {
-          run_warmed(master, warm, ~std::uint64_t{0});
-        } else {
-          master.run();
-        }
-        break;
-      }
       if (!ci_stopping) fold_front(measured_front());
       ++units_planned;
       SamplingUnit& unit = units.emplace_back();
@@ -544,7 +533,7 @@ std::vector<SampledStats> SampledSimulator::run_group(
       unit.decoded_ok = !master.code_dirtied();
       unit.results.resize(n_configs);
       if (ci_stopping) {
-        if (warming) snap->warm = std::make_unique<const WarmState>(warm);
+        snap->warm = std::make_unique<const WarmState>(warm);
         unit.snapshot = std::move(snap);
         continue;
       }
@@ -554,15 +543,14 @@ std::vector<SampledStats> SampledSimulator::run_group(
       // before it moves on. On a pool of its own the planner moves on at
       // once, so those windows get a frozen copy.
       std::size_t c = 0;
-      for (; c < n_configs && !offer_now(); ++c)
-        measure(c, unit, snap, warming ? &warm : nullptr);
+      for (; c < n_configs && !offer_now(); ++c) measure(c, unit, snap, warm);
       {
         const std::lock_guard lock(mu);
         unit.windows_done += c;
       }
       if (c == n_configs) continue;
-      const WarmState* replay_warm = warming ? &warm : nullptr;
-      if (own_pool && warming) {
+      const WarmState* replay_warm = &warm;
+      if (own_pool) {
         snap->warm = std::make_unique<const WarmState>(warm);
         replay_warm = snap->warm.get();
       }
@@ -613,7 +601,7 @@ std::vector<SampledStats> SampledSimulator::run_group(
       std::size_t i = 0;
       for (; i < round && !offer_now(); ++i) {
         const auto [c, unit] = window(i);
-        measure(c, *unit, unit->snapshot, unit->snapshot->warm.get());
+        measure(c, *unit, unit->snapshot, *unit->snapshot->warm);
       }
       if (i < round) offer(i, round, window, nullptr, nullptr);
       finish_offered();

@@ -1,10 +1,11 @@
 // Checkpointed interval sampling (SMARTS-style) over the detailed pipeline.
 //
 // A run is split into instruction intervals. A single planning pass
-// fast-forwards the functional oracle through the whole program (training
-// predictors and caches when functional warming is on) and captures an
-// arch::Checkpoint plus the warm state at the start of every sampling unit.
-// Each unit is measured as soon as it is captured, in one of three ways:
+// fast-forwards the functional oracle through the whole program, training
+// predictors and caches on every instruction (SMARTS' continuous functional
+// warming), and captures an arch::Checkpoint plus the warm state at the
+// start of every sampling unit. Each unit is measured as soon as it is
+// captured, in one of three ways:
 // inline on the calling thread, which seeds each window from the
 // planner's own warm state; on a pool the run builds for `threads` > 1,
 // while the calling thread plans on (the unit's windows share one frozen
@@ -120,16 +121,13 @@ struct SamplingConfig {
   /// Measured detailed instructions per sampling unit.
   std::uint64_t detail = 10'000;
 
-  /// Hard cap on sampling units (0 = sample every interval). The planning
-  /// pass always fast-forwards the remainder of the program, so the total
-  /// instruction count stays exact whether or not the cap trips.
-  std::uint64_t max_samples = 0;
-
-  /// Functional warming (SMARTS): train branch predictors and caches during
-  /// the fast-forward so detailed windows start with live long-history
-  /// state. Costs ~2x on the fast-forward, removes most cold-start bias;
-  /// turn off only to measure that bias.
-  bool functional_warming = true;
+  /// Constants, not settings: every interval is sampled (no cap) and the
+  /// fast-forward always warms predictors and caches. The names stay only
+  /// because the benchmark's replay (perfbench/src/replay.cpp) reads them,
+  /// and their canonical lines only so fingerprints do not change; both go
+  /// when the replay does (ROADMAP items 2 and 7).
+  static constexpr std::uint64_t max_samples = 0;
+  static constexpr bool functional_warming = true;
 
   /// Interval placement mode (see Placement).
   Placement placement = Placement::kPeriodic;
@@ -141,9 +139,8 @@ struct SamplingConfig {
 
   /// Confidence-driven stopping: when > 0, units are measured in seeded
   /// random batches and measurement stops as soon as the 95% CI half-width
-  /// on the IPC estimate (delta method) drops to `target_ci` or below —
-  /// `max_samples` (when set) stays a hard cap. 0 = measure every planned
-  /// unit.
+  /// on the IPC estimate (delta method) drops to `target_ci` or below.
+  /// 0 = measure every planned unit.
   double target_ci = 0.0;
 
   /// Measurement workers. 1 (default) measures each unit inline on the
@@ -257,20 +254,18 @@ class SampledSimulator {
 
   /// Runs `program` under every config of the group from one planning
   /// pass and returns one SampledStats per config, in order. Each captured
-  /// unit is measured once per config; confidence-driven stopping, the
-  /// sample cap and degenerate-window handling apply per config, and each
-  /// result is bit-identical to that config's own run(). `probes[i]` are
-  /// config i's probes (one list per config). With a `pool`, this thread
-  /// may be one of its workers, as harness::run_all's plan-group tasks
-  /// are: it measures windows itself while the pool is busy and hands the
-  /// rest of a unit's windows to idle workers, measuring any that stay
-  /// unclaimed, so it never waits on a window queued behind other tasks.
+  /// unit is measured once per config; confidence-driven stopping and
+  /// degenerate-window handling apply per config, and each result is
+  /// bit-identical to that config's own run(). `probes[i]` are config i's
+  /// probes (one list per config). With a `pool`, this thread may be one
+  /// of its workers, as harness::run_all's plan-group tasks are: it
+  /// measures windows itself while the pool is busy and hands the rest of
+  /// a unit's windows to idle workers, measuring any that stay unclaimed,
+  /// so it never waits on a window queued behind other tasks.
   [[nodiscard]] std::vector<SampledStats> run_group(
       const arch::Program& program,
       const std::vector<std::vector<ProbeSpec>>& probes,
       ThreadPool* pool = nullptr) const;
-
-  [[nodiscard]] const SamplingConfig& sampling() const { return sampling_; }
 
  private:
   std::vector<SimConfig> configs_;

@@ -52,8 +52,6 @@ class Simulator {
     return std::make_unique<pipeline::Core>(config_, program);
   }
 
-  [[nodiscard]] const SimConfig& config() const { return config_; }
-
  private:
   SimConfig config_;
 };

@@ -298,8 +298,9 @@ TEST(CanonicalFields, WarmingFlagIsExactlyZeroOrOne) {
   sim::append_canonical_fields(sim::SamplingConfig{}, text);
   auto fields = canonical_map(text);
   ASSERT_TRUE(sim::sampling_from_canonical_fields(fields).has_value());
+  // The sampler always warms: the line must read 1.
   fields["sampling.functional_warming"] = "0";
-  ASSERT_TRUE(sim::sampling_from_canonical_fields(fields).has_value());
+  EXPECT_FALSE(sim::sampling_from_canonical_fields(fields).has_value());
   fields["sampling.functional_warming"] = "01";
   EXPECT_FALSE(sim::sampling_from_canonical_fields(fields).has_value());
 }
@@ -1046,19 +1047,6 @@ TEST(PlanGroups, CiStoppingStaysPerConfig) {
   };
   EXPECT_TRUE(std::any_of(want.begin(), want.end(), stopped));
   EXPECT_FALSE(std::all_of(want.begin(), want.end(), stopped));
-}
-
-TEST(PlanGroups, SampleCapStaysPerConfig) {
-  sim::SamplingConfig s = plan_group_sampling();
-  s.max_samples = 3;
-  for (const harness::RunResult& r : expect_grouped_run_equals_run_one(s))
-    EXPECT_EQ(r.sampled->units_planned, 3u);
-}
-
-TEST(PlanGroups, WarmingOffEqualsRunOne) {
-  sim::SamplingConfig s = plan_group_sampling();
-  s.functional_warming = false;
-  expect_grouped_run_equals_run_one(s);
 }
 
 // ---------------------------------------------------------------------------

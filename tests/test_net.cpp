@@ -239,6 +239,27 @@ TEST(Protocol, CellRequestRoundTripsSamplingAndEmptyVariant) {
   EXPECT_EQ(canon_in, canon_out);  // includes the %a-rendered target_ci
 }
 
+TEST(Protocol, CellRequestSamplingConstantsMustReadTheirValues) {
+  // The sampler always warms and never caps; those two canonical lines stay
+  // only so fingerprints do not change, and any other value is malformed.
+  service::CellRequest in = sample_request();
+  in.sampling = sim::SamplingConfig{};
+  const std::string good = service::encode_cell_request(in);
+  const auto out = service::decode_cell_request(good);
+  ASSERT_TRUE(out.has_value());
+  EXPECT_EQ(service::encode_cell_request(*out), good);
+  for (const auto& [line, edited] :
+       {std::pair{"sampling.max_samples=0\n", "sampling.max_samples=3\n"},
+        std::pair{"sampling.functional_warming=1\n",
+                  "sampling.functional_warming=0\n"}}) {
+    std::string text = good;
+    const std::size_t at = text.find(line);
+    ASSERT_NE(at, std::string::npos) << line;
+    text.replace(at, std::string_view(line).size(), edited);
+    EXPECT_FALSE(service::decode_cell_request(text)) << edited;
+  }
+}
+
 TEST(Protocol, CellRequestRejectsMalformedPayloads) {
   const std::string good = service::encode_cell_request(sample_request());
   EXPECT_FALSE(service::decode_cell_request(""));

@@ -76,19 +76,6 @@ TEST(Sampling, ErrorBarsArePopulated) {
   EXPECT_NE(report.find("IPC estimate"), std::string::npos);
 }
 
-TEST(Sampling, MaxSamplesCapStillCountsEveryInstruction) {
-  const arch::Program program = workloads::assemble_workload("li");
-  sim::SamplingConfig s = test_sampling();
-  s.max_samples = 2;
-  const sim::SampledStats capped =
-      sim::SampledSimulator(test_config(), s).run(program);
-  EXPECT_LE(capped.samples.size(), 2u);
-
-  const sim::SampledStats uncapped =
-      sim::SampledSimulator(test_config(), test_sampling()).run(program);
-  EXPECT_EQ(capped.total_instructions, uncapped.total_instructions);
-}
-
 TEST(Sampling, MeasuredWindowCountersAccumulate) {
   const arch::Program program = workloads::assemble_workload("li");
   const sim::SampledStats sampled =
@@ -257,41 +244,19 @@ TEST(SamplingSharded, MatchesSerialBitForBit) {
   const arch::Program program = workloads::assemble_workload("li");
   for (const auto placement :
        {sim::Placement::kPeriodic, sim::Placement::kStratified}) {
-    // A cap of 3 trips mid-program: the planner runs on to HALT while the
-    // capped units are still being measured.
-    for (const std::uint64_t cap : {std::uint64_t{0}, std::uint64_t{3}}) {
-      // Warming off takes the planner's plain fast-forward branches: no
-      // warm snapshot rides with a unit, and the capped tail runs untrained.
-      std::uint64_t warmed_total = 0;
-      for (const bool warming : {true, false}) {
-        SCOPED_TRACE(std::string(sim::placement_name(placement)) + " cap " +
-                     std::to_string(cap) + " warming " +
-                     (warming ? "on" : "off"));
-        sim::SamplingConfig s = test_sampling();
-        s.placement = placement;
-        s.seed = 99;
-        s.max_samples = cap;
-        s.functional_warming = warming;
-        s.threads = 1;
-        const sim::SampledStats serial =
-            sim::SampledSimulator(test_config(), s).run(program);
-        ASSERT_GT(serial.samples.size(), 1u);
-        if (cap != 0) {
-          ASSERT_EQ(serial.units_planned, cap);
-          ASSERT_GT(serial.total_instructions, (cap + 1) * s.period);
-        }
-        if (warming) {
-          warmed_total = serial.total_instructions;
-        } else {
-          EXPECT_EQ(serial.total_instructions, warmed_total);
-        }
-        for (const unsigned threads : {2u, 3u, 4u}) {
-          SCOPED_TRACE(threads);
-          s.threads = threads;
-          expect_stats_identical(
-              serial, sim::SampledSimulator(test_config(), s).run(program));
-        }
-      }
+    SCOPED_TRACE(std::string(sim::placement_name(placement)));
+    sim::SamplingConfig s = test_sampling();
+    s.placement = placement;
+    s.seed = 99;
+    s.threads = 1;
+    const sim::SampledStats serial =
+        sim::SampledSimulator(test_config(), s).run(program);
+    ASSERT_GT(serial.samples.size(), 1u);
+    for (const unsigned threads : {2u, 3u, 4u}) {
+      SCOPED_TRACE(threads);
+      s.threads = threads;
+      expect_stats_identical(
+          serial, sim::SampledSimulator(test_config(), s).run(program));
     }
   }
 }
@@ -515,21 +480,6 @@ TEST(SamplingStopping, UnreachableTargetMeasuresEveryPlannedUnit) {
       sim::SampledSimulator(test_config(), s).run(program);
   EXPECT_EQ(stats.samples.size(), stats.units_planned);
   EXPECT_GT(stats.ipc_ci95, 1e-15);
-}
-
-TEST(SamplingStopping, MaxSamplesStaysAHardCap) {
-  const arch::Program program = workloads::assemble_workload("li");
-  sim::SamplingConfig s = test_sampling();
-  s.target_ci = 1e-15;  // wants every unit...
-  s.max_samples = 3;    // ...but the cap wins
-  const sim::SampledStats stats =
-      sim::SampledSimulator(test_config(), s).run(program);
-  EXPECT_LE(stats.samples.size(), 3u);
-  EXPECT_EQ(stats.units_planned, 3u);
-
-  const sim::SampledStats uncapped =
-      sim::SampledSimulator(test_config(), test_sampling()).run(program);
-  EXPECT_EQ(stats.total_instructions, uncapped.total_instructions);
 }
 
 TEST(SamplingStopping, CiStoppingIsThreadCountInvariant) {
