@@ -62,8 +62,8 @@ struct RunOptions {
   std::string server;
 
   /// Deadlines and retry budget of the `server` path (ignored otherwise).
-  /// The client retries a kBusy, an expired deadline or a torn connection
-  /// up to `remote.retries` times per call; a spent budget fails the
+  /// The client retries an expired deadline or a torn connection up to
+  /// `remote.retries` times per call; a spent budget fails the
   /// client, and every cell it has not served then runs locally. Refused
   /// cells, protocol violations and version mismatches run locally at
   /// once.

@@ -7,6 +7,7 @@
 
 #include "common/log.hpp"
 #include "common/record.hpp"
+#include "harness/harness.hpp"
 
 namespace erel::harness {
 
@@ -225,14 +226,11 @@ std::vector<std::string> ResultSet::metric_names() const {
 double ResultSet::hmean_ipc(const std::vector<std::string>& names,
                             core::PolicyKind policy, unsigned phys,
                             const std::string& variant) const {
-  if (names.empty()) return 0.0;
-  double inv_sum = 0.0;
-  for (const std::string& w : names) {
-    const double ipc = at({w, policy, phys, variant}).stats.ipc();
-    if (ipc <= 0.0) return 0.0;  // harmonic-mean limit (harness::harmonic_mean)
-    inv_sum += 1.0 / ipc;
-  }
-  return static_cast<double>(names.size()) / inv_sum;
+  std::vector<double> ipcs;
+  ipcs.reserve(names.size());
+  for (const std::string& w : names)
+    ipcs.push_back(at({w, policy, phys, variant}).stats.ipc());
+  return harmonic_mean(ipcs);
 }
 
 double ResultSet::hmean_ipc_ci95(const std::vector<std::string>& names,
@@ -403,10 +401,10 @@ std::string serialize_entry(const ExpEntry& entry, std::string_view fp_hex) {
   write("key.phys", entry.key.phys);
   write("key.variant", entry.key.variant);
   write("kind", entry.sampled ? "sampled" : "full");
+  // A sampled entry's stats are its estimate; parse_entry copies them back.
   sim_stats_fields(entry.stats, write, "stats.");
   if (entry.sampled) {
     const sim::SampledStats& s = *entry.sampled;
-    sim_stats_fields(s.estimate, write, "sampled.estimate.");
     sim_stats_fields(s.measured, write, "sampled.measured.");
     sampled_moment_fields(s, write);
     write("samples", s.samples.size());
@@ -476,7 +474,6 @@ std::optional<ExpEntry> parse_entry(std::string_view text,
   sim_stats_fields(entry.stats, read, "stats.");
   if (kind == "sampled") {
     sim::SampledStats& s = entry.sampled.emplace();
-    sim_stats_fields(s.estimate, read, "sampled.estimate.");
     sim_stats_fields(s.measured, read, "sampled.measured.");
     sampled_moment_fields(s, read);
     std::uint64_t declared_samples = 0;
@@ -488,6 +485,7 @@ std::optional<ExpEntry> parse_entry(std::string_view text,
   }
   // Each field of the entry's kind exactly once, and nothing else.
   if (!read.complete() || fp_hex != expect_fp_hex) return std::nullopt;
+  if (entry.sampled) entry.sampled->estimate = entry.stats;
   // Equal fingerprints imply identical results (the hash covers the
   // workload's content and every config field) but not identical variant
   // labels: different vary() labelings can mutate a config into the same

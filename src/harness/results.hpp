@@ -17,9 +17,9 @@
 //   key.phys <unsigned>
 //   key.variant [axis=label[,axis=label...]]
 //   kind full|sampled
-//   stats.<field> <value>              every SimStats field, exhaustively
-//   [sampled.estimate.<field> ...]     sampled runs: full SampledStats
-//   [sampled.measured.<field> ...]
+//   stats.<field> <value>              every SimStats field, exhaustively;
+//                                      a sampled entry's estimate
+//   [sampled.measured.<field> ...]     sampled runs: the rest of SampledStats
 //   [sampled.<moment> ...]
 //   [samples <count>]
 //   [s <start_instruction> <instructions> <cycles>]...

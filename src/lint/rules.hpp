@@ -35,7 +35,7 @@ namespace erel::lint {
 
 /// One rule violation (or meta-problem: bad exemption, stale allowlist
 /// entry, broken lint binding). `subject` is the stable name an allowlist
-/// entry matches (e.g. "SimConfig::fast_path", "MsgType::kBusy", a stat
+/// entry matches (e.g. "SimConfig::fast_path", "MsgType::kStats", a stat
 /// path, or a file path).
 struct Finding {
   std::string file;

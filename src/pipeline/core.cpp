@@ -290,11 +290,7 @@ void Core::phase_dispatch() {
       ++*ctr_.free_list_empty;
       return;
     }
-    if (inst.is_mem()) {
-      lsq_.push(seq, inst.is_store(), inst.mem_bytes());
-      e.in_lsq = true;
-    }
-    e.predicted_taken = fi.predicted_taken;
+    if (inst.is_mem()) lsq_.push(seq, inst.is_store(), inst.mem_bytes());
     e.predicted_target = fi.predicted_target;
     e.ghr_checkpoint = fi.ghr_checkpoint;
     e.ras_checkpoint = fi.ras_checkpoint;
@@ -327,9 +323,8 @@ void Core::execute(RosEntry& e) {
   }
   if (inst.is_mem()) {
     const std::uint64_t addr = isa::effective_address(a, inst.imm);
-    const bool misaligned = addr % inst.mem_bytes() != 0;
-    if (misaligned) e.fault = true;
-    lsq_.set_address(e.seq, addr, misaligned);
+    if (addr % inst.mem_bytes() != 0) e.fault = true;  // misaligned
+    lsq_.set_address(e.seq, addr);
     if (inst.is_store()) {
       if (rename_.rf(core::rc_from(rec.c2)).ready[rec.p2]) {
         lsq_.set_store_data(e.seq, b);

@@ -49,11 +49,10 @@ LsqEntry& Lsq::find(core::InstSeq seq) {
   return const_cast<LsqEntry&>(static_cast<const Lsq*>(this)->find(seq));
 }
 
-void Lsq::set_address(core::InstSeq seq, std::uint64_t addr, bool misaligned) {
+void Lsq::set_address(core::InstSeq seq, std::uint64_t addr) {
   LsqEntry& e = find(seq);
   e.addr_known = true;
   e.addr = addr;
-  e.misaligned = misaligned;
 }
 
 void Lsq::set_store_data(core::InstSeq seq, std::uint64_t data) {

@@ -20,7 +20,6 @@ struct LsqEntry {
   std::uint64_t addr = 0;
   bool data_ready = false;  // stores: value staged
   std::uint64_t data = 0;
-  bool misaligned = false;
 };
 
 /// What a load may do right now.
@@ -41,7 +40,7 @@ class Lsq {
   void push(core::InstSeq seq, bool is_store, unsigned size);
 
   /// Address (and, for stores, data) arrive at execute.
-  void set_address(core::InstSeq seq, std::uint64_t addr, bool misaligned);
+  void set_address(core::InstSeq seq, std::uint64_t addr);
   void set_store_data(core::InstSeq seq, std::uint64_t data);
 
   /// Disambiguation + forwarding decision for a load whose address is known.

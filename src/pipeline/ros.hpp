@@ -46,7 +46,6 @@ struct RosEntry {
   SchedResidence sched = SchedResidence::None;
 
   // Branch bookkeeping (conditional branches and indirect jumps).
-  bool predicted_taken = false;
   std::uint64_t predicted_target = 0;
   std::uint32_t ghr_checkpoint = 0;
   branch::Ras::Checkpoint ras_checkpoint;
@@ -59,10 +58,6 @@ struct RosEntry {
   std::uint64_t dispatch_cycle = 0;
   std::uint64_t issue_cycle = 0;
   std::uint64_t complete_cycle = 0;
-
-  // Memory bookkeeping.
-  bool in_lsq = false;
-  bool mem_issued = false;  // D-cache access already charged
 
   // A committed fault (misaligned access / illegal opcode) aborts the run;
   // wrong-path faults are squashed harmlessly.

@@ -88,13 +88,11 @@ RemoteClient::Step RemoteClient::reconnect() {
     return fail("protocol mismatch: daemon says '" + hello.payload +
                 "', client speaks '" + expected + "'");
 
-  // Resubmit every request still waiting for an answer (a kBusy refusal
-  // left nothing on the daemon, so those go again too). Content addressing
-  // makes this idempotent: the daemon serves a repeat from its store or
-  // joins it to the in-flight cell.
-  busies_.clear();
+  // Resubmit every request still waiting for an answer. Content
+  // addressing makes this idempotent: the daemon serves a repeat from its
+  // store or joins it to the in-flight cell.
   for (const auto& [id, request] : pending_) {
-    if (results_.count(id) != 0 || errors_.count(id) != 0) continue;
+    if (response_buffered(id)) continue;
     if (!send_request(request)) return Step::kRetry;
   }
   return Step::kDone;
@@ -132,8 +130,7 @@ bool RemoteClient::send_cell(const CellRequest& request) {
 // ---- receive pump --------------------------------------------------------
 
 bool RemoteClient::response_buffered(std::uint64_t id) const {
-  return results_.count(id) != 0 || errors_.count(id) != 0 ||
-         busies_.count(id) != 0;
+  return results_.count(id) != 0 || errors_.count(id) != 0;
 }
 
 bool RemoteClient::pump(int timeout_ms) {
@@ -180,11 +177,6 @@ bool RemoteClient::pump(int timeout_ms) {
       if (msg->id == 0) return broken("daemon error: " + msg->message);
       return buffer(errors_, std::move(*msg));
     }
-    case MsgType::kBusy: {
-      std::optional<BusyMsg> msg = decode_busy(frame.payload);
-      if (!msg) return broken("malformed kBusy payload");
-      return buffer(busies_, *msg);
-    }
     case MsgType::kStatsReply:
       last_stats_ = decode_stats(frame.payload);
       if (!last_stats_) return broken("malformed kStatsReply payload");
@@ -217,19 +209,14 @@ RemoteClient::Step RemoteClient::wait_until(
 std::optional<ResultMsg> RemoteClient::await(std::uint64_t id,
                                              std::string* why) {
   std::optional<ResultMsg> result;
-  bool resend = false;  // after kBusy: the daemon holds nothing for `id`
   const bool ok = call([&] {
     if (!response_buffered(id)) {
       if (pending_.count(id) == 0) {
         error_ = "no request " + std::to_string(id) + " is pending";
         return Step::kFailed;
       }
-      if (!socket_.valid()) {
-        if (const Step step = reconnect(); step != Step::kDone) return step;
-        resend = false;  // reconnecting resubmitted it
-      }
-      if (resend && !send_request(pending_.at(id))) return Step::kRetry;
-      resend = false;
+      // After a dropped connection, reconnecting resubmits the request.
+      if (const Step step = reconnect(); step != Step::kDone) return step;
       if (const Step step =
               wait_until([&] { return response_buffered(id); },
                          "await of request " + std::to_string(id));
@@ -242,16 +229,11 @@ std::optional<ResultMsg> RemoteClient::await(std::uint64_t id,
       pending_.erase(id);
       return Step::kDone;
     }
-    if (const auto it = errors_.find(id); it != errors_.end()) {
-      error_ = "daemon refused cell: " + it->second.message;
-      errors_.erase(it);
-      pending_.erase(id);
-      return Step::kFailed;
-    }
-    error_ = "daemon busy";
-    busies_.erase(id);
-    resend = true;
-    return Step::kRetry;
+    const auto it = errors_.find(id);  // buffered, not a result: refused
+    error_ = "daemon refused cell: " + it->second.message;
+    errors_.erase(it);
+    pending_.erase(id);
+    return Step::kFailed;
   });
   if (!ok && why != nullptr) *why = error_;
   return result;

@@ -12,10 +12,10 @@
 //   - a kResult returns;
 //   - a refusal (kError), a protocol violation or a version mismatch fails
 //     at once;
-//   - a kBusy, an expired call deadline or a torn connection spends one
-//     retry from the call's budget (ClientOptions::retries). The client
-//     waits one capped exponential backoff, drops the connection if the
-//     call timed out, and resends.
+//   - an expired call deadline or a torn connection spends one retry from
+//     the call's budget (ClientOptions::retries). The client waits one
+//     capped exponential backoff, drops the connection if the call timed
+//     out, and reconnects.
 // Reconnecting resubmits every pending request. That is safe by
 // construction because requests are content-addressed fingerprints: the
 // daemon answers a resubmitted cell from its cache or joins it to the
@@ -44,8 +44,8 @@ struct ClientOptions {
   unsigned connect_timeout_ms = 5'000;
   /// Bounds one attempt of an await()/stats() call.
   unsigned call_timeout_ms = 120'000;
-  /// Retries per call after the first attempt, spent on kBusy, expired
-  /// deadlines and torn connections.
+  /// Retries per call after the first attempt, spent on expired deadlines
+  /// and torn connections.
   unsigned retries = 3;
 };
 
@@ -114,7 +114,6 @@ class RemoteClient {
   std::map<std::uint64_t, CellRequest> pending_;  // sent, not yet claimed
   std::map<std::uint64_t, ResultMsg> results_;
   std::map<std::uint64_t, ErrorMsg> errors_;
-  std::map<std::uint64_t, BusyMsg> busies_;
   std::optional<DaemonStats> last_stats_;
 };
 

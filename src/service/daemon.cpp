@@ -184,29 +184,19 @@ void ExperimentDaemon::handle_run_cell(std::uint64_t client,
     return;
   }
 
-  {
-    const std::scoped_lock lock(mu_);
-    if (const auto it = inflight_.find(fp_hex); it != inflight_.end()) {
-      // Same fingerprint already queued or simulating: join its completion.
-      it->second->waiters.push_back(Waiter{client, request->id});
-      ++stats_.deduped;
-      return;
-    }
-    if (opts_.max_queue == 0 || inflight_.size() < opts_.max_queue) {
-      auto cell = std::make_shared<InFlight>();
-      cell->request = std::move(*request);
-      cell->waiters.push_back(Waiter{client, cell->request.id});
-      inflight_.emplace(fp_hex, std::move(cell));
-      ++stats_.inflight;
-      pool_.submit([this, fp_hex] { run_cell(fp_hex); });
-      return;
-    }
-    ++stats_.busy;
+  const std::scoped_lock lock(mu_);
+  if (const auto it = inflight_.find(fp_hex); it != inflight_.end()) {
+    // Same fingerprint already queued or simulating: join its completion.
+    it->second->waiters.push_back(Waiter{client, request->id});
+    ++stats_.deduped;
+    return;
   }
-  // Queue full: refuse admission. Nothing was enqueued; the client backs
-  // off and resubmits (idempotent: the retry is a cache hit or a join).
-  server_.send(client, net::Frame{static_cast<std::uint8_t>(MsgType::kBusy),
-                                  encode_busy(BusyMsg{request->id})});
+  auto cell = std::make_shared<InFlight>();
+  cell->request = std::move(*request);
+  cell->waiters.push_back(Waiter{client, cell->request.id});
+  inflight_.emplace(fp_hex, std::move(cell));
+  ++stats_.inflight;
+  pool_.submit([this, fp_hex] { run_cell(fp_hex); });
 }
 
 // ---- worker thread ------------------------------------------------------

@@ -46,11 +46,6 @@ class ExperimentDaemon : public net::EventServer::Handler {
     std::uint16_t port = 0;   // 0 = ephemeral; read back via port()
     std::string cache_dir;    // result store; required (created if absent)
     unsigned workers = 0;     // simulation pool size; 0 = hardware
-
-    /// Admission control: most cells queued-or-running before a new
-    /// kRunCell is refused with kBusy. 0 = unlimited. Cache hits and
-    /// in-flight joins are never refused (they cost no queue slot).
-    std::size_t max_queue = 0;
   };
 
   explicit ExperimentDaemon(const Options& opts);

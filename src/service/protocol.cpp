@@ -16,7 +16,6 @@ std::string_view msg_type_name(MsgType type) {
     case MsgType::kStats: return "stats";
     case MsgType::kStatsReply: return "stats_reply";
     case MsgType::kShutdown: return "shutdown";
-    case MsgType::kBusy: return "busy";
   }
   return "unknown";
 }
@@ -146,23 +145,6 @@ std::optional<ErrorMsg> decode_error(std::string_view payload) {
   return msg;
 }
 
-// ---- BusyMsg ------------------------------------------------------------
-
-std::string encode_busy(const BusyMsg& msg) {
-  std::string out;
-  const record::Writer write(out, ' ');
-  write("id", msg.id);
-  return out;
-}
-
-std::optional<BusyMsg> decode_busy(std::string_view payload) {
-  record::Lines lines(payload);
-  BusyMsg msg;
-  if (!record::read_line(lines, "id", msg.id) || !lines.rest().empty())
-    return std::nullopt;
-  return msg;
-}
-
 // ---- DaemonStats --------------------------------------------------------
 
 namespace {
@@ -175,7 +157,6 @@ void daemon_stats_fields(Stats& stats, Fn&& f) {
   f("deduped", stats.deduped);
   f("errors", stats.errors);
   f("inflight", stats.inflight);
-  f("busy", stats.busy);
   f("cancelled", stats.cancelled);
   f("dropped_clients", stats.dropped_clients);
   f("quarantined", stats.quarantined);

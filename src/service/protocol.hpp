@@ -16,24 +16,24 @@
 //   connect  ->  kHello "ereld <version>"
 //   kRunCell (id, fingerprint, cell)  -> kResult (id, cached, entry)
 //                                     or kError (id, reason)
-//   kRunCell when the queue is full   -> kBusy (id)
 //   kStats -> kStatsReply             kShutdown -> close
 //
 // Requests are pipelined: a client may send any number of kRunCell frames
 // before reading; responses carry the request id, not an ordering promise.
 // After kHello, every frame the daemon sends answers a request.
 //
-// kBusy is the daemon's admission refusal when its bounded queue is full
-// (the client backs off and resubmits — safe, because requests are
-// content-addressed: a resubmitted cell is a cache hit or an in-flight
-// join, never a second simulation). A client withdraws its pending
-// requests by disconnecting; a cell already running finishes into the
-// daemon's store regardless.
+// The daemon admits every request. A client that reconnects resubmits what
+// it still waits for — safe, because requests are content-addressed: a
+// resubmitted cell is a cache hit or an in-flight join, never a second
+// simulation. A client withdraws its pending requests by disconnecting; a
+// cell already running finishes into the daemon's store regardless.
 //
-// v3 retired tags 5-8 (v2's live channel subscriptions and ping) and v4
-// retired tag 12 (v2's explicit cancel). The daemon refuses them like any
-// unknown tag; never reuse their numbers. v5 dropped kBusy's retry hint and
-// the stats reply's eviction counter.
+// v3 retired tags 5-8 (v2's live channel subscriptions and ping), v4
+// retired tag 12 (v2's explicit cancel) and v6 retired tag 13 (kBusy, the
+// admission refusal). The daemon refuses them like any unknown tag; never
+// reuse their numbers. v5 dropped the stats reply's eviction counter, v6
+// its busy counter, the sampled cell's two constant sampling lines and a
+// sampled entry's second copy of its estimate.
 #pragma once
 
 #include <cstdint>
@@ -50,7 +50,7 @@ namespace erel::service {
 
 /// Bump when any payload encoding changes; the client refuses to talk to a
 /// daemon announcing a different version (kHello).
-inline constexpr unsigned kProtocolVersion = 5;
+inline constexpr unsigned kProtocolVersion = 6;
 
 enum class MsgType : std::uint8_t {
   kHello = 1,       // server -> client, on connect
@@ -60,11 +60,10 @@ enum class MsgType : std::uint8_t {
   kStats = 9,       // client -> server
   kStatsReply = 10, // server -> client
   kShutdown = 11,   // client -> server
-  kBusy = 13,       // server -> client: queue full, retry after backoff
 };
 
 /// Human-readable tag name for error messages and logs ("run_cell",
-/// "busy", ...); "unknown" for values outside the enum. The switch in
+/// "stats", ...); "unknown" for values outside the enum. The switch in
 /// protocol.cpp names every enumerator, so adding a message type without
 /// teaching the codec about it is a compile warning and a lint finding.
 std::string_view msg_type_name(MsgType type);
@@ -109,17 +108,6 @@ struct ErrorMsg {
 std::string encode_error(const ErrorMsg& msg);
 std::optional<ErrorMsg> decode_error(std::string_view payload);
 
-/// kBusy: admission refusal. The daemon's bounded queue (--max-queue) is
-/// full, the request was NOT enqueued, and the client resends it after its
-/// own backoff. Cache hits and in-flight joins are never refused — kBusy
-/// only gates work that would grow the queue.
-struct BusyMsg {
-  std::uint64_t id = 0;
-};
-
-std::string encode_busy(const BusyMsg& msg);
-std::optional<BusyMsg> decode_busy(std::string_view payload);
-
 /// kStatsReply: daemon-lifetime counters (also how tests assert the
 /// in-flight dedupe: `simulated` counts actual simulations, so N clients
 /// racing on one fingerprint leave `simulated == 1`).
@@ -130,10 +118,14 @@ struct DaemonStats {
   std::uint64_t deduped = 0;         // requests folded into an in-flight cell
   std::uint64_t errors = 0;          // kError replies sent
   std::uint64_t inflight = 0;        // cells queued or running right now
-  std::uint64_t busy = 0;            // kBusy refusals sent (queue full)
   std::uint64_t cancelled = 0;       // cells reaped by disconnect
   std::uint64_t dropped_clients = 0; // dropped for outbound-buffer overflow
   std::uint64_t quarantined = 0;     // corrupt cache entries moved to .bad
+
+  /// Always 0 and not on the wire: the daemon refuses no request. The name
+  /// stays only because the benchmark's daemon sweep
+  /// (perfbench/src/daemon_sweep.cpp) reports it; it goes with that reader.
+  static constexpr std::uint64_t busy = 0;
 
   bool operator==(const DaemonStats&) const = default;
 };

@@ -197,25 +197,18 @@ void finish(SampledStats& out) {
 // Single enumeration of every result-affecting SamplingConfig field, shared
 // by the canonical serializer and its parser. `threads` is absent by design
 // (wall-clock only): the daemon runs every sampled cell at the default
-// threads = 1, one cell per worker. The two SamplingConfig constants keep
-// their lines, so fingerprints do not change; false when a parsed line
-// holds anything but its constant.
+// threads = 1, one cell per worker. The two SamplingConfig constants have
+// no line: no config can differ in them.
 template <class Sampling, class Fn>
-bool canonical_fields(Sampling& sampling, Fn&& f) {
+void canonical_fields(Sampling& sampling, Fn&& f) {
   f("sampling.period", sampling.period);
   f("sampling.warmup", sampling.warmup);
   f("sampling.detail", sampling.detail);
-  std::uint64_t max_samples = SamplingConfig::max_samples;
-  bool functional_warming = SamplingConfig::functional_warming;
-  f("sampling.max_samples", max_samples);
-  f("sampling.functional_warming", functional_warming);
   f("sampling.placement", sampling.placement, Placement::kStratified);
   f("sampling.seed", sampling.seed);
   // target_ci is a double; its exact bit pattern ("%a") rather than a
   // rounded decimal, so equal configs always hash equally.
   f("sampling.target_ci", record::hexfloat(sampling.target_ci));
-  return max_samples == SamplingConfig::max_samples &&
-         functional_warming == SamplingConfig::functional_warming;
 }
 
 }  // namespace
@@ -250,11 +243,10 @@ std::optional<SamplingConfig> sampling_from_canonical_fields(
     const record::FieldMap& fields) {
   SamplingConfig sampling;
   record::Reader read(fields);
-  const bool constants_hold = canonical_fields(sampling, read);
+  canonical_fields(sampling, read);
   // The SampledSimulator constructor checks the same predicate; refusing
   // here makes a malformed request an error reply, not a daemon abort.
-  if (!read.complete() || !constants_hold || !valid_sampling(sampling))
-    return std::nullopt;
+  if (!read.complete() || !valid_sampling(sampling)) return std::nullopt;
   return sampling;
 }
 

@@ -122,10 +122,10 @@ struct SamplingConfig {
   std::uint64_t detail = 10'000;
 
   /// Constants, not settings: every interval is sampled (no cap) and the
-  /// fast-forward always warms predictors and caches. The names stay only
-  /// because the benchmark's replay (perfbench/src/replay.cpp) reads them,
-  /// and their canonical lines only so fingerprints do not change; both go
-  /// when the replay does (ROADMAP items 2 and 7).
+  /// fast-forward always warms predictors and caches. They have no
+  /// canonical line. The names stay only because the benchmark's replay
+  /// (perfbench/src/replay.cpp) reads them, and go when the replay does
+  /// (ROADMAP items 2 and 7).
   static constexpr std::uint64_t max_samples = 0;
   static constexpr bool functional_warming = true;
 

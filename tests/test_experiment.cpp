@@ -293,18 +293,6 @@ TEST(CanonicalFields, OracleFlagIsExactlyZeroOrOne) {
   EXPECT_FALSE(sim::config_from_canonical_fields(fields).has_value());
 }
 
-TEST(CanonicalFields, WarmingFlagIsExactlyZeroOrOne) {
-  std::string text;
-  sim::append_canonical_fields(sim::SamplingConfig{}, text);
-  auto fields = canonical_map(text);
-  ASSERT_TRUE(sim::sampling_from_canonical_fields(fields).has_value());
-  // The sampler always warms: the line must read 1.
-  fields["sampling.functional_warming"] = "0";
-  EXPECT_FALSE(sim::sampling_from_canonical_fields(fields).has_value());
-  fields["sampling.functional_warming"] = "01";
-  EXPECT_FALSE(sim::sampling_from_canonical_fields(fields).has_value());
-}
-
 /// One mutation per canonical SimConfig field. Each keeps a config
 /// buildable as long as its caches are direct-mapped (so ++associativity
 /// stays a power-of-two set count).
@@ -503,6 +491,13 @@ TEST(ResultCache, SerializedEntryRoundTripsBitExactly) {
   EXPECT_EQ(back->sampled->total_instructions, 999999u);
   EXPECT_EQ(back->sampled->units_planned, 12u);
   EXPECT_EQ(back->sampled->samples, e.sampled->samples);
+  // The entry holds the estimate once, as its stats lines: the parsed
+  // estimate equals the parsed stats in every field.
+  harness::ExpEntry estimate_as_stats = *back;
+  estimate_as_stats.stats = back->sampled->estimate;
+  EXPECT_EQ(harness::serialize_entry(estimate_as_stats, "00ff00ff00ff00ff"),
+            harness::serialize_entry(*back, "00ff00ff00ff00ff"));
+  EXPECT_EQ(back->sampled->estimate.cycles, back->stats.cycles);
   // Open probe metrics round-trip in order, bit-exactly (%.17g doubles).
   EXPECT_EQ(back->metrics, e.metrics);
   EXPECT_EQ(back->metric("power/energy_nj").value_or(0.0), 1234.5625);
@@ -1211,52 +1206,6 @@ stats.l1d.writebacks 0
 stats.l2.accesses 0
 stats.l2.misses 0
 stats.l2.writebacks 0
-sampled.estimate.cycles 12345
-sampled.estimate.committed 6789
-sampled.estimate.halted 1
-sampled.estimate.branches.cond_branches 42
-sampled.estimate.branches.cond_mispredicts 7
-sampled.estimate.branches.indirect_jumps 0
-sampled.estimate.branches.indirect_mispredicts 0
-sampled.estimate.stalls.ros_full 0
-sampled.estimate.stalls.lsq_full 0
-sampled.estimate.stalls.checkpoints_full 0
-sampled.estimate.stalls.free_list_empty 11
-sampled.estimate.flushes_injected 0
-sampled.estimate.icache_stall_cycles 0
-sampled.estimate.int.conventional_releases 0
-sampled.estimate.int.early_commit_releases 0
-sampled.estimate.int.immediate_releases 0
-sampled.estimate.int.reuses 3
-sampled.estimate.int.branch_confirm_releases 0
-sampled.estimate.int.conditional_schedulings 0
-sampled.estimate.int.fallback_conventional 0
-sampled.estimate.int.stale_suppressed 0
-sampled.estimate.int.avg_empty 0
-sampled.estimate.int.avg_ready 0
-sampled.estimate.int.avg_idle 12.625
-sampled.estimate.int.squash_released 0
-sampled.estimate.fp.conventional_releases 0
-sampled.estimate.fp.early_commit_releases 5
-sampled.estimate.fp.immediate_releases 0
-sampled.estimate.fp.reuses 0
-sampled.estimate.fp.branch_confirm_releases 0
-sampled.estimate.fp.conditional_schedulings 0
-sampled.estimate.fp.fallback_conventional 0
-sampled.estimate.fp.stale_suppressed 0
-sampled.estimate.fp.avg_empty 0
-sampled.estimate.fp.avg_ready 0.10000000000000001
-sampled.estimate.fp.avg_idle 0
-sampled.estimate.fp.squash_released 9
-sampled.estimate.l1i.accesses 0
-sampled.estimate.l1i.misses 0
-sampled.estimate.l1i.writebacks 0
-sampled.estimate.l1d.accesses 1000
-sampled.estimate.l1d.misses 31
-sampled.estimate.l1d.writebacks 0
-sampled.estimate.l2.accesses 0
-sampled.estimate.l2.misses 0
-sampled.estimate.l2.writebacks 0
 sampled.measured.cycles 0
 sampled.measured.committed 0
 sampled.measured.halted 0
@@ -1383,8 +1332,6 @@ cfg.flush_period=9
 sampling.period=100000
 sampling.warmup=2000
 sampling.detail=10000
-sampling.max_samples=0
-sampling.functional_warming=1
 sampling.placement=0
 sampling.seed=0
 sampling.target_ci=0x1.47ae147ae147bp-6
@@ -1393,14 +1340,13 @@ end
 }
 
 TEST(BytePins, DaemonStatsText) {
-  const service::DaemonStats stats{100, 40, 55, 5, 2, 1, 9, 4, 11, 2};
+  const service::DaemonStats stats{100, 40, 55, 5, 2, 1, 4, 11, 2};
   EXPECT_EQ(service::encode_stats(stats), R"(requests 100
 cache_hits 40
 simulated 55
 deduped 5
 errors 2
 inflight 1
-busy 9
 cancelled 4
 dropped_clients 11
 quarantined 2
@@ -1416,7 +1362,7 @@ TEST(BytePins, CellFingerprints) {
   EXPECT_EQ(harness::fingerprint_cell("li", tiny_config(), std::nullopt).hex(),
             "b9982322459f47c7");
   EXPECT_EQ(harness::fingerprint_cell("li", tiny_config(), sampling).hex(),
-            "e27aef04ec8cc1f1");
+            "0931bcebe427cc3b");
 }
 
 TEST(BytePins, EveryKernelSource) {

@@ -3,9 +3,8 @@
 // under eight seeded fault plans; a mute daemon costs one retry budget per
 // sweep; reconnecting resubmits only unanswered requests; the client buffers
 // every response to what it pipelined, in any order, and fails on a response
-// to anything else; the client's own retry loop rides out a kBusy storm; the
-// daemon's admission control, disconnect reaping and corrupt-entry
-// quarantine all behave under hostile clients; retried cells are never
+// to anything else; the daemon's disconnect reaping and corrupt-entry
+// quarantine behave under hostile clients; retried cells are never
 // simulated twice, even when every attempt's deadline expires before the
 // cell finishes.
 //
@@ -293,39 +292,6 @@ TEST(Faults, MuteDaemonCostsOneBudgetPerSweep) {
   // The first await spends the budget, one connection per attempt; the
   // failed client then answers every other cell at once.
   EXPECT_LE(mute.connections(), 1u + opts.remote.retries);
-}
-
-TEST(Faults, BusyStormIsRefusedThenEveryCellLands) {
-  service::ExperimentDaemon::Options dopts;
-  dopts.workers = 1;
-  dopts.max_queue = 1;
-  DaemonFixture fixture(dopts);
-
-  // A budget that outlasts the slow cell: the client's own retry loop
-  // resends each refused cell until the daemon admits it.
-  service::ClientOptions opts = fast_client();
-  opts.retries = 200;
-  service::RemoteClient client(opts);
-  ASSERT_TRUE(client.connect(fixture.endpoint())) << client.error();
-
-  // A slow cell fills the only queue slot, so the distinct follow-ups are
-  // refused with kBusy, not queued and not dropped.
-  ASSERT_TRUE(client.send_cell(make_request(1, 40, 400'000)));
-  for (std::uint64_t id = 2; id <= 4; ++id)
-    ASSERT_TRUE(
-        client.send_cell(make_request(id, static_cast<unsigned>(40 + 4 * id))));
-  for (std::uint64_t id = 2; id <= 4; ++id) {
-    std::string why;
-    const std::optional<service::ResultMsg> result = client.await(id, &why);
-    ASSERT_TRUE(result.has_value()) << "cell " << id << ": " << why;
-    EXPECT_FALSE(result->entry_text.empty());
-  }
-  ASSERT_TRUE(client.await(1, nullptr).has_value());  // the slow cell lands
-
-  const service::DaemonStats stats = fixture.daemon->stats();
-  EXPECT_GE(stats.busy, 1u);
-  EXPECT_EQ(stats.simulated, 4u);  // every refusal was a clean no-op
-  EXPECT_EQ(stats.errors, 0u);
 }
 
 TEST(Faults, DisconnectReapsOrphanedPendingCells) {

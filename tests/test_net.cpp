@@ -239,24 +239,21 @@ TEST(Protocol, CellRequestRoundTripsSamplingAndEmptyVariant) {
   EXPECT_EQ(canon_in, canon_out);  // includes the %a-rendered target_ci
 }
 
-TEST(Protocol, CellRequestSamplingConstantsMustReadTheirValues) {
-  // The sampler always warms and never caps; those two canonical lines stay
-  // only so fingerprints do not change, and any other value is malformed.
+TEST(Protocol, CellRequestCarriesNoSamplingConstantLines) {
+  // The sampler always warms and never caps, so v6 writes no line for
+  // either constant; v5's lines are unknown fields, and a request holding
+  // one is malformed.
   service::CellRequest in = sample_request();
   in.sampling = sim::SamplingConfig{};
   const std::string good = service::encode_cell_request(in);
-  const auto out = service::decode_cell_request(good);
-  ASSERT_TRUE(out.has_value());
-  EXPECT_EQ(service::encode_cell_request(*out), good);
-  for (const auto& [line, edited] :
-       {std::pair{"sampling.max_samples=0\n", "sampling.max_samples=3\n"},
-        std::pair{"sampling.functional_warming=1\n",
-                  "sampling.functional_warming=0\n"}}) {
+  ASSERT_TRUE(service::decode_cell_request(good).has_value());
+  for (const std::string line :
+       {"sampling.max_samples=0\n", "sampling.functional_warming=1\n"}) {
+    EXPECT_EQ(good.find(line.substr(0, line.find('='))), std::string::npos)
+        << line;
     std::string text = good;
-    const std::size_t at = text.find(line);
-    ASSERT_NE(at, std::string::npos) << line;
-    text.replace(at, std::string_view(line).size(), edited);
-    EXPECT_FALSE(service::decode_cell_request(text)) << edited;
+    text.insert(text.find("sampling.placement="), line);
+    EXPECT_FALSE(service::decode_cell_request(text)) << line;
   }
 }
 
@@ -333,7 +330,7 @@ TEST(Protocol, EveryMsgTypeHasAName) {
       {MsgType::kHello, "hello"},       {MsgType::kRunCell, "run_cell"},
       {MsgType::kResult, "result"},     {MsgType::kError, "error"},
       {MsgType::kStats, "stats"},       {MsgType::kStatsReply, "stats_reply"},
-      {MsgType::kShutdown, "shutdown"}, {MsgType::kBusy, "busy"},
+      {MsgType::kShutdown, "shutdown"},
   };
   std::vector<std::string_view> names;
   for (const auto& [type, name] : named) {
@@ -345,13 +342,13 @@ TEST(Protocol, EveryMsgTypeHasAName) {
   std::sort(names.begin(), names.end());
   EXPECT_EQ(std::adjacent_find(names.begin(), names.end()), names.end());
 
-  // Retired tags (5-8, 12) and values outside the enum have no name.
-  for (const unsigned raw : {0u, 5u, 6u, 7u, 8u, 12u, 14u, 200u})
+  // Retired tags (5-8, 12, 13) and values outside the enum have no name.
+  for (const unsigned raw : {0u, 5u, 6u, 7u, 8u, 12u, 13u, 14u, 200u})
     EXPECT_EQ(msg_type_name(static_cast<MsgType>(raw)), "unknown") << raw;
 }
 
 TEST(Protocol, DaemonStatsRoundTrip) {
-  const service::DaemonStats stats{100, 40, 55, 5, 2, 1, 9, 4, 11, 2};
+  const service::DaemonStats stats{100, 40, 55, 5, 2, 1, 4, 11, 2};
   const auto out = service::decode_stats(service::encode_stats(stats));
   ASSERT_TRUE(out.has_value());
   EXPECT_EQ(*out, stats);
@@ -360,16 +357,8 @@ TEST(Protocol, DaemonStatsRoundTrip) {
       service::encode_stats(stats) + "extra 1\n"));          // unknown field
   EXPECT_FALSE(service::decode_stats(
       service::encode_stats(stats) + "evicted 6\n"));        // v4's field
-}
-
-TEST(Protocol, BusyRoundTrip) {
-  const service::BusyMsg busy{42};
-  const auto busy_out = service::decode_busy(service::encode_busy(busy));
-  ASSERT_TRUE(busy_out.has_value());
-  EXPECT_EQ(busy_out->id, 42u);
-  EXPECT_FALSE(service::decode_busy(""));                 // no id
-  EXPECT_FALSE(service::decode_busy("id x\n"));           // bad id
-  EXPECT_FALSE(service::decode_busy("id 1\nhint 10\n"));  // v4's 2nd line
+  EXPECT_FALSE(service::decode_stats(
+      service::encode_stats(stats) + "busy 9\n"));           // v5's field
 }
 
 }  // namespace

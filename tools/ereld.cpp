@@ -18,7 +18,6 @@
 #include <cstring>
 #include <optional>
 #include <string>
-#include <type_traits>
 
 #include "common/parse.hpp"
 #include "common/thread_pool.hpp"
@@ -43,7 +42,6 @@ void usage(const char* argv0) {
       "  --cache-dir=PATH     on-disk result cache (required)\n"
       "  --workers=N          simulation workers (0 = hardware default,\n"
       "                       at most %u)\n"
-      "  --max-queue=N        cells queued-or-running before kBusy (0 = off)\n"
       "  --stop HOST:PORT     ask a running daemon to shut down\n",
       argv0, argv0, erel::kMaxThreads);
 }
@@ -83,18 +81,6 @@ int main(int argc, char** argv) {
              (arg.size() > len && arg.compare(0, len, flag) == 0 &&
               arg[len] == '=');
     };
-    // Integer flags: plain decimal digits that fit the field they set.
-    const auto number = [&](const char* flag, auto& field) {
-      const std::string text = value(flag);
-      const auto v =
-          erel::parse_uint<std::remove_reference_t<decltype(field)>>(text);
-      if (!v) {
-        std::fprintf(stderr, "%s: bad %s '%s'\n", argv[0], flag, text.c_str());
-        usage(argv[0]);
-        std::exit(2);
-      }
-      field = *v;
-    };
     if (arg == "--help" || arg == "-h") {
       usage(argv[0]);
       return 0;
@@ -115,15 +101,16 @@ int main(int argc, char** argv) {
     } else if (matches("--cache-dir")) {
       opts.cache_dir = value("--cache-dir");
     } else if (matches("--workers")) {
-      number("--workers", opts.workers);
-      if (opts.workers > erel::kMaxThreads) {
-        std::fprintf(stderr, "%s: --workers must be at most %u\n", argv[0],
-                     erel::kMaxThreads);
+      // Plain decimal digits, at most kMaxThreads.
+      const std::string text = value("--workers");
+      const std::optional<unsigned> workers = erel::parse_uint<unsigned>(text);
+      if (!workers || *workers > erel::kMaxThreads) {
+        std::fprintf(stderr, "%s: bad --workers '%s' (want 0-%u)\n", argv[0],
+                     text.c_str(), erel::kMaxThreads);
         usage(argv[0]);
         return 2;
       }
-    } else if (matches("--max-queue")) {
-      number("--max-queue", opts.max_queue);
+      opts.workers = *workers;
     } else {
       std::fprintf(stderr, "%s: unknown option %s\n", argv[0], argv[i]);
       usage(argv[0]);
@@ -156,14 +143,13 @@ int main(int argc, char** argv) {
   const erel::service::DaemonStats stats = daemon.stats();
   std::printf(
       "ereld: served %llu requests (%llu cache hits, %llu simulated, "
-      "%llu deduped, %llu errors, %llu busy, %llu cancelled), "
+      "%llu deduped, %llu errors, %llu cancelled), "
       "%llu quarantined, %llu client(s) dropped\n",
       static_cast<unsigned long long>(stats.requests),
       static_cast<unsigned long long>(stats.cache_hits),
       static_cast<unsigned long long>(stats.simulated),
       static_cast<unsigned long long>(stats.deduped),
       static_cast<unsigned long long>(stats.errors),
-      static_cast<unsigned long long>(stats.busy),
       static_cast<unsigned long long>(stats.cancelled),
       static_cast<unsigned long long>(stats.quarantined),
       static_cast<unsigned long long>(stats.dropped_clients));
