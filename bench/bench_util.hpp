@@ -55,8 +55,6 @@ namespace cli {
 struct Options {
   unsigned threads = 0;  // --threads=N     harness pool (0 = hardware)
   bool sample = false;   // --sample        checkpointed interval sampling
-  sim::Placement placement =
-      sim::Placement::kStratified;  // --placement=periodic|random|stratified
   double target_ci = 0.0;           // --target-ci=X   CI-driven stopping
   std::uint64_t sample_period = 0;  // --sample-period=N   (0 = auto)
   std::uint64_t sample_warmup = 0;  // --sample-warmup=N   (0 = auto)
@@ -97,7 +95,6 @@ struct Options {
     s.period = sample_period ? sample_period : (smoke ? 30'000 : 100'000);
     s.warmup = sample_warmup ? sample_warmup : (smoke ? 1'000 : 2'000);
     s.detail = sample_detail ? sample_detail : (smoke ? 5'000 : 10'000);
-    s.placement = placement;
     s.target_ci = target_ci;
     return s;
   }
@@ -181,7 +178,6 @@ inline void usage(const char* argv0) {
       "  --threads=N        harness pool workers (0 = hardware default,\n"
       "                     at most %u)\n"
       "  --sample           checkpointed interval sampling per cell\n"
-      "  --placement=MODE   periodic|random|stratified (default stratified)\n"
       "  --target-ci=X      stop sampling at 95%% CI half-width <= X\n"
       "  --sample-period=N  --sample-warmup=N  --sample-detail=N\n"
       "  --policies=A,B     policy subset (conv,basic,extended)\n"
@@ -301,12 +297,6 @@ inline Options parse(int argc, char** argv) {
       number("--threads", opts.threads);
       if (opts.threads > kMaxThreads)
         bad_value("--threads", std::to_string(opts.threads));
-    } else if (matches("--placement")) {
-      const std::string text = value("--placement");
-      const std::optional<sim::Placement> placement =
-          sim::parse_placement(text);
-      if (!placement) bad_value("--placement", text);
-      opts.placement = *placement;
     } else if (matches("--target-ci")) {
       const std::string text = value("--target-ci");
       const std::optional<double> ci = parse_double(text);

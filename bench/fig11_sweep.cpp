@@ -4,11 +4,11 @@
 //
 // Shared sweep CLI (bench_util.hpp): --threads, --csv/--json, --cache-dir,
 // --policies, --smoke. With --sample every cell runs under checkpointed
-// interval sampling (stratified placement by default, --target-ci for
-// confidence-driven stopping) — the one-flag path to paper-scale sweeps —
-// and the tables gain per-policy 95% CI columns. Under --sample --smoke a
-// full-detail reference sweep also runs (cheap at smoke scale) and a
-// sampled-vs-full delta column is printed next to the CIs.
+// stratified interval sampling (--target-ci for confidence-driven
+// stopping) — the one-flag path to paper-scale sweeps — and the tables
+// gain per-policy 95% CI columns. Under --sample --smoke a full-detail
+// reference sweep also runs (cheap at smoke scale) and a sampled-vs-full
+// delta column is printed next to the CIs.
 #include <cstdio>
 #include <optional>
 

@@ -9,10 +9,9 @@
 // fig11-sampled and go-long benchmark workloads (perfbench/) track
 // wall-clock instead.
 //
-//   $ ./sampled_speedup [sweeps] [threads] [placement]
+//   $ ./sampled_speedup [sweeps] [threads]
 //     sweeps     go-kernel board sweeps        (default 2400, ~10.6M insts)
 //     threads    sharded-run worker threads    (default min(hw, 8))
-//     placement  periodic|random|stratified    (default stratified)
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -43,8 +42,8 @@ int main(int argc, char** argv) {
   const auto bad_argument = [&](const char* what, const char* text) {
     std::fprintf(stderr,
                  "%s: bad %s '%s'\n"
-                 "usage: %s [sweeps] [threads] [placement]\n"
-                 "  threads 1..%u; placement periodic|random|stratified\n",
+                 "usage: %s [sweeps] [threads]\n"
+                 "  threads 1..%u\n",
                  argv[0], what, text, argv[0], kMaxThreads);
     std::exit(2);
   };
@@ -59,12 +58,7 @@ int main(int argc, char** argv) {
   const unsigned sweeps = count(1, "sweeps", 2400, ~0u);
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   const unsigned threads = count(2, "threads", std::min(hw, 8u), kMaxThreads);
-  sim::Placement placement = sim::Placement::kStratified;
-  if (argc > 3) {
-    const std::optional<sim::Placement> parsed = sim::parse_placement(argv[3]);
-    if (!parsed) bad_argument("placement", argv[3]);
-    placement = *parsed;
-  }
+  if (argc > 3) bad_argument("argument", argv[3]);
 
   std::printf("assembling go(%u) — board scanning, data-dependent branches\n",
               sweeps);
@@ -85,16 +79,14 @@ int main(int argc, char** argv) {
   sampling.period = 500'000;
   sampling.warmup = 20'000;
   sampling.detail = 50'000;
-  sampling.placement = placement;
   sampling.seed = 42;
   sampling.threads = 1;
   std::printf(
       "serial sampled simulation (period=%llu, warmup=%llu, detail=%llu, "
-      "placement=%s, functional warming on)...\n",
+      "placement=stratified, functional warming on)...\n",
       static_cast<unsigned long long>(sampling.period),
       static_cast<unsigned long long>(sampling.warmup),
-      static_cast<unsigned long long>(sampling.detail),
-      std::string(sim::placement_name(placement)).c_str());
+      static_cast<unsigned long long>(sampling.detail));
   t0 = std::chrono::steady_clock::now();
   const sim::SampledStats serial =
       sim::SampledSimulator(config, sampling).run(program);

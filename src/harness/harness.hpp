@@ -43,11 +43,12 @@ struct RunSpec {
   /// When set, the run uses checkpointed interval sampling instead of full
   /// detailed simulation; `RunResult::stats` then holds the sampled
   /// estimate and `RunResult::sampled` the per-sample detail. The whole
-  /// SamplingConfig rides along: placement mode + seed, `target_ci`
-  /// confidence-driven stopping, and `threads`, which matters only to
-  /// run_one and to direct sim::SampledSimulator callers (raise it to
-  /// shard a single long workload's units). run_all measures every
-  /// sampled spec on its own pool instead.
+  /// SamplingConfig rides along: window sizes, the seed of each unit's
+  /// offset in its interval, `target_ci` confidence-driven stopping, and
+  /// `threads`, which matters only to run_one and to direct
+  /// sim::SampledSimulator callers (raise it to shard a single long
+  /// workload's units). run_all measures every sampled spec on its own
+  /// pool instead.
   std::optional<sim::SamplingConfig> sampling;
 
   /// Named probes attached to the run (Instrumentation API v2): fresh

@@ -296,10 +296,6 @@ void Core::phase_dispatch() {
     e.ras_checkpoint = fi.ras_checkpoint;
     if (is_branch) pending_branches_.push_back(seq);
     schedule_issue(e);
-    if (has_probes_) {
-      const sim::RenameEvent ev{seq, e.pc, &e.inst, &e.rec, cycle_};
-      for (sim::Probe* probe : probes_) probe->on_rename(ev);
-    }
     fetch_.pop_front();  // frees the buffer slot `fi`/`inst` point into
     ++dispatched;
     if (e.inst.is_halt()) return;  // nothing younger dispatches past a HALT
@@ -681,9 +677,8 @@ void Core::check_oracle(const RosEntry& e, const LsqEntry* mem_entry) {
 }
 
 void Core::squash_after(InstSeq boundary) {
-  const InstSeq tail = ros_.tail_seq();
   reuse_wakes_.clear();
-  for (InstSeq seq = tail; seq-- > boundary + 1;) {
+  for (InstSeq seq = ros_.tail_seq(); seq-- > boundary + 1;) {
     RosEntry& e = ros_.at(seq);
     // A squashed reuse restores the previous version's ready bit (see
     // RenameUnit::on_squash_entry) with no writeback to wake on — collect
@@ -707,20 +702,11 @@ void Core::squash_after(InstSeq boundary) {
   std::erase_if(pending_stores_, [boundary](const SchedTag& ev) {
     return ev.seq > boundary;
   });
-  if (has_probes_ && tail > boundary + 1) {
-    const sim::SquashEvent ev{boundary, tail - (boundary + 1), cycle_};
-    for (sim::Probe* probe : probes_) probe->on_squash(ev);
-  }
 }
 
 void Core::exception_flush(std::uint64_t resume_pc) {
-  const std::uint64_t flushed = ros_.tail_seq() - ros_.head_seq();
   for (InstSeq seq = ros_.tail_seq(); seq-- > ros_.head_seq();) {
     rename_.on_squash_entry(ros_.at(seq).rec, cycle_);
-  }
-  if (has_probes_) {
-    const sim::SquashEvent ev{core::kNoSeq, flushed, cycle_};
-    for (sim::Probe* probe : probes_) probe->on_squash(ev);
   }
   ros_.clear();
   lsq_.clear();

@@ -82,9 +82,9 @@ class Core final : public core::PipelineHooks {
 
   /// Attaches an observer for the run. Call before the first tick; the
   /// probe's on_run_begin fires immediately (registering its counters in
-  /// the core's registry) and its rename, commit and squash callbacks fire
-  /// during simulation. Probes never change simulation results; the caller
-  /// keeps ownership and must outlive the core.
+  /// the core's registry) and its on_commit fires for every committed
+  /// instruction. Probes never change simulation results; the caller keeps
+  /// ownership and must outlive the core.
   void attach_probe(sim::Probe* probe);
 
   /// Builds fresh instances from named probe recipes (fatal on a null
@@ -229,7 +229,7 @@ class Core final : public core::PipelineHooks {
 
   std::vector<sim::Probe*> probes_;  // non-owning, attach order
   // Cached probes_.empty() — one flag instead of a size load+compare at
-  // every event fan-out site on the hot phases.
+  // the commit fan-out site on the hot path.
   bool has_probes_ = false;
 
   // Fixed-stride commit channel bookkeeping (config_.stat_stride > 0;

@@ -50,7 +50,7 @@ namespace erel::service {
 
 /// Bump when any payload encoding changes; the client refuses to talk to a
 /// daemon announcing a different version (kHello).
-inline constexpr unsigned kProtocolVersion = 6;
+inline constexpr unsigned kProtocolVersion = 7;
 
 enum class MsgType : std::uint8_t {
   kHello = 1,       // server -> client, on connect

@@ -1,12 +1,12 @@
 // Event-driven instrumentation probes.
 //
 // A Probe is an observer attached to a pipeline::Core before the run. The
-// core emits three typed events — rename, commit and squash, the points
-// register-file energy and per-commit timing are read from — and the probe
-// reacts, typically by bumping its own StatRegistry entries. Probes
-// are pure observers: attaching any number of them never changes
-// simulation results, and with no probe attached the emission sites
-// compile down to a never-taken branch.
+// core emits one typed event per committed instruction, in program order —
+// the point register-file energy and per-commit timing are read from — and
+// the probe reacts, typically by bumping its own StatRegistry entries.
+// Probes are pure observers: attaching any number of them never changes
+// simulation results, and with no probe attached the emission site
+// compiles down to a never-taken branch.
 //
 //   struct CommitCounter final : sim::Probe {
 //     sim::StatRegistry::Counter* commits = nullptr;
@@ -44,17 +44,6 @@ namespace erel::sim {
 
 struct SimConfig;
 
-/// One instruction renamed and dispatched — including wrong-path work (it
-/// holds physical registers, the resource this paper studies). `inst` and
-/// `rec` point into pipeline state and are valid during the callback only.
-struct RenameEvent {
-  core::InstSeq seq = 0;
-  std::uint64_t pc = 0;
-  const isa::DecodedInst* inst = nullptr;
-  const core::RenameRec* rec = nullptr;
-  std::uint64_t cycle = 0;
-};
-
 /// One committed instruction, in program order. `inst` / `rec` point into
 /// pipeline state and are valid during the callback only.
 struct CommitEvent {
@@ -67,14 +56,6 @@ struct CommitEvent {
   std::uint64_t commit_cycle = 0;
   const isa::DecodedInst* inst = nullptr;
   const core::RenameRec* rec = nullptr;
-};
-
-/// Wrong-path work squashed: everything younger than `boundary` left the
-/// pipeline (kNoSeq boundary = full flush on the exception path).
-struct SquashEvent {
-  core::InstSeq boundary = core::kNoSeq;
-  std::uint64_t squashed_entries = 0;
-  std::uint64_t cycle = 0;
 };
 
 /// A named scalar a probe exports into experiment results (harness
@@ -94,9 +75,7 @@ class Probe {
   /// registry (alive for the whole run) — register counters/channels here.
   virtual void on_run_begin(const SimConfig& config, StatRegistry& registry);
 
-  virtual void on_rename(const RenameEvent&) {}
   virtual void on_commit(const CommitEvent&) {}
-  virtual void on_squash(const SquashEvent&) {}
 
   /// Appends named scalar columns for experiment sinks, derived from a
   /// final registry and the run's config. Keep this a pure function of its

@@ -197,14 +197,13 @@ void finish(SampledStats& out) {
 // Single enumeration of every result-affecting SamplingConfig field, shared
 // by the canonical serializer and its parser. `threads` is absent by design
 // (wall-clock only): the daemon runs every sampled cell at the default
-// threads = 1, one cell per worker. The two SamplingConfig constants have
-// no line: no config can differ in them.
+// threads = 1, one cell per worker. The two SamplingConfig constants and
+// the one-valued placement have no line: no config can differ in them.
 template <class Sampling, class Fn>
 void canonical_fields(Sampling& sampling, Fn&& f) {
   f("sampling.period", sampling.period);
   f("sampling.warmup", sampling.warmup);
   f("sampling.detail", sampling.detail);
-  f("sampling.placement", sampling.placement, Placement::kStratified);
   f("sampling.seed", sampling.seed);
   // target_ci is a double; its exact bit pattern ("%a") rather than a
   // rounded decimal, so equal configs always hash equally.
@@ -212,22 +211,6 @@ void canonical_fields(Sampling& sampling, Fn&& f) {
 }
 
 }  // namespace
-
-std::string_view placement_name(Placement placement) {
-  switch (placement) {
-    case Placement::kPeriodic: return "periodic";
-    case Placement::kRandom: return "random";
-    case Placement::kStratified: return "stratified";
-  }
-  EREL_FATAL("invalid Placement ", static_cast<int>(placement));
-}
-
-std::optional<Placement> parse_placement(std::string_view name) {
-  if (name == "periodic") return Placement::kPeriodic;
-  if (name == "random") return Placement::kRandom;
-  if (name == "stratified") return Placement::kStratified;
-  return std::nullopt;
-}
 
 bool valid_sampling(const SamplingConfig& sampling) {
   return sampling.detail > 0 && sampling.warmup < sampling.period &&
@@ -291,22 +274,10 @@ std::vector<SampledStats> SampledSimulator::run_group(
   const std::uint64_t window = sampling_.warmup + sampling_.detail;
   const std::uint64_t slack = sampling_.period - window;  // ctor: period>window
 
-  // Start of unit k. Periodic: exactly k*period. Stratified: uniform within
-  // [k*period, (k+1)*period - window], so consecutive windows can never
-  // overlap. Random: previous start plus a uniform gap from
-  // [window, 2*period - window] (mean period), accumulated by the caller.
-  const auto unit_start = [&](std::uint64_t k,
-                              std::uint64_t prev_start) -> std::uint64_t {
-    switch (sampling_.placement) {
-      case Placement::kPeriodic:
-        return k * sampling_.period;
-      case Placement::kStratified:
-        return k * sampling_.period + mix(sampling_.seed, k) % (slack + 1);
-      case Placement::kRandom:
-        if (k == 0) return mix(sampling_.seed, 0) % (slack + 1);
-        return prev_start + window + mix(sampling_.seed, k) % (2 * slack + 1);
-    }
-    EREL_FATAL("invalid Placement");
+  // Start of unit k: uniform within [k*period, (k+1)*period - window], so
+  // consecutive windows can never overlap.
+  const auto unit_start = [&](std::uint64_t k) -> std::uint64_t {
+    return k * sampling_.period + mix(sampling_.seed, k) % (slack + 1);
   };
 
   // One decode of the static program shared by the planning oracle and
@@ -511,10 +482,8 @@ std::vector<SampledStats> SampledSimulator::run_group(
   {
     arch::ArchState master(program, decoded.get());
     WarmState warm(plan_config);
-    std::uint64_t start = 0;
     for (std::uint64_t k = 0; !master.halted(); ++k) {
-      start = unit_start(k, start);
-      run_warmed(master, warm, start);
+      run_warmed(master, warm, unit_start(k));
       if (master.halted()) break;
       if (!ci_stopping) fold_front(measured_front());
       ++units_planned;

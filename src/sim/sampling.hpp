@@ -32,10 +32,11 @@
 // sweep plans each kernel once instead of once per cell. A one-config run
 // is the group of one.
 //
-// Unit placement within each interval is configurable (periodic starts can
-// alias with program phases), and instead of measuring every planned unit
-// the sampler can keep scheduling units only until the 95% confidence
-// interval on IPC is tight enough (`target_ci`, per config).
+// Each unit starts at a seeded offset inside its interval (stratified
+// placement: periodic coverage without aliasing with program phases), and
+// instead of measuring every planned unit the sampler can keep scheduling
+// units only until the 95% confidence interval on IPC is tight enough
+// (`target_ci`, per config).
 //
 //   sim::SampledSimulator sampler(config, {.period = 200'000});
 //   sim::SampledStats s = sampler.run(program);
@@ -60,30 +61,14 @@ class ThreadPool;
 
 namespace erel::sim {
 
-/// Where each sampling unit starts inside its interval.
+/// Where each sampling unit starts inside its interval. Stratified
+/// (systematic random) sampling is the only placement: exactly one unit per
+/// [k*period, (k+1)*period) interval, at a seeded uniform offset within it.
+/// The enum and SamplingConfig::placement stay only because the benchmark
+/// (perfbench/) still names them; they go with its replay (ROADMAP item 7).
 enum class Placement {
-  /// Unit k starts exactly at k * period (the SMARTS default). Vulnerable
-  /// to aliasing when the program has phase behavior with a period that
-  /// divides the sampling period.
-  kPeriodic,
-
-  /// Seeded random gaps: consecutive unit starts are separated by a uniform
-  /// draw from [window, 2*period - window] (mean gap == period), so no
-  /// program phase can stay synchronized with the sampler.
-  kRandom,
-
-  /// Stratified (systematic random) sampling: exactly one unit per
-  /// [k*period, (k+1)*period) interval, uniformly placed within it. Keeps
-  /// periodic sampling's even coverage while breaking phase alignment; this
-  /// is the recommended mode for production sweeps.
   kStratified,
 };
-
-/// "periodic" / "random" / "stratified" (for reports and CLI flags).
-std::string_view placement_name(Placement placement);
-
-/// Inverse of placement_name; nullopt on an unknown name.
-[[nodiscard]] std::optional<Placement> parse_placement(std::string_view name);
 
 struct SamplingConfig;
 
@@ -109,8 +94,8 @@ void append_canonical_fields(const SamplingConfig& sampling, std::string& out);
     const record::FieldMap& fields);
 
 struct SamplingConfig {
-  /// Instructions between consecutive sampling-unit starts (exactly, for
-  /// `kPeriodic`; in expectation, for the randomized modes). Must exceed
+  /// Length of each sampling interval: unit k starts inside
+  /// [k * period, (k + 1) * period - warmup - detail]. Must exceed
   /// `warmup + detail` for the fast-forward to actually skip work.
   std::uint64_t period = 100'000;
 
@@ -129,12 +114,13 @@ struct SamplingConfig {
   static constexpr std::uint64_t max_samples = 0;
   static constexpr bool functional_warming = true;
 
-  /// Interval placement mode (see Placement).
-  Placement placement = Placement::kPeriodic;
+  /// One-valued (see Placement): no canonical line, read only by the
+  /// benchmark.
+  Placement placement = Placement::kStratified;
 
-  /// Seed for the randomized placement modes and for the unit-scheduling
-  /// shuffle used by confidence-driven stopping. The same seed reproduces
-  /// the same SampleRecords bit-for-bit at any thread count.
+  /// Seed for each unit's offset inside its interval and for the
+  /// unit-scheduling shuffle used by confidence-driven stopping. The same
+  /// seed reproduces the same SampleRecords bit-for-bit at any thread count.
   std::uint64_t seed = 0;
 
   /// Confidence-driven stopping: when > 0, units are measured in seeded

@@ -724,7 +724,6 @@ TEST(ResultCache, SampledRunsCacheWithCI) {
   sampling.period = 30'000;
   sampling.warmup = 1'000;
   sampling.detail = 5'000;
-  sampling.placement = sim::Placement::kStratified;
   harness::Experiment exp;
   exp.base(config).workloads({"li"}).phys_regs({64}).sampling(sampling);
 
@@ -948,7 +947,6 @@ sim::SamplingConfig plan_group_sampling() {
   s.period = 40'000;
   s.warmup = 500;
   s.detail = 1'500;
-  s.placement = sim::Placement::kStratified;
   s.seed = 3;
   return s;
 }
@@ -1332,7 +1330,6 @@ cfg.flush_period=9
 sampling.period=100000
 sampling.warmup=2000
 sampling.detail=10000
-sampling.placement=0
 sampling.seed=0
 sampling.target_ci=0x1.47ae147ae147bp-6
 end
@@ -1358,11 +1355,10 @@ TEST(BytePins, CellFingerprints) {
   sampling.period = 30'000;
   sampling.warmup = 1'000;
   sampling.detail = 5'000;
-  sampling.placement = sim::Placement::kStratified;
   EXPECT_EQ(harness::fingerprint_cell("li", tiny_config(), std::nullopt).hex(),
             "b9982322459f47c7");
   EXPECT_EQ(harness::fingerprint_cell("li", tiny_config(), sampling).hex(),
-            "0931bcebe427cc3b");
+            "5aa9c8ffe2e41f80");
 }
 
 TEST(BytePins, EveryKernelSource) {

@@ -78,7 +78,6 @@ TEST(FastPathEquivalence, SampledRunsAreBitIdenticalOnAllKernels) {
   sampling.period = 80'000;
   sampling.warmup = 1'000;
   sampling.detail = 4'000;
-  sampling.placement = sim::Placement::kStratified;
   sampling.seed = 42;
   for (const std::string& name : workloads::workload_names()) {
     SCOPED_TRACE(name);

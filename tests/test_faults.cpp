@@ -139,7 +139,6 @@ service::CellRequest slow_sampled_request(std::uint64_t id) {
   request.sampling->period = 6'000;
   request.sampling->warmup = 1'000;
   request.sampling->detail = 4'000;
-  request.sampling->placement = sim::Placement::kStratified;
   request.key = harness::ExpKey{request.workload, request.config.policy, 40,
                                 std::string()};
   request.fingerprint_hex =

@@ -226,7 +226,6 @@ TEST(Protocol, CellRequestRoundTripsSamplingAndEmptyVariant) {
   sampling.period = 30'000;
   sampling.warmup = 1'000;
   sampling.detail = 5'000;
-  sampling.placement = sim::Placement::kStratified;
   sampling.target_ci = 0.015;
   in.sampling = sampling;
   const auto out = service::decode_cell_request(service::encode_cell_request(in));
@@ -241,18 +240,20 @@ TEST(Protocol, CellRequestRoundTripsSamplingAndEmptyVariant) {
 
 TEST(Protocol, CellRequestCarriesNoSamplingConstantLines) {
   // The sampler always warms and never caps, so v6 writes no line for
-  // either constant; v5's lines are unknown fields, and a request holding
-  // one is malformed.
+  // either constant, and stratified is the only placement, so v7 writes
+  // none for it either. Those lines are unknown fields, and a request
+  // holding one is malformed.
   service::CellRequest in = sample_request();
   in.sampling = sim::SamplingConfig{};
   const std::string good = service::encode_cell_request(in);
   ASSERT_TRUE(service::decode_cell_request(good).has_value());
   for (const std::string line :
-       {"sampling.max_samples=0\n", "sampling.functional_warming=1\n"}) {
+       {"sampling.max_samples=0\n", "sampling.functional_warming=1\n",
+        "sampling.placement=2\n"}) {
     EXPECT_EQ(good.find(line.substr(0, line.find('='))), std::string::npos)
         << line;
     std::string text = good;
-    text.insert(text.find("sampling.placement="), line);
+    text.insert(text.find("sampling.seed="), line);
     EXPECT_FALSE(service::decode_cell_request(text)) << line;
   }
 }

@@ -158,12 +158,11 @@ class CommittedRecordings final : public sim::Probe {
   std::uint64_t recordings = 0;
 };
 
-TEST(RixnerProbe, WrongPathTrafficIsCountedSeparately) {
+TEST(RixnerProbe, ChargesCommittedWorkOnly) {
   // The timer kernel's interrupt deliveries and IRET flushes squash
-  // sequential-path work every few hundred instructions, so wrong-path
-  // rename/RF traffic must show up — and stay out of the headline
-  // committed-work counters (reads <= 2 and writes <= 1 per commit still
-  // hold exactly, and the LUs Table is charged committed recordings only).
+  // sequential-path work every few hundred instructions; none of it is
+  // charged (reads <= 2 and writes <= 1 per commit hold exactly, and the
+  // LUs Table is charged committed recordings only).
   const arch::Program program = workloads::assemble_workload("timer");
   const sim::SimConfig config = probe_config(core::PolicyKind::Extended);
   RixnerProbe probe;
@@ -175,16 +174,6 @@ TEST(RixnerProbe, WrongPathTrafficIsCountedSeparately) {
   ASSERT_GT(stats.committed, 10'000u);
 
   const sim::StatRegistry& reg = core->registry();
-  EXPECT_GT(reg.counter_value("power/wrongpath_renames"), 0u);
-  const std::uint64_t wp_reads =
-      reg.counter_value("power/wrongpath_rf_reads/int") +
-      reg.counter_value("power/wrongpath_rf_reads/fp");
-  const std::uint64_t wp_writes =
-      reg.counter_value("power/wrongpath_rf_writes/int") +
-      reg.counter_value("power/wrongpath_rf_writes/fp");
-  EXPECT_GT(wp_reads, 0u);
-  EXPECT_GT(wp_writes, 0u);
-  EXPECT_GT(reg.counter_value("power/wrongpath_lus_accesses"), 0u);
   const std::uint64_t reads = reg.counter_value("power/rf_reads/int") +
                               reg.counter_value("power/rf_reads/fp");
   const std::uint64_t writes = reg.counter_value("power/rf_writes/int") +

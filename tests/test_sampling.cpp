@@ -177,25 +177,19 @@ void expect_stats_identical(const sim::SampledStats& a,
 
 TEST(SamplingPlacement, SameSeedReproducesIdenticalSamples) {
   const arch::Program program = workloads::assemble_workload("li");
-  for (const auto placement :
-       {sim::Placement::kRandom, sim::Placement::kStratified}) {
-    sim::SamplingConfig s = test_sampling();
-    s.placement = placement;
-    s.seed = 1234;
-    const sim::SampledStats a =
-        sim::SampledSimulator(test_config(), s).run(program);
-    const sim::SampledStats b =
-        sim::SampledSimulator(test_config(), s).run(program);
-    ASSERT_GT(a.samples.size(), 1u)
-        << sim::placement_name(placement);
-    expect_stats_identical(a, b);
-  }
+  sim::SamplingConfig s = test_sampling();
+  s.seed = 1234;
+  const sim::SampledStats a =
+      sim::SampledSimulator(test_config(), s).run(program);
+  const sim::SampledStats b =
+      sim::SampledSimulator(test_config(), s).run(program);
+  ASSERT_GT(a.samples.size(), 1u);
+  expect_stats_identical(a, b);
 }
 
 TEST(SamplingPlacement, StratifiedStaysInsideItsInterval) {
   const arch::Program program = workloads::assemble_workload("li");
   sim::SamplingConfig s = test_sampling();
-  s.placement = sim::Placement::kStratified;
   s.seed = 7;
   const sim::SampledStats stats =
       sim::SampledSimulator(test_config(), s).run(program);
@@ -214,7 +208,6 @@ TEST(SamplingPlacement, StratifiedStaysInsideItsInterval) {
 TEST(SamplingPlacement, DifferentSeedsMoveTheUnits) {
   const arch::Program program = workloads::assemble_workload("li");
   sim::SamplingConfig s = test_sampling();
-  s.placement = sim::Placement::kStratified;
   s.seed = 1;
   const sim::SampledStats a =
       sim::SampledSimulator(test_config(), s).run(program);
@@ -230,34 +223,19 @@ TEST(SamplingPlacement, DifferentSeedsMoveTheUnits) {
   EXPECT_TRUE(any_moved);
 }
 
-TEST(SamplingPlacement, ParseAndNameRoundTrip) {
-  for (const auto placement :
-       {sim::Placement::kPeriodic, sim::Placement::kRandom,
-        sim::Placement::kStratified}) {
-    EXPECT_EQ(sim::parse_placement(sim::placement_name(placement)),
-              placement);
-  }
-  EXPECT_EQ(sim::parse_placement("bogus"), std::nullopt);
-}
-
 TEST(SamplingSharded, MatchesSerialBitForBit) {
   const arch::Program program = workloads::assemble_workload("li");
-  for (const auto placement :
-       {sim::Placement::kPeriodic, sim::Placement::kStratified}) {
-    SCOPED_TRACE(std::string(sim::placement_name(placement)));
-    sim::SamplingConfig s = test_sampling();
-    s.placement = placement;
-    s.seed = 99;
-    s.threads = 1;
-    const sim::SampledStats serial =
-        sim::SampledSimulator(test_config(), s).run(program);
-    ASSERT_GT(serial.samples.size(), 1u);
-    for (const unsigned threads : {2u, 3u, 4u}) {
-      SCOPED_TRACE(threads);
-      s.threads = threads;
-      expect_stats_identical(
-          serial, sim::SampledSimulator(test_config(), s).run(program));
-    }
+  sim::SamplingConfig s = test_sampling();
+  s.seed = 99;
+  s.threads = 1;
+  const sim::SampledStats serial =
+      sim::SampledSimulator(test_config(), s).run(program);
+  ASSERT_GT(serial.samples.size(), 1u);
+  for (const unsigned threads : {2u, 3u, 4u}) {
+    SCOPED_TRACE(threads);
+    s.threads = threads;
+    expect_stats_identical(
+        serial, sim::SampledSimulator(test_config(), s).run(program));
   }
 }
 
@@ -398,7 +376,6 @@ TEST(SamplingGroups, PlannersOnThePoolsOwnWorkersMatchTheirOwnRuns) {
   }
   for (const double target_ci : {0.0, 0.05}) {
     sim::SamplingConfig s = test_sampling();
-    s.placement = sim::Placement::kStratified;
     s.seed = 7;
     s.target_ci = target_ci;
     std::vector<std::vector<sim::SampledStats>> want;
@@ -440,7 +417,6 @@ TEST(SamplingSharded, HarnessRunsShardedSpecs) {
   harness::RunSpec spec{
       "li", harness::experiment_config(core::PolicyKind::Extended, 64),
       "sharded", test_sampling(), {}};
-  spec.sampling->placement = sim::Placement::kStratified;
   spec.sampling->threads = 2;
   const auto results = harness::run_all({spec}, 1);
   ASSERT_EQ(results.size(), 1u);
@@ -454,7 +430,6 @@ TEST(SamplingStopping, TargetCiStopsBeforeMeasuringEveryUnit) {
   s.period = 10'000;  // small enough to plan well over one CI batch of units
   s.warmup = 1'000;
   s.detail = 2'000;
-  s.placement = sim::Placement::kStratified;
   s.seed = 5;
   const sim::SampledStats all =
       sim::SampledSimulator(test_config(), s).run(program);
@@ -473,7 +448,6 @@ TEST(SamplingStopping, TargetCiStopsBeforeMeasuringEveryUnit) {
 TEST(SamplingStopping, UnreachableTargetMeasuresEveryPlannedUnit) {
   const arch::Program program = workloads::assemble_workload("li");
   sim::SamplingConfig s = test_sampling();
-  s.placement = sim::Placement::kStratified;
   s.seed = 5;
   s.target_ci = 1e-15;  // never satisfied on a real workload
   const sim::SampledStats stats =
@@ -485,7 +459,6 @@ TEST(SamplingStopping, UnreachableTargetMeasuresEveryPlannedUnit) {
 TEST(SamplingStopping, CiStoppingIsThreadCountInvariant) {
   const arch::Program program = workloads::assemble_workload("li");
   sim::SamplingConfig s = test_sampling();
-  s.placement = sim::Placement::kStratified;
   s.seed = 11;
   s.target_ci = 0.05;
   s.threads = 1;
