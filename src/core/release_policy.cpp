@@ -89,10 +89,6 @@ class ConventionalPolicy final : public ReleasePolicy {
  public:
   using ReleasePolicy::ReleasePolicy;
 
-  [[nodiscard]] PolicyKind kind() const override {
-    return PolicyKind::Conventional;
-  }
-
   DestPlan plan_dest(unsigned, InstSeq, RenameRec& rec,
                      std::uint64_t) override {
     // A stale previous version was already freed (early release + exception
@@ -118,8 +114,6 @@ class ConventionalPolicy final : public ReleasePolicy {
 class BasicPolicy : public ReleasePolicy {
  public:
   using ReleasePolicy::ReleasePolicy;
-
-  [[nodiscard]] PolicyKind kind() const override { return PolicyKind::Basic; }
 
   void record_src_use(unsigned logical, InstSeq seq, UseKind kind) override {
     lus_.record_use(logical, seq, kind);
@@ -222,10 +216,6 @@ class BasicPolicy : public ReleasePolicy {
 class ExtendedPolicy final : public BasicPolicy {
  public:
   using BasicPolicy::BasicPolicy;
-
-  [[nodiscard]] PolicyKind kind() const override {
-    return PolicyKind::Extended;
-  }
 
   [[nodiscard]] bool can_rename_dest(unsigned rd, InstSeq nv_seq,
                                      bool self_src_use) const override {

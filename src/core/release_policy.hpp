@@ -84,8 +84,6 @@ class ReleasePolicy {
       : rf_(rf), hooks_(hooks) {}
   virtual ~ReleasePolicy() = default;
 
-  [[nodiscard]] virtual PolicyKind kind() const = 0;
-
   /// Outcome of plan_dest.
   struct DestPlan {
     bool reuse = false;  // pd := old_pd without allocating (basic, C=1)

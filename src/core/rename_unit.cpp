@@ -1,7 +1,5 @@
 #include "core/rename_unit.hpp"
 
-#include "common/log.hpp"
-
 namespace erel::core {
 
 using isa::RegClass;
@@ -10,13 +8,7 @@ RenameUnit::RenameUnit(const RenameConfig& config, PipelineHooks& hooks) {
   state_[0] = std::make_unique<RegFileState>(RC::Int, config.phys_int);
   state_[1] = std::make_unique<RegFileState>(RC::Fp, config.phys_fp);
   for (unsigned c = 0; c < kNumClasses; ++c) {
-    if (config.policy_factory) {
-      policy_[c] =
-          config.policy_factory(static_cast<RC>(c), *state_[c], hooks);
-      EREL_CHECK(policy_[c] != nullptr, "policy factory returned null");
-    } else {
-      policy_[c] = make_policy(config.policy, *state_[c], hooks);
-    }
+    policy_[c] = make_policy(config.policy, *state_[c], hooks);
   }
 }
 

@@ -18,7 +18,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <memory>
 
 #include "core/release_policy.hpp"
@@ -28,17 +27,10 @@
 
 namespace erel::core {
 
-/// Builds a policy instance for one register class. Custom factories let
-/// users plug their own ReleasePolicy subclasses into the pipeline (see
-/// examples/custom_release_policy.cpp).
-using PolicyFactory = std::function<std::unique_ptr<ReleasePolicy>(
-    RC cls, RegFileState&, PipelineHooks&)>;
-
 struct RenameConfig {
   unsigned phys_int = 96;
   unsigned phys_fp = 96;
   PolicyKind policy = PolicyKind::Conventional;
-  PolicyFactory policy_factory;  // overrides `policy` when set
 };
 
 class RenameUnit {

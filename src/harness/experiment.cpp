@@ -1,6 +1,5 @@
 #include "harness/experiment.hpp"
 
-#include <algorithm>
 #include <filesystem>
 #include <utility>
 
@@ -137,8 +136,7 @@ ResultSet Experiment::run(const RunOptions& opts) const {
   std::vector<std::size_t> pending;
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const Cell& cell = cells[i];
-    if ((use_cache || use_server) &&
-        fingerprintable(cell.spec.workload, cell.spec.config)) {
+    if (use_cache || use_server) {
       fp_hex[i] = fingerprint_cell(cell.spec.workload, cell.spec.config,
                                    cell.spec.sampling, probe_names)
                       .hex();
@@ -151,9 +149,9 @@ ResultSet Experiment::run(const RunOptions& opts) const {
     pending.push_back(i);
   }
 
-  // Server routing: ship every fingerprintable miss to the daemon and fold
-  // its replies into `ready`; anything the daemon cannot serve — including
-  // all of them, when it is unreachable — falls through to the local pool.
+  // Server routing: ship every miss to the daemon and fold its replies
+  // into `ready`; anything the daemon cannot serve — including all of
+  // them, when it is unreachable — falls through to the local pool.
   if (use_server && !pending.empty()) {
     RemoteBackend remote(opts.server, opts.remote);
     if (!remote.connect()) {
@@ -161,20 +159,16 @@ ResultSet Experiment::run(const RunOptions& opts) const {
                 remote.error(), "); simulating ", pending.size(),
                 " cell(s) locally");
     } else {
-      // Dispatch every fingerprintable cell, then await each once; the
-      // client owns every retry. Failures are summarized once per sweep
-      // (like the connect-failure path above): a dying daemon would
-      // otherwise emit one warning per outstanding cell.
-      std::vector<std::size_t> local;
+      // Dispatch every cell, then await each once; the client owns every
+      // retry. Failures are summarized once per sweep (like the
+      // connect-failure path above): a dying daemon would otherwise emit
+      // one warning per outstanding cell.
       std::vector<std::pair<std::size_t, std::optional<std::uint64_t>>>
           shipped;
-      for (const std::size_t i : pending) {
-        if (fp_hex[i].empty())
-          local.push_back(i);
-        else
-          shipped.emplace_back(
-              i, remote.dispatch(cells[i].key, cells[i].spec, fp_hex[i]));
-      }
+      for (const std::size_t i : pending)
+        shipped.emplace_back(
+            i, remote.dispatch(cells[i].key, cells[i].spec, fp_hex[i]));
+      std::vector<std::size_t> local;
       std::size_t failures = 0;
       std::string first_why;
       for (const auto& [i, wire] : shipped) {
@@ -201,7 +195,6 @@ ResultSet Experiment::run(const RunOptions& opts) const {
                   "); simulating them locally");
       }
       pending = std::move(local);
-      std::sort(pending.begin(), pending.end());
     }
   }
 

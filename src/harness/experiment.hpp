@@ -31,8 +31,7 @@
 // (harness/fingerprint.hpp) and looked up in the directory before
 // simulating; only missing cells run, and fresh results are written back
 // atomically (tmp file + rename), so interrupted or repeated sweeps resume
-// instead of recomputing. Cells that cannot be fingerprinted (user
-// callbacks in the config) are transparently re-run every time.
+// instead of recomputing.
 #pragma once
 
 #include <functional>
@@ -54,11 +53,11 @@ struct RunOptions {
   std::string cache_dir;
 
   /// "host:port" of an experiment daemon (ereld, src/service/). When set,
-  /// fingerprintable cells that miss the local cache are shipped to the
-  /// daemon instead of the local pool; returned entries are bit-identical
-  /// to local simulation (validated with the cache parser) and are written
-  /// into cache_dir verbatim. An unreachable daemon or a refused cell
-  /// degrades to local simulation with a warning, never an abort.
+  /// cells that miss the local cache are shipped to the daemon instead of
+  /// the local pool; returned entries are bit-identical to local
+  /// simulation (validated with the cache parser) and are written into
+  /// cache_dir verbatim. An unreachable daemon or a refused cell degrades
+  /// to local simulation with a warning, never an abort.
   std::string server;
 
   /// Deadlines and retry budget of the `server` path (ignored otherwise).

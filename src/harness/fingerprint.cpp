@@ -22,12 +22,6 @@ std::string Fingerprint::hex() const {
   return buf;
 }
 
-bool fingerprintable(const std::string& workload,
-                     const sim::SimConfig& config) {
-  if (!sim::config_fingerprintable(config)) return false;
-  return workloads::find_workload(workload) != nullptr;
-}
-
 Fingerprint fingerprint_cell(const std::string& workload,
                              const sim::SimConfig& config,
                              const std::optional<sim::SamplingConfig>& sampling,

@@ -25,12 +25,8 @@
 //
 // Workloads hash their generated assembly text, so a kernel generator
 // change invalidates exactly that kernel's entries. Only names the workload
-// registry resolves (find_workload) are fingerprintable; nothing here reads
-// the filesystem.
-//
-// Configs carrying user callbacks (SimConfig::policy_factory) have no
-// stable content to hash; `fingerprintable` returns false and the
-// experiment layer simply re-runs those cells every time.
+// registry resolves (find_workload) have a fingerprint; nothing here reads
+// the filesystem. A SimConfig is plain data, so every config has one.
 #pragma once
 
 #include <cstdint>
@@ -57,15 +53,11 @@ struct Fingerprint {
   [[nodiscard]] std::string hex() const;
 };
 
-/// True when the (workload, config) cell can be cached: the config carries
-/// no user callbacks and the workload registry resolves the name.
-[[nodiscard]] bool fingerprintable(const std::string& workload,
-                                   const sim::SimConfig& config);
-
 /// Fingerprint of one experiment cell. Aborts (via the workload registry)
-/// on unknown workload names; call `fingerprintable` first. `probe_names`
-/// are the cell's attached probe names in declaration order ({} = none,
-/// the historical hash).
+/// on unknown workload names; a caller holding an untrusted name checks it
+/// with workloads::find_workload first. `probe_names` are the cell's
+/// attached probe names in declaration order ({} = none, the historical
+/// hash).
 [[nodiscard]] Fingerprint fingerprint_cell(
     const std::string& workload, const sim::SimConfig& config,
     const std::optional<sim::SamplingConfig>& sampling,

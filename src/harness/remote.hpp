@@ -36,8 +36,7 @@ class RemoteBackend {
 
   /// Ships one cell on a fresh wire id (unique per backend lifetime).
   /// Returns the wire id to await on, or nullopt once the client has
-  /// failed. The spec must be fingerprintable — the caller already
-  /// computed `fp_hex` from it.
+  /// failed. `fp_hex` is the spec's fingerprint (fingerprint_cell).
   [[nodiscard]] std::optional<std::uint64_t> dispatch(
       const ExpKey& key, const RunSpec& spec, const std::string& fp_hex);
 

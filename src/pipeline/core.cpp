@@ -52,9 +52,7 @@ Core::Core(const sim::SimConfig& config, const arch::Program& program,
       ros_(config.ros_size),
       lsq_(config.lsq_size),
       fu_pool_(config.fus),
-      rename_({config.phys_int, config.phys_fp, config.policy,
-               config.policy_factory},
-              *this),
+      rename_({config.phys_int, config.phys_fp, config.policy}, *this),
       scheduler_(config.phys_int, config.phys_fp) {
   arch::load_program(program, mem_);
   fetch_.set_pc(program.entry);
@@ -85,9 +83,6 @@ Core::Core(const sim::SimConfig& config, const arch::Program& program,
       rename_.rf(static_cast<RC>(c)).tracker.enable_channels(
           config_.stat_stride);
   }
-  if (config_.stat_stride != 0)
-    chan_commits_ =
-        &registry_.channel(sim::kChannelCommits, config_.stat_stride);
 }
 
 Core::Core(const sim::SimConfig& config, const arch::Program& program,
@@ -739,12 +734,6 @@ void Core::tick() {
                  static_cast<int>(ros_.head().state));
     }
   }
-
-  if (chan_commits_ != nullptr && cycle_ % config_.stat_stride == 0) {
-    chan_commits_->push(
-        static_cast<double>(committed_ - chan_committed_at_stride_));
-    chan_committed_at_stride_ = committed_;
-  }
 }
 
 void Core::finish_registry() {
@@ -813,14 +802,6 @@ void Core::finish_registry() {
   publish_cache("l1i", hierarchy_.l1i().stats());
   publish_cache("l1d", hierarchy_.l1d().stats());
   publish_cache("l2", hierarchy_.l2().stats());
-
-  // Flush the partial tail of the commit channel so the points cover the
-  // whole run.
-  if (chan_commits_ != nullptr && cycle_ % config_.stat_stride != 0) {
-    chan_commits_->push(
-        static_cast<double>(committed_ - chan_committed_at_stride_));
-    chan_committed_at_stride_ = committed_;
-  }
 }
 
 sim::SimStats Core::run() {

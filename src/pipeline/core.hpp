@@ -231,11 +231,6 @@ class Core final : public core::PipelineHooks {
   // Cached probes_.empty() — one flag instead of a size load+compare at
   // the commit fan-out site on the hot path.
   bool has_probes_ = false;
-
-  // Fixed-stride commit channel bookkeeping (config_.stat_stride > 0;
-  // handle registered in the ctor, null when channels are off).
-  sim::StatRegistry::TimeSeries* chan_commits_ = nullptr;
-  std::uint64_t chan_committed_at_stride_ = 0;
 };
 
 }  // namespace erel::pipeline

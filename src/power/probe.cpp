@@ -34,10 +34,7 @@ void compute(const RixnerModel& model, unsigned phys_int, unsigned phys_fp,
 
 void RixnerProbe::on_run_begin(const sim::SimConfig& config,
                                sim::StatRegistry& registry) {
-  // A custom policy_factory is opaque; assume no LUs Table rather than
-  // charging unknown machinery.
-  uses_lus_table_ = !config.policy_factory &&
-                    config.policy != core::PolicyKind::Conventional;
+  uses_lus_table_ = config.policy != core::PolicyKind::Conventional;
   reads_[0] = &registry.counter(kReadsInt);
   reads_[1] = &registry.counter(kReadsFp);
   writes_[0] = &registry.counter(kWritesInt);

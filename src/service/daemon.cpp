@@ -9,6 +9,7 @@
 #include "harness/result_cache.hpp"
 #include "power/probe.hpp"
 #include "sim/probe.hpp"
+#include "workloads/workloads.hpp"
 
 namespace erel::service {
 
@@ -136,16 +137,15 @@ void ExperimentDaemon::handle_run_cell(std::uint64_t client,
       return;
     }
   }
+  if (workloads::find_workload(request->workload) == nullptr) {
+    send_error(client, request->id,
+               "unknown workload '" + request->workload + "'");
+    return;
+  }
   // A client and daemon built from diverged sources must never share
   // results: recompute the fingerprint from the decoded cell and refuse on
   // mismatch (the canonical renderings, workload generators, or format
   // version differ).
-  if (!harness::fingerprintable(request->workload, request->config)) {
-    send_error(client, request->id,
-               "cell is not fingerprintable on this daemon (unknown "
-               "workload '" + request->workload + "'?)");
-    return;
-  }
   const std::string fp_hex =
       harness::fingerprint_cell(request->workload, request->config,
                                 request->sampling, request->probe_names)

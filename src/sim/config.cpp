@@ -6,10 +6,6 @@
 
 namespace erel::sim {
 
-bool config_fingerprintable(const SimConfig& config) {
-  return !config.policy_factory;
-}
-
 namespace {
 
 // Single enumeration of every result-affecting field, shared by the

@@ -3,13 +3,11 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <string>
 
 #include "common/record.hpp"
 #include "core/release_policy.hpp"
-#include "core/rename_unit.hpp"
 #include "mem/hierarchy.hpp"
 #include "pipeline/fetch.hpp"
 #include "pipeline/fu_pool.hpp"
@@ -22,10 +20,6 @@ inline constexpr std::uint64_t kNoCommitWatchdogCycles = 20000;
 
 struct SimConfig {
   core::PolicyKind policy = core::PolicyKind::Conventional;
-
-  /// When set, overrides `policy` with a user-supplied ReleasePolicy
-  /// implementation (see examples/custom_release_policy.cpp).
-  core::PolicyFactory policy_factory;
 
   // Register files (paper: 40-160 int / 40-160 FP, 32+32 logical).
   unsigned phys_int = 96;
@@ -61,11 +55,11 @@ struct SimConfig {
 
   /// Instrumentation (API v2): when > 0, the core records fixed-stride
   /// time-series channels into its StatRegistry — per-stride Empty/Ready/
-  /// Idle occupancy per register class and commits per stride — with one
-  /// point every `stat_stride` cycles. Channels never change simulation
-  /// results (stats are value-identical at any stride), so the field is
-  /// excluded from the result-cache fingerprint; read channels from a live
-  /// core's registry, not from cached cells.
+  /// Idle occupancy per register class — with one point every
+  /// `stat_stride` cycles. Channels never change simulation results (stats
+  /// are value-identical at any stride), so the field is excluded from the
+  /// result-cache fingerprint; read channels from a live core's registry,
+  /// not from cached cells.
   ///
   /// Per-committed-instruction observation is a probe: attach a
   /// sim::Probe to the core and handle CommitEvents.
@@ -81,12 +75,6 @@ struct SimConfig {
     return phys >= isa::kNumLogicalRegs + ros_size;
   }
 };
-
-/// True when the config's simulation results are a pure function of the
-/// fields below — i.e. no user-supplied callbacks. Configs carrying a
-/// `policy_factory` cannot be fingerprinted for the on-disk result cache
-/// (harness/fingerprint.hpp) and are always re-run.
-[[nodiscard]] bool config_fingerprintable(const SimConfig& config);
 
 /// Appends every result-affecting field as canonical `name=value` lines.
 /// This is the stable serialization the experiment-result cache hashes:

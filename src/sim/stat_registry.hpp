@@ -152,9 +152,7 @@ inline constexpr std::string_view kStatCachePrefix = "cache";
 
 /// Fixed-stride channels recorded when SimConfig::stat_stride > 0:
 ///   channel/occupancy/<int|fp>/<empty|ready|idle>  avg registers per stride
-///   channel/commit/committed                       commits per stride
 inline constexpr std::string_view kChannelPrefix = "channel";
-inline constexpr std::string_view kChannelCommits = "channel/commit/committed";
 
 /// "int" / "fp" path component for class index 0 / 1.
 [[nodiscard]] std::string_view stat_class_name(unsigned cls);

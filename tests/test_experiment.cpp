@@ -404,22 +404,6 @@ TEST(Fingerprint, ThreadCountNeverChangesTheHash) {
             harness::fingerprint_cell("li", config, sharded).value);
 }
 
-TEST(Fingerprint, CallbacksAreNotFingerprintable) {
-  sim::SimConfig config = tiny_config();
-  EXPECT_TRUE(harness::fingerprintable("li", config));
-  sim::SimConfig config2 = tiny_config();
-  config2.policy_factory = [](core::RC, core::RegFileState& rf,
-                              core::PipelineHooks& hooks) {
-    return core::make_policy(PolicyKind::Conventional, rf, hooks);
-  };
-  EXPECT_FALSE(harness::fingerprintable("li", config2));
-  // Unknown workload names are likewise uncacheable instead of fatal, and
-  // a name is never resolved against the filesystem.
-  EXPECT_FALSE(harness::fingerprintable("no-such-kernel", config));
-  EXPECT_FALSE(harness::fingerprintable(
-      "trace:" + std::filesystem::temp_directory_path().string(), config));
-}
-
 TEST(Fingerprint, ProbeNamesExtendTheHash) {
   // Declaring probes separates cache entries (cells must carry their
   // metrics), while the no-probe hash stays the historical one.

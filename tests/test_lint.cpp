@@ -432,8 +432,7 @@ TEST(LintProject, DeletingACanonicalFieldLineFailsTheLint) {
                   tokenize("src/sim/config.cpp", read_file_or_die(impl_path)));
   const auto clean = lint(control, rules);
   EXPECT_EQ(subjects(with_rule(clean, "fingerprint-coverage")),
-            (std::set<std::string>{"SimConfig::policy_factory",
-                                   "SimConfig::fast_path"}))
+            (std::set<std::string>{"SimConfig::fast_path"}))
       << format_findings(clean);
 }
 

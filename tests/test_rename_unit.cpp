@@ -44,7 +44,7 @@ class RenameUnitTest : public testing::Test {
  protected:
   void init(PolicyKind kind, unsigned phys_int = 40, unsigned phys_fp = 40) {
     unit = std::make_unique<RenameUnit>(
-        RenameConfig{phys_int, phys_fp, kind, nullptr}, hooks);
+        RenameConfig{phys_int, phys_fp, kind}, hooks);
   }
 
   RenameRec& rename(const isa::DecodedInst& inst, InstSeq seq,
@@ -205,7 +205,7 @@ struct Lane {
   static constexpr unsigned kPhys = 40;
 
   explicit Lane(PolicyKind kind)
-      : unit(RenameConfig{kPhys, kPhys, kind, nullptr}, hooks) {
+      : unit(RenameConfig{kPhys, kPhys, kind}, hooks) {
     for (auto& v : version) {
       v.assign(kPhys, 0);
       for (unsigned r = 0; r < isa::kNumLogicalRegs; ++r) v[r] = kArch + r;
@@ -453,34 +453,6 @@ TEST_F(RenameUnitTest, ExceptionFlushRestoresFromIomt) {
   EXPECT_EQ(unit->rf(RC::Int).free_list.size() +
                 unit->rf(RC::Int).tracker.allocated_count(),
             40u);
-}
-
-namespace {
-int g_counting_policy_plans = 0;
-}
-
-TEST_F(RenameUnitTest, CustomPolicyFactoryIsUsed) {
-  struct CountingPolicy final : ReleasePolicy {
-    using ReleasePolicy::ReleasePolicy;
-    [[nodiscard]] PolicyKind kind() const override {
-      return PolicyKind::Conventional;
-    }
-    DestPlan plan_dest(unsigned, InstSeq, RenameRec& rec,
-                       std::uint64_t) override {
-      ++g_counting_policy_plans;
-      rec.rel_old = true;
-      return {};
-    }
-  };
-  g_counting_policy_plans = 0;
-  RenameConfig config;
-  config.phys_int = config.phys_fp = 40;
-  config.policy_factory = [](RC, RegFileState& rf, PipelineHooks& hooks) {
-    return std::make_unique<CountingPolicy>(rf, hooks);
-  };
-  unit = std::make_unique<RenameUnit>(config, hooks);
-  rename(make_inst(isa::Opcode::ADDI, 5, 3, 0), 1);
-  EXPECT_EQ(g_counting_policy_plans, 1);
 }
 
 }  // namespace

@@ -331,6 +331,7 @@ TEST(Service, OutOfRangeCellsAreRefusedAndTheDaemonKeepsServing) {
       {"trace:/dev/null", [](auto& r) { r.workload = "trace:/dev/null"; }},
       {"trace: regular file",
        [&](auto& r) { r.workload = "trace:" + file; }},
+      {"unknown workload", [](auto& r) { r.workload = "no-such-kernel"; }},
   };
 
   std::string error;
@@ -360,7 +361,8 @@ TEST(Service, OutOfRangeCellsAreRefusedAndTheDaemonKeepsServing) {
 
   std::uint64_t id = 1;
   for (const auto& [name, mutate] : bad_cells) {
-    ASSERT_TRUE(send(request_for(id++, mutate))) << name;
+    const service::CellRequest request = request_for(id++, mutate);
+    ASSERT_TRUE(send(request)) << name;
     const std::optional<net::Frame> reply = recv_reply(socket);
     ASSERT_TRUE(reply.has_value()) << name;
     EXPECT_EQ(reply->type, static_cast<std::uint8_t>(service::MsgType::kError))
@@ -370,6 +372,13 @@ TEST(Service, OutOfRangeCellsAreRefusedAndTheDaemonKeepsServing) {
     ASSERT_TRUE(refusal.has_value()) << name;
     EXPECT_EQ(refusal->message.find("fingerprint mismatch"), std::string::npos)
         << name << ": " << refusal->message;
+    // A name outside the registry is refused by name, never opened.
+    if (request.workload != "li") {
+      EXPECT_NE(refusal->message.find("unknown workload '" + request.workload +
+                                      "'"),
+                std::string::npos)
+          << name << ": " << refusal->message;
+    }
   }
 
   // The same daemon, on the same connection, still simulates a valid cell.
