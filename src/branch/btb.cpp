@@ -10,6 +10,7 @@ Btb::Btb(unsigned entries, unsigned ways) : ways_(ways) {
   sets_ = entries / ways;
   EREL_CHECK(is_pow2(sets_));
   entries_.resize(entries);
+  filled_.resize(sets_);
 }
 
 std::size_t Btb::set_of(std::uint64_t pc) const {
@@ -18,35 +19,27 @@ std::size_t Btb::set_of(std::uint64_t pc) const {
 
 std::optional<std::uint64_t> Btb::lookup(std::uint64_t pc) const {
   const std::size_t set = set_of(pc);
-  for (unsigned w = 0; w < ways_; ++w) {
-    const Entry& e = entries_[set * ways_ + w];
-    if (e.valid && e.tag == pc) return e.target;
+  const Entry* const set_entries = entries_.data() + set * ways_;
+  for (unsigned w = 0; w < filled_[set]; ++w) {
+    if (set_entries[w].tag == pc) return set_entries[w].target;
   }
   return std::nullopt;
 }
 
 void Btb::update(std::uint64_t pc, std::uint64_t target) {
   const std::size_t set = set_of(pc);
-  Entry* victim = nullptr;
-  for (unsigned w = 0; w < ways_; ++w) {
-    Entry& e = entries_[set * ways_ + w];
-    if (e.valid && e.tag == pc) {
-      e.target = target;
-      e.lru = ++lru_clock_;
-      return;
-    }
-    if (!e.valid) {
-      if (victim == nullptr || victim->valid) victim = &e;
-    } else if (victim == nullptr ||
-               (victim->valid && e.lru < victim->lru)) {
-      victim = &e;
-    }
+  Entry* const set_entries = entries_.data() + set * ways_;
+  unsigned& filled = filled_[set];
+  unsigned w = 0;
+  while (w < filled && set_entries[w].tag != pc) ++w;
+  if (w == ways_) {
+    --w;  // a miss in a full set: the last entry leaves
+  } else if (w == filled) {
+    ++filled;  // a miss: one more entry holds a target
   }
-  EREL_CHECK(victim != nullptr);
-  victim->valid = true;
-  victim->tag = pc;
-  victim->target = target;
-  victim->lru = ++lru_clock_;
+  // The entries ahead of w move back one place; pc's goes to the front.
+  for (; w > 0; --w) set_entries[w] = set_entries[w - 1];
+  set_entries[0] = {pc, target};
 }
 
 }  // namespace erel::branch

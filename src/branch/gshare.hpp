@@ -45,7 +45,7 @@ class Gshare {
   [[nodiscard]] std::uint32_t history() const { return ghr_; }
   [[nodiscard]] unsigned history_bits() const { return history_bits_; }
 
-  /// Direct counter-table access for unit tests.
+  /// The 2-bit counter a branch at `pc` under `history` reads (0..3).
   [[nodiscard]] std::uint8_t counter_at(std::uint64_t pc,
                                         std::uint32_t history) const;
 
@@ -55,7 +55,9 @@ class Gshare {
   unsigned history_bits_;
   std::uint32_t mask_;
   std::uint32_t ghr_ = 0;
-  std::vector<std::uint8_t> counters_;  // 2-bit saturating, init weakly taken
+  // 2-bit saturating counters, init 1 (weakly not taken), four per byte:
+  // counter i is bits [2*(i%4), 2*(i%4)+2) of byte i/4.
+  std::vector<std::uint8_t> counters_;
   GshareStats stats_;
 };
 

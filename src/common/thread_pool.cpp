@@ -39,19 +39,12 @@ void ThreadPool::wait_idle() {
   all_done_.wait(lock, [this] { return in_flight_ == 0; });
 }
 
-bool ThreadPool::has_idle_worker() {
-  const std::lock_guard lock(mu_);
-  return idle_ > queue_.size();
-}
-
 void ThreadPool::worker_loop() {
   for (;;) {
     std::function<void()> task;
     {
       std::unique_lock lock(mu_);
-      ++idle_;
       work_available_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      --idle_;
       if (queue_.empty()) return;  // stopping_ and drained
       task = std::move(queue_.front());
       queue_.pop_front();

@@ -38,11 +38,6 @@ class ThreadPool {
 
   [[nodiscard]] unsigned size() const { return static_cast<unsigned>(workers_.size()); }
 
-  /// Whether a task submitted now would start at once: some worker is
-  /// waiting for work that nothing already queued will take. A snapshot,
-  /// for scheduling decisions only.
-  [[nodiscard]] bool has_idle_worker();
-
  private:
   void worker_loop();
 
@@ -52,7 +47,6 @@ class ThreadPool {
   std::deque<std::function<void()>> queue_;
   std::vector<std::thread> workers_;
   std::size_t in_flight_ = 0;
-  std::size_t idle_ = 0;  // workers waiting for a task
   bool stopping_ = false;
 };
 

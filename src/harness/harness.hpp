@@ -9,11 +9,12 @@
 // fields and the same plan key (sim::same_plan: ghr_bits, memory,
 // fast_path — the only config fields the planning pass reads) share one
 // planning pass. Each group, a group of one included, is one task on the
-// same pool (sim::SampledSimulator::run_group): it plans once and measures
-// its windows itself while the pool is busy, and hands the rest of a
-// unit's windows to workers that idle, so the windows of a sweep's last
-// groups spread over the whole pool. Each cell's result is bit-identical
-// to run_one's.
+// same pool (sim::SampledSimulator::run_group): it plans once on the
+// worker that runs it and hands every window to the pool, measuring its
+// own windows that no worker has claimed whenever too many are
+// unmeasured. So while every worker plans, each planner measures its own
+// windows, and in a sweep's tail the workers with no group left take the
+// rest. Each cell's result is bit-identical to run_one's.
 //
 // Sweeps should normally be declared through harness::Experiment
 // (harness/experiment.hpp), which materializes axis cross-products into
@@ -47,8 +48,9 @@ struct RunSpec {
   /// offset in its interval, `target_ci` confidence-driven stopping, and
   /// `threads`, which matters only to run_one and to direct
   /// sim::SampledSimulator callers (raise it to shard a single long
-  /// workload's units). run_all measures every sampled spec on its own
-  /// pool instead.
+  /// workload's units on a pool of the run's own). run_all ignores it and
+  /// measures every sampled spec's windows on its own pool, with the same
+  /// schedule.
   std::optional<sim::SamplingConfig> sampling;
 
   /// Named probes attached to the run (Instrumentation API v2): fresh

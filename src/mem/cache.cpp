@@ -14,52 +14,47 @@ Cache::Cache(const CacheConfig& config) : config_(config) {
   EREL_CHECK(is_pow2(sets_), "set count must be a power of two");
   line_shift_ = log2_exact(config.line_bytes);
   tag_shift_ = line_shift_ + log2_exact(sets_);
+  // Keeps the two top bits of every tag free for kValid and kDirty.
+  EREL_CHECK(tag_shift_ >= 2, "cache geometry needs line size times sets "
+             ">= 4 bytes");
   set_mask_ = sets_ - 1;
   ways_.resize(sets_ * config.associativity);
 }
 
 bool Cache::contains(std::uint64_t addr) const {
-  const std::uint64_t tag = tag_of(addr);
-  const Way* set_ways = ways_.data() + set_index(addr) * config_.associativity;
+  const std::uint64_t line = tag_of(addr) | kValid;
+  const std::uint64_t* set_ways =
+      ways_.data() + set_index(addr) * config_.associativity;
   for (unsigned w = 0; w < config_.associativity; ++w) {
-    if (set_ways[w].valid && set_ways[w].tag == tag) return true;
+    if ((set_ways[w] & ~kDirty) == line) return true;
   }
   return false;
 }
 
 bool Cache::access(std::uint64_t addr, bool is_write) {
   ++stats_.accesses;
-  const std::uint64_t tag = tag_of(addr);
+  const unsigned ways = config_.associativity;
+  const std::uint64_t line = tag_of(addr) | kValid;
+  std::uint64_t dirty = is_write ? kDirty : 0;
   // The set's ways are contiguous: one base-pointer computation, then the
-  // probe and victim scans walk a cache-line-friendly stretch.
-  Way* const set_ways =
-      ways_.data() + set_index(addr) * config_.associativity;
-  for (unsigned w = 0; w < config_.associativity; ++w) {
-    Way& way = set_ways[w];
-    if (way.valid && way.tag == tag) {
-      way.lru = ++lru_clock_;
-      way.dirty = way.dirty || is_write;
-      return true;
-    }
+  // probe walks a cache-line-friendly stretch, most recent way first.
+  std::uint64_t* const set_ways = ways_.data() + set_index(addr) * ways;
+  unsigned w = 0;
+  while (w < ways && (set_ways[w] & ~kDirty) != line) ++w;
+  const bool hit = w < ways;
+  if (hit) {
+    dirty |= set_ways[w] & kDirty;
+  } else {
+    // Miss: the last way is invalid if any is, else the least recently
+    // used. It leaves the set.
+    ++stats_.misses;
+    w = ways - 1;
+    if ((set_ways[w] & kDirty) != 0) ++stats_.writebacks;
   }
-  ++stats_.misses;
-  // Miss: pick an invalid way if any, else the least recently used.
-  Way* victim = nullptr;
-  for (unsigned w = 0; w < config_.associativity; ++w) {
-    Way& way = set_ways[w];
-    if (!way.valid) {
-      victim = &way;
-      break;
-    }
-    if (victim == nullptr || way.lru < victim->lru) victim = &way;
-  }
-  EREL_CHECK(victim != nullptr);
-  if (victim->valid && victim->dirty) ++stats_.writebacks;
-  victim->valid = true;
-  victim->tag = tag;
-  victim->dirty = is_write;
-  victim->lru = ++lru_clock_;
-  return false;
+  // The ways ahead of w move back one place; the line goes to the front.
+  for (; w > 0; --w) set_ways[w] = set_ways[w - 1];
+  set_ways[0] = line | dirty;
+  return hit;
 }
 
 }  // namespace erel::mem

@@ -2,6 +2,18 @@
 // write-allocate policy. Purely a timing/occupancy model: data always lives
 // in SparseMemory; the cache tracks tags so the hierarchy can assign
 // latencies (matching sim-outorder's cache model granularity).
+//
+// A way is one 64-bit word: its tag, with the valid and dirty flags in the
+// two top bits (a tag is addr >> log2(line_bytes * sets), and the
+// constructor requires line_bytes * sets >= 4, so those bits are always
+// free). Recency is the order of the ways within their set, most recent
+// first, so there is no per-way timestamp: a hit moves its way to the
+// front, a fill enters at the front and the last way leaves. Invalid ways
+// therefore always trail the valid ones, and the victim is an invalid way
+// while one is left, else the least recently used — the same victim a
+// global LRU clock picks. The sampler copies the warmed caches into every
+// detailed window (sim/warm_state.hpp), so the word per way is what a copy
+// costs.
 #pragma once
 
 #include <cstdint>
@@ -46,12 +58,8 @@ class Cache {
   void reset_stats() { stats_ = {}; }
 
  private:
-  struct Way {
-    std::uint64_t tag = 0;
-    bool valid = false;
-    bool dirty = false;
-    std::uint64_t lru = 0;  // larger == more recently used
-  };
+  static constexpr std::uint64_t kValid = std::uint64_t{1} << 63;
+  static constexpr std::uint64_t kDirty = std::uint64_t{1} << 62;
 
   // Line size and set count are powers of two (checked at construction), so
   // the per-access index/tag math is a shift+mask — no divisions on the hot
@@ -65,12 +73,13 @@ class Cache {
 
   CacheConfig config_;
   CacheStats stats_;
-  std::vector<Way> ways_;  // sets_ * associativity entries, set-contiguous
+  // sets_ * associativity words (tag | kValid | kDirty, 0 when invalid),
+  // set-contiguous, each set most recently used first.
+  std::vector<std::uint64_t> ways_;
   std::uint64_t sets_ = 0;
   unsigned line_shift_ = 0;  // log2(line_bytes)
   unsigned tag_shift_ = 0;   // log2(line_bytes * sets)
   std::uint64_t set_mask_ = 0;  // sets - 1
-  std::uint64_t lru_clock_ = 0;
 };
 
 }  // namespace erel::mem

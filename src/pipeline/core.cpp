@@ -37,6 +37,11 @@ Core::Core(const sim::SimConfig& config, const arch::Program& program)
 
 Core::Core(const sim::SimConfig& config, const arch::Program& program,
            std::shared_ptr<const arch::DecodedProgram> decoded)
+    : Core(config, program, std::move(decoded), nullptr) {}
+
+Core::Core(const sim::SimConfig& config, const arch::Program& program,
+           std::shared_ptr<const arch::DecodedProgram> decoded,
+           const sim::WarmState* warm)
     : config_(config),
       decoded_(config.fast_path
                    ? (decoded != nullptr
@@ -44,10 +49,11 @@ Core::Core(const sim::SimConfig& config, const arch::Program& program,
                           : std::make_shared<const arch::DecodedProgram>(
                                 program))
                    : nullptr),
-      hierarchy_(config.memory),
-      gshare_(config.ghr_bits),
-      btb_(),
-      ras_(),
+      hierarchy_(warm != nullptr ? warm->hierarchy
+                                 : mem::MemoryHierarchy(config.memory)),
+      gshare_(warm != nullptr ? warm->gshare : branch::Gshare(config.ghr_bits)),
+      btb_(warm != nullptr ? warm->btb : branch::Btb()),
+      ras_(warm != nullptr ? warm->ras : branch::Ras()),
       fetch_(config.fetch, mem_, hierarchy_, gshare_, btb_, ras_),
       ros_(config.ros_size),
       lsq_(config.lsq_size),
@@ -88,18 +94,14 @@ Core::Core(const sim::SimConfig& config, const arch::Program& program,
 Core::Core(const sim::SimConfig& config, const arch::Program& program,
            const arch::Checkpoint& checkpoint, const sim::WarmState* warm,
            std::shared_ptr<const arch::DecodedProgram> decoded)
-    : Core(config, program, decoded) {
+    : Core(config, program, decoded, warm) {
   // A caller-supplied cache is a vouch that the checkpoint's code image
   // matches it (SampledSimulator tracks this per unit as decoded_ok), so
   // only a core-built cache pays the validation scan below.
   const bool caller_vouched = decoded != nullptr;
-  if (warm != nullptr) {
-    gshare_ = warm->gshare;
-    btb_ = warm->btb;
-    ras_ = warm->ras;
-    hierarchy_ = warm->hierarchy;
-    hierarchy_.reset_stats();
-  }
+  // A warm hierarchy arrives with its warming accesses counted; the core
+  // counts only its own.
+  hierarchy_.reset_stats();
   // The checkpoint's resident set is a superset of the program image (code
   // and initialized data materialize their pages at load), so restoring it
   // wholesale reproduces functional memory state exactly.

@@ -123,6 +123,12 @@ class Core final : public core::PipelineHooks {
                               core::InstSeq hi) const override;
 
  private:
+  /// The other constructors' common body: predictors and caches are
+  /// copy-constructed from `warm` when it is given, built cold otherwise.
+  Core(const sim::SimConfig& config, const arch::Program& program,
+       std::shared_ptr<const arch::DecodedProgram> decoded,
+       const sim::WarmState* warm);
+
   /// Entry for `seq` if it is still the same dynamic instruction.
   RosEntry* live_entry(core::InstSeq seq, std::uint64_t uid);
 

@@ -67,7 +67,10 @@ bool cache_buildable(const mem::CacheConfig& c) {
   if (!is_pow2(c.line_bytes) || c.associativity == 0) return false;
   const std::uint64_t set_bytes =
       std::uint64_t{c.line_bytes} * c.associativity;
+  // size / associativity is line size times sets: at least 4 bytes, so a
+  // tag leaves the two top bits a way keeps its flags in.
   return c.size_bytes % set_bytes == 0 && is_pow2(c.size_bytes / set_bytes) &&
+         c.size_bytes / c.associativity >= 4 &&
          c.size_bytes / c.line_bytes <= kMaxCacheLines;
 }
 

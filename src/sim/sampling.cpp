@@ -45,13 +45,13 @@ struct UnitResult {
 };
 
 /// What a unit's windows replay from: the architectural checkpoint and,
-/// when the planner moves on before every window has built its core, a
-/// frozen copy of the planner's warm state. The unit's windows share one
-/// snapshot; whoever drops the last reference (the last window to build its
-/// core, or the end of the run) frees it.
+/// when the windows run on a pool, a frozen copy of the planner's warm
+/// state. The unit's windows share one snapshot; whoever drops the last
+/// reference (the last window to build its core, or the unit once it is
+/// handed out or its CI round is measured) frees it.
 struct UnitSnapshot {
   arch::Checkpoint ckpt;
-  // Null while the windows replay from the planner's live warm state.
+  // Null when the windows run inline from the planner's live warm state.
   std::unique_ptr<const WarmState> warm;
 };
 
@@ -66,27 +66,24 @@ struct SamplingUnit {
   // cache (the checkpointed code bytes differ from the static program).
   // One flag serves every config of the group.
   bool decoded_ok = true;
-  // Held by the unit itself only under confidence-driven stopping, which
-  // measures after planning; streamed windows hold it themselves.
+  // Held by the unit until its windows are handed out (streamed) or its CI
+  // round is measured; the handed-out windows hold it themselves.
   std::shared_ptr<const UnitSnapshot> snapshot;
   std::vector<std::optional<UnitResult>> results;  // per config; empty
                                                    // until measured
-  // Windows that have built their core, and windows measured; guarded by
-  // the run's window mutex.
-  std::size_t windows_built = 0;
+  // Windows measured; guarded by the run's window mutex.
   std::size_t windows_done = 0;
 };
 
-/// One window handed to a pool. Whoever claims it first measures it: a
-/// worker, or the planner, which takes back its own unclaimed windows
-/// rather than wait behind other tasks. The pool's copy of a ticket that
-/// someone else claimed is a no-op.
+/// One window of a unit, replaying the unit's snapshot. Whoever claims it
+/// first measures it: a pool worker, or the planner, which takes back its
+/// own unclaimed windows rather than wait behind other tasks. The pool's
+/// copy of a ticket that someone else claimed is a no-op.
 struct Ticket {
   std::atomic<bool> claimed{false};
   std::size_t config = 0;
   SamplingUnit* unit = nullptr;
   std::shared_ptr<const UnitSnapshot> snapshot;  // moved out by the claimer
-  const WarmState* warm = nullptr;  // the snapshot's, or the planner's own
 };
 
 /// The planning pass's batched warming loop: fast-forwards the oracle to
@@ -296,9 +293,9 @@ std::vector<SampledStats> SampledSimulator::run_group(
   // while the planner appends and folds, so a worker holds its own unit
   // while the planner grows and shrinks the plan.
   std::deque<SamplingUnit> units;
-  std::mutex mu;  // guards `unmeasured`, `offered` and units' window counts
+  std::mutex mu;  // guards `unmeasured`, `offered` and units' windows_done
   std::condition_variable measured_cv;
-  std::size_t unmeasured = 0;  // windows handed to the pool, not yet done
+  std::size_t unmeasured = 0;  // windows handed out, not yet measured
   std::deque<std::shared_ptr<Ticket>> offered;  // possibly still unclaimed
 
   // --- one detailed window ------------------------------------------------
@@ -309,8 +306,7 @@ std::vector<SampledStats> SampledSimulator::run_group(
   // state and the checkpoint pages, so this window drops its reference to
   // the snapshot as soon as the core is built (`warm` may point into it):
   // the last window of a unit frees it, and a running window holds one
-  // copy of its warm state, not two. The unit counts its built windows, so
-  // a planner whose live warm state serves them knows when it may move on.
+  // copy of its warm state, not two.
   const auto measure = [&](std::size_t c, SamplingUnit& unit,
                            std::shared_ptr<const UnitSnapshot> snap,
                            const WarmState& warm) {
@@ -322,12 +318,6 @@ std::vector<SampledStats> SampledSimulator::run_group(
     pipeline::Core core(cfg, program, snap->ckpt, &warm,
                         unit.decoded_ok ? decoded : nullptr);
     snap.reset();
-    {
-      // Notified under the lock, as in run_ticket.
-      const std::lock_guard lock(mu);
-      ++unit.windows_built;
-      measured_cv.notify_one();
-    }
     const std::vector<std::unique_ptr<Probe>> instances =
         core.attach_probes(probes[c]);
     while (!core.halted() && core.committed() < sampling_.warmup &&
@@ -351,17 +341,15 @@ std::vector<SampledStats> SampledSimulator::run_group(
     }
   };
 
-  // Confidence-driven stopping measures seeded-shuffled batches of the whole
+  // Confidence-driven stopping measures seeded-shuffled rounds of the whole
   // plan, so it plans everything first. Otherwise measurement is streamed:
   // each unit is measured as soon as the planning pass has captured it.
-  // Three schedules, all with the same results:
-  // - no pool (threads = 1): every window inline, on this thread;
-  // - a pool of its own (threads > 1): every window on the pool (the unit
-  //   count is not known yet, so the pool is built now) while this thread
-  //   only plans, waiting while 2 * threads windows are unmeasured;
-  // - the caller's `pool`, which this thread may be a worker of: windows
-  //   inline while the pool is busy, and the rest of a unit's windows on
-  //   the pool once a worker idles.
+  // Without a pool (threads = 1) a streamed unit's windows run inline,
+  // from the planner's live warm state. With one, the run's own (threads >
+  // 1: the unit count is not known yet, so it is built now) or the
+  // caller's, there is one schedule: the unit gets one frozen WarmState
+  // copy, and each of its windows, streamed or in a CI round, is a ticket
+  // on the pool that replays that copy.
   const bool ci_stopping = sampling_.target_ci > 0.0;
   std::optional<ThreadPool> own_pool;
   ThreadPool* shards = pool;
@@ -371,21 +359,16 @@ std::vector<SampledStats> SampledSimulator::run_group(
     // 0 again: the pool resolves it the same way.
     if (threads > 1) shards = &own_pool.emplace(sampling_.threads);
   }
-  const auto offer_now = [&] {
-    return own_pool.has_value() ||
-           (shards != nullptr && shards->has_idle_worker());
-  };
-  // A unit on its own pool holds its warm snapshot and checkpoint pages
-  // until its last window is built. The planner waits while this many
-  // windows are unmeasured, so peak memory is set by the shard count, not
-  // by how far planning outruns measurement. The caller's pool needs no
-  // bound: windows go there only while a worker idles.
+  // A handed-out unit holds its warm snapshot and checkpoint pages until
+  // its last window is built. The planner plans on only while fewer than
+  // this many windows are unmeasured, so peak memory is set by the pool
+  // size, not by how far planning outruns measurement.
   const std::size_t max_unmeasured =
-      own_pool ? 2 * std::size_t{own_pool->size()} : 0;
+      shards != nullptr ? 2 * std::size_t{shards->size()} : 0;
 
   const auto run_ticket = [&](Ticket& ticket) {
-    measure(ticket.config, *ticket.unit, std::move(ticket.snapshot),
-            *ticket.warm);
+    const WarmState& warm = *ticket.snapshot->warm;
+    measure(ticket.config, *ticket.unit, std::move(ticket.snapshot), warm);
     // Notified under the lock: once the planner sees its last window
     // done it returns, and `mu` and `measured_cv` go with it.
     const std::lock_guard lock(mu);
@@ -393,19 +376,15 @@ std::vector<SampledStats> SampledSimulator::run_group(
     --unmeasured;
     measured_cv.notify_one();
   };
-  // Hands windows [first, last), window i being `window(i)` -> (config,
-  // unit), to the pool. They replay from `snap` and `warm` when given, and
-  // from their unit's own snapshot otherwise.
-  const auto offer = [&](std::size_t first, std::size_t last,
-                         const auto& window,
-                         const std::shared_ptr<const UnitSnapshot>& snap,
-                         const WarmState* warm) {
+  // Hands out windows [0, count), window i being `window(i)` -> (config,
+  // unit): each replays its unit's snapshot. Without a pool they wait for
+  // this thread to claim them.
+  const auto offer = [&](std::size_t count, const auto& window) {
     std::vector<std::shared_ptr<Ticket>> tickets;
-    for (std::size_t i = first; i < last; ++i) {
+    for (std::size_t i = 0; i < count; ++i) {
       auto ticket = std::make_shared<Ticket>();
       std::tie(ticket->config, ticket->unit) = window(i);
-      ticket->snapshot = snap ? snap : ticket->unit->snapshot;
-      ticket->warm = snap ? warm : ticket->snapshot->warm.get();
+      ticket->snapshot = ticket->unit->snapshot;
       tickets.push_back(std::move(ticket));
     }
     {
@@ -414,55 +393,52 @@ std::vector<SampledStats> SampledSimulator::run_group(
       unmeasured += tickets.size();
       offered.insert(offered.end(), tickets.begin(), tickets.end());
     }
+    if (shards == nullptr) return;
     for (std::shared_ptr<Ticket>& ticket : tickets) {
       shards->submit([&run_ticket, ticket = std::move(ticket)] {
         if (!ticket->claimed.exchange(true)) run_ticket(*ticket);
       });
     }
   };
-  // Measures every window handed to the pool that no worker has claimed
-  // yet, on this thread.
-  const auto claim_offered = [&] {
-    for (;;) {
+  // Brings the unmeasured windows down to `keep`. With `claim`, this thread
+  // first measures handed-out windows that no worker has claimed yet,
+  // oldest first, so it never waits on a window queued behind other tasks
+  // and planners running on the pool's own workers cannot deadlock; then
+  // it waits for the claimed ones still running.
+  const auto settle = [&](std::size_t keep, bool claim) {
+    while (claim) {
       std::shared_ptr<Ticket> mine;
       {
         const std::lock_guard lock(mu);
-        while (!offered.empty() && mine == nullptr) {
+        while (unmeasured > keep && !offered.empty() && mine == nullptr) {
           std::shared_ptr<Ticket> front = std::move(offered.front());
           offered.pop_front();
           if (!front->claimed.exchange(true)) mine = std::move(front);
         }
       }
-      if (mine == nullptr) return;
+      if (mine == nullptr) break;
       run_ticket(*mine);
     }
-  };
-  // Then waits until the claimed ones are measured too. It never waits on
-  // a window queued behind other tasks, so planners running on the pool's
-  // own workers cannot deadlock.
-  const auto finish_offered = [&] {
-    claim_offered();
     std::unique_lock lock(mu);
-    measured_cv.wait(lock, [&] { return unmeasured == 0; });
-  };
-  // Waits for the bound above on a pool of its own; returns how many units
-  // at the front of the plan have every window measured.
-  const auto measured_front = [&] {
-    std::unique_lock lock(mu);
-    if (own_pool)
-      measured_cv.wait(lock, [&] { return unmeasured < max_unmeasured; });
-    std::size_t ready = 0;
-    while (ready < units.size() && units[ready].windows_done == n_configs)
-      ++ready;
-    return ready;
+    measured_cv.wait(lock, [&] { return unmeasured <= keep; });
   };
 
   std::vector<SampledStats> outs(n_configs);
   // Streamed measurement folds a unit into every config's result as soon
   // as all its windows are measured, so a unit's window results live only
-  // while it is in flight.
-  const auto fold_front = [&](std::size_t count) {
-    for (; count > 0; --count) {
+  // while it is in flight. Before the planner plans the next unit it holds
+  // the unmeasured windows under the bound: on a pool of its own it waits;
+  // on the caller's pool, where it may be one of the workers, it measures
+  // its own unclaimed windows instead.
+  const auto fold_measured = [&] {
+    if (shards != nullptr) settle(max_unmeasured - 1, !own_pool);
+    std::size_t ready = 0;
+    {
+      const std::lock_guard lock(mu);
+      while (ready < units.size() && units[ready].windows_done == n_configs)
+        ++ready;
+    }
+    for (; ready > 0; --ready) {
       const SamplingUnit& unit = units.front();
       for (std::size_t c = 0; c < n_configs; ++c)
         fold(outs[c], unit.icount, *unit.results[c]);
@@ -473,9 +449,10 @@ std::vector<SampledStats> SampledSimulator::run_group(
   // --- planning pass ------------------------------------------------------
   // One functional sweep over the whole program: fast-forward, warming the
   // predictors and caches, to each unit start, capture the architectural
-  // checkpoint (plus a frozen copy of the warm state when windows outlive
-  // this step), measure or hand out the unit's windows, and keep going.
-  // After this pass the exact dynamic instruction count is known.
+  // checkpoint (plus a frozen copy of the warm state when the windows run
+  // on a pool or in CI rounds), measure or hand out the unit's windows, and
+  // keep going. After this pass the exact dynamic instruction count is
+  // known.
   std::uint64_t units_planned = 0;
   std::uint64_t total_instructions = 0;
   bool halted = false;
@@ -485,7 +462,7 @@ std::vector<SampledStats> SampledSimulator::run_group(
     for (std::uint64_t k = 0; !master.halted(); ++k) {
       run_warmed(master, warm, unit_start(k));
       if (master.halted()) break;
-      if (!ci_stopping) fold_front(measured_front());
+      if (!ci_stopping) fold_measured();
       ++units_planned;
       SamplingUnit& unit = units.emplace_back();
       auto snap = std::make_shared<UnitSnapshot>();
@@ -493,51 +470,35 @@ std::vector<SampledStats> SampledSimulator::run_group(
       unit.icount = snap->ckpt.icount;
       unit.decoded_ok = !master.code_dirtied();
       unit.results.resize(n_configs);
-      if (ci_stopping) {
-        snap->warm = std::make_unique<const WarmState>(warm);
-        unit.snapshot = std::move(snap);
+      if (!ci_stopping && shards == nullptr) {
+        for (std::size_t c = 0; c < n_configs; ++c)
+          measure(c, unit, snap, warm);
+        unit.windows_done = n_configs;
         continue;
       }
-      // Windows measured here replay from the planner's live warm state,
-      // and so do windows on the caller's pool: the planner measures those
-      // no worker claims and waits until every one has built its core
-      // before it moves on. On a pool of its own the planner moves on at
-      // once, so those windows get a frozen copy.
-      std::size_t c = 0;
-      for (; c < n_configs && !offer_now(); ++c) measure(c, unit, snap, warm);
-      {
-        const std::lock_guard lock(mu);
-        unit.windows_done += c;
-      }
-      if (c == n_configs) continue;
-      const WarmState* replay_warm = &warm;
-      if (own_pool) {
-        snap->warm = std::make_unique<const WarmState>(warm);
-        replay_warm = snap->warm.get();
-      }
-      offer(c, n_configs,
-            [&unit](std::size_t i) { return std::pair{i, &unit}; },
-            std::move(snap), replay_warm);
-      if (own_pool) continue;
-      claim_offered();
-      std::unique_lock lock(mu);
-      measured_cv.wait(lock, [&] { return unit.windows_built == n_configs; });
+      snap->warm = std::make_unique<const WarmState>(warm);
+      unit.snapshot = std::move(snap);
+      if (ci_stopping) continue;
+      offer(n_configs, [&unit](std::size_t c) { return std::pair{c, &unit}; });
+      unit.snapshot.reset();
     }
     total_instructions = master.instructions_executed();
     halted = master.halted();
   }
   if (!ci_stopping) {
-    finish_offered();
-    fold_front(units.size());
+    settle(0, true);
+    fold_measured();
   }
 
   // --- confidence-driven measurement --------------------------------------
   // A seeded shuffle of the plan, measured in batches, so every batch is an
   // unbiased spread over the whole program rather than its first intervals.
-  // Each round measures the next batch of every config that has not met its
-  // target yet, all at once; each config stops on its own CI, then folds
-  // its windows in interval order. A config's measured set depends only on
-  // its own batches, never on the others' or on the thread count.
+  // Each round hands out the next batch of every config that has not met
+  // its target yet, all at once, and measures its unclaimed windows itself;
+  // each config stops on its own CI, then folds its windows in interval
+  // order. A config's measured set depends only on its own batches, never
+  // on the others' or on the thread count. A unit is measured only in the
+  // round its shuffled position falls in, so it drops its snapshot then.
   if (ci_stopping) {
     std::vector<std::size_t> order(units.size());
     std::iota(order.begin(), order.end(), 0);
@@ -555,17 +516,12 @@ std::vector<SampledStats> SampledSimulator::run_group(
       const std::size_t batch = batch_end - next;
       // Window i of the round: config active[i / batch], unit
       // order[next + i % batch].
-      const auto window = [&](std::size_t i) {
+      offer(batch * active.size(), [&](std::size_t i) {
         return std::pair{active[i / batch], &units[order[next + i % batch]]};
-      };
-      const std::size_t round = batch * active.size();
-      std::size_t i = 0;
-      for (; i < round && !offer_now(); ++i) {
-        const auto [c, unit] = window(i);
-        measure(c, *unit, unit->snapshot, *unit->snapshot->warm);
-      }
-      if (i < round) offer(i, round, window, nullptr, nullptr);
-      finish_offered();
+      });
+      settle(0, true);
+      for (std::size_t u = next; u < batch_end; ++u)
+        units[order[u]].snapshot.reset();
       std::erase_if(active, [&](std::size_t c) {
         for (std::size_t u = next; u < batch_end; ++u) {
           const SamplingUnit& unit = units[order[u]];

@@ -5,21 +5,21 @@
 // predictors and caches on every instruction (SMARTS' continuous functional
 // warming), and captures an arch::Checkpoint plus the warm state at the
 // start of every sampling unit. Each unit is measured as soon as it is
-// captured, in one of three ways:
-// inline on the calling thread, which seeds each window from the
-// planner's own warm state; on a pool the run builds for `threads` > 1,
-// while the calling thread plans on (the unit's windows share one frozen
-// WarmState copy, freed once the last of them has built its core, and
-// planning waits while 2 * threads windows are unmeasured); or on a pool
-// the caller shares, such as harness::run_all's, whose own workers may be
-// planners: there the planner measures inline while the pool is busy and
-// hands the rest of a unit's windows to workers that idle, which build
-// their cores from its live warm state before it moves on. A window
-// replays its unit from the checkpoint — `warmup` detailed-but-unmeasured
-// instructions prime the short-lived pipeline state, the next `detail`
-// instructions are measured. Per-unit SampleRecords merge in interval
-// order regardless of which thread produced them, so results are
-// bit-identical at any thread count and under any schedule.
+// captured. Without a pool its windows run inline on the calling thread,
+// seeded from the planner's own warm state. On a pool, the run's own
+// (`threads` > 1) or one the caller shares, such as harness::run_all's,
+// whose workers may be planners themselves, the unit gets one frozen
+// WarmState copy and each window is a ticket on the pool that replays it;
+// the copy is freed once the last window has built its core. The planner
+// plans on while fewer than 2 * pool-size windows are unmeasured; at that
+// bound it waits on a pool of its own, and on a shared pool it claims back
+// and measures its own unclaimed tickets, so it never waits on a window
+// queued behind other tasks. A window replays its unit from the
+// checkpoint — `warmup` detailed-but-unmeasured instructions prime the
+// short-lived pipeline state, the next `detail` instructions are measured.
+// Per-unit SampleRecords merge in interval order regardless of which
+// thread produced them, so results are bit-identical at any thread count
+// and on any pool.
 //
 // Plan groups. The planning pass reads only the program, the sampling
 // fields and three config fields: `ghr_bits` and the whole `memory` config
@@ -133,8 +133,8 @@ struct SamplingConfig {
   /// calling thread, between planning steps; N > 1 measures on a pool of N
   /// workers while the calling thread plans on; 0 = hardware concurrency.
   /// Results are identical at any value. A run handed a pool
-  /// (SampledSimulator::run_group, as harness::run_all does) shares that
-  /// pool and ignores this field.
+  /// (SampledSimulator::run_group, as harness::run_all does) measures on
+  /// that pool the same way and ignores this field.
   unsigned threads = 1;
 };
 
@@ -243,11 +243,13 @@ class SampledSimulator {
   /// unit is measured once per config; confidence-driven stopping and
   /// degenerate-window handling apply per config, and each result is
   /// bit-identical to that config's own run(). `probes[i]` are config i's
-  /// probes (one list per config). With a `pool`, this thread may be one
-  /// of its workers, as harness::run_all's plan-group tasks are: it
-  /// measures windows itself while the pool is busy and hands the rest of
-  /// a unit's windows to idle workers, measuring any that stay unclaimed,
-  /// so it never waits on a window queued behind other tasks.
+  /// probes (one list per config). With a `pool`, every window is a
+  /// ticket on it, replaying its unit's frozen warm copy, as on a pool of
+  /// the run's own, and this thread may be one of the pool's workers, as
+  /// harness::run_all's plan-group tasks are: whenever 2 * pool-size
+  /// windows are unmeasured, and once planning ends, it measures its own
+  /// tickets that no worker has claimed yet, so it never waits on a window
+  /// queued behind other tasks.
   [[nodiscard]] std::vector<SampledStats> run_group(
       const arch::Program& program,
       const std::vector<std::vector<ProbeSpec>>& probes,

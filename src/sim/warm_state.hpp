@@ -27,10 +27,14 @@
 namespace erel::sim {
 
 // WarmState is a plain value type: the sampler's planning pass copies it at
-// every unit start it hands to a worker thread, and each copy is the frozen
-// warm microarchitectural state that worker seeds its detailed core from
-// (see sim/sampling.cpp). A unit measured inline seeds from the planner's
-// own WarmState instead.
+// every unit start whose windows go to a pool or wait for a CI round, and
+// each copy is the frozen warm microarchitectural state those windows seed
+// their detailed cores from (see sim/sampling.cpp); a unit measured inline
+// seeds from the planner's own WarmState instead. Every window's core
+// copy-constructs its predictors and hierarchy from one, so the structures
+// are packed for the copy: a cache way is one word (mem/cache.hpp), a BTB
+// entry its tag and target (branch/btb.hpp), gshare four counters per
+// byte. At Table 2's sizes one WarmState holds about 243 KiB of heap.
 struct WarmState {
   explicit WarmState(const SimConfig& config)
       : gshare(config.ghr_bits),

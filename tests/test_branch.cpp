@@ -2,9 +2,14 @@
 // RAS checkpointing.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "branch/btb.hpp"
 #include "branch/gshare.hpp"
 #include "branch/ras.hpp"
+#include "common/bits.hpp"
 
 namespace erel::branch {
 namespace {
@@ -96,6 +101,154 @@ TEST(Btb, SetConflictEvictsLru) {
                 btb.lookup(0x1010).has_value() +
                 btb.lookup(0x1020).has_value(),
             2);
+}
+
+/// A reference BTB that keeps LRU the direct way: each entry holds a valid
+/// flag and a timestamp from one global clock, and the victim is the first
+/// invalid entry, else the oldest.
+class ClockLruBtb {
+ public:
+  ClockLruBtb(unsigned entries, unsigned ways)
+      : ways_(ways), sets_(entries / ways), entries_(entries) {}
+
+  [[nodiscard]] std::optional<std::uint64_t> lookup(std::uint64_t pc) const {
+    const Entry* const set = entries_.data() + set_of(pc) * ways_;
+    for (unsigned w = 0; w < ways_; ++w)
+      if (set[w].valid && set[w].tag == pc) return set[w].target;
+    return std::nullopt;
+  }
+
+  void update(std::uint64_t pc, std::uint64_t target) {
+    Entry* const set = entries_.data() + set_of(pc) * ways_;
+    Entry* victim = nullptr;
+    for (unsigned w = 0; w < ways_; ++w) {
+      if (set[w].valid && set[w].tag == pc) {
+        set[w].target = target;
+        set[w].lru = ++clock_;
+        return;
+      }
+      if (!set[w].valid) {
+        if (victim == nullptr || victim->valid) victim = &set[w];
+      } else if (victim == nullptr ||
+                 (victim->valid && set[w].lru < victim->lru)) {
+        victim = &set[w];
+      }
+    }
+    *victim = {pc, target, ++clock_, true};
+  }
+
+ private:
+  struct Entry {
+    std::uint64_t tag = 0;
+    std::uint64_t target = 0;
+    std::uint64_t lru = 0;
+    bool valid = false;
+  };
+
+  [[nodiscard]] std::size_t set_of(std::uint64_t pc) const {
+    return (pc >> 2) % sets_;
+  }
+
+  unsigned ways_;
+  std::size_t sets_;
+  std::vector<Entry> entries_;
+  std::uint64_t clock_ = 0;
+};
+
+TEST(Btb, MatchesAGlobalClockLruModelOnConflictingSets) {
+  // 4 sets of 4 ways and twice as many distinct jump PCs as entries, some
+  // unaligned: sets fill, targets change in place, and entries are evicted.
+  constexpr unsigned kEntries = 16;
+  constexpr unsigned kWays = 4;
+  Btb btb(kEntries, kWays);
+  ClockLruBtb model(kEntries, kWays);
+  Xorshift rng(3);
+  const auto random_pc = [&rng] {
+    return 0x40000 + 4 * rng.below(2 * kEntries) + (rng.below(8) == 0 ? 2 : 0);
+  };
+  for (int i = 0; i < 20'000; ++i) {
+    const std::uint64_t pc = random_pc();
+    const std::uint64_t target = 0x80000 + 4 * rng.below(4);
+    ASSERT_EQ(btb.lookup(pc), model.lookup(pc)) << "step " << i;
+    btb.update(pc, target);
+    model.update(pc, target);
+    const std::uint64_t probe = random_pc();
+    ASSERT_EQ(btb.lookup(probe), model.lookup(probe)) << "step " << i;
+  }
+}
+
+/// A reference gshare with one byte per 2-bit counter, indexed like Gshare
+/// (PC bits xor history).
+class BytePerCounterGshare {
+ public:
+  explicit BytePerCounterGshare(unsigned history_bits)
+      : mask_((1u << history_bits) - 1u),
+        counters_(std::size_t{1} << history_bits, 1) {}
+
+  bool predict(std::uint64_t pc, std::uint32_t* checkpoint) {
+    *checkpoint = ghr_;
+    const bool taken = counter_at(pc, ghr_) >= 2;
+    ghr_ = ((ghr_ << 1) | (taken ? 1u : 0u)) & mask_;
+    return taken;
+  }
+  void resolve(std::uint64_t pc, std::uint32_t checkpoint, bool taken) {
+    std::uint8_t& counter = counters_[index(pc, checkpoint)];
+    if (taken && counter < 3) ++counter;
+    if (!taken && counter > 0) --counter;
+  }
+  void repair(std::uint32_t checkpoint, bool taken) {
+    ghr_ = ((checkpoint << 1) | (taken ? 1u : 0u)) & mask_;
+  }
+  [[nodiscard]] std::uint8_t counter_at(std::uint64_t pc,
+                                        std::uint32_t history) const {
+    return counters_[index(pc, history)];
+  }
+  [[nodiscard]] std::uint32_t history() const { return ghr_; }
+
+ private:
+  [[nodiscard]] std::size_t index(std::uint64_t pc,
+                                  std::uint32_t history) const {
+    return (static_cast<std::uint32_t>(pc >> 2) ^ history) & mask_;
+  }
+
+  std::uint32_t mask_;
+  std::uint32_t ghr_ = 0;
+  std::vector<std::uint8_t> counters_;
+};
+
+TEST(Gshare, MatchesAByteCounterModelOnRandomBranches) {
+  // Biased random outcomes over a few branch PCs, with the pipeline's
+  // repair on a mispredict, at a table too small to fill a byte (1 history
+  // bit: two counters) and at two larger ones.
+  for (const unsigned bits : {1u, 6u, 10u}) {
+    SCOPED_TRACE(std::to_string(bits) + " history bits");
+    Gshare gshare(bits);
+    BytePerCounterGshare model(bits);
+    Xorshift rng(bits);
+    for (int i = 0; i < 20'000; ++i) {
+      const std::uint64_t pc = 0x1000 + 4 * rng.below(16);
+      std::uint32_t cp = 0;
+      std::uint32_t model_cp = 0;
+      const bool predicted = gshare.predict(pc, &cp);
+      ASSERT_EQ(predicted, model.predict(pc, &model_cp)) << "branch " << i;
+      ASSERT_EQ(cp, model_cp) << "branch " << i;
+      // Each PC leans one way, but not always.
+      const bool taken = (rng.below(4) == 0) != (((pc >> 2) & 1) == 0);
+      gshare.resolve(pc, cp, taken, predicted != taken);
+      model.resolve(pc, cp, taken);
+      if (predicted != taken) {
+        gshare.repair(cp, taken);
+        model.repair(cp, taken);
+      }
+      ASSERT_EQ(gshare.history(), model.history()) << "branch " << i;
+      const std::uint64_t probe_pc = 0x1000 + 4 * rng.below(16);
+      const auto probe_history =
+          static_cast<std::uint32_t>(rng.below(std::uint64_t{1} << bits));
+      ASSERT_EQ(gshare.counter_at(probe_pc, probe_history),
+                model.counter_at(probe_pc, probe_history))
+          << "branch " << i;
+    }
+  }
 }
 
 TEST(Ras, CallReturnNesting) {

@@ -2,6 +2,10 @@
 // and the three-level hierarchy's latency composition.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "common/bits.hpp"
 #include "mem/cache.hpp"
 #include "mem/hierarchy.hpp"
 
@@ -73,6 +77,104 @@ TEST(Cache, PaperGeometriesConstruct) {
 TEST(CacheDeath, RejectsBadGeometry) {
   EXPECT_DEATH(Cache({"bad", 1000, 2, 64, 1}), "geometry");
   EXPECT_DEATH(Cache({"bad", 4096, 2, 60, 1}), "power of two");
+  // A way must span at least 4 bytes, or a tag has no free bits for the
+  // valid and dirty flags.
+  EXPECT_DEATH(Cache({"bad", 4, 2, 2, 1}), ">= 4 bytes");
+  Cache smallest({"ok", 8, 2, 4, 1});  // one set of two 4-byte lines
+  EXPECT_FALSE(smallest.access(0xFFFF'FFFF'FFFF'FFFCull, true));
+  EXPECT_TRUE(smallest.contains(0xFFFF'FFFF'FFFF'FFFFull));
+}
+
+/// A reference cache that keeps LRU the direct way: each way holds a tag,
+/// valid and dirty flags and a timestamp from one global clock, and the
+/// victim is the first invalid way, else the oldest. Cache must agree with
+/// it on every hit, miss, writeback and contains().
+class ClockLruCache {
+ public:
+  explicit ClockLruCache(const CacheConfig& config)
+      : ways_(config.associativity),
+        line_bytes_(config.line_bytes),
+        sets_(config.size_bytes / (config.line_bytes * config.associativity)),
+        lines_(sets_ * ways_) {}
+
+  bool access(std::uint64_t addr, bool is_write) {
+    Line* const set = lines_.data() + set_of(addr) * ways_;
+    const std::uint64_t tag = tag_of(addr);
+    for (unsigned w = 0; w < ways_; ++w) {
+      if (set[w].valid && set[w].tag == tag) {
+        set[w].lru = ++clock_;
+        set[w].dirty = set[w].dirty || is_write;
+        return true;
+      }
+    }
+    Line* victim = nullptr;
+    for (unsigned w = 0; w < ways_; ++w) {
+      if (!set[w].valid) {
+        victim = &set[w];
+        break;
+      }
+      if (victim == nullptr || set[w].lru < victim->lru) victim = &set[w];
+    }
+    if (victim->valid && victim->dirty) ++writebacks;
+    *victim = {tag, true, is_write, ++clock_};
+    return false;
+  }
+
+  [[nodiscard]] bool contains(std::uint64_t addr) const {
+    const Line* const set = lines_.data() + set_of(addr) * ways_;
+    for (unsigned w = 0; w < ways_; ++w)
+      if (set[w].valid && set[w].tag == tag_of(addr)) return true;
+    return false;
+  }
+
+  std::uint64_t writebacks = 0;
+
+ private:
+  struct Line {
+    std::uint64_t tag = 0;
+    bool valid = false;
+    bool dirty = false;
+    std::uint64_t lru = 0;
+  };
+
+  [[nodiscard]] std::uint64_t set_of(std::uint64_t addr) const {
+    return (addr / line_bytes_) % sets_;
+  }
+  [[nodiscard]] std::uint64_t tag_of(std::uint64_t addr) const {
+    return addr / line_bytes_ / sets_;
+  }
+
+  unsigned ways_;
+  std::uint64_t line_bytes_;
+  std::uint64_t sets_;
+  std::vector<Line> lines_;
+  std::uint64_t clock_ = 0;
+};
+
+TEST(Cache, MatchesAGlobalClockLruModelOnRandomStreams) {
+  // Seeded streams of reads and writes over a few more lines than the cache
+  // holds, so sets fill, conflict and evict dirty and clean victims.
+  for (const unsigned ways : {1u, 2u, 3u, 4u}) {
+    SCOPED_TRACE(std::to_string(ways) + " ways");
+    const CacheConfig config{"ref", 8u * ways * 32u, ways, 32, 1};  // 8 sets
+    Cache cache(config);
+    ClockLruCache model(config);
+    Xorshift rng(ways);
+    const std::uint64_t footprint = 3u * 8u * ways;  // lines
+    for (int i = 0; i < 20'000; ++i) {
+      // High address bits too: the flags share a word with the tag.
+      const std::uint64_t addr = (rng.below(4) << 60) +
+                                 rng.below(footprint) * 32 + rng.below(32);
+      const bool is_write = rng.below(3) == 0;
+      ASSERT_EQ(cache.access(addr, is_write), model.access(addr, is_write))
+          << "access " << i;
+      ASSERT_EQ(cache.stats().writebacks, model.writebacks) << "access " << i;
+      const std::uint64_t probe = (rng.below(4) << 60) +
+                                  rng.below(footprint) * 32;
+      ASSERT_EQ(cache.contains(probe), model.contains(probe)) << "access " << i;
+    }
+    EXPECT_GT(model.writebacks, 0u);
+  }
 }
 
 TEST(Hierarchy, LatencyComposition) {

@@ -2,8 +2,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <future>
-#include <thread>
 
 #include "common/table.hpp"
 #include "common/thread_pool.hpp"
@@ -30,23 +28,6 @@ TEST(ThreadPool, ParallelForCoversRange) {
 TEST(ThreadPool, WaitIdleWithNoTasksReturns) {
   ThreadPool pool(2);
   pool.wait_idle();  // must not hang
-}
-
-TEST(ThreadPool, HasIdleWorkerOnlyWhenATaskWouldStartAtOnce) {
-  ThreadPool pool(1);
-  while (!pool.has_idle_worker()) std::this_thread::yield();  // started
-  std::promise<void> release;
-  const std::shared_future<void> gate = release.get_future().share();
-  std::atomic<bool> running{false};
-  pool.submit([&running, gate] {
-    running = true;
-    gate.wait();
-  });
-  while (!running) std::this_thread::yield();
-  EXPECT_FALSE(pool.has_idle_worker());  // its only worker is busy
-  release.set_value();
-  pool.wait_idle();
-  while (!pool.has_idle_worker()) std::this_thread::yield();  // waits again
 }
 
 TEST(ThreadPoolDeathTest, RefusesMoreThanTheCap) {

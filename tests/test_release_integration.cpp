@@ -49,6 +49,45 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<1>(info.param));
     });
 
+TEST(LooseSize, ThePoliciesRunCycleForCycleAlike) {
+  // Paper section 2: when P >= L + N (SimConfig::is_loose) the free list is
+  // never empty while the ROS has room, so releasing early cannot change
+  // timing. Every registered kernel runs the same cycles and commits under
+  // all three policies at 160+160. Occupancy and release counters differ
+  // by design and are not compared. At 40+40 the policies must not all
+  // agree, or this check could never fail.
+  const auto run = [](const arch::Program& program, PolicyKind policy,
+                      unsigned phys) {
+    sim::SimConfig config;
+    config.policy = policy;
+    config.phys_int = config.phys_fp = phys;
+    config.check_oracle = false;
+    config.max_instructions = 50'000;
+    return sim::Simulator(config).run(program);
+  };
+  ASSERT_TRUE(sim::SimConfig{}.is_loose(160));
+  std::size_t differ_at_40 = 0;
+  for (const std::string& name : workloads::workload_names()) {
+    SCOPED_TRACE(name);
+    const arch::Program program = workloads::assemble_workload(name);
+    const sim::SimStats conv = run(program, PolicyKind::Conventional, 160);
+    for (const PolicyKind policy : {PolicyKind::Basic, PolicyKind::Extended}) {
+      const sim::SimStats early = run(program, policy, 160);
+      EXPECT_EQ(early.cycles, conv.cycles) << core::policy_name(policy);
+      EXPECT_EQ(early.committed, conv.committed) << core::policy_name(policy);
+    }
+    const sim::SimStats tight = run(program, PolicyKind::Conventional, 40);
+    for (const PolicyKind policy : {PolicyKind::Basic, PolicyKind::Extended}) {
+      const sim::SimStats early = run(program, policy, 40);
+      if (early.cycles != tight.cycles || early.committed != tight.committed) {
+        ++differ_at_40;
+        break;
+      }
+    }
+  }
+  EXPECT_GT(differ_at_40, 0u);
+}
+
 TEST(ReleaseAccounting, EveryAllocationIsReleasedOnce) {
   // At halt: allocated == architectural versions; everything else returned.
   for (const PolicyKind policy :

@@ -358,14 +358,17 @@ TEST(SamplingGroups, PlannersOnThePoolsOwnWorkersMatchTheirOwnRuns) {
   // harness::run_all runs each plan group as a task on the pool that its
   // windows go to. Here three groups plan on a pool of two workers (more
   // planners than workers) and of five (idle workers from the start), with
-  // and without CI stopping. A planner measures its windows itself while
-  // the pool is busy and hands them to idle workers otherwise, and it
-  // never waits on a window queued behind another planner. Every result
-  // must equal the config's own run.
+  // and without CI stopping. A planner hands each window to the pool and
+  // measures those no worker has claimed when it has too many unmeasured,
+  // so it never waits on a window queued behind another planner. The
+  // groups hold three configs each, or one: then every unit has a single
+  // window, which idle workers take while its planner plans on. Every
+  // result must equal the config's own run.
   const arch::Program program = workloads::assemble_workload("li");
-  std::vector<std::vector<sim::SimConfig>> groups;
+  std::vector<std::vector<sim::SimConfig>> groups_of_three;
+  std::vector<std::vector<sim::SimConfig>> groups_of_one;
   for (const unsigned ghr_bits : {8u, 10u, 12u}) {
-    std::vector<sim::SimConfig>& configs = groups.emplace_back();
+    std::vector<sim::SimConfig>& configs = groups_of_three.emplace_back();
     for (const core::PolicyKind policy : core::all_policies()) {
       sim::SimConfig config = test_config();
       config.ghr_bits = ghr_bits;
@@ -373,40 +376,45 @@ TEST(SamplingGroups, PlannersOnThePoolsOwnWorkersMatchTheirOwnRuns) {
       config.phys_int = config.phys_fp = 48;
       configs.push_back(config);
     }
+    groups_of_one.push_back({configs.back()});
   }
   for (const double target_ci : {0.0, 0.05}) {
     sim::SamplingConfig s = test_sampling();
     s.seed = 7;
     s.target_ci = target_ci;
-    std::vector<std::vector<sim::SampledStats>> want;
-    for (const std::vector<sim::SimConfig>& configs : groups) {
-      std::vector<sim::SampledStats>& runs = want.emplace_back();
-      for (const sim::SimConfig& config : configs)
-        runs.push_back(sim::SampledSimulator(config, s).run(program));
-    }
-    for (const unsigned workers : {2u, 5u}) {
-      SCOPED_TRACE("target_ci " + std::to_string(target_ci) + ", " +
-                   std::to_string(workers) + " workers");
-      std::vector<std::vector<sim::SampledStats>> got(groups.size());
-      {
-        ThreadPool pool(workers);
-        for (std::size_t g = 0; g < groups.size(); ++g) {
-          pool.submit([&, g] {
-            got[g] = sim::SampledSimulator(groups[g], s)
-                         .run_group(program,
-                                    std::vector<std::vector<sim::ProbeSpec>>(
-                                        groups[g].size()),
-                                    &pool);
-          });
-        }
-        pool.wait_idle();
+    for (const auto* groups : {&groups_of_three, &groups_of_one}) {
+      std::vector<std::vector<sim::SampledStats>> want;
+      for (const std::vector<sim::SimConfig>& configs : *groups) {
+        std::vector<sim::SampledStats>& runs = want.emplace_back();
+        for (const sim::SimConfig& config : configs)
+          runs.push_back(sim::SampledSimulator(config, s).run(program));
       }
-      for (std::size_t g = 0; g < groups.size(); ++g) {
-        ASSERT_EQ(got[g].size(), groups[g].size());
-        for (std::size_t c = 0; c < groups[g].size(); ++c) {
-          SCOPED_TRACE("group " + std::to_string(g) + " config " +
-                       std::to_string(c));
-          expect_stats_identical(got[g][c], want[g][c]);
+      for (const unsigned workers : {2u, 5u}) {
+        SCOPED_TRACE("target_ci " + std::to_string(target_ci) + ", " +
+                     std::to_string(workers) + " workers, groups of " +
+                     std::to_string(groups->front().size()));
+        std::vector<std::vector<sim::SampledStats>> got(groups->size());
+        {
+          ThreadPool pool(workers);
+          for (std::size_t g = 0; g < groups->size(); ++g) {
+            pool.submit([&, g] {
+              const std::vector<sim::SimConfig>& configs = (*groups)[g];
+              got[g] = sim::SampledSimulator(configs, s)
+                           .run_group(program,
+                                      std::vector<std::vector<sim::ProbeSpec>>(
+                                          configs.size()),
+                                      &pool);
+            });
+          }
+          pool.wait_idle();
+        }
+        for (std::size_t g = 0; g < groups->size(); ++g) {
+          ASSERT_EQ(got[g].size(), (*groups)[g].size());
+          for (std::size_t c = 0; c < (*groups)[g].size(); ++c) {
+            SCOPED_TRACE("group " + std::to_string(g) + " config " +
+                         std::to_string(c));
+            expect_stats_identical(got[g][c], want[g][c]);
+          }
         }
       }
     }

@@ -311,6 +311,8 @@ TEST(Service, OutOfRangeCellsAreRefusedAndTheDaemonKeepsServing) {
   const std::pair<const char*, Mutation> bad_cells[] = {
       {"phys_int 10", [](auto& r) { r.config.phys_int = 10; }},
       {"l1i line 48", [](auto& r) { r.config.memory.l1i.line_bytes = 48; }},
+      {"l2 of one 2-byte line",
+       [](auto& r) { r.config.memory.l2 = {"L2", 2, 1, 2, 12}; }},
       {"l1d assoc 0",
        [](auto& r) { r.config.memory.l1d.associativity = 0; }},
       {"ros 0", [](auto& r) { r.config.ros_size = 0; }},
