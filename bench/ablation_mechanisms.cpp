@@ -9,7 +9,7 @@
 //      shrink the LSQ to throttle it.
 // Ablations 1 and 3 sweep a non-register axis via Experiment::vary(), the
 // declarative hook for arbitrary SimConfig mutators.
-// Shared sweep CLI: --threads, --csv/--json, --cache-dir, --smoke.
+// Shared sweep CLI: --threads, --csv, --cache-dir, --smoke.
 #include <cstdio>
 
 #include "common/table.hpp"

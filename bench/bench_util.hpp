@@ -13,7 +13,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -23,7 +22,6 @@
 #include "common/parse.hpp"
 #include "common/thread_pool.hpp"
 #include "harness/experiment.hpp"
-#include "power/probe.hpp"
 #include "workloads/workloads.hpp"
 
 namespace erel::benchutil {
@@ -60,7 +58,6 @@ struct Options {
   std::uint64_t sample_warmup = 0;  // --sample-warmup=N   (0 = auto)
   std::uint64_t sample_detail = 0;  // --sample-detail=N   (0 = auto)
   std::string csv_path;             // --csv=PATH      ResultSet CSV sink
-  std::string json_path;            // --json=PATH     ResultSet JSON sink
   std::string cache_dir;            // --cache-dir=PATH  result cache
   std::string server;               // --server=HOST:PORT  ereld daemon
   unsigned server_timeout_ms = 0;   // --server-timeout-ms=N  call deadline
@@ -77,9 +74,7 @@ struct Options {
 
   /// Attaches the probes the flags ask for (--power) to an experiment.
   void add_probes(harness::Experiment& exp) const {
-    if (power)
-      exp.probe("rixner",
-                [] { return std::make_unique<power::RixnerProbe>(); });
+    if (power) exp.probe("rixner");
   }
 
   /// Channel stride honoring --stride and --smoke.
@@ -188,7 +183,6 @@ inline void usage(const char* argv0) {
       "  --timeseries=PATH  per-stride occupancy channel CSV (fig3)\n"
       "  --stride=N         channel stride in cycles (default 1000)\n"
       "  --csv=PATH         write the ResultSet as CSV\n"
-      "  --json=PATH        write the ResultSet as JSON\n"
       "  --cache-dir=PATH   reuse/store per-cell results on disk\n"
       "  --server=HOST:PORT route cells through an experiment daemon "
       "(ereld)\n"
@@ -311,8 +305,6 @@ inline Options parse(int argc, char** argv) {
       number("--sample-detail", opts.sample_detail);
     } else if (matches("--csv")) {
       opts.csv_path = value("--csv");
-    } else if (matches("--json")) {
-      opts.json_path = value("--json");
     } else if (matches("--cache-dir")) {
       opts.cache_dir = value("--cache-dir");
     } else if (matches("--server-timeout-ms")) {
@@ -395,7 +387,7 @@ inline Options parse(int argc, char** argv) {
       bad_path("--cache-dir", opts.cache_dir);
   }
   for (const auto& [flag, path] :
-       {std::pair{"--csv", &opts.csv_path}, std::pair{"--json", &opts.json_path},
+       {std::pair{"--csv", &opts.csv_path},
         std::pair{"--timeseries", &opts.timeseries_path}})
     if (!path->empty() && !can_write(*path)) bad_path(flag, *path);
   return opts;
@@ -407,11 +399,6 @@ inline void finish(const harness::ResultSet& rs, const Options& opts) {
   if (!opts.csv_path.empty()) {
     rs.write_csv(opts.csv_path);
     std::printf("wrote CSV %s (%zu cells)\n", opts.csv_path.c_str(), rs.size());
-  }
-  if (!opts.json_path.empty()) {
-    rs.write_json(opts.json_path);
-    std::printf("wrote JSON %s (%zu cells)\n", opts.json_path.c_str(),
-                rs.size());
   }
   if (!opts.cache_dir.empty() || !opts.server.empty()) {
     // "hits" counts cells served without fresh simulation anywhere: local

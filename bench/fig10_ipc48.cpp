@@ -1,6 +1,6 @@
 // Figure 10 reproduction: per-benchmark IPC for conventional / basic /
 // extended with very tight 48+48 register files, plus harmonic means.
-// Shared sweep CLI: --threads, --csv/--json, --cache-dir, --policies,
+// Shared sweep CLI: --threads, --csv, --cache-dir, --policies,
 // --smoke, --sample.
 #include <cstdio>
 
@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
     std::printf("%s", t.to_string().c_str());
   }
   // --power: register-file energy + ED^2 per benchmark and policy
-  // (power::RixnerProbe metric columns; also in the --csv/--json sinks).
+  // (power::RixnerProbe metric columns; also in the --csv sink).
   if (opts.power) {
     std::printf("\n=== Register-file energy (RixnerProbe, --power) ===\n");
     std::vector<std::string> header = {"benchmark"};
@@ -83,7 +83,7 @@ int main(int argc, char** argv) {
           "note: sampled cells charge only their measured windows, and\n"
           "confidence-driven stopping can measure a different number of\n"
           "windows per cell — compare energy per instruction, not columns\n"
-          "of absolutes (per-cell counts are in --csv/--json).\n");
+          "of absolutes (per-cell counts are in --csv).\n");
   }
 
   std::printf(

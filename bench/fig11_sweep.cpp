@@ -2,7 +2,7 @@
 // (40..160 per class) for the release policies, integer and FP program
 // sets, plus the per-size speedups the paper quotes in §5.1.
 //
-// Shared sweep CLI (bench_util.hpp): --threads, --csv/--json, --cache-dir,
+// Shared sweep CLI (bench_util.hpp): --threads, --csv, --cache-dir,
 // --policies, --smoke. With --sample every cell runs under checkpointed
 // stratified interval sampling (--target-ci for confidence-driven
 // stopping) — the one-flag path to paper-scale sweeps — and the tables
@@ -84,7 +84,7 @@ int main(int argc, char** argv) {
   }
 
   // --power: total register-file energy and summed ED^2 per size/policy
-  // over the whole workload set (per-workload values land in --csv/--json).
+  // over the whole workload set (per-workload values land in --csv).
   if (opts.power) {
     std::printf(
         "\n=== Register-file energy vs size (RixnerProbe, --power) ===\n");
@@ -114,7 +114,7 @@ int main(int argc, char** argv) {
           "note: sampled cells charge only their measured windows, and\n"
           "confidence-driven stopping can measure a different number of\n"
           "windows per cell — compare energy per instruction, not columns\n"
-          "of absolutes (per-cell counts are in --csv/--json).\n");
+          "of absolutes (per-cell counts are in --csv).\n");
   }
 
   // Per-benchmark highlights the paper calls out (§5.1) — only meaningful

@@ -2,7 +2,7 @@
 // Empty / Ready / Idle states under conventional renaming, with a tight
 // 96+96 register file (L=32, N=128) — integer registers for integer
 // programs, FP registers for FP programs.
-// Shared sweep CLI: --threads, --csv/--json, --cache-dir, --smoke.
+// Shared sweep CLI: --threads, --csv, --cache-dir, --smoke.
 //
 // --timeseries=PATH additionally re-runs each workload with the
 // Instrumentation API's fixed-stride occupancy channels enabled

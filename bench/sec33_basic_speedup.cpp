@@ -1,7 +1,7 @@
 // §3.3 reproduction: the basic mechanism's speedup over conventional at
 // 64+64, 48+48 and 40+40 registers (paper: FP ~3%/6%/9%, int negligible
 // except very tight files where it reaches ~5%).
-// Shared sweep CLI: --threads, --csv/--json, --cache-dir, --smoke, --sample.
+// Shared sweep CLI: --threads, --csv, --cache-dir, --smoke, --sample.
 #include <cstdio>
 
 #include "common/table.hpp"

@@ -1,7 +1,7 @@
 // Table 4 reproduction: register file sizes giving equal IPC — how many
 // registers the extended mechanism saves at iso-performance (paper: 12.5%
 // and 11.1% for int codes, 7.2% and 8.9% for FP codes).
-// Shared sweep CLI: --threads, --csv/--json, --cache-dir, --smoke, --sample.
+// Shared sweep CLI: --threads, --csv, --cache-dir, --smoke, --sample.
 #include <cstdio>
 
 #include <algorithm>

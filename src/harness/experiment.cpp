@@ -1,5 +1,6 @@
 #include "harness/experiment.hpp"
 
+#include <algorithm>
 #include <filesystem>
 #include <utility>
 
@@ -43,15 +44,11 @@ Experiment& Experiment::sampling(sim::SamplingConfig config) {
   return *this;
 }
 
-Experiment& Experiment::probe(
-    std::string name, std::function<std::unique_ptr<sim::Probe>()> make) {
-  EREL_CHECK(!name.empty() && name.find(' ') == std::string::npos &&
-                 name.find('\n') == std::string::npos,
-             "probe names must be non-empty and whitespace-free");
-  EREL_CHECK(static_cast<bool>(make), "probe '", name, "' has no factory");
-  for (const sim::ProbeSpec& p : probes_)
-    EREL_CHECK(p.name != name, "duplicate probe '", name, "'");
-  probes_.push_back(sim::ProbeSpec{std::move(name), std::move(make)});
+Experiment& Experiment::probe(std::string name) {
+  EREL_CHECK(make_probe(name) != nullptr, "unknown probe '", name, "'");
+  EREL_CHECK(std::find(probes_.begin(), probes_.end(), name) == probes_.end(),
+             "duplicate probe '", name, "'");
+  probes_.push_back(std::move(name));
   return *this;
 }
 
@@ -105,8 +102,8 @@ std::vector<Experiment::Cell> Experiment::materialize() const {
             point->apply(config);
           Cell cell;
           cell.key = ExpKey{workload, policy, phys, variant.label};
-          cell.spec = RunSpec{workload, std::move(config),
-                              cell.key.to_string(), sampling_, probes_};
+          cell.spec = RunSpec{workload, std::move(config), sampling_,
+                              probes_};
           cells.push_back(std::move(cell));
         }
       }
@@ -126,10 +123,6 @@ ResultSet Experiment::run(const RunOptions& opts) const {
                ec.message());
   }
 
-  std::vector<std::string> probe_names;
-  probe_names.reserve(probes_.size());
-  for (const sim::ProbeSpec& p : probes_) probe_names.push_back(p.name);
-
   std::vector<std::optional<ExpEntry>> ready(cells.size());
   std::vector<std::string> cache_path(cells.size());
   std::vector<std::string> fp_hex(cells.size());
@@ -138,7 +131,7 @@ ResultSet Experiment::run(const RunOptions& opts) const {
     const Cell& cell = cells[i];
     if (use_cache || use_server) {
       fp_hex[i] = fingerprint_cell(cell.spec.workload, cell.spec.config,
-                                   cell.spec.sampling, probe_names)
+                                   cell.spec.sampling, cell.spec.probes)
                       .hex();
       if (use_cache) {
         cache_path[i] = cache_entry_path(opts.cache_dir, fp_hex[i]);

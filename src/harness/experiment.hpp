@@ -78,7 +78,7 @@ class Experiment {
   };
 
   /// One materialized cell: the structured key plus the ready-to-run spec
-  /// (config fully mutated, sampling attached, tag = key.to_string()).
+  /// (config fully mutated, sampling and probes attached).
   struct Cell {
     ExpKey key;
     RunSpec spec;
@@ -95,13 +95,13 @@ class Experiment {
   Experiment& vary(std::string axis, std::vector<AxisPoint> points);
   Experiment& sampling(sim::SamplingConfig config);
 
-  /// Attaches a named probe to every cell (Instrumentation API v2). The
-  /// factory builds a fresh instance per simulation; exported metrics
-  /// become open named columns of the ResultSet (CSV/JSON sinks, cache
-  /// entries). The name joins the cell fingerprint, so cached cells only
-  /// serve runs declaring the same probe set.
-  Experiment& probe(std::string name,
-                    std::function<std::unique_ptr<sim::Probe>()> make);
+  /// Attaches a probe to every cell by name (Instrumentation API v2). The
+  /// name must be one make_probe resolves, and may be attached once; either
+  /// mistake aborts. Each simulation builds a fresh instance, and its
+  /// exported metrics become open named columns of the ResultSet (the CSV
+  /// sink, cache entries). The name joins the cell fingerprint, so cached
+  /// cells only serve runs declaring the same probe set.
+  Experiment& probe(std::string name);
 
   /// Expands the cross-product. Aborts when no workloads were given or an
   /// axis is empty (an accidentally-empty sweep is a bug, not a no-op).
@@ -124,7 +124,7 @@ class Experiment {
   std::vector<unsigned> phys_;
   std::vector<Axis> axes_;
   std::optional<sim::SamplingConfig> sampling_;
-  std::vector<sim::ProbeSpec> probes_;
+  std::vector<std::string> probes_;
 };
 
 }  // namespace erel::harness

@@ -12,9 +12,9 @@
 //
 // Probe lines only appear when an experiment attaches probes, so every
 // pre-probe fingerprint is unchanged. A probe's *name* stands in for its
-// implementation (probes are user code with no hashable content): rename a
-// probe when its exported metrics change meaning, exactly like vary()
-// axis labels.
+// implementation: harness::make_probe is the one map from names to probes,
+// so a name always means the same code. Rename a probe there when its
+// exported metrics change meaning, exactly like vary() axis labels.
 //
 // Two cells with equal fingerprints therefore produce bit-identical
 // statistics, which is what lets `Experiment::run` reuse on-disk results

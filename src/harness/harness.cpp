@@ -5,6 +5,7 @@
 #include "asmkit/assembler.hpp"
 #include "common/log.hpp"
 #include "common/thread_pool.hpp"
+#include "power/probe.hpp"
 #include "sim/simulator.hpp"
 #include "workloads/workloads.hpp"
 
@@ -12,52 +13,55 @@ namespace erel::harness {
 
 namespace {
 
+/// The recipes the core and the sampler attach: one per probe name, each
+/// building a fresh instance through the registry. Aborts on a name the
+/// registry does not know before anything is simulated, so every later
+/// make_probe of the spec's names succeeds.
+std::vector<sim::ProbeSpec> probe_specs(const RunSpec& spec) {
+  std::vector<sim::ProbeSpec> recipes;
+  for (const std::string& name : spec.probes) {
+    EREL_CHECK(make_probe(name) != nullptr, "unknown probe '", name, "'");
+    recipes.push_back({name, [name] { return make_probe(name); }});
+  }
+  return recipes;
+}
+
 /// Exports the spec's probe metrics over `registry`. Metric export is a
 /// pure function of (config, registry), so a fresh never-attached instance
-/// serves both the full and the sampled path. Metrics with unserializable
-/// names are dropped here with a warning rather than aborting a finished
-/// sweep at cache-save time.
+/// serves both the full and the sampled path.
 std::vector<sim::Metric> collect_metrics(const RunSpec& spec,
                                          const sim::StatRegistry& registry) {
   std::vector<sim::Metric> metrics;
-  for (const sim::ProbeSpec& p : spec.probes) {
-    const std::unique_ptr<sim::Probe> probe = p.make();
-    EREL_CHECK(probe != nullptr, "probe factory '", p.name,
-               "' returned null");
-    probe->export_metrics(spec.config, registry, metrics);
-  }
-  std::erase_if(metrics, [&spec](const sim::Metric& m) {
-    const bool bad =
-        m.name.empty() || m.name.find_first_of(" \n") != std::string::npos;
-    if (bad)
-      EREL_WARN("dropping metric with unserializable name '", m.name,
-                "' from a probe of spec ", spec.tag);
-    return bad;
-  });
+  for (const std::string& name : spec.probes)
+    make_probe(name)->export_metrics(spec.config, registry, metrics);
   return metrics;
 }
 
 RunResult sampled_result(const RunSpec& spec, sim::SampledStats sampled) {
   std::vector<sim::Metric> metrics = collect_metrics(spec, sampled.registry);
-  return RunResult{spec, sampled.estimate, std::move(sampled),
-                   std::move(metrics)};
+  return RunResult{sampled.estimate, std::move(sampled), std::move(metrics)};
 }
 
 }  // namespace
+
+std::unique_ptr<sim::Probe> make_probe(std::string_view name) {
+  if (name == "rixner") return std::make_unique<power::RixnerProbe>();
+  return nullptr;
+}
 
 RunResult run_one(const RunSpec& spec) {
   const arch::Program program = workloads::assemble_workload(spec.workload);
   if (spec.sampling) {
     return sampled_result(spec, sim::SampledSimulator(spec.config,
                                                       *spec.sampling)
-                                    .run(program, spec.probes));
+                                    .run(program, probe_specs(spec)));
   }
   sim::Simulator simulator(spec.config);
   std::unique_ptr<pipeline::Core> core = simulator.make_core(program);
   const std::vector<std::unique_ptr<sim::Probe>> instances =
-      core->attach_probes(spec.probes);
+      core->attach_probes(probe_specs(spec));
   const sim::SimStats stats = core->run();
-  return RunResult{spec, stats, std::nullopt,
+  return RunResult{stats, std::nullopt,
                    collect_metrics(spec, core->registry())};
 }
 
@@ -103,7 +107,7 @@ std::vector<RunResult> run_all(const std::vector<RunSpec>& specs,
       std::vector<std::vector<sim::ProbeSpec>> probes;
       for (const std::size_t i : group.members) {
         configs.push_back(specs[i].config);
-        probes.push_back(specs[i].probes);
+        probes.push_back(probe_specs(specs[i]));
       }
       const arch::Program program =
           workloads::assemble_workload(first.workload);

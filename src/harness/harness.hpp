@@ -23,9 +23,11 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/config.hpp"
@@ -39,7 +41,6 @@ struct RunSpec {
   /// Workload registry name (anything workloads::find_workload resolves).
   std::string workload;
   sim::SimConfig config;
-  std::string tag;        // free-form label for table assembly
 
   /// When set, the run uses checkpointed interval sampling instead of full
   /// detailed simulation; `RunResult::stats` then holds the sampled
@@ -53,15 +54,15 @@ struct RunSpec {
   /// schedule.
   std::optional<sim::SamplingConfig> sampling;
 
-  /// Named probes attached to the run (Instrumentation API v2): fresh
-  /// instances are built per simulation (and per sampling window), their
-  /// registry entries land in the run's StatRegistry, and their
-  /// export_metrics output becomes RunResult::metrics.
-  std::vector<sim::ProbeSpec> probes;
+  /// Names of the probes attached to the run (Instrumentation API v2), each
+  /// one make_probe resolves: fresh instances are built per simulation (and
+  /// per sampling window), their registry entries land in the run's
+  /// StatRegistry, and their export_metrics output becomes
+  /// RunResult::metrics.
+  std::vector<std::string> probes;
 };
 
 struct RunResult {
-  RunSpec spec;
   sim::SimStats stats;
   std::optional<sim::SampledStats> sampled;
 
@@ -69,6 +70,12 @@ struct RunResult {
   /// run's registry; sampled runs: over the merged measurement registry).
   std::vector<sim::Metric> metrics;
 };
+
+/// The probe registry: the one map from a probe name to its implementation.
+/// "rixner" builds a power::RixnerProbe; any other name yields nullptr. A
+/// name stands in for its probe in fingerprints and on the wire, so only
+/// names this resolves ever reach a cell.
+[[nodiscard]] std::unique_ptr<sim::Probe> make_probe(std::string_view name);
 
 /// Runs one spec to completion on the calling thread.
 RunResult run_one(const RunSpec& spec);

@@ -19,8 +19,7 @@ std::optional<std::uint64_t> RemoteBackend::dispatch(
   request.fingerprint_hex = fp_hex;
   request.config = spec.config;
   request.sampling = spec.sampling;
-  for (const sim::ProbeSpec& probe : spec.probes)
-    request.probe_names.push_back(probe.name);
+  request.probe_names = spec.probes;
   if (client_.send_cell(request)) return request.id;
   return std::nullopt;
 }

@@ -1,7 +1,6 @@
 #include "harness/results.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <limits>
 
@@ -91,32 +90,6 @@ void csv_field(std::string& out, const std::string& value) {
     out += c;
   }
   out += '"';
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string json_number(double v) {
-  if (!std::isfinite(v)) return "null";
-  return record::format_double(v);
 }
 
 void write_file_or_die(const std::string& path, const std::string& content) {
@@ -314,77 +287,6 @@ void ResultSet::write_csv(const std::string& path) const {
     }
     out += '\n';
   }
-  write_file_or_die(path, out);
-}
-
-void ResultSet::write_json(const std::string& path) const {
-  std::string out = "{\n  \"schema\": \"erel-resultset-v1\",\n  \"cells\": [";
-  bool first_cell = true;
-  for (const ExpEntry& e : entries_) {
-    out += first_cell ? "\n" : ",\n";
-    first_cell = false;
-    out += "    {\n";
-    out += "      \"workload\": \"" + json_escape(e.key.workload) + "\",\n";
-    out += "      \"policy\": \"" + std::string(policy_name(e.key.policy)) +
-           "\",\n";
-    out += "      \"phys\": " + std::to_string(e.key.phys) + ",\n";
-    out += "      \"variant\": \"" + json_escape(e.key.variant) + "\",\n";
-    out += std::string("      \"kind\": ") +
-           (e.sampled ? "\"sampled\"" : "\"full\"") + ",\n";
-    out += std::string("      \"from_cache\": ") +
-           (e.from_cache ? "true" : "false") + ",\n";
-    out += "      \"ipc\": " + json_number(e.stats.ipc()) + ",\n";
-    out += "      \"ipc_ci95\": " + json_number(e.ipc_ci95()) + ",\n";
-    out += "      \"stats\": {";
-    bool first = true;
-    const auto emit = [&out, &first](const std::string& name, const auto& v) {
-      out += first ? "\n" : ",\n";
-      first = false;
-      out += "        \"" + name + "\": ";
-      using T = std::decay_t<decltype(v)>;
-      if constexpr (std::is_same_v<T, bool>) {
-        out += v ? "true" : "false";
-      } else if constexpr (std::is_same_v<T, double>) {
-        out += json_number(v);
-      } else {
-        out += std::to_string(v);
-      }
-    };
-    sim_stats_fields(e.stats, emit, "");
-    out += "\n      }";
-    if (!e.metrics.empty()) {
-      out += ",\n      \"metrics\": {";
-      bool first_metric = true;
-      for (const sim::Metric& m : e.metrics) {
-        out += first_metric ? "\n" : ",\n";
-        first_metric = false;
-        out += "        \"" + json_escape(m.name) +
-               "\": " + json_number(m.value);
-      }
-      out += "\n      }";
-    }
-    if (e.sampled) {
-      const sim::SampledStats& s = *e.sampled;
-      out += ",\n      \"sampled\": {";
-      first = true;
-      sim_stats_fields(s.estimate, emit, "estimate.");
-      sim_stats_fields(s.measured, emit, "measured.");
-      sampled_moment_fields(s, [&emit](const std::string& name, const auto& v) {
-        // Strip the "sampled." prefix: these live inside the object already.
-        emit(name.substr(8), v);
-      });
-      out += ",\n        \"samples\": [";
-      for (std::size_t i = 0; i < s.samples.size(); ++i) {
-        if (i) out += ", ";
-        out += '[' + std::to_string(s.samples[i].start_instruction) + ", " +
-               std::to_string(s.samples[i].instructions) + ", " +
-               std::to_string(s.samples[i].cycles) + ']';
-      }
-      out += "]\n      }";
-    }
-    out += "\n    }";
-  }
-  out += "\n  ]\n}\n";
   write_file_or_die(path, out);
 }
 

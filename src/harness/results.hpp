@@ -1,6 +1,6 @@
 // Typed experiment results: (structured key -> stats) with the aggregates
-// the paper's tables and figures need, CSV/JSON sinks, and the text
-// serialization the on-disk result cache stores.
+// the paper's tables and figures need, a CSV sink, and the text
+// serialization the on-disk result cache stores: a cell's full record.
 //
 // Keys are structural, not positional: an `ExpKey` names a cell of the
 // experiment cross-product (workload x policy x register-file size x
@@ -70,7 +70,7 @@ struct ExpEntry {
   std::optional<sim::SampledStats> sampled;
 
   /// Open named metrics exported by the cell's probes (Instrumentation API
-  /// v2). Flow through the CSV/JSON sinks as extra columns and round-trip
+  /// v2). Flow through the CSV sink as extra columns and round-trip
   /// through the cache format's `metric.` lines.
   std::vector<sim::Metric> metrics;
 
@@ -138,12 +138,10 @@ class ResultSet {
     return entries_.size() - cache_hits();
   }
 
-  // ---- sinks ----
-  /// One row per cell: key columns, headline stats, sampling CI.
+  // ---- sink ----
+  /// One row per cell: key columns, headline stats, sampling CI and the
+  /// open metric columns. A cell's full record is its cache entry.
   void write_csv(const std::string& path) const;
-  /// Full dump: every SimStats field per cell, plus the sampled moments
-  /// and per-sample records when present.
-  void write_json(const std::string& path) const;
 
  private:
   [[nodiscard]] const ExpEntry* find(const ExpKey& key) const;

@@ -32,12 +32,7 @@ bool code_image_matches(const arch::Program& program,
 }  // namespace
 
 Core::Core(const sim::SimConfig& config, const arch::Program& program)
-    : Core(config, program,
-           std::shared_ptr<const arch::DecodedProgram>{}) {}
-
-Core::Core(const sim::SimConfig& config, const arch::Program& program,
-           std::shared_ptr<const arch::DecodedProgram> decoded)
-    : Core(config, program, std::move(decoded), nullptr) {}
+    : Core(config, program, nullptr, nullptr) {}
 
 Core::Core(const sim::SimConfig& config, const arch::Program& program,
            std::shared_ptr<const arch::DecodedProgram> decoded,
@@ -94,11 +89,7 @@ Core::Core(const sim::SimConfig& config, const arch::Program& program,
 Core::Core(const sim::SimConfig& config, const arch::Program& program,
            const arch::Checkpoint& checkpoint, const sim::WarmState* warm,
            std::shared_ptr<const arch::DecodedProgram> decoded)
-    : Core(config, program, decoded, warm) {
-  // A caller-supplied cache is a vouch that the checkpoint's code image
-  // matches it (SampledSimulator tracks this per unit as decoded_ok), so
-  // only a core-built cache pays the validation scan below.
-  const bool caller_vouched = decoded != nullptr;
+    : Core(config, program, std::move(decoded), warm) {
   // A warm hierarchy arrives with its warming accesses counted; the core
   // counts only its own.
   hierarchy_.reset_stats();
@@ -106,12 +97,11 @@ Core::Core(const sim::SimConfig& config, const arch::Program& program,
   // and initialized data materialize their pages at load), so restoring it
   // wholesale reproduces functional memory state exactly.
   arch::restore_memory(checkpoint, mem_);
-  if (decoded_ != nullptr && !caller_vouched &&
-      !code_image_matches(program, mem_)) {
+  if (decoded_ != nullptr && !code_image_matches(program, mem_)) {
     // The checkpoint was captured after self-modifying stores (or carries a
     // different image entirely): the static decode cache is stale for this
     // resume, so drop to the byte-accurate engine wholesale. The scan is
-    // one u32 compare per static instruction, paid once per cold resume.
+    // one u32 compare per static instruction, paid once per resume.
     fetch_.set_decoded(nullptr);
     if (oracle_) oracle_->detach_decoded();
     decoded_.reset();

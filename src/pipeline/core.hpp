@@ -44,13 +44,6 @@ class Core final : public core::PipelineHooks {
  public:
   Core(const sim::SimConfig& config, const arch::Program& program);
 
-  /// As above, with a pre-built decode-once program cache shared across
-  /// cores (sampled simulation builds one per run instead of one per
-  /// measurement window). Ignored when config.fast_path is off; when
-  /// fast_path is on and `decoded` is null, the core builds its own.
-  Core(const sim::SimConfig& config, const arch::Program& program,
-       std::shared_ptr<const arch::DecodedProgram> decoded);
-
   /// Resumes detailed simulation from an architectural checkpoint (sampled
   /// simulation, saved fast-forwards): memory is restored to the checkpoint
   /// image, fetch starts at its PC, the committed-register state is seeded
@@ -60,11 +53,12 @@ class Core final : public core::PipelineHooks {
   /// warmed sim::WarmState (cache stats are reset so the measured window
   /// counts only its own accesses).
   ///
-  /// Passing a non-null `decoded` vouches that the checkpoint's code image
-  /// matches it. With `decoded` null (and fast_path on) the core builds its
-  /// own cache and validates the restored image against the program first,
-  /// falling back to byte-accurate execution when a self-modified
-  /// checkpoint would make the cache stale.
+  /// `decoded` is a decode-once cache of `program` shared across cores
+  /// (sampled simulation builds one per run instead of one per window).
+  /// Ignored when config.fast_path is off; when fast_path is on and
+  /// `decoded` is null, the core builds its own. Either way the core scans
+  /// the restored code image against the program and executes
+  /// byte-accurately when a self-modified checkpoint makes the cache stale.
   Core(const sim::SimConfig& config, const arch::Program& program,
        const arch::Checkpoint& checkpoint,
        const sim::WarmState* warm = nullptr,

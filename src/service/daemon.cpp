@@ -7,27 +7,9 @@
 #include "harness/fingerprint.hpp"
 #include "harness/harness.hpp"
 #include "harness/result_cache.hpp"
-#include "power/probe.hpp"
-#include "sim/probe.hpp"
 #include "workloads/workloads.hpp"
 
 namespace erel::service {
-
-namespace {
-
-/// The daemon's registry of probe names it knows how to instantiate. Wire
-/// requests carry names only (probes are code; code does not serialize), so
-/// a cell naming anything else is refused — never silently simulated
-/// without its probes, which would poison the shared cache under the
-/// probed fingerprint.
-std::function<std::unique_ptr<sim::Probe>()> find_probe_factory(
-    const std::string& name) {
-  if (name == "rixner")
-    return [] { return std::make_unique<power::RixnerProbe>(); };
-  return nullptr;
-}
-
-}  // namespace
 
 ExperimentDaemon::ExperimentDaemon(const Options& opts)
     : opts_(opts), server_(*this, opts.host, opts.port), pool_(opts.workers) {
@@ -131,8 +113,11 @@ void ExperimentDaemon::handle_run_cell(std::uint64_t client,
     send_error(client, 0, "malformed cell request");
     return;
   }
+  // Wire requests carry probe names only, so a cell naming one the probe
+  // registry does not know is refused — never simulated without its probe,
+  // which would poison the shared cache under the probed fingerprint.
   for (const std::string& name : request->probe_names) {
-    if (!find_probe_factory(name)) {
+    if (harness::make_probe(name) == nullptr) {
       send_error(client, request->id, "unknown probe '" + name + "'");
       return;
     }
@@ -213,15 +198,9 @@ void ExperimentDaemon::run_cell(const std::string& fp_hex) {
     request = it->second->request;
   }
 
-  harness::RunSpec spec;
-  spec.workload = request.workload;
-  spec.config = request.config;
-  spec.tag = request.key.to_string();
-  spec.sampling = request.sampling;
-  for (const std::string& name : request.probe_names)
-    spec.probes.push_back(sim::ProbeSpec{name, find_probe_factory(name)});
-
-  const harness::RunResult result = harness::run_one(spec);
+  const harness::RunResult result = harness::run_one(
+      {request.workload, request.config, request.sampling,
+       request.probe_names});
   harness::ExpEntry entry{request.key, result.stats, result.sampled,
                           result.metrics, /*from_cache=*/false};
   std::string text = harness::serialize_entry(entry, fp_hex);

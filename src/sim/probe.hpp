@@ -26,7 +26,9 @@
 // two runs of the same (config, program) produce bit-identical event
 // sequences (pinned by tests/test_probe.cpp).
 //
-// Built-in probe: power::RixnerProbe (energy/ED² columns, src/power/).
+// Built-in probe: power::RixnerProbe (energy/ED² columns, src/power/),
+// which experiments attach by its registry name "rixner"
+// (harness::make_probe).
 // examples/pipeline_trace.cpp collects CommitEvents into a pipeview.
 #pragma once
 
@@ -88,14 +90,15 @@ class Probe {
                               std::vector<Metric>& out) const;
 };
 
-/// A named probe recipe for the experiment layer: the factory builds a
-/// fresh instance per simulation (cells and sampling windows run
-/// concurrently; instances are never shared). Factories must therefore
-/// produce *self-contained* observers: instances that funnel into shared
-/// mutable state (one output file, one shared vector) race under sharded
-/// sampling — accumulate into the run's StatRegistry instead, which merges
-/// deterministically. The *name* keys the cell's result-cache fingerprint
-/// — rename the probe when its exported metrics change meaning.
+/// A named probe recipe for Core::attach_probes and the sampler: the
+/// factory builds a fresh instance per simulation (cells and sampling
+/// windows run concurrently; instances are never shared). Factories must
+/// therefore produce *self-contained* observers: instances that funnel into
+/// shared mutable state (one output file, one shared vector) race under
+/// sharded sampling — accumulate into the run's StatRegistry instead, which
+/// merges deterministically. Experiment cells name their probes instead,
+/// and the harness builds these recipes from its probe registry
+/// (harness::make_probe), whose names key the cells' fingerprints.
 struct ProbeSpec {
   std::string name;
   std::function<std::unique_ptr<Probe>()> make;

@@ -61,11 +61,6 @@ struct UnitSnapshot {
 /// until the merge.
 struct SamplingUnit {
   std::uint64_t icount = 0;  // dynamic instructions before the unit starts
-  // False once the planning pass has stored into the code image before this
-  // unit's checkpoint: its windows must not execute from the shared decode
-  // cache (the checkpointed code bytes differ from the static program).
-  // One flag serves every config of the group.
-  bool decoded_ok = true;
   // Held by the unit until its windows are handed out (streamed) or its CI
   // round is measured; the handed-out windows hold it themselves.
   std::shared_ptr<const UnitSnapshot> snapshot;
@@ -312,11 +307,9 @@ std::vector<SampledStats> SampledSimulator::run_group(
                            const WarmState& warm) {
     SimConfig cfg = configs_[c];
     cfg.max_instructions = window;
-    // A unit whose checkpoint carries self-modified code must not use (or
-    // rebuild) the static decode cache: force the byte-accurate engine.
-    if (!unit.decoded_ok) cfg.fast_path = false;
-    pipeline::Core core(cfg, program, snap->ckpt, &warm,
-                        unit.decoded_ok ? decoded : nullptr);
+    // The core scans the checkpoint's code image and drops the shared
+    // decode when self-modifying stores have made it stale.
+    pipeline::Core core(cfg, program, snap->ckpt, &warm, decoded);
     snap.reset();
     const std::vector<std::unique_ptr<Probe>> instances =
         core.attach_probes(probes[c]);
@@ -468,7 +461,6 @@ std::vector<SampledStats> SampledSimulator::run_group(
       auto snap = std::make_shared<UnitSnapshot>();
       snap->ckpt = arch::capture(master);
       unit.icount = snap->ckpt.icount;
-      unit.decoded_ok = !master.code_dirtied();
       unit.results.resize(n_configs);
       if (!ci_stopping && shards == nullptr) {
         for (std::size_t c = 0; c < n_configs; ++c)

@@ -14,7 +14,7 @@
 // (sim/probe.hpp) may add entries of their own. The legacy sim::SimStats
 // struct survives as a typed *view* materialized from a finalized registry
 // (materialize_sim_stats), so closed-struct consumers keep working while
-// open-ended consumers (CSV/JSON sinks, sampled merging, time-series
+// open-ended consumers (probe metric export, sampled merging, time-series
 // exports) iterate the registry directly.
 //
 // Handles returned by counter()/accum()/... are stable references into the

@@ -1,6 +1,6 @@
-// The Experiment API v2 layer: builder materialization, typed ResultSet
-// (aggregates, CSV/JSON sinks), config fingerprinting, and the on-disk
-// result cache (hit / miss-then-resume).
+// The Experiment API v2 layer: builder materialization, the probe
+// registry, typed ResultSet (aggregates, the CSV sink), config
+// fingerprinting, and the on-disk result cache (hit / miss-then-resume).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,7 +18,6 @@
 #include "harness/harness.hpp"
 #include "harness/result_cache.hpp"
 #include "harness/results.hpp"
-#include "power/probe.hpp"
 #include "service/protocol.hpp"
 #include "workloads/workloads.hpp"
 
@@ -87,11 +86,26 @@ TEST(Experiment, MaterializesCrossProductInDocumentedOrder) {
             (harness::ExpKey{"swim", PolicyKind::Conventional, 40, ""}));
   EXPECT_EQ(cells[7].key,
             (harness::ExpKey{"swim", PolicyKind::Extended, 48, ""}));
-  // Specs carry the mutated config and a structured tag.
+  // Specs carry the mutated config; keys render as coordinates.
   EXPECT_EQ(cells[3].spec.config.policy, PolicyKind::Extended);
   EXPECT_EQ(cells[3].spec.config.phys_int, 48u);
   EXPECT_EQ(cells[3].spec.config.phys_fp, 48u);
-  EXPECT_EQ(cells[3].spec.tag, "li/extended/48");
+  EXPECT_EQ(cells[3].key.to_string(), "li/extended/48");
+}
+
+TEST(Experiment, ProbeNamesResolveThroughOneRegistry) {
+  // make_probe is the one map from a probe name to its implementation; a
+  // sweep can attach only names it resolves, each once.
+  EXPECT_NE(harness::make_probe("rixner"), nullptr);
+  EXPECT_EQ(harness::make_probe("mystery"), nullptr);
+  EXPECT_DEATH(harness::Experiment().probe("mystery"),
+               "unknown probe 'mystery'");
+  EXPECT_DEATH(harness::Experiment().probe("rixner").probe("rixner"),
+               "duplicate probe 'rixner'");
+  // A spec built without the builder is checked before it simulates.
+  EXPECT_DEATH((void)harness::run_one({"li", tiny_config(), std::nullopt,
+                                       {"mystery"}}),
+               "unknown probe 'mystery'");
 }
 
 TEST(Experiment, VaryAxesCrossMultiplyIntoVariantLabels) {
@@ -793,33 +807,6 @@ TEST(ResultSet, CsvRoundTripsKeysAndValues) {
   EXPECT_EQ(rows, rs.size());
 }
 
-TEST(ResultSet, JsonSinkEmitsEveryCellWithStats) {
-  TempDir dir;
-  const harness::ResultSet rs = run_small_grid();
-  const std::string path = (dir.path / "out.json").string();
-  rs.write_json(path);
-
-  std::ifstream in(path);
-  std::stringstream buf;
-  buf << in.rdbuf();
-  const std::string json = buf.str();
-  // Structural sanity: balanced braces/brackets, schema marker, all keys.
-  EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
-            std::count(json.begin(), json.end(), '}'));
-  EXPECT_EQ(std::count(json.begin(), json.end(), '['),
-            std::count(json.begin(), json.end(), ']'));
-  EXPECT_NE(json.find("\"schema\": \"erel-resultset-v1\""), std::string::npos);
-  EXPECT_NE(json.find("\"workload\": \"li\""), std::string::npos);
-  EXPECT_NE(json.find("\"workload\": \"go\""), std::string::npos);
-  EXPECT_NE(json.find("\"policy\": \"extended\""), std::string::npos);
-  EXPECT_NE(json.find("\"stalls.free_list_empty\""), std::string::npos);
-  char committed[64];
-  std::snprintf(committed, sizeof committed, "\"committed\": %llu",
-                static_cast<unsigned long long>(
-                    rs.entries()[0].stats.committed));
-  EXPECT_NE(json.find(committed), std::string::npos);
-}
-
 TEST(ResultSet, ProbeMetricsFlowThroughSinksAndCache) {
   TempDir dir;
   const auto build = [&] {
@@ -828,8 +815,7 @@ TEST(ResultSet, ProbeMetricsFlowThroughSinksAndCache) {
         .workloads({"li"})
         .policies({PolicyKind::Extended})
         .phys_regs({48})
-        .probe("rixner",
-               [] { return std::make_unique<power::RixnerProbe>(); });
+        .probe("rixner");
     return exp;
   };
   const harness::ResultSet rs =
@@ -858,14 +844,6 @@ TEST(ResultSet, ProbeMetricsFlowThroughSinksAndCache) {
   std::snprintf(rendered, sizeof rendered, "%.17g",
                 *e.metric("power/energy_nj"));
   EXPECT_NE(row.find(rendered), std::string::npos);
-
-  // The JSON sink carries a per-cell metrics object.
-  const std::string json_path = (dir.path / "metrics.json").string();
-  rs.write_json(json_path);
-  std::stringstream buf;
-  buf << std::ifstream(json_path).rdbuf();
-  EXPECT_NE(buf.str().find("\"metrics\""), std::string::npos);
-  EXPECT_NE(buf.str().find("\"power/energy_nj\": "), std::string::npos);
 
   // Warm rerun: the cache hit restores the metrics bit-exactly.
   const harness::ResultSet warm =
@@ -904,10 +882,6 @@ TEST(ResultSet, MissingCellIsFatalWithCoordinates) {
 // Plan groups: run_all plans the sampled cells that share a plan key once
 // and measures each of them from that pass
 // ---------------------------------------------------------------------------
-
-std::unique_ptr<sim::Probe> make_rixner() {
-  return std::make_unique<power::RixnerProbe>();
-}
 
 /// Expects a cell from a grouped run to equal run_one of the same spec in
 /// everything a sweep observes: each sample, the merged registry (which is
@@ -952,12 +926,11 @@ TEST(PlanGroups, SingleFieldMutationsMatchPerCellRuns) {
   mutations.emplace_back("fast_path",
                          [](sim::SimConfig& c) { c.fast_path = !c.fast_path; });
   const auto spec = [](const sim::SimConfig& config) {
-    return harness::RunSpec{"li", config, "", plan_group_sampling(),
-                            {{"rixner", make_rixner}}};
+    return harness::RunSpec{"li", config, plan_group_sampling(), {"rixner"}};
   };
-  const auto entry = [](const harness::RunResult& r) {
-    return harness::ExpEntry{{"li", r.spec.config.policy,
-                              r.spec.config.phys_int, ""},
+  const auto entry = [](const sim::SimConfig& config,
+                        const harness::RunResult& r) {
+    return harness::ExpEntry{{"li", config.policy, config.phys_int, ""},
                              r.stats, r.sampled, r.metrics};
   };
   for (const auto& [name, mutate] : mutations) {
@@ -972,8 +945,9 @@ TEST(PlanGroups, SingleFieldMutationsMatchPerCellRuns) {
     const std::vector<harness::RunResult> grouped =
         harness::run_all({spec(base), spec(mutated)}, 2);
     ASSERT_EQ(grouped.size(), 2u);
-    expect_same_cell(entry(grouped[0]), harness::run_one(spec(base)));
-    expect_same_cell(entry(grouped[1]), harness::run_one(spec(mutated)));
+    expect_same_cell(entry(base, grouped[0]), harness::run_one(spec(base)));
+    expect_same_cell(entry(mutated, grouped[1]),
+                     harness::run_one(spec(mutated)));
   }
 }
 
@@ -989,7 +963,7 @@ std::vector<harness::RunResult> expect_grouped_run_equals_run_one(
       .policies(core::all_policies())
       .phys_regs({40, 64})
       .sampling(sampling)
-      .probe("rixner", make_rixner);
+      .probe("rixner");
   const std::vector<harness::Experiment::Cell> cells = exp.materialize();
   std::vector<harness::RunResult> want;
   for (const harness::Experiment::Cell& cell : cells)

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -263,7 +264,8 @@ TEST(FastPathEquivalence, PipelineStoreIntoCodeImageStaysEquivalent) {
 /// Resuming from a checkpoint that carries self-modified code: the static
 /// decode cache is stale against the restored image, so the core must
 /// detect the mismatch and execute byte-accurately — the patched
-/// instruction (r3 = 7) must commit, on both engines, oracle on.
+/// instruction (r3 = 7) must commit, on both engines, oracle on, and when
+/// the caller passes the program's shared decode as sampled windows do.
 TEST(FastPathEquivalence, CheckpointWithModifiedCodeResumesByteAccurately) {
   const arch::Program patched = self_modifying_program();
   arch::ArchState state(patched);  // byte-accurate master
@@ -272,13 +274,21 @@ TEST(FastPathEquivalence, CheckpointWithModifiedCodeResumesByteAccurately) {
   }
   ASSERT_FALSE(state.halted());
   const arch::Checkpoint ckpt = arch::capture(state);
+  const auto shared = std::make_shared<const arch::DecodedProgram>(patched);
 
-  for (const bool fast_path : {true, false}) {
-    SCOPED_TRACE(fast_path ? "fast" : "legacy");
+  struct Case {
+    const char* name;
+    bool fast_path;
+    std::shared_ptr<const arch::DecodedProgram> decoded;
+  };
+  for (const Case& c : {Case{"fast", true, nullptr},
+                        Case{"legacy", false, nullptr},
+                        Case{"fast, shared decode", true, shared}}) {
+    SCOPED_TRACE(c.name);
     sim::SimConfig config;
     config.max_instructions = 100;
-    config.fast_path = fast_path;
-    pipeline::Core core(config, patched, ckpt);
+    config.fast_path = c.fast_path;
+    pipeline::Core core(config, patched, ckpt, nullptr, c.decoded);
     (void)core.run();
     EXPECT_TRUE(core.halted());
     EXPECT_EQ(core.arch_reg(core::RC::Int, 3), 7u)

@@ -131,9 +131,8 @@ TEST(Sampling, ProbesAttachPerWindowAndMergeThroughTheRegistry) {
 TEST(Sampling, HarnessRunsSampledSpecs) {
   harness::RunSpec full_spec{
       "li", harness::experiment_config(core::PolicyKind::Extended, 64),
-      "full", std::nullopt, {}};
+      std::nullopt, {}};
   harness::RunSpec sampled_spec = full_spec;
-  sampled_spec.tag = "sampled";
   sampled_spec.sampling = test_sampling();
   const auto results = harness::run_all({full_spec, sampled_spec}, 2);
   ASSERT_EQ(results.size(), 2u);
@@ -314,10 +313,11 @@ TEST(SamplingSharded, SelfModifyingCodeMatchesSerialBitForBit) {
 }
 
 TEST(SamplingGroups, SelfModifyingCodeServesEveryConfigFromOnePlan) {
-  // One planning pass and one decoded_ok per unit for every config of the
-  // group: units captured after the patch (see the test above) replay
-  // byte-accurately under each config, and each config's result equals its
-  // own run — inline, on a pool of its own, and on a caller's pool.
+  // One planning pass for every config of the group: units captured after
+  // the patch (see the test above) replay byte-accurately under each config,
+  // because each window's core finds the stale decode, and each config's
+  // result equals its own run — inline, on a pool of its own, and on a
+  // caller's pool.
   const arch::Program program = self_modifying_loop();
   sim::SamplingConfig s;
   s.period = 3'000;
@@ -424,7 +424,7 @@ TEST(SamplingGroups, PlannersOnThePoolsOwnWorkersMatchTheirOwnRuns) {
 TEST(SamplingSharded, HarnessRunsShardedSpecs) {
   harness::RunSpec spec{
       "li", harness::experiment_config(core::PolicyKind::Extended, 64),
-      "sharded", test_sampling(), {}};
+      test_sampling(), {}};
   spec.sampling->threads = 2;
   const auto results = harness::run_all({spec}, 1);
   ASSERT_EQ(results.size(), 1u);
