@@ -140,17 +140,6 @@ void RegTracker::finalize(std::uint64_t cycle) {
   }
 }
 
-Occupancy RegTracker::occupancy(std::uint64_t total_cycles) const {
-  EREL_CHECK(finalized_, "occupancy read before finalize");
-  Occupancy occ;
-  if (total_cycles == 0) return occ;
-  const auto cycles = static_cast<double>(total_cycles);
-  occ.avg_empty = empty_integral_ / cycles;
-  occ.avg_ready = ready_integral_ / cycles;
-  occ.avg_idle = idle_integral_ / cycles;
-  return occ;
-}
-
 RegFileState::RegFileState(RC cls_in, unsigned num_phys_in)
     : cls(cls_in),
       num_phys(num_phys_in),

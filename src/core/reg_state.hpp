@@ -23,7 +23,9 @@
 
 namespace erel::core {
 
-/// Occupancy averages over the run (Figure 3's three bars).
+/// Occupancy averages over the run (Figure 3's three bars). In
+/// pipeline::Core's counter block they hold the integrals until the
+/// registry view divides them by cycles.
 struct Occupancy {
   double avg_empty = 0;
   double avg_ready = 0;
@@ -66,14 +68,13 @@ class RegTracker {
   [[nodiscard]] unsigned allocated_count() const { return allocated_count_; }
 
   /// Attributes spans of still-allocated versions up to `cycle` (call once,
-  /// at end of simulation, before reading occupancy()).
+  /// at end of simulation, before reading the integrals).
   void finalize(std::uint64_t cycle);
 
-  [[nodiscard]] Occupancy occupancy(std::uint64_t total_cycles) const;
-
   // Raw occupancy integrals (register-cycles per state): the additive form
-  // published into the StatRegistry, from which the Occupancy averages are
-  // materialized (and which merge correctly across sampled windows).
+  // published into the StatRegistry, from which sim::materialize_sim_stats
+  // derives the Occupancy averages (and which merge correctly across
+  // sampled windows).
   [[nodiscard]] double empty_integral() const { return empty_integral_; }
   [[nodiscard]] double ready_integral() const { return ready_integral_; }
   [[nodiscard]] double idle_integral() const { return idle_integral_; }

@@ -15,52 +15,19 @@ namespace {
 // ---------------------------------------------------------------------------
 // Exhaustive field visitors. `Stats` is (const) SimStats / SampledStats, so
 // the same enumeration serves serialization (const ref, record::Writer) and
-// parsing (mutable ref, record::Reader); a field added to the structs
-// without a line here fails the round-trip test rather than silently
-// dropping data.
+// parsing (mutable ref, record::Reader). The SimStats lines are
+// sim::for_each_stat's names, and erel-lint fails a SimStats field that
+// table misses, so a field cannot be silently dropped from the entry.
 // ---------------------------------------------------------------------------
 
 template <class Stats, class Fn>
-void sim_stats_fields(Stats& s, Fn&& f, const std::string& p) {
-  f(p + "cycles", s.cycles);
-  f(p + "committed", s.committed);
-  f(p + "halted", s.halted);
-  f(p + "branches.cond_branches", s.branches.cond_branches);
-  f(p + "branches.cond_mispredicts", s.branches.cond_mispredicts);
-  f(p + "branches.indirect_jumps", s.branches.indirect_jumps);
-  f(p + "branches.indirect_mispredicts", s.branches.indirect_mispredicts);
-  f(p + "stalls.ros_full", s.stalls.ros_full);
-  f(p + "stalls.lsq_full", s.stalls.lsq_full);
-  f(p + "stalls.checkpoints_full", s.stalls.checkpoints_full);
-  f(p + "stalls.free_list_empty", s.stalls.free_list_empty);
-  f(p + "flushes_injected", s.flushes_injected);
-  f(p + "icache_stall_cycles", s.icache_stall_cycles);
-  for (int c = 0; c < 2; ++c) {
-    const std::string pc = p + (c == 0 ? "int." : "fp.");
-    auto& ps = s.policy_stats[c];
-    f(pc + "conventional_releases", ps.conventional_releases);
-    f(pc + "early_commit_releases", ps.early_commit_releases);
-    f(pc + "immediate_releases", ps.immediate_releases);
-    f(pc + "reuses", ps.reuses);
-    f(pc + "branch_confirm_releases", ps.branch_confirm_releases);
-    f(pc + "conditional_schedulings", ps.conditional_schedulings);
-    f(pc + "fallback_conventional", ps.fallback_conventional);
-    f(pc + "stale_suppressed", ps.stale_suppressed);
-    auto& occ = s.occupancy[c];
-    f(pc + "avg_empty", occ.avg_empty);
-    f(pc + "avg_ready", occ.avg_ready);
-    f(pc + "avg_idle", occ.avg_idle);
-    f(pc + "squash_released", s.squash_released[c]);
-  }
-  const auto cache = [&](const char* name, auto& cs) {
-    const std::string pcache = p + name;
-    f(pcache + ".accesses", cs.accesses);
-    f(pcache + ".misses", cs.misses);
-    f(pcache + ".writebacks", cs.writebacks);
-  };
-  cache("l1i", s.l1i);
-  cache("l1d", s.l1d);
-  cache("l2", s.l2);
+void sim_stats_fields(Stats& s, Fn&& f, std::string_view prefix) {
+  sim::for_each_stat(s, [&](std::string_view name, std::string_view,
+                            auto& field) {
+    std::string line(prefix);
+    line += name;
+    f(line, field);
+  });
 }
 
 template <class Stats, class Fn>
@@ -274,12 +241,16 @@ void ResultSet::write_csv(const std::string& path) const {
     out += record::format_double(e.stats.ipc());
     out += ',';
     out += record::format_double(e.ipc_ci95());
+    // A sampled estimate carries no microarchitectural counters: its rates
+    // come from the detailed windows, and a stall count over the windows
+    // is not a whole-run count, so that field stays empty.
+    const sim::SimStats& micro = e.sampled ? e.sampled->measured : e.stats;
     out += ',';
-    out += record::format_double(e.stats.branches.cond_accuracy());
+    out += record::format_double(micro.branches.cond_accuracy());
     out += ',';
-    out += record::format_double(e.stats.l1d.miss_rate());
+    out += record::format_double(micro.l1d.miss_rate());
     out += ',';
-    out += std::to_string(e.stats.stalls.free_list_empty);
+    if (!e.sampled) out += std::to_string(e.stats.stalls.free_list_empty);
     for (const std::string& name : metric_cols) {
       out += ',';
       if (const std::optional<double> v = e.metric(name))

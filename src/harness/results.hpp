@@ -140,7 +140,9 @@ class ResultSet {
 
   // ---- sink ----
   /// One row per cell: key columns, headline stats, sampling CI and the
-  /// open metric columns. A cell's full record is its cache entry.
+  /// open metric columns. A sampled row takes cond_accuracy and
+  /// l1d_miss_rate from its detailed windows and leaves freelist_stalls
+  /// empty. A cell's full record is its cache entry.
   void write_csv(const std::string& path) const;
 
  private:

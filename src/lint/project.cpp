@@ -1,8 +1,8 @@
 // Binding of the generic lint rules (lint/rules.hpp) to this repository:
-// which structs feed fingerprints, which enum is the wire protocol, which
-// translation units must stay deterministic. Growing the system usually
-// means growing THIS file: add the new struct/enum here and the linter
-// starts defending it.
+// which structs feed fingerprints or the run statistics table, which enum
+// is the wire protocol, which translation units must stay deterministic.
+// Growing the system usually means growing THIS file: add the new
+// struct/enum here and the linter starts defending it.
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
@@ -40,19 +40,39 @@ RuleConfig erel_project_rules() {
   // not to the serializer would make two different machines fingerprint
   // identically — the exact silent-cache-poisoning bug this rule exists
   // to catch at CI time.
+  const std::string fingerprinted =
+      "a config differing only in this field would fingerprint identically "
+      "and be served a wrong cached result";
+  // Every struct of the run statistics: sim::for_each_stat is the one list
+  // the core's publication, the registry view and the cache entry walk.
+  const std::string tabled =
+      "the field is never published to the registry, written to the cache "
+      "entry or materialized into the SimStats view";
   rules.coverage = {
       {"SimConfig", "src/sim/config.hpp", "src/sim/config.cpp",
-       "canonical_fields", "config", "."},
+       "canonical_fields", "config", ".", fingerprinted},
       {"SamplingConfig", "src/sim/sampling.hpp", "src/sim/sampling.cpp",
-       "canonical_fields", "sampling", "."},
+       "canonical_fields", "sampling", ".", fingerprinted},
       {"FetchConfig", "src/pipeline/fetch.hpp", "src/sim/config.cpp",
-       "canonical_fields", "fetch", "."},
+       "canonical_fields", "fetch", ".", fingerprinted},
       {"FuConfig", "src/pipeline/fu_pool.hpp", "src/sim/config.cpp",
-       "canonical_fields", "fus", "."},
+       "canonical_fields", "fus", ".", fingerprinted},
       {"HierarchyConfig", "src/mem/hierarchy.hpp", "src/sim/config.cpp",
-       "canonical_fields", "memory", "."},
+       "canonical_fields", "memory", ".", fingerprinted},
       {"CacheConfig", "src/mem/cache.hpp", "src/sim/config.cpp",
-       "canonical_fields", "cache", "->"},
+       "canonical_fields", "cache", "->", fingerprinted},
+      {"SimStats", "src/sim/stats.hpp", "src/sim/stats.hpp", "for_each_stat",
+       "s", ".", tabled},
+      {"BranchStats", "src/sim/stats.hpp", "src/sim/stats.hpp",
+       "for_each_stat", "branches", ".", tabled},
+      {"DispatchStalls", "src/sim/stats.hpp", "src/sim/stats.hpp",
+       "for_each_stat", "stalls", ".", tabled},
+      {"PolicyStats", "src/core/release_policy.hpp", "src/sim/stats.hpp",
+       "for_each_stat", "ps", ".", tabled},
+      {"Occupancy", "src/core/reg_state.hpp", "src/sim/stats.hpp",
+       "for_each_stat", "occ", ".", tabled},
+      {"CacheStats", "src/mem/cache.hpp", "src/sim/stats.hpp",
+       "for_each_stat", "cs", ".", tabled},
   };
 
   // Wire-protocol completeness: every message type must be handled (or
@@ -80,7 +100,7 @@ RuleConfig erel_project_rules() {
       "src/service/protocol.hpp",     "src/sim/config.cpp",
       "src/sim/config.hpp",           "src/sim/sampling.cpp",
       "src/sim/sampling.hpp",         "src/sim/stat_registry.cpp",
-      "src/sim/stat_registry.hpp",
+      "src/sim/stat_registry.hpp",    "src/sim/stats.hpp",
   };
 
   return rules;

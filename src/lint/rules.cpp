@@ -301,9 +301,7 @@ void check_coverage(Context& ctx, const RuleConfig::Coverage& cov) {
             cov.struct_name + "::" + member.name,
             "field '" + member.name + "' of " + cov.struct_name +
                 " is not serialized by " + cov.function + "() in " +
-                cov.impl +
-                " — a config differing only in this field would fingerprint "
-                "identically and be served a wrong cached result");
+                cov.impl + " — " + cov.consequence);
   }
 }
 

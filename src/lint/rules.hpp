@@ -3,7 +3,9 @@
 // the exemption workflow are documented in docs/lint.md.
 //
 //   fingerprint-coverage   every data member of a config struct appears in
-//                          its canonical_fields() serializer
+//                          its canonical_fields() serializer, and every
+//                          data member of a stats struct in
+//                          sim::for_each_stat
 //   protocol-complete      every service::MsgType enumerator has a handling
 //                          site in protocol.cpp and a mention in test_net;
 //                          encode_X/decode_X come in pairs, each tested
@@ -70,8 +72,9 @@ struct RuleConfig {
     std::string header;
     std::string impl;
     std::string function;
-    std::string root;      // parameter/loop-variable the serializer reads
-    std::string accessor;  // "." or "->"
+    std::string root;         // parameter/loop-variable the serializer reads
+    std::string accessor;     // "." or "->"
+    std::string consequence;  // what a missing field breaks, for findings
   };
   std::vector<Coverage> coverage;
 

@@ -62,25 +62,8 @@ Core::Core(const sim::SimConfig& config, const arch::Program& program,
     oracle_ = std::make_unique<arch::ArchState>(program, decoded_.get());
   if (config.flush_period != 0) next_flush_at_ = config.flush_period;
 
-  // Register the hot pipeline counters (sim/stat_registry.hpp documents the
-  // path scheme); everything else is published by finish_registry().
-  ctr_.cond_branches = &registry_.counter(sim::kStatCondBranches);
-  ctr_.cond_mispredicts = &registry_.counter(sim::kStatCondMispredicts);
-  ctr_.indirect_jumps = &registry_.counter(sim::kStatIndirectJumps);
-  ctr_.indirect_mispredicts =
-      &registry_.counter(sim::kStatIndirectMispredicts);
-  ctr_.ros_full = &registry_.counter(sim::kStatStallRos);
-  ctr_.lsq_full = &registry_.counter(sim::kStatStallLsq);
-  ctr_.checkpoints_full = &registry_.counter(sim::kStatStallCheckpoints);
-  ctr_.free_list_empty = &registry_.counter(sim::kStatStallFreeList);
-  ctr_.flushes_injected = &registry_.counter(sim::kStatFlushes);
-  for (unsigned c = 0; c < core::kNumClasses; ++c) {
-    std::string path(sim::kStatRegfilePrefix);
-    path += '/';
-    path += sim::stat_class_name(c);
-    path += "/squash_released";
-    ctr_.squash_released[c] = &registry_.counter(path);
-    if (config_.stat_stride != 0)
+  if (config_.stat_stride != 0) {
+    for (unsigned c = 0; c < core::kNumClasses; ++c)
       rename_.rf(static_cast<RC>(c)).tracker.enable_channels(
           config_.stat_stride);
   }
@@ -245,11 +228,11 @@ void Core::phase_dispatch() {
     const FetchedInst& fi = fetch_.front();
     const DecodedInst& inst = fi.inst;
     if (ros_.full()) {
-      ++*ctr_.ros_full;
+      ++stats_.stalls.ros_full;
       return;
     }
     if (inst.is_mem() && lsq_.full()) {
-      ++*ctr_.lsq_full;
+      ++stats_.stalls.lsq_full;
       return;
     }
     // The paper's machine copies its Map and LUs Tables at every branch
@@ -258,7 +241,7 @@ void Core::phase_dispatch() {
     const bool is_branch = inst.is_cond_branch() || inst.is_indirect_jump();
     if (is_branch &&
         pending_branches_.size() >= config_.max_pending_branches) {
-      ++*ctr_.checkpoints_full;
+      ++stats_.stalls.checkpoints_full;
       return;
     }
 
@@ -274,7 +257,7 @@ void Core::phase_dispatch() {
     // version (e.g. `add r1, r1, r2`) and then carries its own rel bit.
     if (!rename_.try_rename(inst, seq, e.rec, cycle_)) {
       ros_.truncate_after(seq - 1);
-      ++*ctr_.free_list_empty;
+      ++stats_.stalls.free_list_empty;
       return;
     }
     if (inst.is_mem()) lsq_.push(seq, inst.is_store(), inst.mem_bytes());
@@ -482,12 +465,12 @@ void Core::resolve_branch(RosEntry& e) {
   const bool is_cond = e.inst.is_cond_branch();
   const bool mispredicted = e.actual_target != e.predicted_target;
   if (is_cond) {
-    ++*ctr_.cond_branches;
-    if (mispredicted) ++*ctr_.cond_mispredicts;
+    ++stats_.branches.cond_branches;
+    if (mispredicted) ++stats_.branches.cond_mispredicts;
     gshare_.resolve(e.pc, e.ghr_checkpoint, e.actual_taken, mispredicted);
   } else {
-    ++*ctr_.indirect_jumps;
-    if (mispredicted) ++*ctr_.indirect_mispredicts;
+    ++stats_.branches.indirect_jumps;
+    if (mispredicted) ++stats_.branches.indirect_mispredicts;
     btb_.update(e.pc, e.actual_target);
   }
 
@@ -577,7 +560,7 @@ void Core::phase_commit() {
         e.seq != last_flushed_seq_) {
       last_flushed_seq_ = e.seq;
       next_flush_at_ = committed_ + config_.flush_period;
-      ++*ctr_.flushes_injected;
+      ++stats_.flushes_injected;
       exception_flush(e.pc);
       return;
     }
@@ -674,7 +657,7 @@ void Core::squash_after(InstSeq boundary) {
       reuse_wakes_.emplace_back(core::rc_from(e.rec.cd), e.rec.pd);
     rename_.on_squash_entry(e.rec, cycle_);
     if (e.rec.has_dst() && !e.rec.reused_prev)
-      ++*ctr_.squash_released[static_cast<unsigned>(core::rc_from(e.rec.cd))];
+      ++stats_.squash_released[static_cast<unsigned>(core::rc_from(e.rec.cd))];
   }
   ros_.truncate_after(boundary);
   lsq_.squash_after(boundary);
@@ -729,34 +712,21 @@ void Core::tick() {
 }
 
 void Core::finish_registry() {
-  registry_.counter(sim::kStatCycles).value = cycle_;
-  registry_.counter(sim::kStatCommitted).value = committed_;
-  registry_.counter(sim::kStatHalted).value = halted_ ? 1 : 0;
-  registry_.counter(sim::kStatIcacheStalls).value =
-      fetch_.icache_stall_cycles();
+  stats_.cycles = cycle_;
+  stats_.committed = committed_;
+  stats_.halted = halted_;
+  stats_.icache_stall_cycles = fetch_.icache_stall_cycles();
 
   for (unsigned c = 0; c < core::kNumClasses; ++c) {
     const auto cls = static_cast<RC>(c);
-    // Leaf names come from the shared tables (sim/stat_registry.hpp), so
-    // the publisher and the SimStats view can never drift apart.
-    const std::string base =
-        std::string(sim::kStatPolicyPrefix) + '/' +
-        std::string(sim::stat_class_name(c)) + '/';
-    const core::PolicyStats& ps = rename_.policy(cls).stats();
-    for (const sim::PolicyStatsField& f : sim::policy_stats_fields())
-      registry_.counter(base + std::string(f.leaf)).value = ps.*f.member;
+    stats_.policy_stats[c] = rename_.policy(cls).stats();
 
     core::RegTracker& tracker = rename_.rf(cls).tracker;
     tracker.finalize(cycle_);
-    const std::string rf =
-        std::string(sim::kStatRegfilePrefix) + '/' +
-        std::string(sim::stat_class_name(c)) + '/';
-    const double integrals[3] = {tracker.empty_integral(),
-                                 tracker.ready_integral(),
-                                 tracker.idle_integral()};
-    for (unsigned i = 0; i < 3; ++i)
-      registry_.accum(rf + std::string(sim::kStatOccIntegralLeaves[i]))
-          .value = integrals[i];
+    // The counter block carries the occupancy integrals; the SimStats view
+    // divides them by cycles (sim::materialize_sim_stats).
+    stats_.occupancy[c] = {tracker.empty_integral(), tracker.ready_integral(),
+                           tracker.idle_integral()};
 
     if (config_.stat_stride != 0) {
       // Per-stride occupancy: bins hold register-cycles; dividing by the
@@ -784,16 +754,10 @@ void Core::finish_registry() {
     }
   }
 
-  const auto publish_cache = [this](const char* name,
-                                    const mem::CacheStats& cs) {
-    const std::string base =
-        std::string(sim::kStatCachePrefix) + '/' + name + '/';
-    for (const sim::CacheStatsField& f : sim::cache_stats_fields())
-      registry_.counter(base + std::string(f.leaf)).value = cs.*f.member;
-  };
-  publish_cache("l1i", hierarchy_.l1i().stats());
-  publish_cache("l1d", hierarchy_.l1d().stats());
-  publish_cache("l2", hierarchy_.l2().stats());
+  stats_.l1i = hierarchy_.l1i().stats();
+  stats_.l1d = hierarchy_.l1d().stats();
+  stats_.l2 = hierarchy_.l2().stats();
+  sim::publish_sim_stats(stats_, registry_);
 }
 
 sim::SimStats Core::run() {

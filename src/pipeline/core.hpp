@@ -87,14 +87,12 @@ class Core final : public core::PipelineHooks {
   [[nodiscard]] std::vector<std::unique_ptr<sim::Probe>> attach_probes(
       const std::vector<sim::ProbeSpec>& specs);
 
-  /// The open statistics surface. Hot pipeline counters (stalls, branches,
-  /// squashes) are live during the run; subsystem-owned metrics (policy
-  /// channels, occupancy integrals, cache counters) and the optional
-  /// fixed-stride channels (SimConfig::stat_stride) are published when
-  /// run() finalizes. sim::materialize_sim_stats() derives SimStats from
-  /// it.
+  /// The open statistics surface. Before run() finishes it holds only
+  /// what attached probes registered; run() then publishes the core's
+  /// counter block (every sim::for_each_stat path) and the optional
+  /// fixed-stride channels (SimConfig::stat_stride) into it.
+  /// sim::materialize_sim_stats() derives SimStats from it.
   [[nodiscard]] const sim::StatRegistry& registry() const { return registry_; }
-  [[nodiscard]] sim::StatRegistry& registry() { return registry_; }
 
   [[nodiscard]] bool halted() const { return halted_; }
   [[nodiscard]] std::uint64_t cycle() const { return cycle_; }
@@ -133,9 +131,9 @@ class Core final : public core::PipelineHooks {
   void phase_dispatch();
   void phase_fetch();
 
-  /// Publishes end-of-run metrics (cycles/committed/halted, policy
-  /// counters, occupancy integrals + channels, cache counters) into the
-  /// registry. Called once, by run().
+  /// Completes the counter block (cycles/committed/halted, policy
+  /// counters, occupancy integrals, cache counters) and publishes it and
+  /// the occupancy channels into the registry. Called once, by run().
   void finish_registry();
 
   [[nodiscard]] bool operands_ready(const RosEntry& e) const;
@@ -210,22 +208,11 @@ class Core final : public core::PipelineHooks {
   std::uint64_t next_flush_at_ = 0;
   core::InstSeq last_flushed_seq_ = core::kNoSeq;
 
-  // Statistics registry (the open observation surface) plus cached handles
-  // for the counters the pipeline bumps on its hot paths. Handles stay
-  // valid for the core's lifetime (map-node stability).
+  // The counter block: the hot pipeline counters (stalls, branches,
+  // flushes, squashes) count here during the run; finish_registry()
+  // completes it and publishes it into the registry.
+  sim::SimStats stats_;
   sim::StatRegistry registry_;
-  struct {
-    sim::StatRegistry::Counter* cond_branches = nullptr;
-    sim::StatRegistry::Counter* cond_mispredicts = nullptr;
-    sim::StatRegistry::Counter* indirect_jumps = nullptr;
-    sim::StatRegistry::Counter* indirect_mispredicts = nullptr;
-    sim::StatRegistry::Counter* ros_full = nullptr;
-    sim::StatRegistry::Counter* lsq_full = nullptr;
-    sim::StatRegistry::Counter* checkpoints_full = nullptr;
-    sim::StatRegistry::Counter* free_list_empty = nullptr;
-    sim::StatRegistry::Counter* flushes_injected = nullptr;
-    sim::StatRegistry::Counter* squash_released[core::kNumClasses] = {};
-  } ctr_;
 
   std::vector<sim::Probe*> probes_;  // non-owning, attach order
   // Cached probes_.empty() — one flag instead of a size load+compare at

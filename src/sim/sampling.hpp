@@ -65,7 +65,7 @@ namespace erel::sim {
 /// (systematic random) sampling is the only placement: exactly one unit per
 /// [k*period, (k+1)*period) interval, at a seeded uniform offset within it.
 /// The enum and SamplingConfig::placement stay only because the benchmark
-/// (perfbench/) still names them; they go with its replay (ROADMAP item 7).
+/// (perfbench/) still names them; they go with its replay (ROADMAP item 2).
 enum class Placement {
   kStratified,
 };
@@ -110,7 +110,7 @@ struct SamplingConfig {
   /// fast-forward always warms predictors and caches. They have no
   /// canonical line. The names stay only because the benchmark's replay
   /// (perfbench/src/replay.cpp) reads them, and go when the replay does
-  /// (ROADMAP items 2 and 7).
+  /// (ROADMAP item 2).
   static constexpr std::uint64_t max_samples = 0;
   static constexpr bool functional_warming = true;
 

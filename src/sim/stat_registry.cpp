@@ -1,5 +1,7 @@
 #include "sim/stat_registry.hpp"
 
+#include <type_traits>
+
 #include "common/log.hpp"
 #include "sim/stats.hpp"
 
@@ -129,92 +131,31 @@ std::string_view stat_class_name(unsigned cls) {
   return cls == 0 ? "int" : "fp";
 }
 
-const std::array<PolicyStatsField, 8>& policy_stats_fields() {
-  using PS = core::PolicyStats;
-  static const std::array<PolicyStatsField, 8> fields = {{
-      {"conventional_releases", &PS::conventional_releases},
-      {"early_commit_releases", &PS::early_commit_releases},
-      {"immediate_releases", &PS::immediate_releases},
-      {"reuses", &PS::reuses},
-      {"branch_confirm_releases", &PS::branch_confirm_releases},
-      {"conditional_schedulings", &PS::conditional_schedulings},
-      {"fallback_conventional", &PS::fallback_conventional},
-      {"stale_suppressed", &PS::stale_suppressed},
-  }};
-  return fields;
+void publish_sim_stats(const SimStats& counters, StatRegistry& reg) {
+  for_each_stat(counters, [&reg](std::string_view, std::string_view path,
+                                 const auto& field) {
+    if constexpr (std::is_same_v<std::decay_t<decltype(field)>, double>)
+      reg.accum(path).value = field;
+    else
+      reg.counter(path).value = field;
+  });
 }
-
-const std::array<CacheStatsField, 3>& cache_stats_fields() {
-  using CS = mem::CacheStats;
-  static const std::array<CacheStatsField, 3> fields = {{
-      {"accesses", &CS::accesses},
-      {"misses", &CS::misses},
-      {"writebacks", &CS::writebacks},
-  }};
-  return fields;
-}
-
-namespace {
-
-std::string class_path(std::string_view prefix, unsigned cls,
-                       std::string_view leaf) {
-  std::string path(prefix);
-  path += '/';
-  path += stat_class_name(cls);
-  path += '/';
-  path += leaf;
-  return path;
-}
-
-}  // namespace
 
 SimStats materialize_sim_stats(const StatRegistry& reg) {
   SimStats s;
-  s.cycles = reg.counter_value(kStatCycles);
-  s.committed = reg.counter_value(kStatCommitted);
-  s.halted = reg.counter_value(kStatHalted) != 0;
-  s.flushes_injected = reg.counter_value(kStatFlushes);
-  s.icache_stall_cycles = reg.counter_value(kStatIcacheStalls);
-
-  s.branches.cond_branches = reg.counter_value(kStatCondBranches);
-  s.branches.cond_mispredicts = reg.counter_value(kStatCondMispredicts);
-  s.branches.indirect_jumps = reg.counter_value(kStatIndirectJumps);
-  s.branches.indirect_mispredicts = reg.counter_value(kStatIndirectMispredicts);
-
-  s.stalls.ros_full = reg.counter_value(kStatStallRos);
-  s.stalls.lsq_full = reg.counter_value(kStatStallLsq);
-  s.stalls.checkpoints_full = reg.counter_value(kStatStallCheckpoints);
-  s.stalls.free_list_empty = reg.counter_value(kStatStallFreeList);
-
-  for (unsigned c = 0; c < 2; ++c) {
-    for (const PolicyStatsField& f : policy_stats_fields())
-      s.policy_stats[c].*f.member =
-          reg.counter_value(class_path(kStatPolicyPrefix, c, f.leaf));
-
-    s.squash_released[c] =
-        reg.counter_value(class_path(kStatRegfilePrefix, c, "squash_released"));
-
-    // Same arithmetic as RegTracker::occupancy: integral / double(cycles).
-    core::Occupancy& occ = s.occupancy[c];
-    if (s.cycles != 0) {
-      const auto cycles = static_cast<double>(s.cycles);
-      double* const avgs[3] = {&occ.avg_empty, &occ.avg_ready, &occ.avg_idle};
-      for (unsigned i = 0; i < 3; ++i)
-        *avgs[i] = reg.accum_value(class_path(kStatRegfilePrefix, c,
-                                              kStatOccIntegralLeaves[i])) /
-                   cycles;
+  for_each_stat(s, [&](std::string_view, std::string_view path, auto& field) {
+    using Field = std::decay_t<decltype(field)>;
+    if constexpr (std::is_same_v<Field, double>) {
+      // An average: its path holds the integral. Same arithmetic as the
+      // tracker's pre-registry averages: integral / double(cycles).
+      if (s.cycles != 0)
+        field = reg.accum_value(path) / static_cast<double>(s.cycles);
+    } else if constexpr (std::is_same_v<Field, bool>) {
+      field = reg.counter_value(path) != 0;
+    } else {
+      field = reg.counter_value(path);
     }
-  }
-
-  const auto cache = [&](std::string_view name, mem::CacheStats& cs) {
-    const std::string prefix =
-        std::string(kStatCachePrefix) + '/' + std::string(name) + '/';
-    for (const CacheStatsField& f : cache_stats_fields())
-      cs.*f.member = reg.counter_value(prefix + std::string(f.leaf));
-  };
-  cache("l1i", s.l1i);
-  cache("l1d", s.l1d);
-  cache("l2", s.l2);
+  });
   return s;
 }
 

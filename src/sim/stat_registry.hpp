@@ -9,33 +9,25 @@
 //   Accum        additive real accumulator (integrals)    (merge: sum)
 //   TimeSeries   fixed-stride channel of double samples   (merge: append)
 //
-// pipeline::Core owns one registry per run and registers the built-in
-// counters under stable paths (see kStat* constants below); probes
-// (sim/probe.hpp) may add entries of their own. The legacy sim::SimStats
-// struct survives as a typed *view* materialized from a finalized registry
-// (materialize_sim_stats), so closed-struct consumers keep working while
-// open-ended consumers (probe metric export, sampled merging, time-series
-// exports) iterate the registry directly.
+// pipeline::Core owns one registry per run and publishes its counter block,
+// a sim::SimStats, into it when the run finishes (publish_sim_stats);
+// probes (sim/probe.hpp) may add entries of their own. SimStats is also the
+// registry's typed *view* (materialize_sim_stats). Both walk the one table
+// of built-in paths, sim::for_each_stat (sim/stats.hpp), while open-ended
+// consumers (probe metric export, sampled merging, time-series exports)
+// iterate the registry directly.
 //
 // Handles returned by counter()/accum()/... are stable references into the
 // registry for its lifetime (std::map nodes); copying a registry copies the
 // values, not the handles.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <map>
 #include <string>
 #include <string_view>
 #include <variant>
 #include <vector>
-
-namespace erel::core {
-struct PolicyStats;
-}
-namespace erel::mem {
-struct CacheStats;
-}
 
 namespace erel::sim {
 
@@ -120,9 +112,9 @@ class StatRegistry {
 };
 
 // ---------------------------------------------------------------------------
-// Built-in registry paths populated by pipeline::Core. The SimStats view
-// (materialize_sim_stats) reads exactly these; adding a core metric means
-// adding a path here, not editing a closed struct.
+// Built-in registry paths populated by pipeline::Core. sim::for_each_stat
+// pairs each SimStats field with its path; adding a core metric means
+// adding a SimStats field and its line there.
 // ---------------------------------------------------------------------------
 
 inline constexpr std::string_view kStatCycles = "core/cycles";
@@ -145,7 +137,8 @@ inline constexpr std::string_view kStatStallCheckpoints =
     "stall/checkpoints_full";
 inline constexpr std::string_view kStatStallFreeList = "stall/free_list_empty";
 
-/// Per-class prefixes: "<prefix>/<int|fp>/<leaf>".
+/// Group prefixes: "<prefix>/<int|fp>/<leaf>" per register class, and
+/// "cache/<l1i|l1d|l2>/<leaf>".
 inline constexpr std::string_view kStatPolicyPrefix = "policy";
 inline constexpr std::string_view kStatRegfilePrefix = "regfile";
 inline constexpr std::string_view kStatCachePrefix = "cache";
@@ -157,33 +150,22 @@ inline constexpr std::string_view kChannelPrefix = "channel";
 /// "int" / "fp" path component for class index 0 / 1.
 [[nodiscard]] std::string_view stat_class_name(unsigned cls);
 
-// Shared leaf-name/member tables: pipeline::Core::finish_registry publishes
-// through these and materialize_sim_stats reads through them, so a metric
-// cannot be registered under one name and read back under another (a typo
-// would otherwise silently materialize as 0).
-
-struct PolicyStatsField {
-  std::string_view leaf;
-  std::uint64_t core::PolicyStats::*member;
-};
-[[nodiscard]] const std::array<PolicyStatsField, 8>& policy_stats_fields();
-
-struct CacheStatsField {
-  std::string_view leaf;
-  std::uint64_t mem::CacheStats::*member;
-};
-[[nodiscard]] const std::array<CacheStatsField, 3>& cache_stats_fields();
-
 /// Occupancy integral leaves, ordered {empty, ready, idle}.
 inline constexpr std::string_view kStatOccIntegralLeaves[3] = {
     "empty_integral", "ready_integral", "idle_integral"};
 
 struct SimStats;
 
-/// Materializes the closed SimStats view from a finalized registry.
-/// Occupancy averages are derived as integral / cycles — exactly the
-/// arithmetic the tracker used to perform, so the view is value-identical
-/// to the pre-registry implementation (golden-pinned by tests).
+/// Writes every field of `counters` to its for_each_stat path: a counter
+/// per integer or bool field, an accum per occupancy field. An occupancy
+/// field is written as it stands, so a publisher puts the integral there
+/// (pipeline::Core's counter block does).
+void publish_sim_stats(const SimStats& counters, StatRegistry& registry);
+
+/// Materializes the SimStats view from a finalized registry, reading each
+/// field from its for_each_stat path. Occupancy averages are derived as
+/// integral / cycles, so the view is value-identical to the pre-registry
+/// implementation (golden-pinned by tests).
 [[nodiscard]] SimStats materialize_sim_stats(const StatRegistry& registry);
 
 }  // namespace erel::sim

@@ -777,7 +777,28 @@ TEST(ResultSet, SlicesReportAxesInFirstSeenOrder) {
 
 TEST(ResultSet, CsvRoundTripsKeysAndValues) {
   TempDir dir;
-  const harness::ResultSet rs = run_small_grid();
+  harness::ResultSet rs = run_small_grid();
+  // One sampled cell beside the full ones. Its estimate carries no
+  // microarchitectural counters, so its row takes the two rates from the
+  // detailed windows and leaves freelist_stalls empty.
+  sim::SimConfig sampled_config;
+  sampled_config.check_oracle = false;
+  sim::SamplingConfig sampling;
+  sampling.period = 30'000;
+  sampling.warmup = 1'000;
+  sampling.detail = 5'000;
+  harness::Experiment sampled;
+  sampled.base(sampled_config).workloads({"li"}).phys_regs({64}).sampling(
+      sampling);
+  const harness::ResultSet sampled_rs = sampled.run(harness::RunOptions{});
+  ASSERT_EQ(sampled_rs.size(), 1u);
+  const harness::ExpEntry& sampled_cell = sampled_rs.entries()[0];
+  ASSERT_TRUE(sampled_cell.sampled.has_value());
+  const sim::SimStats& measured = sampled_cell.sampled->measured;
+  ASSERT_GT(measured.branches.cond_mispredicts, 0u);
+  ASSERT_GT(measured.l1d.accesses, 0u);
+  rs.add(sampled_cell);
+
   const std::string path = (dir.path / "out.csv").string();
   rs.write_csv(path);
 
@@ -786,25 +807,41 @@ TEST(ResultSet, CsvRoundTripsKeysAndValues) {
   std::string line;
   ASSERT_TRUE(std::getline(in, line));
   EXPECT_EQ(line.substr(0, 29), "workload,policy,phys,variant,");
-  std::size_t rows = 0;
+  std::size_t rows = 0, sampled_rows = 0;
   while (std::getline(in, line)) {
-    // cells are simple (no quoting needed): split on commas.
-    std::vector<std::string> cols;
-    std::stringstream ss(line);
-    std::string col;
-    while (std::getline(ss, col, ',')) cols.push_back(col);
+    // cells are simple (no quoting needed): split on commas, keeping a
+    // trailing empty field.
+    std::vector<std::string> cols(1);
+    for (const char c : line) {
+      if (c == ',')
+        cols.emplace_back();
+      else
+        cols.back() += c;
+    }
     ASSERT_EQ(cols.size(), 13u) << line;
     const harness::ExpKey key{
         cols[0], core::parse_policy(cols[1]),
         static_cast<unsigned>(std::stoul(cols[2])), cols[3]};
     ASSERT_TRUE(rs.contains(key)) << key.to_string();
-    EXPECT_EQ(cols[4], "full");
+    const harness::ExpEntry& e = rs.at(key);
     EXPECT_EQ(std::stoull(cols[6]), rs.stats(key).committed);
     EXPECT_EQ(std::stoull(cols[7]), rs.stats(key).cycles);
     EXPECT_DOUBLE_EQ(std::stod(cols[8]), rs.ipc(key));  // %.17g: exact
+    const sim::SimStats& micro = e.sampled ? e.sampled->measured : e.stats;
+    EXPECT_EQ(std::stod(cols[10]), micro.branches.cond_accuracy()) << line;
+    EXPECT_EQ(std::stod(cols[11]), micro.l1d.miss_rate()) << line;
+    if (e.sampled) {
+      EXPECT_EQ(cols[4], "sampled");
+      EXPECT_EQ(cols[12], "") << line;
+      ++sampled_rows;
+    } else {
+      EXPECT_EQ(cols[4], "full");
+      EXPECT_EQ(std::stoull(cols[12]), e.stats.stalls.free_list_empty);
+    }
     ++rows;
   }
   EXPECT_EQ(rows, rs.size());
+  EXPECT_EQ(sampled_rows, 1u);
 }
 
 TEST(ResultSet, ProbeMetricsFlowThroughSinksAndCache) {

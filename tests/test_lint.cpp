@@ -127,7 +127,7 @@ TEST(LintLexer, KeepsAccessorPunctuatorsWhole) {
 RuleConfig coverage_rules(const std::string& stem) {
   RuleConfig rules;
   rules.coverage = {{"DemoConfig", stem + ".hpp", stem + ".cpp", "demo_fields",
-                     "demo", "."}};
+                     "demo", ".", "the demo consequence"}};
   return rules;
 }
 
@@ -147,6 +147,9 @@ TEST(LintCoverage, UnserializedFieldIsAFinding) {
   EXPECT_EQ(findings[0].subject, "DemoConfig::strict");
   EXPECT_EQ(findings[0].file, "coverage_fail.hpp");
   EXPECT_GT(findings[0].line, 0);
+  // The finding states the binding's consequence.
+  EXPECT_TRUE(findings[0].message.ends_with("— the demo consequence"))
+      << findings[0].message;
 }
 
 TEST(LintCoverage, MissingFilesAreLintErrorsNotSilence) {
@@ -417,7 +420,7 @@ TEST(LintProject, DeletingACanonicalFieldLineFailsTheLint) {
   files.emplace("src/sim/config.cpp", tokenize("src/sim/config.cpp", impl));
   RuleConfig rules;
   rules.coverage = {{"SimConfig", "src/sim/config.hpp", "src/sim/config.cpp",
-                     "canonical_fields", "config", "."}};
+                     "canonical_fields", "config", ".", "wrong cache hit"}};
   const auto findings = lint(files, rules);
   EXPECT_TRUE(subjects(with_rule(findings, "fingerprint-coverage"))
                   .count("SimConfig::ghr_bits"))
@@ -453,7 +456,7 @@ TEST(LintProject, DeletingASamplingFieldLineFailsTheLint) {
   RuleConfig rules;
   rules.coverage = {{"SamplingConfig", "src/sim/sampling.hpp",
                      "src/sim/sampling.cpp", "canonical_fields", "sampling",
-                     "."}};
+                     ".", "wrong cache hit"}};
   const auto lint_with = [&](const std::string& impl_text) {
     FileSet files;
     files.emplace("src/sim/sampling.hpp",
@@ -470,6 +473,54 @@ TEST(LintProject, DeletingASamplingFieldLineFailsTheLint) {
   EXPECT_EQ(lint_with(read_file_or_die(impl_path)),
             (std::set<std::string>{"SamplingConfig::placement",
                                    "SamplingConfig::threads"}));
+}
+
+TEST(LintProject, DeletingAStatsTableLineFailsTheLint) {
+  // The same guarantee for the run statistics: strip one field's line from
+  // sim::for_each_stat and the project's stats bindings must fire for that
+  // field alone.
+  RuleConfig rules;
+  for (const RuleConfig::Coverage& cov : erel_project_rules().coverage)
+    if (cov.function == "for_each_stat") rules.coverage.push_back(cov);
+  ASSERT_EQ(rules.coverage.size(), 6u);
+  const std::string table_path = "src/sim/stats.hpp";
+  const auto lint_with = [&](const std::string& table_text) {
+    FileSet files;
+    for (const RuleConfig::Coverage& cov : rules.coverage) {
+      files.emplace(cov.header,
+                    tokenize(cov.header,
+                             read_file_or_die(std::string(EREL_SOURCE_DIR) +
+                                              "/" + cov.header)));
+    }
+    files.erase(table_path);
+    files.emplace(table_path, tokenize(table_path, table_text));
+    return with_rule(lint(files, rules), "fingerprint-coverage");
+  };
+  const std::string table =
+      read_file_or_die(std::string(EREL_SOURCE_DIR) + "/" + table_path);
+
+  const std::pair<std::string, std::string> deletions[] = {
+      {"s.icache_stall_cycles", "SimStats::icache_stall_cycles"},
+      {"ps.reuses", "PolicyStats::reuses"},
+      {"occ.avg_idle", "Occupancy::avg_idle"},
+      {"cs.writebacks", "CacheStats::writebacks"},
+  };
+  for (const auto& [access, subject] : deletions) {
+    std::string text = table;
+    const std::size_t at = text.find(access);
+    ASSERT_NE(at, std::string::npos) << access;
+    const std::size_t from = text.rfind('\n', at) + 1;
+    const std::size_t to = text.find('\n', at) + 1;
+    text.erase(from, to - from);
+    const std::vector<Finding> findings = lint_with(text);
+    ASSERT_EQ(findings.size(), 1u) << format_findings(findings);
+    EXPECT_EQ(findings[0].subject, subject);
+    EXPECT_NE(findings[0].message.find("never published"), std::string::npos)
+        << findings[0].message;
+  }
+
+  // Control: the untouched table covers every field.
+  EXPECT_TRUE(lint_with(table).empty()) << format_findings(lint_with(table));
 }
 
 }  // namespace

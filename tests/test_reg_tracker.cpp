@@ -17,10 +17,9 @@ TEST(RegTracker, OccupancySpansMatchFigure2) {
   t.on_consumer_commit(3, t.token(3), 30);
   t.on_release(3, 50, /*squashed=*/false);
   t.finalize(100);
-  const Occupancy occ = t.occupancy(100);
-  EXPECT_DOUBLE_EQ(occ.avg_empty * 100, 5.0);   // 10..15
-  EXPECT_DOUBLE_EQ(occ.avg_ready * 100, 15.0);  // 15..30
-  EXPECT_DOUBLE_EQ(occ.avg_idle * 100, 20.0);   // 30..50
+  EXPECT_DOUBLE_EQ(t.empty_integral(), 5.0);   // 10..15
+  EXPECT_DOUBLE_EQ(t.ready_integral(), 15.0);  // 15..30
+  EXPECT_DOUBLE_EQ(t.idle_integral(), 20.0);   // 30..50
 }
 
 TEST(RegTracker, NeverWrittenVersionIsAllEmpty) {
@@ -28,8 +27,8 @@ TEST(RegTracker, NeverWrittenVersionIsAllEmpty) {
   t.on_alloc(2, 0, 10);
   t.on_release(2, 40, /*squashed=*/true);
   t.finalize(100);
-  EXPECT_DOUBLE_EQ(t.occupancy(100).avg_empty * 100, 30.0);
-  EXPECT_DOUBLE_EQ(t.occupancy(100).avg_idle, 0.0);
+  EXPECT_DOUBLE_EQ(t.empty_integral(), 30.0);
+  EXPECT_DOUBLE_EQ(t.idle_integral(), 0.0);
 }
 
 TEST(RegTracker, SquashedWrittenVersionCountsReadyNotIdle) {
@@ -38,9 +37,9 @@ TEST(RegTracker, SquashedWrittenVersionCountsReadyNotIdle) {
   t.on_write(2, 20);
   t.on_release(2, 40, /*squashed=*/true);
   t.finalize(100);
-  EXPECT_DOUBLE_EQ(t.occupancy(100).avg_empty * 100, 10.0);
-  EXPECT_DOUBLE_EQ(t.occupancy(100).avg_ready * 100, 20.0);
-  EXPECT_DOUBLE_EQ(t.occupancy(100).avg_idle, 0.0);
+  EXPECT_DOUBLE_EQ(t.empty_integral(), 10.0);
+  EXPECT_DOUBLE_EQ(t.ready_integral(), 20.0);
+  EXPECT_DOUBLE_EQ(t.idle_integral(), 0.0);
 }
 
 TEST(RegTracker, DefinerOnlyVersionIdlesFromDefinerCommit) {
@@ -50,7 +49,7 @@ TEST(RegTracker, DefinerOnlyVersionIdlesFromDefinerCommit) {
   t.on_definer_commit(4, 8);
   t.on_release(4, 28, false);  // no consumers: idle from 8 to 28
   t.finalize(50);
-  EXPECT_DOUBLE_EQ(t.occupancy(50).avg_idle * 50, 20.0);
+  EXPECT_DOUBLE_EQ(t.idle_integral(), 20.0);
 }
 
 TEST(RegTracker, FinalizeAttributesLiveVersions) {
@@ -60,7 +59,7 @@ TEST(RegTracker, FinalizeAttributesLiveVersions) {
   t.on_definer_commit(5, 14);
   t.finalize(44);
   // Idle from 14 to 44.
-  EXPECT_DOUBLE_EQ(t.occupancy(44).avg_idle * 44, 30.0);
+  EXPECT_DOUBLE_EQ(t.idle_integral(), 30.0);
 }
 
 TEST(RegTracker, TokensChangePerVersion) {
@@ -86,7 +85,7 @@ TEST(RegTracker, ReuseEndsOldVersionWithoutFreeing) {
   EXPECT_NE(t.token(7), tok_old);
   t.finalize(30);
   // Old version idle 5..20; new version empty 20..30.
-  EXPECT_DOUBLE_EQ(t.occupancy(30).avg_idle * 30, 15.0);
+  EXPECT_DOUBLE_EQ(t.idle_integral(), 15.0);
 }
 
 TEST(RegTracker, ArchitecturalInitHoldsAllLogicalRegs) {

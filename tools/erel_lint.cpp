@@ -23,7 +23,8 @@
 namespace {
 
 constexpr const char* kRuleCatalog =
-    "fingerprint-coverage  config fields all reach canonical_fields()\n"
+    "fingerprint-coverage  config fields all reach canonical_fields(); "
+    "stats fields all reach for_each_stat()\n"
     "protocol-complete     MsgType enumerators handled + tested; "
     "encode/decode pairs\n"
     "nondet-source         no randomness/wall-clock in deterministic TUs\n"
